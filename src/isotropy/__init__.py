@@ -2,7 +2,7 @@
 
 Library layout, one module per concern:
 
-  symlin     dense symmetric linear algebra (Jacobi spectra, inv sqrt)
+  symlin     dense symmetric linear algebra (LAPACK spectra, inv sqrt)
   geometry   convex bodies, oracles, John decomposition fixtures
   samplers   seedable uniform and point-mass samplers
   moments    empirical second moments, deviation, whitening

@@ -52,19 +52,18 @@ def _as_points(points) -> np.ndarray:
 
 
 def _signed_sum_norms(y: np.ndarray, signs: np.ndarray) -> np.ndarray:
-    """Operator norms of sum_i signs[t, i] y_i (x) y_i for each row t of signs."""
-    t, _ = signs.shape
-    n = y.shape[1]
-    norms = np.empty(t)
+    """Operator norms of sum_i signs[t, i] y_i (x) y_i for each row t of signs.
+
+    Row i of ``outer`` is y_i (x) y_i flattened, so a chunk of signed sums
+    is one GEMM; the chunk cap bounds the working set to 2^20 entries.
+    """
+    m, n = y.shape
+    outer = (y[:, :, None] * y[:, None, :]).reshape(m, n * n)
     chunk = max(1, (1 << 20) // (n * n))
-    mats = np.empty((min(chunk, t), n, n))
-    start = 0
-    while start < t:
-        stop = min(start + chunk, t)
-        for j in range(start, stop):
-            mats[j - start] = (signs[j][:, None] * y).T @ y
-        norms[start:stop] = operator_norm_batch(mats[: stop - start])
-        start = stop
+    norms = np.empty(signs.shape[0])
+    for start in range(0, signs.shape[0], chunk):
+        sums = signs[start : start + chunk] @ outer
+        norms[start : start + chunk] = operator_norm_batch(sums.reshape(-1, n, n))
     return norms
 
 

@@ -91,16 +91,18 @@ class ExperimentConfig:
             raise ConfigError("n must be >= 1")
         if not self.m_grid:
             raise ConfigError("m_grid must be nonempty")
-        if any(m < 1 for m in self.m_grid) or self.m < 1:
-            raise ConfigError("sample counts must be >= 1")
+        if any(m < 3 for m in self.m_grid) or len(set(self.m_grid)) != len(self.m_grid):
+            raise ConfigError("m_grid entries must be distinct and >= 3")
+        if self.m < 1:
+            raise ConfigError("m must be >= 1")
         if not self.seeds:
             raise ConfigError("seeds must be nonempty")
         if len(set(self.seeds)) != len(self.seeds):
             raise ConfigError("seeds must be distinct")
         if not 0.0 < self.eps < 1.0:
             raise ConfigError("eps must lie in (0, 1)")
-        if self.r <= 0.0 or self.c <= 0.0 or self.c0 <= 0.0:
-            raise ConfigError("r, c and c0 must be positive")
+        if not all(math.isfinite(v) and v > 0.0 for v in (self.r, self.c, self.c0)):
+            raise ConfigError("r, c and c0 must be positive and finite")
         if self.trials < 1 or self.max_attempts < 1 or self.workers < 1:
             raise ConfigError("trials, max_attempts and workers must be >= 1")
         if self.mode not in ("ratio", "symmetrize"):
@@ -118,6 +120,10 @@ class ExperimentConfig:
             raise ConfigError(f"unknown John fixture {self.fixture!r}")
         if self.distortion is not None and len(self.distortion) != self.n:
             raise ConfigError("distortion must list one factor per coordinate")
+        if self.kind == "truncated":
+            if base not in SAMPLER_CHOICES:
+                raise ConfigError("truncated sampling needs a body sampler (cube, ball or simplex)")
+            truncated_sample_count(self.n, self.r, self.eps, self.c0)
 
 
 _INT_KEYS = {"n", "m", "trials", "max_attempts", "seed", "workers"}
@@ -228,13 +234,14 @@ def _json_value(v):
     if isinstance(v, (int, np.integer)):
         return int(v)
     if isinstance(v, (float, np.floating)):
-        return float(v)
+        return float(v) if math.isfinite(v) else None
     return v
 
 
 def render_json(header: list[str], rows: list[dict]) -> str:
+    """RFC 8259 JSON array of row objects; non-finite floats become null."""
     payload = [{k: _json_value(row[k]) for k in header} for row in rows]
-    return json.dumps(payload, indent=2) + "\n"
+    return json.dumps(payload, indent=2, allow_nan=False) + "\n"
 
 
 def agg_output_path(path: str) -> str:
@@ -404,8 +411,6 @@ def run_truncated(cfg: ExperimentConfig) -> ExperimentResult:
     """Deviation and eps-isotropy of samples from body intersect R sqrt(n) ball."""
     t0 = time.monotonic()
     base = cfg.sampler.split(":", 1)[0]
-    if base not in SAMPLER_CHOICES:
-        raise ConfigError("truncated sampling needs a body sampler (cube, ball or simplex)")
     body = geo.isotropic_normalization(base, cfg.n)
     m = truncated_sample_count(cfg.n, cfg.r, cfg.eps, cfg.c0)
 

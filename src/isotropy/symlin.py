@@ -3,10 +3,10 @@
 Everything downstream (second-moment matrices, whitening transforms,
 residual certificates) lives on small dense symmetric matrices, so this
 module provides exactly four operations: rank-one accumulation, a full
-spectral decomposition via cyclic Jacobi rotations, the operator norm,
-and the inverse square root.  A batched Jacobi driver is exposed as well
-because the Monte Carlo modules need operator norms of many matrices at
-once.
+spectral decomposition, the operator norm, and the inverse square root.
+Spectra come from LAPACK through numpy's batched ``eigh`` / ``eigvalsh``;
+the batch forms are exposed because the Monte Carlo modules need
+operator norms of many matrices at once.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ import numpy as np
 
 __all__ = [
     "SymLinError",
-    "ConvergenceError",
     "NotPositiveSemidefiniteError",
     "SymMatrix",
     "EigenDecomposition",
@@ -29,28 +28,11 @@ __all__ = [
     "inv_sqrt",
 ]
 
-# Jacobi iteration controls: a matrix counts as diagonalized once every
-# off-diagonal entry is below OFFDIAG_TOL times the largest diagonal
-# magnitude; MAX_SWEEPS full cyclic sweeps are allowed before giving up.
-MAX_SWEEPS = 64
-OFFDIAG_TOL = 1e-12
-
 DEFAULT_EIG_FLOOR = 1e-8
 
 
 class SymLinError(ValueError):
     """Base error for this module."""
-
-
-class ConvergenceError(SymLinError):
-    """Jacobi iteration did not converge; carries the residual off-diagonal norm."""
-
-    def __init__(self, residual: float):
-        self.residual = float(residual)
-        super().__init__(
-            f"Jacobi iteration did not converge within {MAX_SWEEPS} sweeps "
-            f"(residual off-diagonal magnitude {self.residual:.3e})"
-        )
 
 
 class NotPositiveSemidefiniteError(SymLinError):
@@ -159,87 +141,25 @@ def rank_one_accumulate(acc: SymMatrix, y: np.ndarray, w: float) -> SymMatrix:
     return SymMatrix(acc.mat + float(w) * np.outer(y, y))
 
 
-def _jacobi_batch(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Diagonalize a batch of symmetric matrices by cyclic Jacobi sweeps.
-
-    ``mats`` has shape (B, n, n) and is consumed (work happens on a copy).
-    Returns (eigenvalues (B, n) unsorted, eigenvectors (B, n, n)).  Raises
-    ConvergenceError if any matrix in the batch fails to converge within
-    MAX_SWEEPS sweeps.
-    """
-    a = np.array(mats, dtype=float)
-    b, n, _ = a.shape
-    q = np.broadcast_to(np.eye(n), (b, n, n)).copy()
-    if n < 2:
-        return a[:, 0, :].copy() if n == 1 else np.zeros((b, 0)), q
-
-    offmask = ~np.eye(n, dtype=bool)
-    pairs = [(k, l) for k in range(n - 1) for l in range(k + 1, n)]
-
-    for _ in range(MAX_SWEEPS):
-        off = np.abs(a[:, offmask]).max(axis=1)
-        scale = np.abs(a[:, np.arange(n), np.arange(n)]).max(axis=1)
-        if np.all(off <= OFFDIAG_TOL * scale):
-            break
-        for k, l in pairs:
-            akl = a[:, k, l]
-            active = akl != 0.0
-            if not np.any(active):
-                continue
-            # Stable rotation angle (one per matrix); inactive entries get
-            # the identity rotation.
-            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-                tau = (a[:, l, l] - a[:, k, k]) / (2.0 * akl)
-                t = np.sign(tau) / (np.abs(tau) + np.sqrt(1.0 + tau * tau))
-                t = np.where(tau == 0.0, 1.0, t)  # sign(0) == 0 would stall
-            t = np.where(active, t, 0.0)
-            c = 1.0 / np.sqrt(1.0 + t * t)
-            s = t * c
-            cc = c[:, None]
-            ss = s[:, None]
-
-            rk = a[:, k, :].copy()
-            rl = a[:, l, :].copy()
-            a[:, k, :] = cc * rk - ss * rl
-            a[:, l, :] = ss * rk + cc * rl
-            ck = a[:, :, k].copy()
-            cl = a[:, :, l].copy()
-            a[:, :, k] = cc * ck - ss * cl
-            a[:, :, l] = ss * ck + cc * cl
-            # The rotation annihilates the pivot in exact arithmetic.
-            a[:, k, l] = np.where(active, 0.0, a[:, k, l])
-            a[:, l, k] = a[:, k, l]
-
-            qk = q[:, :, k].copy()
-            ql = q[:, :, l].copy()
-            q[:, :, k] = cc * qk - ss * ql
-            q[:, :, l] = ss * qk + cc * ql
-    else:
-        off = np.abs(a[:, offmask]).max(axis=1)
-        scale = np.abs(a[:, np.arange(n), np.arange(n)]).max(axis=1)
-        bad = off > OFFDIAG_TOL * scale
-        if np.any(bad):
-            raise ConvergenceError(float(off[bad].max()))
-
-    return a[:, np.arange(n), np.arange(n)].copy(), q
+def _as_stack(mats) -> np.ndarray:
+    """Validate a (B, n, n) stack of finite matrices and return it as floats."""
+    mats = np.asarray(mats, dtype=float)
+    if mats.ndim != 3 or mats.shape[1] != mats.shape[2]:
+        raise SymLinError(f"expected a (B, n, n) stack, got shape {mats.shape}")
+    if not np.all(np.isfinite(mats)):
+        raise SymLinError("matrix entries must be finite")
+    return mats
 
 
 def eigen_batch(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Spectral decompositions of a (B, n, n) stack of symmetric matrices.
 
     Returns (eigenvalues (B, n) sorted descending per matrix, eigenvectors
-    (B, n, n) with matching column order).
+    (B, n, n) with matching column order).  Only the lower triangle of
+    each matrix is read.
     """
-    mats = np.asarray(mats, dtype=float)
-    if mats.ndim != 3 or mats.shape[1] != mats.shape[2]:
-        raise SymLinError(f"expected a (B, n, n) stack, got shape {mats.shape}")
-    if not np.all(np.isfinite(mats)):
-        raise SymLinError("matrix entries must be finite")
-    vals, vecs = _jacobi_batch(mats)
-    order = np.argsort(-vals, axis=1, kind="stable")
-    vals = np.take_along_axis(vals, order, axis=1)
-    vecs = np.take_along_axis(vecs, order[:, None, :], axis=2)
-    return vals, vecs
+    vals, vecs = np.linalg.eigh(_as_stack(mats))
+    return vals[:, ::-1], vecs[:, :, ::-1]
 
 
 def eigen(a: SymMatrix) -> EigenDecomposition:
@@ -248,18 +168,21 @@ def eigen(a: SymMatrix) -> EigenDecomposition:
     return EigenDecomposition(eigenvalues=vals[0], eigenvectors=vecs[0])
 
 
+def operator_norm_batch(mats: np.ndarray) -> np.ndarray:
+    """Operator norms of a (B, n, n) symmetric stack: max(-lambda_min, lambda_max).
+
+    No eigenvectors are formed.  An empty (n = 0) matrix has norm 0.
+    """
+    mats = _as_stack(mats)
+    if mats.shape[1] == 0:
+        return np.zeros(mats.shape[0])
+    vals = np.linalg.eigvalsh(mats)
+    return np.maximum(-vals[:, 0], vals[:, -1])
+
+
 def operator_norm(a: SymMatrix) -> float:
     """The l2 -> l2 operator norm, i.e. the largest absolute eigenvalue."""
-    dec = eigen(a)
-    if dec.eigenvalues.size == 0:
-        return 0.0
-    return float(np.max(np.abs(dec.eigenvalues)))
-
-
-def operator_norm_batch(mats: np.ndarray) -> np.ndarray:
-    """Operator norms of a (B, n, n) stack of symmetric matrices."""
-    vals, _ = eigen_batch(mats)
-    return np.max(np.abs(vals), axis=1)
+    return float(operator_norm_batch(a.mat[None])[0])
 
 
 def inv_sqrt(a: SymMatrix, floor: float = DEFAULT_EIG_FLOOR) -> SymMatrix:

@@ -31,6 +31,29 @@ class TestRademacherEstimate:
         with pytest.raises(BernoulliError):
             rademacher_estimate(np.eye(2), 0, RandomStream(seed=0, stream=0))
 
+    def test_matches_per_trial_oracle_across_chunk_boundary(self):
+        # n = 16 gives chunks of 2^20 / 256 = 4096 signed sums, so 5000
+        # trials span one full chunk and a partial one.
+        y = direct_draws(isotropic_normalization("cube", 16), 40, RandomStream(seed=3, stream=1))
+        norms = rademacher_trial_norms(y, 5000, RandomStream(seed=3, stream=2))
+        signs = RandomStream(seed=3, stream=2).signs((5000, 40))
+        oracle = np.array([np.linalg.norm((s[:, None] * y).T @ y, 2) for s in signs])
+        assert np.allclose(norms, oracle, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("n", [2, 16])
+    def test_khintchine_lower_bound(self, n):
+        # E Z^2 = sum |y_i|^2 y_i (x) y_i for Z = sum eps_i y_i (x) y_i, so
+        # Jensen gives sqrt(v) <= (E|Z|^2)^(1/2) with constant 1, where
+        # v = |sum |y_i|^2 y_i (x) y_i|.  Checked on the squared scale within
+        # 3 Monte Carlo standard errors of the E|Z|^2 estimate.
+        body = isotropic_normalization("cube", n)
+        for m in (8, 64, 512):
+            rng = RandomStream(seed=0, stream=1000 * n + m)
+            y = direct_draws(body, m, rng)
+            v = np.linalg.eigvalsh((np.einsum("ij,ij->i", y, y)[:, None] * y).T @ y).max()
+            sq = rademacher_trial_norms(y, 400, rng) ** 2
+            assert v <= sq.mean() + 3.0 * sq.std(ddof=1) / math.sqrt(sq.size)
+
 
 class TestRademacherExact:
     def test_single_point(self):

@@ -34,6 +34,16 @@ from isotropy.harness import (
     truncated_sample_count,
 )
 
+
+def strict_json_loads(text):
+    """json.loads that refuses the non-RFC 8259 constants NaN and Infinity."""
+
+    def reject_constant(name):
+        raise ValueError(f"non-RFC 8259 constant {name}")
+
+    return json.loads(text, parse_constant=reject_constant)
+
+
 SWEEP_TEXT = """
 # comment lines and blanks are skipped
 kind=sweep
@@ -84,6 +94,10 @@ class TestConfigParsing:
             "kind=sweep\nsampler=torus\n",
             "kind=bernoulli\nmode=unknown\n",
             "kind=whiten\nn=4\ndistortion=1,2\n",
+            "kind=sweep\nm_grid=64,64\n",
+            "kind=sweep\nm_grid=2\n",
+            "kind=truncated\nr=nan\n",
+            "kind=truncated\nsampler=john\n",
         ],
     )
     def test_validation_failures(self, text):
@@ -111,9 +125,9 @@ class TestRenderers:
         assert text == "a,b,c,d\n1,0.33333333333333331,true,x\n"
 
     def test_json_mirrors_fields(self):
-        rows = [{"a": 1, "b": 0.5, "c": False, "d": "x"}]
-        payload = json.loads(render_json(["a", "b", "c", "d"], rows))
-        assert payload == [{"a": 1, "b": 0.5, "c": False, "d": "x"}]
+        rows = [{"a": 1, "b": 0.5, "c": False, "d": "x"}, {"a": 2, "b": math.nan, "c": True, "d": "y"}]
+        payload = strict_json_loads(render_json(["a", "b", "c", "d"], rows))
+        assert payload == [{"a": 1, "b": 0.5, "c": False, "d": "x"}, {"a": 2, "b": None, "c": True, "d": "y"}]
 
     def test_agg_path(self):
         assert agg_output_path("results.csv") == "results.agg.csv"
@@ -273,6 +287,26 @@ class TestCli:
         path = tmp_path / "bad.cfg"
         path.write_text("kind=sweep\neps=2.0\n", encoding="utf-8")
         assert run_cli(["sweep", "--config", str(path)]) == 2
+
+    def test_infeasible_truncation_is_usage_error(self, tmp_path, capsys):
+        # R^2 n / eps^2 <= 1 is caught by validate(), not raised mid-run.
+        path = tmp_path / "trunc.cfg"
+        path.write_text("kind=truncated\nsampler=cube\nn=2\nr=0.0001\neps=0.2\nc0=1\nseeds=0\n", encoding="utf-8")
+        assert run_cli(["truncated", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: R^2 n / eps^2 must exceed 1\n") and "Traceback" not in err
+
+    def test_rejected_seeds_give_valid_json(self, tmp_path):
+        path = tmp_path / "john.cfg"
+        path.write_text(
+            "kind=john-sparsify\nfixture=cross-polytope\nn=8\neps=0.25\nc=1\nmax_attempts=1\nseeds=0,1,2,3,4,5\n",
+            encoding="utf-8",
+        )
+        out = tmp_path / "john.json"
+        assert run_cli(["john-sparsify", "--config", str(path), "--out", str(out), "--format", "json"]) == 0
+        rows = strict_json_loads(out.read_text(encoding="utf-8"))
+        rejected = [r for r in rows if not r["accepted"]]
+        assert rejected and all(r["residual_norm"] is None for r in rejected)
 
     def test_experiment_failure_exits_one(self, tmp_path, capsys):
         path = tmp_path / "john.cfg"
