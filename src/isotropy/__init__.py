@@ -8,14 +8,13 @@ Library layout, one module per concern:
   moments    empirical second moments, deviation, whitening
   johnsparse randomized sparsification of John decompositions
   bernoulli  Rademacher rank-one sums and symmetrization
-  harness    experiment configs, runners, CSV/JSON output
+  harness    experiment configs, the grid runner, CSV/JSON output
   cli        the `isotropy` command
 """
 
 from .symlin import (
     SymMatrix,
     EigenDecomposition,
-    rank_one_accumulate,
     eigen,
     operator_norm,
     inv_sqrt,
@@ -29,18 +28,13 @@ from .geometry import (
     HPolytope,
     Truncated,
     JohnDecomposition,
-    membership,
-    chord,
     isotropic_normalization,
     canonical_john,
 )
 from .samplers import (
     RandomStream,
     SampleBatch,
-    sample_direct,
     sample_hit_and_run,
-    sample_truncated,
-    sample_john,
 )
 from .moments import (
     DeviationReport,
@@ -54,7 +48,6 @@ from .moments import (
 from .johnsparse import ApproxJohn, choose_M, sparsify, verify
 from .bernoulli import (
     SignedSumReport,
-    rademacher_estimate,
     rademacher_exact,
     bound_ratio,
     symmetrization_check,

@@ -16,16 +16,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .moments import format_float
 from .samplers import RandomStream
 from .symlin import SymMatrix, operator_norm, operator_norm_batch
 
 __all__ = [
     "BernoulliError",
     "SignedSumReport",
-    "SIGNED_SUM_CSV_HEADER",
     "SymmetrizationResult",
-    "rademacher_estimate",
     "rademacher_trial_norms",
     "rademacher_exact",
     "bound_ratio",
@@ -34,8 +31,6 @@ __all__ = [
 
 EXACT_ENUMERATION_CAP = 20
 DEFAULT_TRIALS = 1000
-
-SIGNED_SUM_CSV_HEADER = "M,n,trials,seed,estimate,Q,base_norm,bound_shape,ratio"
 
 
 class BernoulliError(ValueError):
@@ -76,11 +71,6 @@ def rademacher_trial_norms(points, trials: int, rng: RandomStream) -> np.ndarray
     return _signed_sum_norms(y, signs)
 
 
-def rademacher_estimate(points, trials: int, rng: RandomStream) -> float:
-    """Monte Carlo mean of the signed rank-one sum's operator norm."""
-    return float(np.mean(rademacher_trial_norms(points, trials, rng)))
-
-
 def rademacher_exact(points) -> float:
     """Exact expectation by enumerating all sign patterns (M <= 20).
 
@@ -115,22 +105,6 @@ class SignedSumReport:
     base_norm: float
     bound_shape: float
     ratio: float
-    estimate_se: float = 0.0  # not serialized
-
-    def csv_row(self) -> str:
-        return ",".join(
-            [
-                str(self.M),
-                str(self.n),
-                str(self.trials),
-                str(self.seed),
-                format_float(self.estimate),
-                format_float(self.Q),
-                format_float(self.base_norm),
-                format_float(self.bound_shape),
-                format_float(self.ratio),
-            ]
-        )
 
 
 def bound_ratio(points, trials: int, rng: RandomStream, seed: int | None = None) -> SignedSumReport:
@@ -147,7 +121,6 @@ def bound_ratio(points, trials: int, rng: RandomStream, seed: int | None = None)
         raise BernoulliError("need M >= 3")
     norms = rademacher_trial_norms(y, trials, rng)
     estimate = float(np.mean(norms))
-    se = float(np.std(norms, ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
     q = float(np.max(np.linalg.norm(y, axis=1)))
     base = operator_norm(SymMatrix.from_dense(y.T @ y))
     bound_shape = math.sqrt(math.log(m)) * q * math.sqrt(base)
@@ -162,7 +135,6 @@ def bound_ratio(points, trials: int, rng: RandomStream, seed: int | None = None)
         base_norm=base,
         bound_shape=bound_shape,
         ratio=ratio,
-        estimate_se=se,
     )
 
 

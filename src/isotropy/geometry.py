@@ -25,8 +25,6 @@ __all__ = [
     "HPolytope",
     "Truncated",
     "JohnDecomposition",
-    "membership",
-    "chord",
     "isotropic_normalization",
     "canonical_john",
     "regular_simplex_vertices",
@@ -303,16 +301,6 @@ class Truncated(Body):
         return max(lo_b, lo_s), min(hi_b, hi_s)
 
 
-def membership(body: Body, x) -> bool:
-    """True iff x lies in the (closed) body."""
-    return body.membership(x)
-
-
-def chord(body: Body, x, d) -> tuple[float, float]:
-    """Maximal interval [t_lo, t_hi] with x + t*d in the body; brackets 0."""
-    return body.chord(x, d)
-
-
 def regular_simplex_vertices(n: int) -> np.ndarray:
     """Vertices of the regular simplex on the unit sphere, rows of shape (n+1, n).
 
@@ -398,10 +386,6 @@ class JohnDecomposition:
     @property
     def n(self) -> int:
         return self.points.shape[1]
-
-    @property
-    def count(self) -> int:
-        return self.points.shape[0]
 
 
 def canonical_john(variant: str, n: int) -> JohnDecomposition:

@@ -1,11 +1,13 @@
-"""Experiment orchestration: configs, sweeps, runners, and output writers.
+"""Experiment orchestration: configs, one grid runner, and output writers.
 
-Experiments are pure functions of (config, master seed).  Each config
-point and trial seed owns a split random stream keyed by (experiment
-kind, point index, trial seed), so results do not depend on execution
-order and a worker pool can fan points out safely.  Science fields are
-serialized as CSV (or a mirroring JSON array) with 17 significant digits;
-wall-clock duration never enters the output files.
+Experiments are pure functions of (config, master seed).  Every kind runs
+through the same grid runner: each config point and trial seed owns a
+split random stream keyed by (experiment kind, point index, trial seed)
+and yields one row, so results do not depend on execution order, a worker
+pool can fan rows out safely, and rows come out in config order for any
+worker count.  Science fields are serialized as CSV (or a mirroring JSON
+array) with 17 significant digits; wall-clock time never enters the
+output files.
 """
 
 from __future__ import annotations
@@ -13,9 +15,8 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -25,7 +26,7 @@ from . import johnsparse as jsp
 from . import moments as mom
 from . import samplers as smp
 from .moments import format_float
-from .symlin import SymMatrix, eigen_batch, inv_sqrt, operator_norm, rank_one_accumulate
+from .symlin import SymMatrix, eigen_batch, inv_sqrt, operator_norm
 
 __all__ = [
     "ConfigError",
@@ -36,11 +37,6 @@ __all__ = [
     "load_config",
     "derive_stream",
     "make_draw",
-    "run_sweep",
-    "run_whiten",
-    "run_truncated",
-    "run_john",
-    "run_bernoulli",
     "run_check",
     "run_experiment",
     "render_csv",
@@ -109,17 +105,21 @@ class ExperimentConfig:
             raise ConfigError(f"unknown bernoulli mode {self.mode!r}")
         if self.format not in ("csv", "json"):
             raise ConfigError(f"unknown output format {self.format!r}")
-        base = self.sampler.split(":", 1)[0]
+        base, colon, sub = self.sampler.partition(":")
         if base not in SAMPLER_CHOICES + ("john",):
             raise ConfigError(f"unknown sampler {self.sampler!r}")
-        if base == "john":
-            fixture = self.sampler.split(":", 1)[1] if ":" in self.sampler else self.fixture
-            if fixture not in FIXTURE_CHOICES:
-                raise ConfigError(f"unknown John fixture {fixture!r}")
+        sampler_fixture = sub if colon else self.fixture
+        if base == "john" and sampler_fixture not in FIXTURE_CHOICES:
+            raise ConfigError(f"unknown John fixture {sampler_fixture!r}")
         if self.fixture not in FIXTURE_CHOICES:
             raise ConfigError(f"unknown John fixture {self.fixture!r}")
-        if self.distortion is not None and len(self.distortion) != self.n:
-            raise ConfigError("distortion must list one factor per coordinate")
+        built = self.fixture if self.kind == "john-sparsify" else sampler_fixture if base == "john" else None
+        if built == "cube-vertices" and self.n > geo.CUBE_VERTEX_DIM_CAP:
+            raise ConfigError(f"cube-vertices fixture needs n <= {geo.CUBE_VERTEX_DIM_CAP}")
+        if self.distortion is not None and (
+            len(self.distortion) != self.n or not all(math.isfinite(d) for d in self.distortion)
+        ):
+            raise ConfigError("distortion must list one finite factor per coordinate")
         if self.kind == "truncated":
             if base not in SAMPLER_CHOICES:
                 raise ConfigError("truncated sampling needs a body sampler (cube, ball or simplex)")
@@ -203,12 +203,10 @@ def make_draw(sampler: str, n: int, fixture: str = "cross-polytope"):
 
 @dataclass
 class ExperimentResult:
-    kind: str
     header: list[str]
     rows: list[dict]
     agg_header: list[str] | None = None
     aggregates: list[dict] | None = None
-    duration: float = 0.0
 
 
 def _format_value(v) -> str:
@@ -252,52 +250,47 @@ def agg_output_path(path: str) -> str:
     return f"{stem}.agg.{ext}"
 
 
-def _run_tasks(tasks, workers: int):
-    """Run keyed thunks, returning results in deterministic key order."""
-    if workers <= 1:
-        return [(key, fn()) for key, fn in tasks]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [(key, pool.submit(fn)) for key, fn in tasks]
-    results = [(key, fut.result()) for key, fut in futures]
-    results.sort(key=lambda kv: kv[0])
-    return results
+def _run_grid(cfg: ExperimentConfig, row, points: list) -> list[dict]:
+    """``row(point, seed, rng)`` for each point, then each seed, in config order.
 
+    The row for the i-th point draws from the stream keyed by (kind, i, seed),
+    so it does not depend on which worker computes it, and ``pool.map`` keeps
+    config order for any ``cfg.workers``.
+    """
+
+    def one(task) -> dict:
+        i, point, seed = task
+        rng = smp.RandomStream(seed=cfg.seed, stream=derive_stream(cfg.kind, i, seed))
+        return row(point, seed, rng)
+
+    tasks = [(i, point, seed) for i, point in enumerate(points) for seed in cfg.seeds]
+    if cfg.workers <= 1:
+        return [one(task) for task in tasks]
+    with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
+        return list(pool.map(one, tasks))
+
+
+# Each experiment kind is a plan: plan(cfg) resolves the sampler, body or
+# fixture once and returns (row, header, points), where row(M, seed, rng)
+# computes one output row from that seed's stream.
 
 SWEEP_HEADER = ["experiment", "n", "M", "seed", "sampler", "deviation", "log_moment", "rhs_shape", "ratio"]
 SWEEP_AGG_HEADER = ["experiment", "n", "M", "sampler", "n_seeds", "mean_deviation", "normalized_deviation"]
 
 
-def run_sweep(cfg: ExperimentConfig) -> ExperimentResult:
-    """Deviation reports over an M grid of fresh batches, plus per-M aggregates.
-
-    The aggregate row carries the seed-mean deviation and the normalized
-    quantity mean_deviation * sqrt(M / log M), the bound's decay shape.
-    """
-    t0 = time.monotonic()
+def _plan_sweep(cfg: ExperimentConfig):
+    """Deviation reports over an M grid of fresh batches."""
     label, draw = make_draw(cfg.sampler, cfg.n, cfg.fixture)
 
-    def one(point: int, m: int, seed: int) -> dict:
-        rng = smp.RandomStream(seed=cfg.seed, stream=derive_stream(cfg.kind, point, seed))
+    def row(m: int, seed: int, rng: smp.RandomStream) -> dict:
         batch = smp.SampleBatch(vectors=draw(m, rng), sampler=label, seed=seed, stream=rng.stream)
-        rep = mom.concentration_report(batch, seed=seed)
-        return {
-            "experiment": cfg.kind,
-            "n": rep.n,
-            "M": rep.M,
-            "seed": seed,
-            "sampler": rep.sampler,
-            "deviation": rep.deviation,
-            "log_moment": rep.log_moment,
-            "rhs_shape": rep.rhs_shape,
-            "ratio": rep.ratio,
-        }
+        return {"experiment": cfg.kind, **asdict(mom.concentration_report(batch))}
 
-    tasks = []
-    for i, m in enumerate(cfg.m_grid):
-        for seed in cfg.seeds:
-            tasks.append(((i, seed), (lambda m=m, i=i, s=seed: one(i, m, s))))
-    rows = [row for _, row in _run_tasks(tasks, cfg.workers)]
+    return row, SWEEP_HEADER, cfg.m_grid
 
+
+def _sweep_aggregates(cfg: ExperimentConfig, rows: list[dict]) -> list[dict]:
+    """Per-M seed-mean deviation and mean_deviation * sqrt(M / log M), the bound's decay shape."""
     aggregates = []
     for m in cfg.m_grid:
         devs = [r["deviation"] for r in rows if r["M"] == m]
@@ -307,20 +300,13 @@ def run_sweep(cfg: ExperimentConfig) -> ExperimentResult:
                 "experiment": cfg.kind,
                 "n": cfg.n,
                 "M": m,
-                "sampler": label,
+                "sampler": rows[0]["sampler"],
                 "n_seeds": len(devs),
                 "mean_deviation": mean_dev,
                 "normalized_deviation": mean_dev * math.sqrt(m) / math.sqrt(math.log(m)),
             }
         )
-    return ExperimentResult(
-        kind=cfg.kind,
-        header=SWEEP_HEADER,
-        rows=rows,
-        agg_header=SWEEP_AGG_HEADER,
-        aggregates=aggregates,
-        duration=time.monotonic() - t0,
-    )
+    return aggregates
 
 
 WHITEN_HEADER = [
@@ -343,43 +329,40 @@ def default_distortion(n: int) -> list[float]:
     return d
 
 
-def run_whiten(cfg: ExperimentConfig) -> ExperimentResult:
+def _plan_whiten(cfg: ExperimentConfig):
     """Two-stage whitening round trip on a linearly distorted body.
 
     Stage one estimates T from M distorted samples and forms T^(-1/2);
     stage two applies that fixed map to M fresh distorted samples and
-    checks the fresh empirical second moment for eps-isotropy.
+    checks the fresh empirical second moment for eps-isotropy, which holds
+    exactly when its deviation is at most eps.
     """
-    t0 = time.monotonic()
     label, draw = make_draw(cfg.sampler, cfg.n, cfg.fixture)
     distortion = np.asarray(cfg.distortion if cfg.distortion is not None else default_distortion(cfg.n))
 
-    def one(seed: int) -> dict:
-        rng = smp.RandomStream(seed=cfg.seed, stream=derive_stream(cfg.kind, 0, seed))
-        first = draw(cfg.m, rng) * distortion
+    def row(m: int, seed: int, rng: smp.RandomStream) -> dict:
+        first = draw(m, rng) * distortion
         t_hat = mom.empirical_second_moment(
             smp.SampleBatch(vectors=first, sampler=label, seed=seed, stream=rng.stream)
         )
         w = mom.whitening_transform(t_hat)
-        fresh = draw(cfg.m, rng) * distortion
-        whitened = fresh @ w.mat
+        whitened = (draw(m, rng) * distortion) @ w.mat
         t2 = mom.empirical_second_moment(
             smp.SampleBatch(vectors=whitened, sampler=label, seed=seed, stream=rng.stream)
         )
+        dev = mom.deviation(t2)
         return {
             "experiment": cfg.kind,
             "n": cfg.n,
-            "M": cfg.m,
+            "M": m,
             "seed": seed,
             "eps": cfg.eps,
             "deviation_raw": mom.deviation(t_hat),
-            "deviation_whitened": mom.deviation(t2),
-            "isotropic": mom.epsilon_isotropy_check(t2, cfg.eps),
+            "deviation_whitened": dev,
+            "isotropic": dev <= cfg.eps,
         }
 
-    tasks = [((0, s), (lambda s=s: one(s))) for s in cfg.seeds]
-    rows = [row for _, row in _run_tasks(tasks, cfg.workers)]
-    return ExperimentResult(cfg.kind, WHITEN_HEADER, rows, duration=time.monotonic() - t0)
+    return row, WHITEN_HEADER, [cfg.m]
 
 
 TRUNCATED_HEADER = [
@@ -407,40 +390,28 @@ def truncated_sample_count(n: int, r: float, eps: float, c0: float) -> int:
     return int(math.ceil(c0 * x * math.log(x)))
 
 
-def run_truncated(cfg: ExperimentConfig) -> ExperimentResult:
-    """Deviation and eps-isotropy of samples from body intersect R sqrt(n) ball."""
-    t0 = time.monotonic()
+def _plan_truncated(cfg: ExperimentConfig):
+    """Deviation and eps-isotropy (deviation <= eps) of samples from body intersect R sqrt(n) ball."""
     base = cfg.sampler.split(":", 1)[0]
     body = geo.isotropic_normalization(base, cfg.n)
-    m = truncated_sample_count(cfg.n, cfg.r, cfg.eps, cfg.c0)
+    label = f"truncated:{base}"
 
-    def one(seed: int) -> dict:
-        rng = smp.RandomStream(seed=cfg.seed, stream=derive_stream(cfg.kind, 0, seed))
+    def row(m: int, seed: int, rng: smp.RandomStream) -> dict:
         try:
-            batch = smp.truncated_batch(body, cfg.r, m, rng, label=f"truncated:{base}")
+            vectors = smp.TruncatedSampler(body, cfg.r, rng).draw(m)
         except smp.TruncationError as exc:
             raise ExperimentError(f"seed {seed}: {exc}") from exc
-        t = mom.empirical_second_moment(batch)
-        rep = mom.concentration_report(batch, seed=seed)
+        rep = mom.concentration_report(smp.SampleBatch(vectors=vectors, sampler=label, seed=seed, stream=rng.stream))
         return {
             "experiment": cfg.kind,
-            "n": cfg.n,
             "R": cfg.r,
             "eps": cfg.eps,
             "c0": cfg.c0,
-            "M": m,
-            "seed": seed,
-            "sampler": batch.sampler,
-            "deviation": rep.deviation,
-            "log_moment": rep.log_moment,
-            "rhs_shape": rep.rhs_shape,
-            "ratio": rep.ratio,
-            "isotropic": mom.epsilon_isotropy_check(t, cfg.eps),
+            **asdict(rep),
+            "isotropic": rep.deviation <= cfg.eps,
         }
 
-    tasks = [((0, s), (lambda s=s: one(s))) for s in cfg.seeds]
-    rows = [row for _, row in _run_tasks(tasks, cfg.workers)]
-    return ExperimentResult(cfg.kind, TRUNCATED_HEADER, rows, duration=time.monotonic() - t0)
+    return row, TRUNCATED_HEADER, [truncated_sample_count(cfg.n, cfg.r, cfg.eps, cfg.c0)]
 
 
 JOHN_HEADER = [
@@ -461,15 +432,12 @@ JOHN_HEADER = [
 ]
 
 
-def run_john(cfg: ExperimentConfig) -> ExperimentResult:
+def _plan_john(cfg: ExperimentConfig):
     """Sparsify the configured John fixture once per seed and certify results."""
-    t0 = time.monotonic()
     jd = geo.canonical_john(cfg.fixture, cfg.n)
-    m = jsp.choose_M(cfg.n, cfg.eps, cfg.c)
 
-    def one(seed: int) -> dict:
-        rng = smp.RandomStream(seed=cfg.seed, stream=derive_stream(cfg.kind, 0, seed))
-        row = {
+    def row(m: int, seed: int, rng: smp.RandomStream) -> dict:
+        out = {
             "experiment": cfg.kind,
             "fixture": cfg.fixture,
             "n": cfg.n,
@@ -488,81 +456,58 @@ def run_john(cfg: ExperimentConfig) -> ExperimentResult:
         try:
             approx = jsp.sparsify(jd, cfg.eps, rng, C=cfg.c, max_attempts=cfg.max_attempts)
         except jsp.SparsifyRejectionError as exc:
-            row["deviation_failures"] = exc.deviation_failures
-            row["point_sum_failures"] = exc.point_sum_failures
-            return row
+            out["deviation_failures"] = exc.deviation_failures
+            out["point_sum_failures"] = exc.point_sum_failures
+            return out
         report = jsp.verify(approx)
-        row.update(
+        out.update(
             accepted=True,
             attempts=approx.attempts,
             residual_norm=report.residual_norm,
             u_norm_sqrt_m=report.shift_scaled,
             centroid_norm=report.centroid_norm,
         )
-        return row
+        return out
 
-    tasks = [((0, s), (lambda s=s: one(s))) for s in cfg.seeds]
-    rows = [row for _, row in _run_tasks(tasks, cfg.workers)]
-    if not any(r["accepted"] for r in rows):
-        failed = sum(1 for r in rows if not r["accepted"])
-        raise ExperimentError(f"sparsifier failed on all {failed} seeds (fixture {cfg.fixture}, n={cfg.n})")
-    return ExperimentResult(cfg.kind, JOHN_HEADER, rows, duration=time.monotonic() - t0)
+    return row, JOHN_HEADER, [jsp.choose_M(cfg.n, cfg.eps, cfg.c)]
 
 
 BOUND_HEADER = ["experiment", "M", "n", "trials", "seed", "estimate", "Q", "base_norm", "bound_shape", "ratio"]
 SYMMETRIZE_HEADER = ["experiment", "n", "M", "trials", "seed", "lhs", "rhs", "lhs_se", "rhs_se", "holds"]
 
 
-def run_bernoulli(cfg: ExperimentConfig) -> ExperimentResult:
+def _plan_bernoulli(cfg: ExperimentConfig):
     """Signed rank-one sum experiments: bound ratios or symmetrization checks."""
-    t0 = time.monotonic()
-    label, draw = make_draw(cfg.sampler, cfg.n, cfg.fixture)
+    _, draw = make_draw(cfg.sampler, cfg.n, cfg.fixture)
 
     if cfg.mode == "ratio":
 
-        def one(point: int, m: int, seed: int) -> dict:
-            rng = smp.RandomStream(seed=cfg.seed, stream=derive_stream(cfg.kind, point, seed))
-            points = draw(m, rng)
-            rep = brn.bound_ratio(points, cfg.trials, rng, seed=seed)
-            return {
-                "experiment": cfg.kind,
-                "M": rep.M,
-                "n": rep.n,
-                "trials": rep.trials,
-                "seed": seed,
-                "estimate": rep.estimate,
-                "Q": rep.Q,
-                "base_norm": rep.base_norm,
-                "bound_shape": rep.bound_shape,
-                "ratio": rep.ratio,
-            }
+        def ratio_row(m: int, seed: int, rng: smp.RandomStream) -> dict:
+            return {"experiment": cfg.kind, **asdict(brn.bound_ratio(draw(m, rng), cfg.trials, rng, seed=seed))}
 
-        tasks = []
-        for i, m in enumerate(cfg.m_grid):
-            for seed in cfg.seeds:
-                tasks.append(((i, seed), (lambda i=i, m=m, s=seed: one(i, m, s))))
-        rows = [row for _, row in _run_tasks(tasks, cfg.workers)]
-        return ExperimentResult(cfg.kind, BOUND_HEADER, rows, duration=time.monotonic() - t0)
+        return ratio_row, BOUND_HEADER, cfg.m_grid
 
-    def one_sym(seed: int) -> dict:
-        rng = smp.RandomStream(seed=cfg.seed, stream=derive_stream(cfg.kind, 0, seed))
-        res = brn.symmetrization_check(draw, cfg.n, cfg.m, cfg.trials, rng)
+    def symmetrize_row(m: int, seed: int, rng: smp.RandomStream) -> dict:
+        res = brn.symmetrization_check(draw, cfg.n, m, cfg.trials, rng)
         return {
             "experiment": cfg.kind,
             "n": cfg.n,
-            "M": cfg.m,
-            "trials": res.trials,
+            "M": m,
             "seed": seed,
-            "lhs": res.lhs,
-            "rhs": res.rhs,
-            "lhs_se": res.lhs_se,
-            "rhs_se": res.rhs_se,
+            **asdict(res),
             "holds": res.holds(),
         }
 
-    tasks = [((0, s), (lambda s=s: one_sym(s))) for s in cfg.seeds]
-    rows = [row for _, row in _run_tasks(tasks, cfg.workers)]
-    return ExperimentResult(cfg.kind, SYMMETRIZE_HEADER, rows, duration=time.monotonic() - t0)
+    return symmetrize_row, SYMMETRIZE_HEADER, [cfg.m]
+
+
+_PLANS = {
+    "sweep": _plan_sweep,
+    "whiten": _plan_whiten,
+    "truncated": _plan_truncated,
+    "john-sparsify": _plan_john,
+    "bernoulli": _plan_bernoulli,
+}
 
 
 # ---------------------------------------------------------------------------
@@ -621,7 +566,7 @@ def _check_operator_norm(rng: smp.RandomStream) -> CheckResult:
         if abs(operator_norm(a) - operator_norm(-1.0 * a)) > 1e-12:
             ok = False
         y = rng.standard_normal(n)
-        r1 = rank_one_accumulate(SymMatrix.zeros(n), y, 1.0)
+        r1 = SymMatrix(np.outer(y, y))
         norm_y2 = float(y @ y)
         if abs(operator_norm(r1) - norm_y2) > 1e-12 * max(1.0, norm_y2):
             ok = False
@@ -806,35 +751,29 @@ _CHECKS = (
 )
 
 
+def _check_row(check, seed: int, rng: smp.RandomStream) -> dict:
+    try:
+        res = check(rng)
+    except Exception as exc:  # a crashed check is a failed check
+        res = CheckResult(check.__name__.removeprefix("_check_"), False, f"raised {exc!r}")
+    return {"experiment": "check", "check": res.name, "ok": res.ok, "detail": res.detail}
+
+
 def run_check(seed: int = 0) -> ExperimentResult:
-    """Run the invariant suite; one row per check."""
-    t0 = time.monotonic()
-    results: list[CheckResult] = []
-    for i, fn in enumerate(_CHECKS):
-        rng = smp.RandomStream(seed=seed, stream=derive_stream("check", i, 0))
-        try:
-            results.append(fn(rng))
-        except Exception as exc:  # a crashed check is a failed check
-            results.append(CheckResult(fn.__name__.removeprefix("_check_"), False, f"raised {exc!r}"))
-    rows = [
-        {"experiment": "check", "check": r.name, "ok": r.ok, "detail": r.detail}
-        for r in results
-    ]
-    return ExperimentResult("check", CHECK_HEADER, rows, duration=time.monotonic() - t0)
+    """Run the invariant suite through the grid runner: the checks are the points, 0 the only trial seed."""
+    rows = _run_grid(ExperimentConfig(kind="check", seed=seed, seeds=[0]), _check_row, list(_CHECKS))
+    return ExperimentResult(CHECK_HEADER, rows)
 
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
+    """Validate ``cfg`` and run its experiment through the grid runner."""
     cfg.validate()
-    if cfg.kind == "sweep":
-        return run_sweep(cfg)
-    if cfg.kind == "whiten":
-        return run_whiten(cfg)
-    if cfg.kind == "truncated":
-        return run_truncated(cfg)
-    if cfg.kind == "john-sparsify":
-        return run_john(cfg)
-    if cfg.kind == "bernoulli":
-        return run_bernoulli(cfg)
     if cfg.kind == "check":
         return run_check(seed=cfg.seed)
-    raise ConfigError(f"unknown experiment kind {cfg.kind!r}")
+    row, header, points = _PLANS[cfg.kind](cfg)
+    rows = _run_grid(cfg, row, points)
+    if cfg.kind == "sweep":
+        return ExperimentResult(header, rows, SWEEP_AGG_HEADER, _sweep_aggregates(cfg, rows))
+    if cfg.kind == "john-sparsify" and not any(r["accepted"] for r in rows):
+        raise ExperimentError(f"sparsifier failed on all {len(rows)} seeds (fixture {cfg.fixture}, n={cfg.n})")
+    return ExperimentResult(header, rows)

@@ -15,12 +15,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .samplers import SampleBatch
-from .symlin import SymMatrix, eigen, inv_sqrt, operator_norm
+from .symlin import SymMatrix, inv_sqrt, operator_norm
 
 __all__ = [
     "MomentsError",
     "DeviationReport",
-    "DEVIATION_CSV_HEADER",
     "empirical_second_moment",
     "deviation",
     "log_moment",
@@ -41,9 +40,6 @@ def format_float(x: float) -> str:
     return format(float(x), ".17g")
 
 
-DEVIATION_CSV_HEADER = "n,M,seed,sampler,deviation,log_moment,rhs_shape,ratio"
-
-
 @dataclass(frozen=True)
 class DeviationReport:
     """Both sides of the concentration bound for one sampled batch."""
@@ -56,25 +52,6 @@ class DeviationReport:
     log_moment: float
     rhs_shape: float
     ratio: float
-
-    @property
-    def in_regime(self) -> bool:
-        """True when the bound's right side is below 1, where it is asserted."""
-        return self.rhs_shape < 1.0
-
-    def csv_row(self) -> str:
-        return ",".join(
-            [
-                str(self.n),
-                str(self.M),
-                str(self.seed),
-                self.sampler,
-                format_float(self.deviation),
-                format_float(self.log_moment),
-                format_float(self.rhs_shape),
-                format_float(self.ratio),
-            ]
-        )
 
 
 def empirical_second_moment(batch: SampleBatch) -> SymMatrix:
@@ -114,7 +91,7 @@ def log_moment(batch: SampleBatch, p: float | None = None) -> float:
     return float(np.exp(lstar + np.log(total / m) / p))
 
 
-def concentration_report(batch: SampleBatch, seed: int | None = None, sampler: str | None = None) -> DeviationReport:
+def concentration_report(batch: SampleBatch) -> DeviationReport:
     """Deviation, log-M moment, the bound's shape term, and their ratio."""
     m = batch.M
     if m < 3:
@@ -127,8 +104,8 @@ def concentration_report(batch: SampleBatch, seed: int | None = None, sampler: s
     return DeviationReport(
         n=batch.n,
         M=m,
-        seed=batch.seed if seed is None else seed,
-        sampler=batch.sampler if sampler is None else sampler,
+        seed=batch.seed,
+        sampler=batch.sampler,
         deviation=dev,
         log_moment=lm,
         rhs_shape=rhs_shape,
@@ -137,15 +114,14 @@ def concentration_report(batch: SampleBatch, seed: int | None = None, sampler: s
 
 
 def epsilon_isotropy_check(t: SymMatrix, eps: float) -> bool:
-    """True iff every eigenvalue of T lies in [1-eps, 1+eps].
+    """True iff every eigenvalue of T lies in [1-eps, 1+eps], i.e. |T - id| <= eps.
 
     Equivalent to sandwiching the quadratic form x^T T x between
     (1-eps)|x|^2 and (1+eps)|x|^2 for all x.
     """
     if not 0.0 < eps < 1.0:
         raise MomentsError("eps must lie in (0, 1)")
-    vals = eigen(t).eigenvalues
-    return bool(np.all(vals >= 1.0 - eps) and np.all(vals <= 1.0 + eps))
+    return deviation(t) <= eps
 
 
 def whitening_transform(t: SymMatrix, floor: float | None = None) -> SymMatrix:

@@ -22,17 +22,10 @@ __all__ = [
     "TruncationError",
     "RandomStream",
     "SampleBatch",
-    "sample_direct",
     "direct_draws",
-    "direct_batch",
     "sample_hit_and_run",
-    "hit_and_run_batch",
     "TruncatedSampler",
-    "sample_truncated",
-    "truncated_batch",
-    "sample_john",
     "john_draws",
-    "john_batch",
     "john_support",
     "seed_from_env",
 ]
@@ -92,10 +85,6 @@ class RandomStream:
         """Fresh independent stream under the same seed."""
         return RandomStream(seed=self.seed, stream=stream)
 
-    @property
-    def gen(self) -> np.random.Generator:
-        return self._gen
-
     def uniform(self, low=0.0, high=1.0, size=None):
         return self._gen.uniform(low, high, size)
 
@@ -121,7 +110,6 @@ class SampleBatch:
     sampler: str
     seed: int
     stream: int
-    params: dict = field(default_factory=dict)
 
     def __post_init__(self):
         v = np.asarray(self.vectors, dtype=float)
@@ -166,30 +154,11 @@ def _unit_ball_points(rng: RandomStream, m: int, n: int) -> np.ndarray:
     return g * (u ** (1.0 / n) / norms)[:, None]
 
 
-def sample_direct(body: Body, rng: RandomStream) -> np.ndarray:
-    """One exact uniform sample from a standard body."""
-    return _draw_direct(body, rng, 1)[0]
-
-
 def direct_draws(body: Body, m: int, rng: RandomStream) -> np.ndarray:
     """M exact uniform samples as a plain (m, n) array."""
     if m < 1:
         raise SamplerError("batch size must be >= 1")
     return _draw_direct(body, rng, m)
-
-
-def direct_batch(body: Body, m: int, rng: RandomStream, label: str | None = None) -> SampleBatch:
-    """Batch of M exact uniform samples."""
-    if m < 1:
-        raise SamplerError("batch size must be >= 1")
-    vectors = _draw_direct(body, rng, m)
-    return SampleBatch(
-        vectors=vectors,
-        sampler=label or type(body).__name__.lower(),
-        seed=rng.seed,
-        stream=rng.stream,
-        params={"n": body.n, "M": m},
-    )
 
 
 def _random_direction(rng: RandomStream, n: int) -> np.ndarray:
@@ -216,7 +185,9 @@ def sample_hit_and_run(
     """
     if burn_in < 0 or thin < 1 or count < 1:
         raise SamplerError("need burn_in >= 0, thin >= 1, count >= 1")
-    x = _as_interior_start(body, x0)
+    x = np.asarray(x0, dtype=float)
+    if not body.membership(x):
+        raise SamplerError("hit-and-run start point lies outside the body")
     for _ in range(burn_in):
         x = _hit_and_run_step(body, x, rng)
     out = np.empty((count, body.n))
@@ -225,13 +196,6 @@ def sample_hit_and_run(
             x = _hit_and_run_step(body, x, rng)
         out[j] = x
     return out
-
-
-def _as_interior_start(body: Body, x0) -> np.ndarray:
-    x = np.asarray(x0, dtype=float)
-    if not body.membership(x):
-        raise SamplerError("hit-and-run start point lies outside the body")
-    return x.copy()
 
 
 def _hit_and_run_step(body: Body, x: np.ndarray, rng: RandomStream) -> np.ndarray:
@@ -247,29 +211,6 @@ def default_burn_in(n: int) -> int:
 
 def default_thin(n: int) -> int:
     return DEFAULT_THIN_PER_DIM * n
-
-
-def hit_and_run_batch(
-    body: Body,
-    m: int,
-    rng: RandomStream,
-    x0=None,
-    burn_in: int | None = None,
-    thin: int | None = None,
-    label: str = "hitrun",
-) -> SampleBatch:
-    n = body.n
-    start = np.zeros(n) if x0 is None else x0
-    burn = default_burn_in(n) if burn_in is None else burn_in
-    step = default_thin(n) if thin is None else thin
-    vectors = sample_hit_and_run(body, start, burn, step, rng, count=m)
-    return SampleBatch(
-        vectors=vectors,
-        sampler=label,
-        seed=rng.seed,
-        stream=rng.stream,
-        params={"n": n, "M": m, "burn_in": burn, "thin": step},
-    )
 
 
 class TruncatedSampler:
@@ -342,23 +283,6 @@ class TruncatedSampler:
         return out
 
 
-def sample_truncated(body: Body, R: float, rng: RandomStream) -> np.ndarray:
-    """One uniform sample from body intersected with the R*sqrt(n) ball."""
-    return TruncatedSampler(body, R, rng).draw(1)[0]
-
-
-def truncated_batch(body: Body, R: float, m: int, rng: RandomStream, label: str = "truncated") -> SampleBatch:
-    sampler = TruncatedSampler(body, R, rng)
-    vectors = sampler.draw(m)
-    return SampleBatch(
-        vectors=vectors,
-        sampler=label,
-        seed=rng.seed,
-        stream=rng.stream,
-        params={"n": body.n, "M": m, "R": R, "mode": sampler.mode},
-    )
-
-
 def john_support(jd: JohnDecomposition) -> tuple[np.ndarray, np.ndarray]:
     """Support points sqrt(n) z_i and their probabilities c_i / n.
 
@@ -370,11 +294,6 @@ def john_support(jd: JohnDecomposition) -> tuple[np.ndarray, np.ndarray]:
     return np.sqrt(n) * jd.points, jd.weights / n
 
 
-def sample_john(jd: JohnDecomposition, rng: RandomStream) -> np.ndarray:
-    """One draw from the John point mass (value sqrt(n) z_i with probability c_i/n)."""
-    return john_draws(jd, 1, rng)[0]
-
-
 def john_draws(jd: JohnDecomposition, m: int, rng: RandomStream) -> np.ndarray:
     """M draws from the John point mass, by inverse CDF over the fixed point order."""
     support, probs = john_support(jd)
@@ -383,16 +302,3 @@ def john_draws(jd: JohnDecomposition, m: int, rng: RandomStream) -> np.ndarray:
     u = rng.random(m)
     idx = np.searchsorted(cdf, u, side="right")
     return support[idx]
-
-
-def john_batch(jd: JohnDecomposition, m: int, rng: RandomStream, label: str = "john") -> SampleBatch:
-    if m < 1:
-        raise SamplerError("batch size must be >= 1")
-    vectors = john_draws(jd, m, rng)
-    return SampleBatch(
-        vectors=vectors,
-        sampler=label,
-        seed=rng.seed,
-        stream=rng.stream,
-        params={"n": jd.n, "M": m, "N": jd.count},
-    )

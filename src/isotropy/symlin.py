@@ -2,8 +2,8 @@
 
 Everything downstream (second-moment matrices, whitening transforms,
 residual certificates) lives on small dense symmetric matrices, so this
-module provides exactly four operations: rank-one accumulation, a full
-spectral decomposition, the operator norm, and the inverse square root.
+module provides exactly three operations: a full spectral decomposition,
+the operator norm, and the inverse square root.
 Spectra come from LAPACK through numpy's batched ``eigh`` / ``eigvalsh``;
 the batch forms are exposed because the Monte Carlo modules need
 operator norms of many matrices at once.
@@ -20,7 +20,6 @@ __all__ = [
     "NotPositiveSemidefiniteError",
     "SymMatrix",
     "EigenDecomposition",
-    "rank_one_accumulate",
     "eigen",
     "eigen_batch",
     "operator_norm",
@@ -67,10 +66,6 @@ class SymMatrix:
         object.__setattr__(self, "mat", a)
 
     @classmethod
-    def zeros(cls, n: int) -> "SymMatrix":
-        return cls(np.zeros((n, n)))
-
-    @classmethod
     def identity(cls, n: int) -> "SymMatrix":
         return cls(np.eye(n))
 
@@ -92,9 +87,6 @@ class SymMatrix:
     @property
     def n(self) -> int:
         return self.mat.shape[0]
-
-    def trace(self) -> float:
-        return float(np.trace(self.mat))
 
     def __add__(self, other: "SymMatrix") -> "SymMatrix":
         self._check_same_dim(other)
@@ -124,21 +116,6 @@ class EigenDecomposition:
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
-
-
-def rank_one_accumulate(acc: SymMatrix, y: np.ndarray, w: float) -> SymMatrix:
-    """Return ``acc + w * (y outer y)``.
-
-    Each entry of the update is formed independently as ``w * y[i] * y[j]``
-    over the upper triangle in row-major order (then mirrored), so repeated
-    accumulation is bit-reproducible.
-    """
-    y = np.asarray(y, dtype=float)
-    if y.ndim != 1 or y.shape[0] != acc.n:
-        raise SymLinError(f"vector dimension {y.shape} does not match matrix dimension {acc.n}")
-    if not np.all(np.isfinite(y)) or not np.isfinite(w):
-        raise SymLinError("non-finite input to rank_one_accumulate")
-    return SymMatrix(acc.mat + float(w) * np.outer(y, y))
 
 
 def _as_stack(mats) -> np.ndarray:

@@ -21,9 +21,7 @@ from isotropy import samplers as smp
 from isotropy.harness import (
     ExperimentConfig,
     derive_stream,
-    run_sweep,
-    run_truncated,
-    run_whiten,
+    run_experiment,
 )
 from isotropy.symlin import SymMatrix, eigen_batch, inv_sqrt, operator_norm
 
@@ -84,7 +82,7 @@ def test_03_deviation_decay_shape():
     cfg = ExperimentConfig(
         kind="sweep", sampler="cube", n=8, m_grid=[2**8, 2**10, 2**12, 2**14], seeds=list(range(10)), seed=0
     )
-    res = run_sweep(cfg)
+    res = run_experiment(cfg)
     means = [a["mean_deviation"] for a in res.aggregates]
     normalized = [a["normalized_deviation"] for a in res.aggregates]
     decreasing = all(a > b for a, b in zip(means, means[1:]))
@@ -110,7 +108,7 @@ def test_04_whitening_round_trip():
         seeds=list(range(10)),
         seed=0,
     )
-    res = run_whiten(cfg)
+    res = run_experiment(cfg)
     passes = sum(1 for r in res.rows if r["isotropic"])
     worst = max(r["deviation_whitened"] for r in res.rows)
     report(4, "whitening-round-trip", passes >= 9, f"{passes}/10 seeds eps-isotropic at 0.1 (worst dev {worst:.4f})")
@@ -148,7 +146,7 @@ def test_06_truncated_sampling():
     cfg = ExperimentConfig(
         kind="truncated", sampler="cube", n=16, r=1.0, eps=0.2, c0=128.0, seeds=list(range(5)), seed=0
     )
-    res = run_truncated(cfg)
+    res = run_experiment(cfg)
     verdicts = [r["isotropic"] for r in res.rows]
     devs = [r["deviation"] for r in res.rows]
     report(

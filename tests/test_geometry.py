@@ -13,10 +13,8 @@ from isotropy.geometry import (
     Simplex,
     Truncated,
     canonical_john,
-    chord,
     isotropic_normalization,
     load_hpolytope,
-    membership,
     parse_hpolytope,
     regular_simplex_vertices,
 )
@@ -28,58 +26,58 @@ E1 = np.array([1.0, 0.0])
 
 class TestMembership:
     def test_cube(self):
-        assert membership(Cube(halfwidth=1.0, n=3), np.array([0.5, -0.5, 1.0]))
+        assert Cube(halfwidth=1.0, n=3).membership(np.array([0.5, -0.5, 1.0]))
 
     def test_ball_outside(self):
-        assert not membership(Ball(radius=2.0, n=2), np.array([2.1, 0.0]))
+        assert not Ball(radius=2.0, n=2).membership(np.array([2.1, 0.0]))
 
     def test_truncation_dominates(self):
         body = Truncated(base=Cube(halfwidth=np.sqrt(3), n=4), radius=1.0)
         x = np.full(4, 0.51)  # norm 1.02 > 1, inside the cube
         assert np.linalg.norm(x) > 1.0
-        assert not membership(body, x)
+        assert not body.membership(x)
 
     def test_dimension_mismatch(self):
         with pytest.raises(GeometryError):
-            membership(Cube(halfwidth=1.0, n=3), np.zeros(2))
+            Cube(halfwidth=1.0, n=3).membership(np.zeros(2))
 
     def test_boundary_counts_as_inside(self):
-        assert membership(Ball(radius=2.0, n=2), np.array([2.0, 0.0]))
-        assert membership(Cube(halfwidth=1.0, n=2), np.array([1.0, -1.0]))
+        assert Ball(radius=2.0, n=2).membership(np.array([2.0, 0.0]))
+        assert Cube(halfwidth=1.0, n=2).membership(np.array([1.0, -1.0]))
 
 
 class TestChord:
     def test_cube_center(self):
-        assert chord(Cube(halfwidth=1.0, n=2), np.zeros(2), E1) == (-1.0, 1.0)
+        assert Cube(halfwidth=1.0, n=2).chord(np.zeros(2), E1) == (-1.0, 1.0)
 
     def test_ball_off_center(self):
-        lo, hi = chord(Ball(radius=2.0, n=2), np.array([1.0, 0.0]), E1)
+        lo, hi = Ball(radius=2.0, n=2).chord(np.array([1.0, 0.0]), E1)
         assert (lo, hi) == pytest.approx((-3.0, 1.0), abs=1e-12)
 
     def test_hpolytope_by_hand(self):
         # x1 >= 0, x2 >= 0, x1 + x2 <= 1 from (0.25, 0.25) along e1:
         # the three inequalities give t >= -0.25 and t <= 0.5.
         poly = HPolytope(rows=np.array([[-1.0, 0.0], [0.0, -1.0], [1.0, 1.0]]), offsets=np.array([0.0, 0.0, 1.0]))
-        lo, hi = chord(poly, np.array([0.25, 0.25]), E1)
+        lo, hi = poly.chord(np.array([0.25, 0.25]), E1)
         assert (lo, hi) == pytest.approx((-0.25, 0.5), abs=1e-12)
 
     def test_requires_interior_point(self):
         with pytest.raises(GeometryError):
-            chord(Ball(radius=1.0, n=2), np.array([2.0, 0.0]), E1)
+            Ball(radius=1.0, n=2).chord(np.array([2.0, 0.0]), E1)
 
     def test_requires_unit_direction(self):
         with pytest.raises(GeometryError):
-            chord(Ball(radius=1.0, n=2), np.zeros(2), np.array([1.0, 1.0]))
+            Ball(radius=1.0, n=2).chord(np.zeros(2), np.array([1.0, 1.0]))
 
     def test_ellipsoid_quadratic(self):
         body = Ellipsoid(shape=SymMatrix(np.diag([4.0, 1.0])))
-        lo, hi = chord(body, np.zeros(2), E1)
+        lo, hi = body.chord(np.zeros(2), E1)
         assert (lo, hi) == pytest.approx((-2.0, 2.0), abs=1e-12)
 
     def test_unbounded_polytope_rejected(self):
         half_space = HPolytope(rows=np.array([[1.0, 0.0]]), offsets=np.array([1.0]))
         with pytest.raises(GeometryError):
-            chord(half_space, np.zeros(2), E1)
+            half_space.chord(np.zeros(2), E1)
 
     @pytest.mark.parametrize("make_body", [
         lambda: Cube(halfwidth=1.5, n=3),
@@ -175,21 +173,21 @@ class TestCanonicalJohn:
 
     def test_cross_polytope_n2_exact(self):
         jd = canonical_john("cross-polytope", 2)
-        assert jd.count == 4
+        assert len(jd.points) == 4
         assert np.all(jd.weights == 0.5)
         resolution = (jd.points.T * jd.weights) @ jd.points
         assert np.array_equal(resolution, np.eye(2))
 
     def test_cube_vertices_n2_sums(self):
         jd = canonical_john("cube-vertices", 2)
-        assert jd.count == 4
+        assert len(jd.points) == 4
         assert np.all(jd.weights == 0.5)
         assert np.allclose(np.abs(jd.points), 1.0 / np.sqrt(2), atol=1e-15)
         assert np.linalg.norm(jd.weights @ jd.points) == 0.0
 
     def test_simplex_n2_three_unit_vectors_at_120_degrees(self):
         jd = canonical_john("simplex", 2)
-        assert jd.count == 3
+        assert len(jd.points) == 3
         assert np.allclose(jd.weights, 2.0 / 3.0, atol=1e-15)
         gram = jd.points @ jd.points.T
         off = gram[~np.eye(3, dtype=bool)]
@@ -202,8 +200,8 @@ class TestCanonicalJohn:
         # it is a valid decomposition, just not a minimal one.
         for variant, n in (("cross-polytope", 8), ("simplex", 7)):
             jd = canonical_john(variant, n)
-            assert jd.count <= (n + 3) * n / 2
-        assert canonical_john("cube-vertices", 4).count > (4 + 3) * 4 / 2
+            assert len(jd.points) <= (n + 3) * n / 2
+        assert len(canonical_john("cube-vertices", 4).points) > (4 + 3) * 4 / 2
 
     def test_cube_vertices_cap(self):
         with pytest.raises(GeometryError):
@@ -255,7 +253,7 @@ class TestHPolytopeFormat:
     def test_parse(self):
         poly = parse_hpolytope(self.TEXT)
         assert poly.n == 2 and poly.rows.shape == (3, 2)
-        assert membership(poly, np.zeros(2))
+        assert poly.membership(np.zeros(2))
 
     def test_load_roundtrip(self, tmp_path):
         path = tmp_path / "poly.txt"

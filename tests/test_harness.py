@@ -25,12 +25,8 @@ from isotropy.harness import (
     parse_config,
     render_csv,
     render_json,
-    run_bernoulli,
     run_check,
-    run_john,
-    run_sweep,
-    run_truncated,
-    run_whiten,
+    run_experiment,
     truncated_sample_count,
 )
 
@@ -98,6 +94,9 @@ class TestConfigParsing:
             "kind=sweep\nm_grid=2\n",
             "kind=truncated\nr=nan\n",
             "kind=truncated\nsampler=john\n",
+            "kind=john-sparsify\nfixture=cube-vertices\nn=21\n",
+            "kind=sweep\nsampler=john:cube-vertices\nn=21\nm_grid=64\n",
+            "kind=whiten\nn=2\ndistortion=1,nan\n",
         ],
     )
     def test_validation_failures(self, text):
@@ -137,7 +136,7 @@ class TestRenderers:
 class TestRunSweep:
     def test_row_and_aggregate_counts(self):
         cfg = parse_config(SWEEP_TEXT)
-        res = run_sweep(cfg)
+        res = run_experiment(cfg)
         assert res.header == SWEEP_HEADER and res.agg_header == SWEEP_AGG_HEADER
         assert len(res.rows) == 2 * 3 and len(res.aggregates) == 2
         keys = {(r["M"], r["seed"]) for r in res.rows}
@@ -145,7 +144,7 @@ class TestRunSweep:
 
     def test_aggregates_recomputable(self):
         cfg = parse_config(SWEEP_TEXT)
-        res = run_sweep(cfg)
+        res = run_experiment(cfg)
         for agg in res.aggregates:
             devs = [r["deviation"] for r in res.rows if r["M"] == agg["M"]]
             assert agg["mean_deviation"] == pytest.approx(float(np.mean(devs)), abs=1e-12)
@@ -157,21 +156,36 @@ class TestRunSweep:
         grid = ",".join(str(2**k) for k in range(8, 15))
         seeds = ",".join(str(s) for s in range(10))
         cfg = parse_config(f"kind=sweep\nsampler=cube\nn=8\nm_grid={grid}\nseeds={seeds}\n")
-        res = run_sweep(cfg)
+        res = run_experiment(cfg)
         assert len(res.rows) == 70 and len(res.aggregates) == 7
 
     def test_john_sampler_rows_have_exact_log_moment(self):
         cfg = parse_config("kind=sweep\nsampler=john:cross-polytope\nn=4\nm_grid=64\nseeds=0,1\n")
-        res = run_sweep(cfg)
+        res = run_experiment(cfg)
         for row in res.rows:
             assert row["log_moment"] == pytest.approx(2.0, rel=1e-12)
 
     def test_workers_do_not_change_results(self):
-        cfg = parse_config(SWEEP_TEXT)
-        seq = run_sweep(cfg)
-        cfg.workers = 4
-        par = run_sweep(cfg)
-        assert seq.rows == par.rows
+        # Every kind, with a seed list out of ascending order: rows come in
+        # config order (points, then seeds) and the CSV bytes do not move.
+        texts = [
+            "kind=sweep\nsampler=cube\nn=4\nm_grid=64,256",
+            "kind=whiten\nsampler=cube\nn=4\nm=2000",
+            "kind=truncated\nsampler=cube\nn=4\nr=2.0\neps=0.3\nc0=0.12",
+            "kind=john-sparsify\nfixture=simplex\nn=4\neps=0.25\nc=2",
+            "kind=bernoulli\nmode=ratio\nsampler=cube\nn=4\nm_grid=16,64\ntrials=50",
+            "kind=bernoulli\nmode=symmetrize\nsampler=cube\nn=4\nm=64\ntrials=20",
+        ]
+        seeds = [5, 3, 4]
+        for text in texts:
+            cfg = parse_config(f"{text}\nseeds=5,3,4\n")
+            seq = run_experiment(cfg)
+            cfg.workers = 2
+            par = run_experiment(cfg)
+            assert [r["seed"] for r in seq.rows] == seeds * (len(seq.rows) // len(seeds)), text
+            assert render_csv(seq.header, seq.rows) == render_csv(par.header, par.rows), text
+            if seq.aggregates is not None:
+                assert render_csv(seq.agg_header, seq.aggregates) == render_csv(par.agg_header, par.aggregates)
 
 
 class TestRunWhiten:
@@ -180,7 +194,7 @@ class TestRunWhiten:
 
     def test_round_trip_rows(self):
         cfg = parse_config("kind=whiten\nsampler=cube\nn=4\nm=20000\neps=0.15\nseeds=0,1\ndistortion=2,1,1,0.5\n")
-        res = run_whiten(cfg)
+        res = run_experiment(cfg)
         assert res.header == WHITEN_HEADER
         for row in res.rows:
             assert row["deviation_raw"] > 1.0  # the distortion is far from isotropic
@@ -201,9 +215,9 @@ class TestRunTruncated:
         # deviations within 3 combined standard errors.
         trunc_cfg = parse_config("kind=truncated\nsampler=cube\nn=4\nr=2.0\neps=0.3\nc0=0.12\nseeds=0,1,2,3,4\n")
         m = truncated_sample_count(4, 2.0, 0.3, 0.12)
-        res_t = run_truncated(trunc_cfg)
+        res_t = run_experiment(trunc_cfg)
         sweep_cfg = parse_config(f"kind=sweep\nsampler=cube\nn=4\nm_grid={m}\nseeds=0,1,2,3,4\n")
-        res_s = run_sweep(sweep_cfg)
+        res_s = run_experiment(sweep_cfg)
         dev_t = np.array([r["deviation"] for r in res_t.rows])
         dev_s = np.array([r["deviation"] for r in res_s.rows])
         se = math.hypot(dev_t.std(ddof=1), dev_s.std(ddof=1)) / math.sqrt(len(dev_t))
@@ -213,19 +227,19 @@ class TestRunTruncated:
     def test_degenerate_radius_is_a_config_error(self):
         # R^2 n / eps^2 <= 1 leaves the sample-count rule undefined.
         with pytest.raises(ConfigError):
-            run_truncated(parse_config("kind=truncated\nsampler=cube\nn=2\nr=0.0001\neps=0.2\nc0=1\nseeds=0\n"))
+            run_experiment(parse_config("kind=truncated\nsampler=cube\nn=2\nr=0.0001\neps=0.2\nc0=1\nseeds=0\n"))
 
     def test_infeasible_truncation_is_an_experiment_error(self):
         # Valid sample-count rule, but the ball keeps ~2e-7 of the cube.
         cfg = parse_config("kind=truncated\nsampler=cube\nn=8\nr=0.15\neps=0.2\nc0=1\nseeds=0\n")
         with pytest.raises(ExperimentError):
-            run_truncated(cfg)
+            run_experiment(cfg)
 
 
 class TestRunJohn:
     def test_rows_and_attempt_bounds(self):
         cfg = parse_config("kind=john-sparsify\nfixture=simplex\nn=4\neps=0.25\nc=2\nseeds=0,1,2,3\n")
-        res = run_john(cfg)
+        res = run_experiment(cfg)
         assert res.header == JOHN_HEADER
         for row in res.rows:
             assert row["attempts"] <= cfg.max_attempts
@@ -235,20 +249,20 @@ class TestRunJohn:
     def test_all_seeds_failed(self):
         cfg = parse_config("kind=john-sparsify\nfixture=cross-polytope\nn=8\neps=0.05\nc=0.01\nmax_attempts=2\nseeds=0,1\n")
         with pytest.raises(ExperimentError):
-            run_john(cfg)
+            run_experiment(cfg)
 
 
 class TestRunBernoulli:
     def test_ratio_rows(self):
         cfg = parse_config("kind=bernoulli\nmode=ratio\nsampler=cube\nn=4\nm_grid=16,64\nseeds=0,1\ntrials=100\n")
-        res = run_bernoulli(cfg)
+        res = run_experiment(cfg)
         assert res.header == BOUND_HEADER
         assert len(res.rows) == 4
         assert all(r["ratio"] <= 8.0 for r in res.rows)
 
     def test_symmetrize_rows(self):
         cfg = parse_config("kind=bernoulli\nmode=symmetrize\nsampler=cube\nn=4\nm=128\ntrials=100\nseeds=0,1\n")
-        res = run_bernoulli(cfg)
+        res = run_experiment(cfg)
         assert res.header == SYMMETRIZE_HEADER
         assert all(r["holds"] for r in res.rows)
 
@@ -284,9 +298,18 @@ class TestCli:
         assert err.value.code == 2
 
     def test_bad_config_value_is_usage_error(self, tmp_path, capsys):
-        path = tmp_path / "bad.cfg"
-        path.write_text("kind=sweep\neps=2.0\n", encoding="utf-8")
-        assert run_cli(["sweep", "--config", str(path)]) == 2
+        cases = [
+            ("sweep", "eps=2.0\n"),
+            ("john-sparsify", "fixture=cube-vertices\nn=21\n"),
+            ("bernoulli", "sampler=john:cube-vertices\nn=21\nm_grid=16\n"),
+            ("whiten", "n=2\ndistortion=1,nan\n"),
+        ]
+        for i, (command, text) in enumerate(cases):
+            path = tmp_path / f"bad{i}.cfg"
+            path.write_text(text, encoding="utf-8")
+            assert run_cli([command, "--config", str(path)]) == 2, text
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and "Traceback" not in err, text
 
     def test_infeasible_truncation_is_usage_error(self, tmp_path, capsys):
         # R^2 n / eps^2 <= 1 is caught by validate(), not raised mid-run.

@@ -13,15 +13,10 @@ from isotropy.samplers import (
     TruncationError,
     default_burn_in,
     default_thin,
-    direct_batch,
     direct_draws,
-    john_batch,
     john_draws,
     john_support,
-    sample_direct,
     sample_hit_and_run,
-    sample_john,
-    sample_truncated,
     seed_from_env,
 )
 
@@ -68,8 +63,9 @@ class TestSampleBatch:
 
     def test_bit_reproducible(self):
         body = isotropic_normalization("cube", 5)
-        b1 = direct_batch(body, 100, RandomStream(seed=3, stream=9))
-        b2 = direct_batch(body, 100, RandomStream(seed=3, stream=9))
+        rng1, rng2 = RandomStream(seed=3, stream=9), RandomStream(seed=3, stream=9)
+        b1 = SampleBatch(vectors=direct_draws(body, 100, rng1), sampler="cube", seed=3, stream=9)
+        b2 = SampleBatch(vectors=direct_draws(body, 100, rng2), sampler="cube", seed=3, stream=9)
         assert np.array_equal(b1.vectors, b2.vectors)
 
 
@@ -118,7 +114,7 @@ class TestDirectSamplers:
     def test_unsupported_variant(self):
         poly = HPolytope(rows=np.array([[1.0], [-1.0]]), offsets=np.array([1.0, 1.0]))
         with pytest.raises(SamplerError):
-            sample_direct(poly, RandomStream(seed=0, stream=0))
+            direct_draws(poly, 1, RandomStream(seed=0, stream=0))
 
     @pytest.mark.parametrize("variant,n", [("cube", 4), ("ball", 6), ("simplex", 3)])
     def test_trace_law(self, variant, n):
@@ -193,7 +189,7 @@ class TestTruncatedSampling:
 
     def test_single_sample_helper(self):
         body = isotropic_normalization("cube", 3)
-        x = sample_truncated(body, 1.0, RandomStream(seed=9, stream=0))
+        x = TruncatedSampler(body, 1.0, RandomStream(seed=9, stream=0)).draw(1)[0]
         assert np.linalg.norm(x) <= math.sqrt(3.0) and body.membership(x)
 
     def test_truncated_cube_spectral_band(self):
@@ -228,7 +224,7 @@ class TestJohnSampler:
 
     def test_single_draw(self):
         jd = canonical_john("cross-polytope", 3)
-        y = sample_john(jd, RandomStream(seed=1, stream=0))
+        y = john_draws(jd, 1, RandomStream(seed=1, stream=0))[0]
         assert abs(np.linalg.norm(y) - math.sqrt(3.0)) <= 1e-12
 
     def test_cube_vertices_frequencies(self):
@@ -247,6 +243,7 @@ class TestJohnSampler:
 
     def test_batch_provenance(self):
         jd = canonical_john("cross-polytope", 2)
-        batch = john_batch(jd, 10, RandomStream(seed=4, stream=5))
+        rng = RandomStream(seed=4, stream=5)
+        batch = SampleBatch(vectors=john_draws(jd, 10, rng), sampler="john", seed=rng.seed, stream=rng.stream)
         assert batch.sampler == "john" and batch.seed == 4 and batch.stream == 5
         assert batch.M == 10 and batch.n == 2

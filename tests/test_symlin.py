@@ -13,7 +13,6 @@ from isotropy.symlin import (
     inv_sqrt,
     operator_norm,
     operator_norm_batch,
-    rank_one_accumulate,
 )
 
 
@@ -43,27 +42,29 @@ def test_from_dense_rejects_asymmetric():
 
 
 class TestRankOneAccumulate:
+    """Rank-one updates acc + w * y (x) y through SymMatrix arithmetic."""
+
     def test_coordinate_projector(self):
-        out = rank_one_accumulate(SymMatrix.zeros(2), np.array([1.0, 0.0]), 1.0)
+        out = SymMatrix(np.outer([1.0, 0.0], [1.0, 0.0]))
         assert np.array_equal(out.mat, np.diag([1.0, 0.0]))
 
     def test_direct_expansion(self):
-        out = rank_one_accumulate(SymMatrix.identity(2), np.array([1.0, 1.0]), 0.5)
+        out = SymMatrix.identity(2) + 0.5 * SymMatrix(np.outer([1.0, 1.0], [1.0, 1.0]))
         assert np.allclose(out.mat, [[1.5, 0.5], [0.5, 1.5]], atol=0)
 
     def test_resolution_of_identity(self):
-        acc = SymMatrix.zeros(3)
+        acc = 0.0 * SymMatrix.identity(3)
         for i in range(3):
-            acc = rank_one_accumulate(acc, np.eye(3)[i], 1.0)
+            acc = acc + SymMatrix(np.outer(np.eye(3)[i], np.eye(3)[i]))
         assert np.array_equal(acc.mat, np.eye(3))
 
     def test_dimension_mismatch(self):
         with pytest.raises(SymLinError):
-            rank_one_accumulate(SymMatrix.zeros(3), np.ones(2), 1.0)
+            SymMatrix.identity(3) + SymMatrix(np.outer(np.ones(2), np.ones(2)))
 
     def test_non_finite_weight(self):
         with pytest.raises(SymLinError):
-            rank_one_accumulate(SymMatrix.zeros(2), np.ones(2), math.inf)
+            SymMatrix.identity(2) + math.inf * SymMatrix(np.outer(np.ones(2), np.ones(2)))
 
 
 class TestEigen:
@@ -142,7 +143,7 @@ def test_norm_negation_and_shift(seed, n):
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 8))
 def test_rank_one_norm_is_squared_length(seed, n):
     y = np.random.default_rng(seed).standard_normal(n)
-    norm = operator_norm(rank_one_accumulate(SymMatrix.zeros(n), y, 1.0))
+    norm = operator_norm(SymMatrix(np.outer(y, y)))
     assert norm == pytest.approx(float(y @ y), rel=1e-12)
 
 
