@@ -9,6 +9,7 @@ test fixtures throughout.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -62,12 +63,16 @@ class Body:
     def chord(self, x, d) -> tuple[float, float]:
         """Maximal interval [t_lo, t_hi] with x + t*d inside for all t.
 
-        Requires x inside and d a unit vector; the interval brackets 0.
+        Requires x finite and inside, and d a unit vector; the interval
+        brackets 0.
         """
         x = _as_point(x, self.n)
         d = _as_point(d, self.n)
-        if abs(float(np.dot(d, d)) - 1.0) > 2e-10:
-            raise GeometryError("direction must be a unit vector")
+        # Written so that a NaN or infinite direction fails the test too.
+        if not abs(float(np.dot(d, d)) - 1.0) <= 2e-10:
+            raise GeometryError("direction must be a finite unit vector")
+        if not np.isfinite(x).all():
+            raise GeometryError("chord base point must be finite")
         if not self.membership(x):
             raise GeometryError("chord base point lies outside the body")
         t_lo, t_hi = self._chord_impl(x, d)
@@ -79,12 +84,33 @@ class Body:
         raise NotImplementedError
 
 
-def _interval_from_bounds(lowers, uppers) -> tuple[float, float]:
-    t_lo = max(lowers) if lowers else -np.inf
-    t_hi = min(uppers) if uppers else np.inf
-    if not (np.isfinite(t_lo) and np.isfinite(t_hi)):
+def _slab_chord(slack: np.ndarray, coef: np.ndarray) -> tuple[float, float]:
+    """Maximal interval of t with coef * t <= slack in every row.
+
+    The shared chord kernel of the polytope bodies.  A loop over Python
+    floats beats numpy's masked reductions at these row counts.
+    """
+    t_lo, t_hi = -math.inf, math.inf
+    for s, c in zip(slack.tolist(), coef.tolist()):
+        if c > 0.0:
+            t = s / c
+            if t < t_hi:
+                t_hi = t
+        elif c < 0.0:
+            t = s / c
+            if t > t_lo:
+                t_lo = t
+    if not (math.isfinite(t_lo) and math.isfinite(t_hi)):
         raise GeometryError("chord is unbounded; body data must describe a bounded set")
-    return float(t_lo), float(t_hi)
+    return t_lo, t_hi
+
+
+def _sphere_chord(x: np.ndarray, d: np.ndarray, radius: float) -> tuple[float, float]:
+    """Chord of the centered ball of the given radius through x along unit d."""
+    b = float(np.dot(x, d))
+    disc = b * b - (float(np.dot(x, x)) - radius**2)
+    root = math.sqrt(disc) if disc > 0.0 else 0.0
+    return -b - root, -b + root
 
 
 @dataclass(frozen=True)
@@ -103,17 +129,8 @@ class Cube(Body):
         return bool(np.max(np.abs(x)) <= self.halfwidth + MEMBERSHIP_TOL * max(1.0, self.halfwidth))
 
     def _chord_impl(self, x, d):
-        lowers, uppers = [], []
         a = self.halfwidth
-        for i in range(self.n):
-            if d[i] == 0.0:
-                continue
-            b1 = (-a - x[i]) / d[i]
-            b2 = (a - x[i]) / d[i]
-            lo, hi = (b1, b2) if b1 <= b2 else (b2, b1)
-            lowers.append(lo)
-            uppers.append(hi)
-        return _interval_from_bounds(lowers, uppers)
+        return _slab_chord(np.concatenate([a - x, a + x]), np.concatenate([d, -d]))
 
 
 @dataclass(frozen=True)
@@ -132,13 +149,7 @@ class Ball(Body):
         return bool(np.linalg.norm(x) <= self.radius + MEMBERSHIP_TOL * max(1.0, self.radius))
 
     def _chord_impl(self, x, d):
-        b = float(np.dot(x, d))
-        c = float(np.dot(x, x)) - self.radius**2
-        disc = b * b - c
-        if disc < 0.0:
-            disc = 0.0
-        root = np.sqrt(disc)
-        return -b - root, -b + root
+        return _sphere_chord(x, d, self.radius)
 
 
 @dataclass(frozen=True)
@@ -173,18 +184,8 @@ class Simplex(Body):
         return bool(np.min(self.barycentric(x)) >= -MEMBERSHIP_TOL)
 
     def _chord_impl(self, x, d):
-        lam = self.barycentric(x)
-        mu = self._bary_inv @ np.append(d, 0.0)
-        lowers, uppers = [], []
-        for li, mi in zip(lam, mu):
-            if mi == 0.0:
-                continue
-            bound = -li / mi
-            if mi > 0.0:
-                lowers.append(bound)
-            else:
-                uppers.append(bound)
-        return _interval_from_bounds(lowers, uppers)
+        # Barycentric coordinates along the line are lam + t * mu >= 0.
+        return _slab_chord(self.barycentric(x), -(self._bary_inv @ np.append(d, 0.0)))
 
 
 @dataclass(frozen=True)
@@ -263,18 +264,7 @@ class HPolytope(Body):
         return bool(np.max(self.rows @ x - self.offsets) <= MEMBERSHIP_TOL * scale)
 
     def _chord_impl(self, x, d):
-        slack = self.offsets - self.rows @ x
-        coef = self.rows @ d
-        lowers, uppers = [], []
-        for sl, cf in zip(slack, coef):
-            if cf == 0.0:
-                continue
-            bound = sl / cf
-            if cf > 0.0:
-                uppers.append(bound)
-            else:
-                lowers.append(bound)
-        return _interval_from_bounds(lowers, uppers)
+        return _slab_chord(self.offsets - self.rows @ x, self.rows @ d)
 
 
 @dataclass(frozen=True)
@@ -296,8 +286,10 @@ class Truncated(Body):
         return bool(ball_ok) and self.base.membership(x)
 
     def _chord_impl(self, x, d):
-        lo_b, hi_b = self.base.chord(x, d)
-        lo_s, hi_s = Ball(self.radius, self.n).chord(x, d)
+        # Body.chord has checked x and d once, and membership here implies
+        # base membership, so the private oracles compose directly.
+        lo_b, hi_b = self.base._chord_impl(x, d)
+        lo_s, hi_s = _sphere_chord(x, d, self.radius)
         return max(lo_b, lo_s), min(hi_b, hi_s)
 
 

@@ -2,7 +2,7 @@
 
 Experiments are pure functions of (config, master seed).  Every kind runs
 through the same grid runner: each config point and trial seed owns a
-split random stream keyed by (experiment kind, point index, trial seed)
+random stream keyed by (experiment kind, point index, trial seed)
 and yields one row, so results do not depend on execution order, a worker
 pool can fan rows out safely, and rows come out in config order for any
 worker count.  Science fields are serialized as CSV (or a mirroring JSON
@@ -106,7 +106,7 @@ class ExperimentConfig:
         if self.format not in ("csv", "json"):
             raise ConfigError(f"unknown output format {self.format!r}")
         base, colon, sub = self.sampler.partition(":")
-        if base not in SAMPLER_CHOICES + ("john",):
+        if self.sampler not in SAMPLER_CHOICES and base != "john":
             raise ConfigError(f"unknown sampler {self.sampler!r}")
         sampler_fixture = sub if colon else self.fixture
         if base == "john" and sampler_fixture not in FIXTURE_CHOICES:
@@ -121,7 +121,7 @@ class ExperimentConfig:
         ):
             raise ConfigError("distortion must list one finite factor per coordinate")
         if self.kind == "truncated":
-            if base not in SAMPLER_CHOICES:
+            if self.sampler not in SAMPLER_CHOICES:
                 raise ConfigError("truncated sampling needs a body sampler (cube, ball or simplex)")
             truncated_sample_count(self.n, self.r, self.eps, self.c0)
 
@@ -195,9 +195,9 @@ def make_draw(sampler: str, n: int, fixture: str = "cross-polytope"):
         jd = geo.canonical_john(sub or fixture, n)
         label = f"john:{sub or fixture}"
         return label, lambda m, rng: smp.john_draws(jd, m, rng)
-    if base in SAMPLER_CHOICES:
-        body = geo.isotropic_normalization(base, n)
-        return base, lambda m, rng: smp.direct_draws(body, m, rng)
+    if sampler in SAMPLER_CHOICES:
+        body = geo.isotropic_normalization(sampler, n)
+        return sampler, lambda m, rng: smp.direct_draws(body, m, rng)
     raise ConfigError(f"unknown sampler {sampler!r}")
 
 
@@ -283,7 +283,7 @@ def _plan_sweep(cfg: ExperimentConfig):
     label, draw = make_draw(cfg.sampler, cfg.n, cfg.fixture)
 
     def row(m: int, seed: int, rng: smp.RandomStream) -> dict:
-        batch = smp.SampleBatch(vectors=draw(m, rng), sampler=label, seed=seed, stream=rng.stream)
+        batch = smp.SampleBatch(vectors=draw(m, rng), sampler=label, seed=seed)
         return {"experiment": cfg.kind, **asdict(mom.concentration_report(batch))}
 
     return row, SWEEP_HEADER, cfg.m_grid
@@ -342,14 +342,10 @@ def _plan_whiten(cfg: ExperimentConfig):
 
     def row(m: int, seed: int, rng: smp.RandomStream) -> dict:
         first = draw(m, rng) * distortion
-        t_hat = mom.empirical_second_moment(
-            smp.SampleBatch(vectors=first, sampler=label, seed=seed, stream=rng.stream)
-        )
+        t_hat = mom.empirical_second_moment(smp.SampleBatch(vectors=first, sampler=label, seed=seed))
         w = mom.whitening_transform(t_hat)
         whitened = (draw(m, rng) * distortion) @ w.mat
-        t2 = mom.empirical_second_moment(
-            smp.SampleBatch(vectors=whitened, sampler=label, seed=seed, stream=rng.stream)
-        )
+        t2 = mom.empirical_second_moment(smp.SampleBatch(vectors=whitened, sampler=label, seed=seed))
         dev = mom.deviation(t2)
         return {
             "experiment": cfg.kind,
@@ -392,16 +388,15 @@ def truncated_sample_count(n: int, r: float, eps: float, c0: float) -> int:
 
 def _plan_truncated(cfg: ExperimentConfig):
     """Deviation and eps-isotropy (deviation <= eps) of samples from body intersect R sqrt(n) ball."""
-    base = cfg.sampler.split(":", 1)[0]
-    body = geo.isotropic_normalization(base, cfg.n)
-    label = f"truncated:{base}"
+    body = geo.isotropic_normalization(cfg.sampler, cfg.n)
+    label = f"truncated:{cfg.sampler}"
 
     def row(m: int, seed: int, rng: smp.RandomStream) -> dict:
         try:
             vectors = smp.TruncatedSampler(body, cfg.r, rng).draw(m)
         except smp.TruncationError as exc:
             raise ExperimentError(f"seed {seed}: {exc}") from exc
-        rep = mom.concentration_report(smp.SampleBatch(vectors=vectors, sampler=label, seed=seed, stream=rng.stream))
+        rep = mom.concentration_report(smp.SampleBatch(vectors=vectors, sampler=label, seed=seed))
         return {
             "experiment": cfg.kind,
             "R": cfg.r,
@@ -687,11 +682,11 @@ def _check_hit_and_run(rng: smp.RandomStream) -> CheckResult:
 
 def _check_log_moment(rng: smp.RandomStream) -> CheckResult:
     vectors = rng.standard_normal((64, 5))
-    batch = smp.SampleBatch(vectors=vectors, sampler="gauss", seed=0, stream=0)
+    batch = smp.SampleBatch(vectors=vectors, sampler="gauss", seed=0)
     ps = [2.0, 4.0, math.log(64)]
     vals = [mom.log_moment(batch, p) for p in sorted(ps)]
     monotone = all(vals[i] <= vals[i + 1] * (1 + 1e-12) for i in range(len(vals) - 1))
-    scaled = smp.SampleBatch(vectors=3.0 * vectors, sampler="gauss", seed=0, stream=0)
+    scaled = smp.SampleBatch(vectors=3.0 * vectors, sampler="gauss", seed=0)
     homogeneous = abs(mom.log_moment(scaled, 4.0) - 3.0 * mom.log_moment(batch, 4.0)) <= 1e-12 * mom.log_moment(
         scaled, 4.0
     )
@@ -700,17 +695,17 @@ def _check_log_moment(rng: smp.RandomStream) -> CheckResult:
 
 def _check_self_whitening(rng: smp.RandomStream) -> CheckResult:
     vectors = rng.standard_normal((400, 5)) @ np.diag([3.0, 2.0, 1.0, 0.5, 0.25])
-    batch = smp.SampleBatch(vectors=vectors, sampler="gauss", seed=0, stream=0)
+    batch = smp.SampleBatch(vectors=vectors, sampler="gauss", seed=0)
     t = mom.empirical_second_moment(batch)
     white = mom.whiten(t, vectors)
-    t2 = mom.empirical_second_moment(smp.SampleBatch(vectors=white, sampler="gauss", seed=0, stream=0))
+    t2 = mom.empirical_second_moment(smp.SampleBatch(vectors=white, sampler="gauss", seed=0))
     err = mom.deviation(t2)
     return CheckResult("self-whitening", err <= 1e-9, f"|T_whitened - id| = {err:.2e}")
 
 
 def _check_sparsifier(rng: smp.RandomStream) -> CheckResult:
     jd = geo.canonical_john("cross-polytope", 2)
-    approx = jsp.sparsify(jd, eps=0.5, rng=smp.RandomStream(seed=0, stream=0), C=2.0)
+    approx = jsp.sparsify(jd, eps=0.5, rng=rng, C=2.0)
     rep = jsp.verify(approx)
     ok = (
         rep.residual_norm < 0.5

@@ -68,9 +68,9 @@ def seed_from_env(default: int) -> int:
 class RandomStream:
     """Counter-based random source keyed by (seed, stream id).
 
-    Wraps a Philox generator; splitting off an independent stream is just
-    picking a different stream id under the same seed.  Instances are
-    single-owner: share seeds, not streams.
+    Wraps a Philox generator; an independent stream is just a different
+    stream id under the same seed.  Instances are single-owner: share
+    seeds, not streams.
     """
 
     seed: int
@@ -80,10 +80,6 @@ class RandomStream:
     def __post_init__(self):
         key = (int(self.seed) & MASK64, int(self.stream) & MASK64)
         self._gen = np.random.Generator(np.random.Philox(key=key))
-
-    def split(self, stream: int) -> "RandomStream":
-        """Fresh independent stream under the same seed."""
-        return RandomStream(seed=self.seed, stream=stream)
 
     def uniform(self, low=0.0, high=1.0, size=None):
         return self._gen.uniform(low, high, size)
@@ -109,7 +105,6 @@ class SampleBatch:
     vectors: np.ndarray
     sampler: str
     seed: int
-    stream: int
 
     def __post_init__(self):
         v = np.asarray(self.vectors, dtype=float)
@@ -244,7 +239,7 @@ class TruncatedSampler:
         batch = _PILOT_STAGE1
         while draws < _PILOT_TOTAL:
             pts = _draw_direct(self.body, self.rng, batch)
-            hits += int(np.count_nonzero(np.linalg.norm(pts, axis=1) <= self.rho))
+            hits += int(np.count_nonzero(_within_radius(pts, self.rho)))
             draws += batch
             if hits >= 50:
                 break
@@ -276,11 +271,16 @@ class TruncatedSampler:
             want = m - got
             batch = max(32, int(np.ceil(want / self.acceptance * 1.2)))
             pts = _draw_direct(self.body, self.rng, batch)
-            keep = pts[np.linalg.norm(pts, axis=1) <= self.rho]
+            keep = pts[_within_radius(pts, self.rho)]
             take = min(want, keep.shape[0])
             out[got : got + take] = keep[:take]
             got += take
         return out
+
+
+def _within_radius(pts: np.ndarray, rho: float) -> np.ndarray:
+    """Mask of the rows x of pts with |x| <= rho, formed without an (m, n) temporary."""
+    return np.einsum("ij,ij->i", pts, pts) <= rho * rho
 
 
 def john_support(jd: JohnDecomposition) -> tuple[np.ndarray, np.ndarray]:

@@ -23,6 +23,16 @@ from isotropy.symlin import SymMatrix, operator_norm
 
 E1 = np.array([1.0, 0.0])
 
+# One body of each kind, all containing the ball of radius 0.3 in R^3.
+CHORD_BODIES = [
+    lambda: Cube(halfwidth=1.5, n=3),
+    lambda: Ball(radius=2.0, n=3),
+    lambda: isotropic_normalization("simplex", 3),
+    lambda: Ellipsoid(shape=SymMatrix(np.diag([4.0, 1.0, 0.25]))),
+    lambda: Truncated(base=Cube(halfwidth=2.0, n=3), radius=2.2),
+    lambda: HPolytope(rows=np.vstack([np.eye(3), -np.eye(3)]), offsets=np.ones(6)),
+]
+
 
 class TestMembership:
     def test_cube(self):
@@ -79,13 +89,16 @@ class TestChord:
         with pytest.raises(GeometryError):
             half_space.chord(np.zeros(2), E1)
 
-    @pytest.mark.parametrize("make_body", [
-        lambda: Cube(halfwidth=1.5, n=3),
-        lambda: Ball(radius=2.0, n=3),
-        lambda: isotropic_normalization("simplex", 3),
-        lambda: Ellipsoid(shape=SymMatrix(np.diag([4.0, 1.0, 0.25]))),
-        lambda: Truncated(base=Cube(halfwidth=2.0, n=3), radius=2.2),
-    ])
+    @pytest.mark.parametrize("make_body", CHORD_BODIES)
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_input(self, make_body, bad):
+        body = make_body()
+        e1 = np.array([1.0, 0.0, 0.0])
+        for x, d in ((np.zeros(3), np.array([1.0, bad, 0.0])), (np.array([0.1, bad, 0.0]), e1)):
+            with pytest.raises(GeometryError, match="finite"):
+                body.chord(x, d)
+
+    @pytest.mark.parametrize("make_body", CHORD_BODIES)
     def test_endpoints_are_extremal(self, make_body):
         body = make_body()
         rng = RandomStream(seed=99, stream=0)

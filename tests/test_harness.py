@@ -2,6 +2,7 @@ import json
 import math
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -97,6 +98,7 @@ class TestConfigParsing:
             "kind=john-sparsify\nfixture=cube-vertices\nn=21\n",
             "kind=sweep\nsampler=john:cube-vertices\nn=21\nm_grid=64\n",
             "kind=whiten\nn=2\ndistortion=1,nan\n",
+            "kind=sweep\nsampler=cube:bogus\n",
         ],
     )
     def test_validation_failures(self, text):
@@ -273,6 +275,12 @@ class TestRunCheck:
         failures = [r["check"] for r in res.rows if not r["ok"]]
         assert failures == []
 
+    def test_sparsifier_uses_the_check_stream(self):
+        def detail(seed):
+            return next(r["detail"] for r in run_check(seed=seed).rows if r["check"] == "sparsifier-smoke")
+
+        assert detail(0) != detail(1)
+
 
 def run_cli(args):
     return cli.main(args)
@@ -303,6 +311,7 @@ class TestCli:
             ("john-sparsify", "fixture=cube-vertices\nn=21\n"),
             ("bernoulli", "sampler=john:cube-vertices\nn=21\nm_grid=16\n"),
             ("whiten", "n=2\ndistortion=1,nan\n"),
+            ("sweep", "sampler=cube:bogus\nn=2\nm_grid=16\nseeds=0\n"),
         ]
         for i, (command, text) in enumerate(cases):
             path = tmp_path / f"bad{i}.cfg"
@@ -398,3 +407,40 @@ class TestCli:
         )
         assert proc.returncode == 0
         assert proc.stdout.startswith("experiment,n,M,seed")
+
+
+TRACED_RUN = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+from tracer import Tracer
+tracer = Tracer()
+tracer.install()
+from isotropy import cli
+rc = cli.main(["truncated", "--config", sys.argv[2], "--out", sys.argv[3]])
+metrics = tracer.layer_metrics()
+print(json.dumps({
+    "rc": rc,
+    "chord_calls": metrics["geometry.chord_calls"],
+    "hitrun_steps": metrics["samplers.hitrun_steps"],
+    "modes": [mode for _, mode, _ in tracer.truncated],
+}))
+"""
+
+
+class TestBenchTracer:
+    def test_tracer_binds_one_chord_call_per_hit_and_run_step(self, tmp_path):
+        # The bench tracer wraps the body oracles and samplers by name; run it in a
+        # child interpreter so its monkeypatching stays out of this process.
+        bench = Path(__file__).resolve().parents[1] / "bench"
+        cfg = tmp_path / "trunc.cfg"
+        cfg.write_text("kind=truncated\nsampler=cube\nn=16\nr=0.5\neps=0.5\nc0=1\nseeds=0\n", encoding="utf-8")
+        proc = subprocess.run(
+            [sys.executable, "-c", TRACED_RUN, str(bench), str(cfg), str(tmp_path / "out.csv")],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        res = json.loads(proc.stdout)
+        assert res["rc"] == 0 and res["modes"] == ["hit-and-run"]
+        assert res["hitrun_steps"] > 0
+        assert res["chord_calls"] == res["hitrun_steps"]

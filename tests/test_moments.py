@@ -20,8 +20,8 @@ from isotropy.samplers import RandomStream, SampleBatch, direct_draws, john_supp
 from isotropy.symlin import SymMatrix, eigen
 
 
-def batch_of(vectors, sampler="test", seed=0, stream=0):
-    return SampleBatch(vectors=np.asarray(vectors, dtype=float), sampler=sampler, seed=seed, stream=stream)
+def batch_of(vectors, sampler="test", seed=0):
+    return SampleBatch(vectors=np.asarray(vectors, dtype=float), sampler=sampler, seed=seed)
 
 
 class TestEmpiricalSecondMoment:

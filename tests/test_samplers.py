@@ -32,12 +32,6 @@ class TestRandomStream:
         b = RandomStream(seed=7, stream=1).random(32)
         assert not np.any(a[:8] == b[:8])
 
-    def test_split(self):
-        base = RandomStream(seed=11, stream=0)
-        child = base.split(99)
-        assert child.seed == 11 and child.stream == 99
-        assert np.array_equal(child.random(4), RandomStream(seed=11, stream=99).random(4))
-
     def test_signs_are_plus_minus_one(self):
         s = RandomStream(seed=1, stream=0).signs(1000)
         assert set(np.unique(s)) == {-1.0, 1.0}
@@ -55,17 +49,17 @@ class TestRandomStream:
 class TestSampleBatch:
     def test_rejects_empty(self):
         with pytest.raises(SamplerError):
-            SampleBatch(vectors=np.empty((0, 3)), sampler="x", seed=0, stream=0)
+            SampleBatch(vectors=np.empty((0, 3)), sampler="x", seed=0)
 
     def test_rejects_non_finite(self):
         with pytest.raises(SamplerError):
-            SampleBatch(vectors=np.array([[1.0, np.inf]]), sampler="x", seed=0, stream=0)
+            SampleBatch(vectors=np.array([[1.0, np.inf]]), sampler="x", seed=0)
 
     def test_bit_reproducible(self):
         body = isotropic_normalization("cube", 5)
         rng1, rng2 = RandomStream(seed=3, stream=9), RandomStream(seed=3, stream=9)
-        b1 = SampleBatch(vectors=direct_draws(body, 100, rng1), sampler="cube", seed=3, stream=9)
-        b2 = SampleBatch(vectors=direct_draws(body, 100, rng2), sampler="cube", seed=3, stream=9)
+        b1 = SampleBatch(vectors=direct_draws(body, 100, rng1), sampler="cube", seed=3)
+        b2 = SampleBatch(vectors=direct_draws(body, 100, rng2), sampler="cube", seed=3)
         assert np.array_equal(b1.vectors, b2.vectors)
 
 
@@ -203,7 +197,7 @@ class TestTruncatedSampling:
         body = isotropic_normalization("cube", 16)
         sampler = TruncatedSampler(body, 1.0, RandomStream(seed=0, stream=11))
         pts = sampler.draw(100_000)
-        batch = SampleBatch(vectors=pts, sampler="truncated:cube", seed=0, stream=11)
+        batch = SampleBatch(vectors=pts, sampler="truncated:cube", seed=0)
         vals = eigen(empirical_second_moment(batch)).eigenvalues
         assert 0.78 <= vals.min() and vals.max() <= 0.87
 
@@ -244,6 +238,6 @@ class TestJohnSampler:
     def test_batch_provenance(self):
         jd = canonical_john("cross-polytope", 2)
         rng = RandomStream(seed=4, stream=5)
-        batch = SampleBatch(vectors=john_draws(jd, 10, rng), sampler="john", seed=rng.seed, stream=rng.stream)
-        assert batch.sampler == "john" and batch.seed == 4 and batch.stream == 5
+        batch = SampleBatch(vectors=john_draws(jd, 10, rng), sampler="john", seed=rng.seed)
+        assert batch.sampler == "john" and batch.seed == 4
         assert batch.M == 10 and batch.n == 2
