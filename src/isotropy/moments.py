@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .samplers import SampleBatch
+from .samplers import _CHUNK_ROWS, SampleBatch
 from .symlin import SymMatrix, inv_sqrt, operator_norm
 
 __all__ = [
@@ -79,7 +79,8 @@ def log_moment(batch: SampleBatch, p: float | None = None) -> float:
         p = max(2.0, math.log(m))
     if p <= 0.0:
         raise MomentsError("exponent p must be positive")
-    norms = np.linalg.norm(batch.vectors, axis=1)
+    v = batch.vectors  # norms by row chunk: no (M, n) temporary, same bytes
+    norms = np.concatenate([np.linalg.norm(v[i : i + _CHUNK_ROWS], axis=1) for i in range(0, m, _CHUNK_ROWS)])
     top = float(np.max(norms))
     if top == 0.0:
         return 0.0

@@ -40,6 +40,7 @@ REJECTION_MIN_ACCEPTANCE = 1e-3
 ACCEPTANCE_HARD_FLOOR = 1e-6
 _PILOT_STAGE1 = 4096
 _PILOT_TOTAL = 3_000_000
+_CHUNK_ROWS = 1 << 15  # rows per pilot / rejection draw, so memory does not follow the batch size
 
 DEFAULT_BURN_IN_PER_DIM = 50
 DEFAULT_THIN_PER_DIM = 2
@@ -134,8 +135,8 @@ def _draw_direct(body: Body, rng: RandomStream, m: int) -> np.ndarray:
         return body.radius * _unit_ball_points(rng, m, n)
     if isinstance(body, Simplex):
         e = rng.standard_exponential((m, n + 1))
-        lam = e / e.sum(axis=1, keepdims=True)
-        return lam @ body.vertices
+        e /= e.sum(axis=1, keepdims=True)
+        return e @ body.vertices
     if isinstance(body, Ellipsoid):
         return _unit_ball_points(rng, m, n) @ body.half_map
     raise SamplerError(f"no direct sampler for body {type(body).__name__}; use hit-and-run")
@@ -238,8 +239,8 @@ class TruncatedSampler:
         hits = 0
         batch = _PILOT_STAGE1
         while draws < _PILOT_TOTAL:
-            pts = _draw_direct(self.body, self.rng, batch)
-            hits += int(np.count_nonzero(_within_radius(pts, self.rho)))
+            for pts in _direct_chunks(self.body, self.rng, batch):
+                hits += int(np.count_nonzero(_within_radius(pts, self.rho)))
             draws += batch
             if hits >= 50:
                 break
@@ -265,17 +266,26 @@ class TruncatedSampler:
         )
 
     def _draw_rejection(self, m: int) -> np.ndarray:
+        """The first m in-radius rows of the direct stream, in stream order."""
         out = np.empty((m, self.body.n))
         got = 0
         while got < m:
-            want = m - got
-            batch = max(32, int(np.ceil(want / self.acceptance * 1.2)))
-            pts = _draw_direct(self.body, self.rng, batch)
-            keep = pts[_within_radius(pts, self.rho)]
-            take = min(want, keep.shape[0])
-            out[got : got + take] = keep[:take]
-            got += take
+            batch = max(32, int(np.ceil((m - got) / self.acceptance * 1.2)))
+            for pts in _direct_chunks(self.body, self.rng, batch):
+                keep = pts[_within_radius(pts, self.rho)]
+                take = min(m - got, keep.shape[0])
+                out[got : got + take] = keep[:take]
+                got += take
+                if got == m:
+                    break
         return out
+
+
+def _direct_chunks(body: Body, rng: RandomStream, rows: int):
+    """Yield ``rows`` direct draws in arrays of at most _CHUNK_ROWS rows.  Cube and simplex
+    chunks read the stream as one draw would; ball and ellipsoid chunks draw normals per chunk."""
+    for start in range(0, rows, _CHUNK_ROWS):
+        yield _draw_direct(body, rng, min(_CHUNK_ROWS, rows - start))
 
 
 def _within_radius(pts: np.ndarray, rho: float) -> np.ndarray:

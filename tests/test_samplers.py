@@ -1,9 +1,12 @@
 import collections
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+from isotropy import samplers
 from isotropy.geometry import Ball, Cube, HPolytope, Truncated, canonical_john, isotropic_normalization
 from isotropy.samplers import (
     RandomStream,
@@ -200,6 +203,62 @@ class TestTruncatedSampling:
         batch = SampleBatch(vectors=pts, sampler="truncated:cube", seed=0)
         vals = eigen(empirical_second_moment(batch)).eigenvalues
         assert 0.78 <= vals.min() and vals.max() <= 0.87
+
+
+# VmHWM is the peak RSS of this process image only.  ru_maxrss is not used: Linux
+# carries the spawning process's high-water mark across exec into the child's.
+PILOT_PEAK_RSS = """
+import re
+from isotropy.geometry import isotropic_normalization
+from isotropy.samplers import RandomStream, TruncatedSampler
+TruncatedSampler(isotropic_normalization("simplex", 8), 0.25, RandomStream(1, 2))
+with open("/proc/self/status", encoding="ascii") as fh:
+    print(re.search(r"VmHWM:\\s+(\\d+) kB", fh.read()).group(1))
+"""
+
+
+class TestTruncatedChunks:
+    # Pilot and rejection draws stream in chunks of samplers._CHUNK_ROWS rows.
+    # Cube and simplex rows read the Philox stream in sequence, so the chunk
+    # size changes no estimate, no output byte and no later draw.
+
+    @pytest.mark.parametrize(
+        "name, n, r, acceptance",
+        [
+            ("cube", 16, 0.5, 3.338675213675214e-05),
+            ("simplex", 8, 0.25, 5.884415064102564e-05),
+            ("cube", 16, 1.0, 0.51171875),
+        ],
+    )
+    def test_recorded_pilot_acceptance(self, name, n, r, acceptance):
+        assert TruncatedSampler(isotropic_normalization(name, n), r, RandomStream(1, 2)).acceptance == acceptance
+
+    def test_chunk_size_changes_no_byte(self, monkeypatch):
+        cube, simplex = isotropic_normalization("cube", 16), isotropic_normalization("simplex", 8)
+
+        def run(rows):
+            monkeypatch.setattr(samplers, "_CHUNK_ROWS", rows)
+            drawn = TruncatedSampler(cube, 1.0, RandomStream(1, 2)).draw(50_000)
+            rng = RandomStream(1, 2)
+            acceptance = TruncatedSampler(simplex, 0.25, rng).acceptance
+            return drawn, acceptance, rng.random(8)
+
+        default = samplers._CHUNK_ROWS
+        small_drawn, small_acceptance, small_after = run(1000)
+        drawn, acceptance, after = run(default)
+        assert np.array_equal(small_drawn, drawn)
+        assert small_acceptance == acceptance and np.array_equal(small_after, after)
+        # With 2**40-row chunks every rejection batch (about 117k rows) is drawn whole, as before chunking.
+        monkeypatch.setattr(samplers, "_CHUNK_ROWS", 1 << 40)
+        assert np.array_equal(TruncatedSampler(cube, 1.0, RandomStream(1, 2)).draw(50_000), drawn)
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
+    def test_pilot_memory_is_bounded(self):
+        # The pilot's last stage is 2,097,152 simplex8 rows (about 150 MB per
+        # (rows, 9) array); drawn whole it peaks near 490 MB.
+        proc = subprocess.run([sys.executable, "-c", PILOT_PEAK_RSS], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert int(proc.stdout) / 1024 < 150
 
 
 class TestJohnSampler:
