@@ -38,18 +38,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(result: harness.ExperimentResult, out: str | None, fmt: str) -> None:
+def _emit(result: harness.ExperimentResult, out: str | None, fmt: str) -> int:
+    """Write the rows (and aggregates beside them); 1 with a one-line error if a file cannot be written."""
     render = harness.render_csv if fmt == "csv" else harness.render_json
     text = render(result.header, result.rows)
     if out is None or out == "-":
         sys.stdout.write(text)
-        return
-    with open(out, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
+        return 0
+    files = [(out, text)]
     if result.aggregates is not None:
-        agg_text = render(result.agg_header, result.aggregates)
-        with open(harness.agg_output_path(out), "w", encoding="utf-8", newline="") as fh:
-            fh.write(agg_text)
+        files.append((harness.agg_output_path(out), render(result.agg_header, result.aggregates)))
+    for path, body in files:
+        try:
+            with open(path, "w", encoding="utf-8", newline="") as fh:
+                fh.write(body)
+        except OSError as exc:
+            print(f"error: cannot write {path}: {exc.strerror or exc}", file=sys.stderr)
+            return 1
+    return 0
 
 
 def main(argv=None) -> int:
@@ -66,8 +72,8 @@ def main(argv=None) -> int:
         for row in result.rows:
             status = "PASS" if row["ok"] else "FAIL"
             print(f"{status} {row['check']}: {row['detail']}")
-        if args.out:
-            _emit(result, args.out, args.format or "csv")
+        if args.out and _emit(result, args.out, args.format or "csv"):
+            return 1
         failures = sum(1 for row in result.rows if not row["ok"])
         if failures:
             print(f"{failures} of {len(result.rows)} checks failed", file=sys.stderr)
@@ -99,8 +105,7 @@ def main(argv=None) -> int:
     except (harness.ExperimentError, SamplerError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    _emit(result, cfg.out, cfg.format)
-    return 0
+    return _emit(result, cfg.out, cfg.format)
 
 
 if __name__ == "__main__":

@@ -15,6 +15,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 
@@ -243,11 +244,12 @@ def render_json(header: list[str], rows: list[dict]) -> str:
 
 
 def agg_output_path(path: str) -> str:
-    """Sibling path for aggregate rows: results.csv -> results.agg.csv."""
-    stem, dot, ext = path.rpartition(".")
-    if not dot:
-        return path + ".agg"
-    return f"{stem}.agg.{ext}"
+    """Sibling path for aggregate rows: results.csv -> results.agg.csv, runs.d/sweep -> runs.d/sweep.agg.
+
+    Only the file name's extension counts; a dot in a directory name does not.
+    """
+    root, ext = os.path.splitext(path)
+    return f"{root}.agg{ext}"
 
 
 def _run_grid(cfg: ExperimentConfig, row, points: list) -> list[dict]:
@@ -341,10 +343,13 @@ def _plan_whiten(cfg: ExperimentConfig):
     distortion = np.asarray(cfg.distortion if cfg.distortion is not None else default_distortion(cfg.n))
 
     def row(m: int, seed: int, rng: smp.RandomStream) -> dict:
-        first = draw(m, rng) * distortion
+        first = draw(m, rng)
+        first *= distortion
         t_hat = mom.empirical_second_moment(smp.SampleBatch(vectors=first, sampler=label, seed=seed))
         w = mom.whitening_transform(t_hat)
-        whitened = (draw(m, rng) * distortion) @ w.mat
+        second = draw(m, rng)
+        second *= distortion
+        whitened = second @ w.mat
         t2 = mom.empirical_second_moment(smp.SampleBatch(vectors=whitened, sampler=label, seed=seed))
         dev = mom.deviation(t2)
         return {

@@ -79,16 +79,22 @@ def log_moment(batch: SampleBatch, p: float | None = None) -> float:
         p = max(2.0, math.log(m))
     if p <= 0.0:
         raise MomentsError("exponent p must be positive")
-    v = batch.vectors  # norms by row chunk: no (M, n) temporary, same bytes
-    norms = np.concatenate([np.linalg.norm(v[i : i + _CHUNK_ROWS], axis=1) for i in range(0, m, _CHUNK_ROWS)])
-    top = float(np.max(norms))
+    # One (M,) array: norms by row chunk (no (M, n) temporary), then the log-domain
+    # terms in place.  log(0) = -inf gives exp(-inf) = 0 for zero rows.
+    v = batch.vectors
+    w = np.empty(m)
+    for i in range(0, m, _CHUNK_ROWS):
+        w[i : i + _CHUNK_ROWS] = np.linalg.norm(v[i : i + _CHUNK_ROWS], axis=1)
+    top = float(np.max(w))
     if top == 0.0:
         return 0.0
-    logs = np.full(m, -np.inf)
-    nz = norms > 0.0
-    logs[nz] = np.log(norms[nz])
     lstar = np.log(top)
-    total = float(np.sum(np.exp(p * (logs - lstar))))
+    with np.errstate(divide="ignore"):
+        np.log(w, out=w)
+    w -= lstar
+    w *= p
+    np.exp(w, out=w)
+    total = float(np.sum(w))
     return float(np.exp(lstar + np.log(total / m) / p))
 
 

@@ -101,7 +101,12 @@ class RandomStream:
 
 @dataclass(frozen=True, eq=False)
 class SampleBatch:
-    """M sampled vectors in dimension n with provenance."""
+    """M sampled vectors in dimension n with provenance.
+
+    The batch keeps the float64 array it is given, without a copy, and
+    freezes it: after construction neither the batch nor the caller can
+    write through it.  Other input (lists, other dtypes) is converted once.
+    """
 
     vectors: np.ndarray
     sampler: str
@@ -113,7 +118,6 @@ class SampleBatch:
             raise SamplerError(f"batch needs at least one vector, got shape {v.shape}")
         if not np.all(np.isfinite(v)):
             raise SamplerError("batch vectors must be finite")
-        v = v.copy()
         v.setflags(write=False)
         object.__setattr__(self, "vectors", v)
 
@@ -127,12 +131,20 @@ class SampleBatch:
 
 
 def _draw_direct(body: Body, rng: RandomStream, m: int) -> np.ndarray:
-    """Vectorized exact uniform draws; consumption order is fixed per variant."""
+    """Vectorized exact uniform draws; consumption order is fixed per variant.  Cube and
+    ball points are scaled in place, so each returns the one array it drew into."""
     n = body.n
     if isinstance(body, Cube):
-        return rng.uniform(-body.halfwidth, body.halfwidth, (m, n))
+        # Generator.uniform(low, high) is low + (high - low) * U: the same operations, same bytes.
+        low, high = -body.halfwidth, body.halfwidth
+        pts = rng.random((m, n))
+        pts *= high - low
+        pts += low
+        return pts
     if isinstance(body, Ball):
-        return body.radius * _unit_ball_points(rng, m, n)
+        pts = _unit_ball_points(rng, m, n)
+        pts *= body.radius
+        return pts
     if isinstance(body, Simplex):
         e = rng.standard_exponential((m, n + 1))
         e /= e.sum(axis=1, keepdims=True)
@@ -147,7 +159,8 @@ def _unit_ball_points(rng: RandomStream, m: int, n: int) -> np.ndarray:
     u = rng.random(m)
     norms = np.linalg.norm(g, axis=1)
     norms[norms == 0.0] = 1.0  # measure-zero guard
-    return g * (u ** (1.0 / n) / norms)[:, None]
+    g *= (u ** (1.0 / n) / norms)[:, None]
+    return g
 
 
 def direct_draws(body: Body, m: int, rng: RandomStream) -> np.ndarray:

@@ -133,6 +133,9 @@ class TestRenderers:
     def test_agg_path(self):
         assert agg_output_path("results.csv") == "results.agg.csv"
         assert agg_output_path("noext") == "noext.agg"
+        assert agg_output_path("runs.d/sweep") == "runs.d/sweep.agg"
+        assert agg_output_path("./res") == "./res.agg"
+        assert agg_output_path("runs.d/sweep.csv") == "runs.d/sweep.agg.csv"
 
 
 class TestRunSweep:
@@ -389,6 +392,29 @@ class TestCli:
         assert len(rows) == len(lines) - 1
         first_csv = lines[1].split(",")
         assert rows[0]["deviation"] == float(first_csv[5])
+
+    def test_out_without_extension(self, tmp_path, monkeypatch):
+        # Only the file name's extension counts: runs.d/sweep -> runs.d/sweep.agg.
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text(SWEEP_TEXT, encoding="utf-8")
+        (tmp_path / "runs.d").mkdir()
+        monkeypatch.chdir(tmp_path)
+        for out in ("runs.d/sweep", "./res"):
+            assert run_cli(["sweep", "--config", str(cfg), "--out", out]) == 0, out
+            assert (tmp_path / out).is_file() and (tmp_path / f"{out}.agg").is_file(), out
+        header = (tmp_path / "res.agg").read_text(encoding="utf-8").splitlines()[0]
+        assert header == ",".join(SWEEP_AGG_HEADER)
+
+    @pytest.mark.parametrize("command", ["sweep", "check"])
+    def test_unwritable_out_exits_one(self, tmp_path, capsys, command):
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text(SWEEP_TEXT, encoding="utf-8")
+        out = tmp_path / "nodir" / "x.csv"
+        args = ["--config", str(cfg)] if command == "sweep" else []
+        assert run_cli([command, *args, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write {out}: ") and err.count("\n") == 1
+        assert "Traceback" not in err
 
     def test_stdout_output(self, tmp_path, capsys):
         cfg = tmp_path / "sweep.cfg"

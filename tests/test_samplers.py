@@ -1,13 +1,11 @@
 import collections
 import math
-import subprocess
-import sys
 
 import numpy as np
 import pytest
 
 from isotropy import samplers
-from isotropy.geometry import Ball, Cube, HPolytope, Truncated, canonical_john, isotropic_normalization
+from isotropy.geometry import Ball, Cube, Ellipsoid, HPolytope, Truncated, canonical_john, isotropic_normalization
 from isotropy.samplers import (
     RandomStream,
     SampleBatch,
@@ -22,6 +20,7 @@ from isotropy.samplers import (
     sample_hit_and_run,
     seed_from_env,
 )
+from isotropy.symlin import SymMatrix
 
 
 class TestRandomStream:
@@ -49,6 +48,13 @@ class TestRandomStream:
             seed_from_env(42)
 
 
+# One seed of the benchmark's truncated rejection cut, through the harness.
+TRUNCATED_SEED_RUN = """
+from isotropy.harness import parse_config, run_experiment
+run_experiment(parse_config("kind=truncated\\nsampler=cube\\nn=16\\nr=1\\neps=0.2\\nc0=128\\nseeds=0\\n"))
+"""
+
+
 class TestSampleBatch:
     def test_rejects_empty(self):
         with pytest.raises(SamplerError):
@@ -64,6 +70,25 @@ class TestSampleBatch:
         b1 = SampleBatch(vectors=direct_draws(body, 100, rng1), sampler="cube", seed=3)
         b2 = SampleBatch(vectors=direct_draws(body, 100, rng2), sampler="cube", seed=3)
         assert np.array_equal(b1.vectors, b2.vectors)
+
+    def test_keeps_and_freezes_the_given_array(self):
+        arr = RandomStream(seed=3, stream=9).standard_normal((50, 4))
+        batch = SampleBatch(vectors=arr, sampler="gauss", seed=3)
+        assert np.shares_memory(batch.vectors, arr)
+        with pytest.raises(ValueError):
+            arr[0, 0] = 1.0
+        with pytest.raises(ValueError):
+            batch.vectors[0, 0] = 1.0
+
+    def test_list_input(self):
+        batch = SampleBatch(vectors=[[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]], sampler="x", seed=0)
+        assert batch.M == 3 and batch.n == 2
+        assert batch.vectors.dtype == np.float64 and not batch.vectors.flags.writeable
+
+    def test_truncated_rejection_seed_holds_one_batch(self, child_peak_rss_mb):
+        # M = 306,781 rows in n = 16 is 39 MB per (M, n) array.  Holding the
+        # draw and a copy of it peaked near 123 MB; one array stays near 86 MB.
+        assert child_peak_rss_mb(TRUNCATED_SEED_RUN) < 105
 
 
 class TestDirectSamplers:
@@ -82,9 +107,6 @@ class TestDirectSamplers:
         assert all(body.membership(p) for p in pts)
 
     def test_ellipsoid_support(self):
-        from isotropy.geometry import Ellipsoid
-        from isotropy.symlin import SymMatrix
-
         body = Ellipsoid(shape=SymMatrix(np.diag([4.0, 1.0, 0.25])))
         pts = direct_draws(body, 500, RandomStream(seed=3, stream=0))
         assert all(body.membership(p) for p in pts)
@@ -107,6 +129,31 @@ class TestDirectSamplers:
             target = q**n
             se = math.sqrt(target * (1.0 - target) / m)
             assert abs(float(np.mean(radii <= q)) - target) <= 3.0 * se
+
+    @pytest.mark.parametrize("a", [math.sqrt(3.0), 0.7, 1e3])
+    @pytest.mark.parametrize("m, n", [(1, 1), (3, 2), (32769, 16)])
+    def test_cube_draws_equal_generator_uniform(self, a, m, n):
+        # The in-place cube draw repeats Generator.uniform's low + (high - low) * U.
+        key = (11, 5)
+        expect = np.random.Generator(np.random.Philox(key=key)).uniform(-a, a, (m, n))
+        got = direct_draws(Cube(halfwidth=a, n=n), m, RandomStream(*key))
+        assert got.tobytes() == expect.tobytes()
+
+    @pytest.mark.parametrize("m, n", [(1, 1), (3, 2), (32769, 16)])
+    def test_ball_and_ellipsoid_draws_equal_scaled_unit_points(self, m, n):
+        def unit_points(rng):
+            g = rng.standard_normal((m, n))
+            u = rng.random(m)
+            norms = np.linalg.norm(g, axis=1)
+            norms[norms == 0.0] = 1.0
+            return g * (u ** (1.0 / n) / norms)[:, None]
+
+        ball = Ball(radius=2.5, n=n)
+        expect = ball.radius * unit_points(RandomStream(11, 5))
+        assert direct_draws(ball, m, RandomStream(11, 5)).tobytes() == expect.tobytes()
+        ellipsoid = Ellipsoid(shape=SymMatrix(np.diag(np.linspace(0.25, 4.0, n))))
+        expect = unit_points(RandomStream(11, 5)) @ ellipsoid.half_map
+        assert direct_draws(ellipsoid, m, RandomStream(11, 5)).tobytes() == expect.tobytes()
 
     def test_unsupported_variant(self):
         poly = HPolytope(rows=np.array([[1.0], [-1.0]]), offsets=np.array([1.0, 1.0]))
@@ -205,15 +252,10 @@ class TestTruncatedSampling:
         assert 0.78 <= vals.min() and vals.max() <= 0.87
 
 
-# VmHWM is the peak RSS of this process image only.  ru_maxrss is not used: Linux
-# carries the spawning process's high-water mark across exec into the child's.
-PILOT_PEAK_RSS = """
-import re
+PILOT_RUN = """
 from isotropy.geometry import isotropic_normalization
 from isotropy.samplers import RandomStream, TruncatedSampler
 TruncatedSampler(isotropic_normalization("simplex", 8), 0.25, RandomStream(1, 2))
-with open("/proc/self/status", encoding="ascii") as fh:
-    print(re.search(r"VmHWM:\\s+(\\d+) kB", fh.read()).group(1))
 """
 
 
@@ -252,13 +294,10 @@ class TestTruncatedChunks:
         monkeypatch.setattr(samplers, "_CHUNK_ROWS", 1 << 40)
         assert np.array_equal(TruncatedSampler(cube, 1.0, RandomStream(1, 2)).draw(50_000), drawn)
 
-    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
-    def test_pilot_memory_is_bounded(self):
+    def test_pilot_memory_is_bounded(self, child_peak_rss_mb):
         # The pilot's last stage is 2,097,152 simplex8 rows (about 150 MB per
         # (rows, 9) array); drawn whole it peaks near 490 MB.
-        proc = subprocess.run([sys.executable, "-c", PILOT_PEAK_RSS], capture_output=True, text=True)
-        assert proc.returncode == 0, proc.stderr
-        assert int(proc.stdout) / 1024 < 150
+        assert child_peak_rss_mb(PILOT_RUN) < 150
 
 
 class TestJohnSampler:
