@@ -45,11 +45,21 @@ class GeometryError(ValueError):
     """Invalid body data or oracle misuse."""
 
 
+# Appended to a point (1) or a direction (0) to take barycentric coordinates in one product.
+_ONE = np.ones(1)
+_ZERO = np.zeros(1)
+
+
 def _as_point(x, n: int) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if x.shape != (n,):
         raise GeometryError(f"point of dimension {x.shape} does not match body dimension {n}")
     return x
+
+
+def _is_finite(x: np.ndarray) -> bool:
+    # x.dot(x) is finite whenever x is, unless it overflows; the full test settles that case.
+    return math.isfinite(x.dot(x)) or bool(np.isfinite(x).all())
 
 
 class Body:
@@ -58,6 +68,12 @@ class Body:
     n: int
 
     def membership(self, x) -> bool:
+        """Whether x lies in the body; a non-finite point never does."""
+        x = _as_point(x, self.n)
+        return _is_finite(x) and self._contains(x)
+
+    def _contains(self, x: np.ndarray) -> bool:
+        """Membership of a finite point of the body's dimension."""
         raise NotImplementedError
 
     def chord(self, x, d) -> tuple[float, float]:
@@ -69,11 +85,11 @@ class Body:
         x = _as_point(x, self.n)
         d = _as_point(d, self.n)
         # Written so that a NaN or infinite direction fails the test too.
-        if not abs(float(np.dot(d, d)) - 1.0) <= 2e-10:
+        if not abs(float(d.dot(d)) - 1.0) <= 2e-10:
             raise GeometryError("direction must be a finite unit vector")
-        if not np.isfinite(x).all():
+        if not _is_finite(x):
             raise GeometryError("chord base point must be finite")
-        if not self.membership(x):
+        if not self._contains(x):
             raise GeometryError("chord base point lies outside the body")
         t_lo, t_hi = self._chord_impl(x, d)
         # Roundoff can push a bound marginally across 0 when x sits on the
@@ -84,14 +100,15 @@ class Body:
         raise NotImplementedError
 
 
-def _slab_chord(slack: np.ndarray, coef: np.ndarray) -> tuple[float, float]:
+def _slab_chord(slack: list[float], coef: list[float]) -> tuple[float, float]:
     """Maximal interval of t with coef * t <= slack in every row.
 
     The shared chord kernel of the polytope bodies.  A loop over Python
-    floats beats numpy's masked reductions at these row counts.
+    floats beats numpy's masked reductions at these row counts, so the
+    rows come as Python sequences.
     """
     t_lo, t_hi = -math.inf, math.inf
-    for s, c in zip(slack.tolist(), coef.tolist()):
+    for s, c in zip(slack, coef):
         if c > 0.0:
             t = s / c
             if t < t_hi:
@@ -107,8 +124,8 @@ def _slab_chord(slack: np.ndarray, coef: np.ndarray) -> tuple[float, float]:
 
 def _sphere_chord(x: np.ndarray, d: np.ndarray, radius: float) -> tuple[float, float]:
     """Chord of the centered ball of the given radius through x along unit d."""
-    b = float(np.dot(x, d))
-    disc = b * b - (float(np.dot(x, x)) - radius**2)
+    b = float(x.dot(d))
+    disc = b * b - (float(x.dot(x)) - radius**2)
     root = math.sqrt(disc) if disc > 0.0 else 0.0
     return -b - root, -b + root
 
@@ -124,13 +141,14 @@ class Cube(Body):
         if self.halfwidth <= 0 or self.n < 1:
             raise GeometryError("cube needs positive halfwidth and dimension")
 
-    def membership(self, x) -> bool:
-        x = _as_point(x, self.n)
-        return bool(np.max(np.abs(x)) <= self.halfwidth + MEMBERSHIP_TOL * max(1.0, self.halfwidth))
+    def _contains(self, x):
+        return bool(max(map(abs, x.tolist())) <= self.halfwidth + MEMBERSHIP_TOL * max(1.0, self.halfwidth))
 
     def _chord_impl(self, x, d):
-        a = self.halfwidth
-        return _slab_chord(np.concatenate([a - x, a + x]), np.concatenate([d, -d]))
+        # The rows a - x, a + x against d, -d, built as Python floats.
+        a = float(self.halfwidth)
+        xs, ds = x.tolist(), d.tolist()
+        return _slab_chord([a - v for v in xs] + [a + v for v in xs], ds + [-v for v in ds])
 
 
 @dataclass(frozen=True)
@@ -144,9 +162,8 @@ class Ball(Body):
         if self.radius <= 0 or self.n < 1:
             raise GeometryError("ball needs positive radius and dimension")
 
-    def membership(self, x) -> bool:
-        x = _as_point(x, self.n)
-        return bool(np.linalg.norm(x) <= self.radius + MEMBERSHIP_TOL * max(1.0, self.radius))
+    def _contains(self, x):
+        return bool(math.sqrt(x.dot(x)) <= self.radius + MEMBERSHIP_TOL * max(1.0, self.radius))
 
     def _chord_impl(self, x, d):
         return _sphere_chord(x, d, self.radius)
@@ -177,15 +194,18 @@ class Simplex(Body):
             raise GeometryError("simplex must contain the origin strictly inside")
 
     def barycentric(self, x) -> np.ndarray:
-        x = _as_point(x, self.n)
-        return self._bary_inv @ np.append(x, 1.0)
+        return self._barycentric(_as_point(x, self.n))
 
-    def membership(self, x) -> bool:
-        return bool(np.min(self.barycentric(x)) >= -MEMBERSHIP_TOL)
+    def _barycentric(self, x: np.ndarray) -> np.ndarray:
+        return self._bary_inv @ np.concatenate((x, _ONE))
+
+    def _contains(self, x):
+        return min(self._barycentric(x).tolist()) >= -MEMBERSHIP_TOL
 
     def _chord_impl(self, x, d):
         # Barycentric coordinates along the line are lam + t * mu >= 0.
-        return _slab_chord(self.barycentric(x), -(self._bary_inv @ np.append(d, 0.0)))
+        mu = self._bary_inv @ np.concatenate((d, _ZERO))
+        return _slab_chord(self._barycentric(x).tolist(), [-c for c in mu.tolist()])
 
 
 @dataclass(frozen=True)
@@ -219,7 +239,7 @@ class Ellipsoid(Body):
         x = _as_point(x, self.n)
         return float(x @ self._inv @ x)
 
-    def membership(self, x) -> bool:
+    def _contains(self, x):
         return self.quadratic(x) <= 1.0 + MEMBERSHIP_TOL
 
     def _chord_impl(self, x, d):
@@ -258,13 +278,12 @@ class HPolytope(Body):
         object.__setattr__(self, "offsets", b)
         object.__setattr__(self, "n", a.shape[1])
 
-    def membership(self, x) -> bool:
-        x = _as_point(x, self.n)
+    def _contains(self, x):
         scale = 1.0 + float(np.max(np.abs(self.offsets)))
         return bool(np.max(self.rows @ x - self.offsets) <= MEMBERSHIP_TOL * scale)
 
     def _chord_impl(self, x, d):
-        return _slab_chord(self.offsets - self.rows @ x, self.rows @ d)
+        return _slab_chord((self.offsets - self.rows @ x).tolist(), (self.rows @ d).tolist())
 
 
 @dataclass(frozen=True)
@@ -280,10 +299,9 @@ class Truncated(Body):
             raise GeometryError("truncation radius must be positive")
         object.__setattr__(self, "n", self.base.n)
 
-    def membership(self, x) -> bool:
-        x = _as_point(x, self.n)
-        ball_ok = np.linalg.norm(x) <= self.radius + MEMBERSHIP_TOL * max(1.0, self.radius)
-        return bool(ball_ok) and self.base.membership(x)
+    def _contains(self, x):
+        ball_ok = math.sqrt(x.dot(x)) <= self.radius + MEMBERSHIP_TOL * max(1.0, self.radius)
+        return bool(ball_ok) and self.base._contains(x)
 
     def _chord_impl(self, x, d):
         # Body.chord has checked x and d once, and membership here implies

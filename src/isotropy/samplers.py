@@ -10,6 +10,7 @@ batch bit for bit.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, field
 
@@ -40,7 +41,7 @@ REJECTION_MIN_ACCEPTANCE = 1e-3
 ACCEPTANCE_HARD_FLOOR = 1e-6
 _PILOT_STAGE1 = 4096
 _PILOT_TOTAL = 3_000_000
-_CHUNK_ROWS = 1 << 15  # rows per pilot / rejection draw, so memory does not follow the batch size
+_CHUNK_ROWS = 1 << 12  # rows per pilot / rejection draw, so memory does not follow the batch size
 
 DEFAULT_BURN_IN_PER_DIM = 50
 DEFAULT_THIN_PER_DIM = 2
@@ -132,7 +133,8 @@ class SampleBatch:
 
 def _draw_direct(body: Body, rng: RandomStream, m: int) -> np.ndarray:
     """Vectorized exact uniform draws; consumption order is fixed per variant.  Cube and
-    ball points are scaled in place, so each returns the one array it drew into."""
+    ball points are scaled in place, so each returns the one array it drew into; simplex
+    points are formed by row chunk in one output array."""
     n = body.n
     if isinstance(body, Cube):
         # Generator.uniform(low, high) is low + (high - low) * U: the same operations, same bytes.
@@ -146,9 +148,17 @@ def _draw_direct(body: Body, rng: RandomStream, m: int) -> np.ndarray:
         pts *= body.radius
         return pts
     if isinstance(body, Simplex):
-        e = rng.standard_exponential((m, n + 1))
-        e /= e.sum(axis=1, keepdims=True)
-        return e @ body.vertices
+        # Chunked exponentials read the stream as one (m, n + 1) draw would.  A one-row
+        # product goes through gemv and rounds unlike gemm, so no chunk after the first is one row.
+        pts = np.empty((m, n))
+        i = 0
+        while i < m:
+            rows = m - i if m - i <= _CHUNK_ROWS + 1 else _CHUNK_ROWS
+            e = rng.standard_exponential((rows, n + 1))
+            e /= e.sum(axis=1, keepdims=True)
+            np.matmul(e, body.vertices, out=pts[i : i + rows])
+            i += rows
+        return pts
     if isinstance(body, Ellipsoid):
         return _unit_ball_points(rng, m, n) @ body.half_map
     raise SamplerError(f"no direct sampler for body {type(body).__name__}; use hit-and-run")
@@ -157,7 +167,9 @@ def _draw_direct(body: Body, rng: RandomStream, m: int) -> np.ndarray:
 def _unit_ball_points(rng: RandomStream, m: int, n: int) -> np.ndarray:
     g = rng.standard_normal((m, n))
     u = rng.random(m)
-    norms = np.linalg.norm(g, axis=1)
+    norms = np.empty(m)
+    for i in range(0, m, _CHUNK_ROWS):  # by row chunk, so no (m, n) g * g temporary forms
+        norms[i : i + _CHUNK_ROWS] = np.linalg.norm(g[i : i + _CHUNK_ROWS], axis=1)
     norms[norms == 0.0] = 1.0  # measure-zero guard
     g *= (u ** (1.0 / n) / norms)[:, None]
     return g
@@ -168,15 +180,6 @@ def direct_draws(body: Body, m: int, rng: RandomStream) -> np.ndarray:
     if m < 1:
         raise SamplerError("batch size must be >= 1")
     return _draw_direct(body, rng, m)
-
-
-def _random_direction(rng: RandomStream, n: int) -> np.ndarray:
-    g = rng.standard_normal(n)
-    norm = np.linalg.norm(g)
-    while norm == 0.0:  # measure-zero guard
-        g = rng.standard_normal(n)
-        norm = np.linalg.norm(g)
-    return g / norm
 
 
 def sample_hit_and_run(
@@ -190,28 +193,32 @@ def sample_hit_and_run(
     """Hit-and-run chain: uniform point on a uniformly random chord, repeated.
 
     Discards ``burn_in`` steps, then emits every ``thin``-th state, ``count``
-    times.  Returns an array of shape (count, n).
+    times.  Returns an array of shape (count, n).  Each step draws a normal
+    direction, makes one ``body.chord`` call and one uniform draw on it.
     """
     if burn_in < 0 or thin < 1 or count < 1:
         raise SamplerError("need burn_in >= 0, thin >= 1, count >= 1")
-    x = np.asarray(x0, dtype=float)
+    x = np.array(x0, dtype=float)  # a copy: the chain moves it in place
     if not body.membership(x):
         raise SamplerError("hit-and-run start point lies outside the body")
-    for _ in range(burn_in):
-        x = _hit_and_run_step(body, x, rng)
-    out = np.empty((count, body.n))
-    for j in range(count):
-        for _ in range(thin):
-            x = _hit_and_run_step(body, x, rng)
-        out[j] = x
+    n = body.n
+    chord, normal, random = body.chord, rng._gen.standard_normal, rng._gen.random
+    out = np.empty((count, n))
+    for step in range(-burn_in, thin * count):
+        # The same operations as np.linalg.norm(g), g / norm, Generator.uniform(lo, hi)
+        # and x + t * g, in place and without numpy's scalar dispatch: the same bits.
+        g = normal(n)
+        sq = g.dot(g)
+        while sq == 0.0:  # measure-zero guard
+            g = normal(n)
+            sq = g.dot(g)
+        g /= math.sqrt(sq)
+        lo, hi = chord(x, g)
+        g *= lo + (hi - lo) * random()
+        x += g
+        if step >= 0 and step % thin == thin - 1:
+            out[step // thin] = x
     return out
-
-
-def _hit_and_run_step(body: Body, x: np.ndarray, rng: RandomStream) -> np.ndarray:
-    d = _random_direction(rng, body.n)
-    t_lo, t_hi = body.chord(x, d)
-    t = rng.uniform(t_lo, t_hi)
-    return x + t * d
 
 
 def default_burn_in(n: int) -> int:
@@ -228,7 +235,8 @@ class TruncatedSampler:
     A pilot run measures the rejection acceptance rate: healthy rates use
     plain rejection from the direct sampler, thin intersections fall back
     to hit-and-run on the truncated body, and rates below the hard floor
-    raise TruncationError.
+    raise TruncationError.  The chain starts at the pilot's first hit, an
+    exact uniform draw from the truncated body, so it needs no burn-in.
     """
 
     def __init__(self, body: Body, R: float, rng: RandomStream):
@@ -239,7 +247,7 @@ class TruncatedSampler:
         self.rho = float(R) * np.sqrt(body.n)
         self.rng = rng
         self.truncated = Truncated(base=body, radius=self.rho)
-        self.acceptance = self._pilot_acceptance()
+        self.acceptance, self._start = self._pilot_acceptance()
         if self.acceptance < ACCEPTANCE_HARD_FLOOR:
             raise TruncationError(
                 f"truncation too aggressive: estimated acceptance {self.acceptance:.2e} "
@@ -247,36 +255,32 @@ class TruncatedSampler:
             )
         self.mode = "rejection" if self.acceptance >= REJECTION_MIN_ACCEPTANCE else "hit-and-run"
 
-    def _pilot_acceptance(self) -> float:
+    def _pilot_acceptance(self) -> tuple[float, np.ndarray | None]:
+        """The pilot's hit rate and its first in-radius row (None without a hit)."""
         draws = 0
         hits = 0
+        first = None
         batch = _PILOT_STAGE1
         while draws < _PILOT_TOTAL:
             for pts in _direct_chunks(self.body, self.rng, batch):
-                hits += int(np.count_nonzero(_within_radius(pts, self.rho)))
+                inside = _within_radius(pts, self.rho)
+                if first is None and inside.any():
+                    first = pts[inside.argmax()].copy()
+                hits += int(np.count_nonzero(inside))
             draws += batch
             if hits >= 50:
                 break
             batch = min(batch * 8, _PILOT_TOTAL - draws)
             if batch == 0:
                 break
-        if hits == 0:
-            return 0.0
-        return hits / draws
+        return hits / draws, first
 
     def draw(self, m: int) -> np.ndarray:
         if m < 1:
             raise SamplerError("batch size must be >= 1")
         if self.mode == "rejection":
             return self._draw_rejection(m)
-        return sample_hit_and_run(
-            self.truncated,
-            np.zeros(self.body.n),
-            default_burn_in(self.body.n),
-            default_thin(self.body.n),
-            self.rng,
-            count=m,
-        )
+        return sample_hit_and_run(self.truncated, self._start, 0, default_thin(self.body.n), self.rng, count=m)
 
     def _draw_rejection(self, m: int) -> np.ndarray:
         """The first m in-radius rows of the direct stream, in stream order."""

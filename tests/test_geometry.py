@@ -55,6 +55,16 @@ class TestMembership:
         assert Ball(radius=2.0, n=2).membership(np.array([2.0, 0.0]))
         assert Cube(halfwidth=1.0, n=2).membership(np.array([1.0, -1.0]))
 
+    @pytest.mark.parametrize("make_body", CHORD_BODIES)
+    def test_non_finite_points_are_not_members(self, make_body):
+        body = make_body()
+        for bad in (math.nan, math.inf, -math.inf):
+            for i in range(3):
+                x = np.full(3, 0.1)
+                x[i] = bad
+                with np.errstate(invalid="ignore", over="ignore"):
+                    assert body.membership(x) is False
+
 
 class TestChord:
     def test_cube_center(self):
@@ -96,6 +106,23 @@ class TestChord:
         e1 = np.array([1.0, 0.0, 0.0])
         for x, d in ((np.zeros(3), np.array([1.0, bad, 0.0])), (np.array([0.1, bad, 0.0]), e1)):
             with pytest.raises(GeometryError, match="finite"):
+                body.chord(x, d)
+
+    @pytest.mark.parametrize("make_body", CHORD_BODIES)
+    def test_rejection_messages(self, make_body):
+        body = make_body()
+        e1 = np.array([1.0, 0.0, 0.0])
+        for x, d, message in (
+            (np.zeros(2), e1, "point of dimension \\(2,\\) does not match body dimension 3"),
+            (np.zeros(3), e1[:2], "point of dimension \\(2,\\) does not match body dimension 3"),
+            (np.zeros(3), 2.0 * e1, "^direction must be a finite unit vector$"),
+            (np.zeros(3), np.array([math.nan, 0.0, 0.0]), "^direction must be a finite unit vector$"),
+            (np.array([0.1, math.inf, 0.0]), e1, "^chord base point must be finite$"),
+            (np.array([5.0, 0.0, 0.0]), e1, "^chord base point lies outside the body$"),
+            # |x|^2 overflows to inf, yet x is finite: it is outside, not non-finite.
+            (np.array([1e200, 0.0, 0.0]), e1, "^chord base point lies outside the body$"),
+        ):
+            with pytest.raises(GeometryError, match=message), np.errstate(invalid="ignore", over="ignore"):
                 body.chord(x, d)
 
     @pytest.mark.parametrize("make_body", CHORD_BODIES)

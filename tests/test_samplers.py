@@ -1,4 +1,5 @@
 import collections
+import hashlib
 import math
 
 import numpy as np
@@ -47,6 +48,16 @@ class TestRandomStream:
         with pytest.raises(SamplerError):
             seed_from_env(42)
 
+
+# Direct draws of one body in n = 16 (argv: variant, rows; 0 rows draws nothing).
+DIRECT_RUN = """
+import sys
+from isotropy.geometry import isotropic_normalization
+from isotropy.samplers import RandomStream, direct_draws
+body = isotropic_normalization(sys.argv[1], 16)
+if int(sys.argv[2]):
+    direct_draws(body, int(sys.argv[2]), RandomStream(0, 0))
+"""
 
 # One seed of the benchmark's truncated rejection cut, through the harness.
 TRUNCATED_SEED_RUN = """
@@ -155,6 +166,23 @@ class TestDirectSamplers:
         expect = unit_points(RandomStream(11, 5)) @ ellipsoid.half_map
         assert direct_draws(ellipsoid, m, RandomStream(11, 5)).tobytes() == expect.tobytes()
 
+    @pytest.mark.parametrize("n", [8, 16])
+    @pytest.mark.parametrize("m", [1, 4097, 65_536, 306_781])
+    def test_simplex_draws_equal_whole_product(self, m, n):
+        # The product with the vertices is formed by row chunk into one output
+        # array; it must equal the whole (m, n + 1) @ (n + 1, n) product.
+        simplex = isotropic_normalization("simplex", n)
+        e = RandomStream(11, 5).standard_exponential((m, n + 1))
+        e /= e.sum(axis=1, keepdims=True)
+        assert np.array_equal(direct_draws(simplex, m, RandomStream(11, 5)), e @ simplex.vertices)
+
+    def test_ball_and_simplex_draws_hold_one_batch(self, child_peak_rss_mb):
+        # 306,781 rows in n = 16 are 39 MB.  A whole-array row norm (ball) or the
+        # exponentials next to their product (simplex) used to double the rise.
+        base = child_peak_rss_mb(DIRECT_RUN, "cube", "0")
+        rise = {name: child_peak_rss_mb(DIRECT_RUN, name, "306781") - base for name in ("cube", "ball", "simplex")}
+        assert rise["ball"] <= 1.3 * rise["cube"] and rise["simplex"] <= 1.3 * rise["cube"], rise
+
     def test_unsupported_variant(self):
         poly = HPolytope(rows=np.array([[1.0], [-1.0]]), offsets=np.array([1.0, 1.0]))
         with pytest.raises(SamplerError):
@@ -170,6 +198,9 @@ class TestDirectSamplers:
         assert abs(sq.mean() - n) <= 3.0 * se
 
 
+ROT30 = np.array([[math.cos(math.pi / 6), -math.sin(math.pi / 6)], [math.sin(math.pi / 6), math.cos(math.pi / 6)]])
+
+
 class TestHitAndRun:
     def test_emitted_states_are_members(self):
         body = Ball(radius=1.0, n=2)
@@ -178,9 +209,7 @@ class TestHitAndRun:
 
     def test_rotated_cube_mean(self):
         # 30-degree rotated cube as an H-polytope; target mean is 0 by symmetry.
-        theta = math.pi / 6.0
-        rot = np.array([[math.cos(theta), -math.sin(theta)], [math.sin(theta), math.cos(theta)]])
-        body = HPolytope(rows=np.vstack([rot.T, -rot.T]), offsets=np.ones(4))
+        body = HPolytope(rows=np.vstack([ROT30.T, -ROT30.T]), offsets=np.ones(4))
         pts = sample_hit_and_run(body, np.zeros(2), burn_in=1000, thin=5, rng=RandomStream(seed=0, stream=1), count=10_000)
         assert all(body.membership(p) for p in pts)
         mean = pts.mean(axis=0)
@@ -195,6 +224,41 @@ class TestHitAndRun:
     def test_start_outside_rejected(self):
         with pytest.raises(SamplerError):
             sample_hit_and_run(Ball(radius=1.0, n=2), np.array([5.0, 0.0]), 0, 1, RandomStream(seed=0, stream=0))
+
+    def test_start_point_is_not_modified(self):
+        x0 = np.array([0.25, -0.5])
+        sample_hit_and_run(Cube(halfwidth=1.0, n=2), x0, burn_in=5, thin=2, rng=RandomStream(seed=2, stream=0), count=3)
+        assert x0.tolist() == [0.25, -0.5]
+
+    @pytest.mark.parametrize(
+        "make_body, digest",
+        [
+            (
+                lambda: Truncated(isotropic_normalization("cube", 16), 2.0),
+                "20ed7217ba385f77405966073812348b443d0e0f9e9a3f9a3937eae1d45a7c6c",
+            ),
+            (
+                lambda: Truncated(isotropic_normalization("simplex", 8), 0.25 * math.sqrt(8)),
+                "82ba79826f09c7026947e23e9a1ca51506495fdddccc1619b13c12817a10cb07",
+            ),
+            (
+                lambda: isotropic_normalization("cube", 16),
+                "6c576ce254477f9b6ba30157e68d2ac15debc3f36494f036a88015af55c9d04c",
+            ),
+            (
+                lambda: HPolytope(rows=np.vstack([ROT30.T, -ROT30.T]), offsets=np.ones(4)),
+                "01eb5468a1bac28ca6b53308c2b865db93cfabbd883a8c70b16aa3ecfdb1e56f",
+            ),
+        ],
+        ids=["truncated-cube16", "truncated-simplex8", "cube16", "rotated-square"],
+    )
+    def test_recorded_chain_hashes(self, make_body, digest):
+        # The chain states are pinned bit for bit: a faster step must repeat the
+        # same floating-point operations, not approximate them.
+        body = make_body()
+        rng = RandomStream(seed=5, stream=17)
+        states = sample_hit_and_run(body, np.zeros(body.n), burn_in=800, thin=32, rng=rng, count=300)
+        assert hashlib.sha256(states.tobytes()).hexdigest() == digest
 
     def test_defaults_scale_with_dimension(self):
         assert default_burn_in(8) == 400 and default_thin(8) == 16
@@ -225,6 +289,27 @@ class TestTruncatedSampling:
         assert 1e-6 <= sampler.acceptance < 1e-3
         pts = sampler.draw(40)
         assert all(sampler.truncated.membership(p) for p in pts)
+
+    def test_chain_starts_at_the_first_pilot_hit(self, monkeypatch):
+        calls = []
+
+        def spy(body, x0, burn_in, thin, rng, count=1):
+            calls.append((body, np.array(x0), burn_in, thin))
+            return sample_hit_and_run(body, x0, burn_in, thin, rng, count)
+
+        monkeypatch.setattr(samplers, "sample_hit_and_run", spy)
+        body = isotropic_normalization("cube", 2)
+        sampler = TruncatedSampler(body, 0.0138, RandomStream(seed=3, stream=0))
+        assert sampler.mode == "hit-and-run"
+        sampler.draw(5)
+        [(chain_body, x0, burn_in, thin)] = calls
+        assert chain_body is sampler.truncated and sampler.truncated.membership(x0)
+        assert burn_in == 0 and thin == default_thin(2)
+        # Cube pilot rows read the stream in sequence: the first in-radius row of
+        # one long draw from a fresh stream is the pilot's first hit.
+        pts = direct_draws(body, 4096 + 32768 + 262144, RandomStream(seed=3, stream=0))
+        first = np.flatnonzero(np.einsum("ij,ij->i", pts, pts) <= sampler.rho**2)[0]
+        assert np.array_equal(x0, pts[first])
 
     def test_too_aggressive_truncation(self):
         body = isotropic_normalization("cube", 2)
