@@ -42,7 +42,6 @@ from .moments import (
     deviation,
     log_moment,
     concentration_report,
-    epsilon_isotropy_check,
     whiten,
 )
 from .johnsparse import ApproxJohn, choose_M, sparsify, verify

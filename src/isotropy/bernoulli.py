@@ -148,9 +148,9 @@ class SymmetrizationResult:
     rhs_se: float
     trials: int
 
-    def holds(self, k: float = 3.0) -> bool:
-        """lhs <= rhs up to k combined standard errors of Monte Carlo noise."""
-        return self.lhs <= self.rhs + k * math.hypot(self.lhs_se, self.rhs_se)
+    def holds(self) -> bool:
+        """lhs <= rhs up to 3 combined standard errors of Monte Carlo noise."""
+        return self.lhs <= self.rhs + 3.0 * math.hypot(self.lhs_se, self.rhs_se)
 
 
 def symmetrization_check(draw, n: int, M: int, trials: int, rng: RandomStream) -> SymmetrizationResult:

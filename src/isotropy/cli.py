@@ -16,8 +16,6 @@ import sys
 from . import harness
 from .samplers import SamplerError, seed_from_env
 
-EXPERIMENT_COMMANDS = ("sweep", "whiten", "truncated", "john-sparsify", "bernoulli")
-
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -25,16 +23,16 @@ def build_parser() -> argparse.ArgumentParser:
         description="Monte Carlo experiments on empirical second-moment concentration.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in EXPERIMENT_COMMANDS:
+    for name in harness.EXPERIMENT_KINDS:
         p = sub.add_parser(name, help=f"run the {name} experiment")
         p.add_argument("--config", required=True, help="flat key=value config file")
         p.add_argument("--seed", type=int, default=None, help="master seed (ISOTROPY_SEED wins if set)")
         p.add_argument("--out", default=None, help="output file (default: stdout)")
-        p.add_argument("--format", choices=("csv", "json"), default=None)
+        p.add_argument("--format", choices=("csv", "json"), default="csv")
     p = sub.add_parser("check", help="run the invariant suite")
     p.add_argument("--seed", type=int, default=None, help="master seed (ISOTROPY_SEED wins if set)")
     p.add_argument("--out", default=None, help="also write the check report here")
-    p.add_argument("--format", choices=("csv", "json"), default=None)
+    p.add_argument("--format", choices=("csv", "json"), default="csv")
     return parser
 
 
@@ -72,7 +70,7 @@ def main(argv=None) -> int:
         for row in result.rows:
             status = "PASS" if row["ok"] else "FAIL"
             print(f"{status} {row['check']}: {row['detail']}")
-        if args.out and _emit(result, args.out, args.format or "csv"):
+        if args.out and _emit(result, args.out, args.format):
             return 1
         failures = sum(1 for row in result.rows if not row["ok"])
         if failures:
@@ -90,11 +88,6 @@ def main(argv=None) -> int:
         if args.seed is not None:
             cfg.seed = args.seed
         cfg.seed = seed_from_env(cfg.seed)
-        if args.out is not None:
-            cfg.out = args.out
-        if args.format is not None:
-            cfg.format = args.format
-        cfg.validate()
     except (harness.ConfigError, SamplerError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         print(parser.format_usage(), end="", file=sys.stderr)
@@ -105,7 +98,7 @@ def main(argv=None) -> int:
     except (harness.ExperimentError, SamplerError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    return _emit(result, cfg.out, cfg.format)
+    return _emit(result, args.out, args.format)
 
 
 if __name__ == "__main__":

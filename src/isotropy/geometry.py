@@ -29,8 +29,6 @@ __all__ = [
     "isotropic_normalization",
     "canonical_john",
     "regular_simplex_vertices",
-    "load_hpolytope",
-    "parse_hpolytope",
 ]
 
 # Boundary slack for membership tests: points computed to lie exactly on a
@@ -426,31 +424,3 @@ def canonical_john(variant: str, n: int) -> JohnDecomposition:
     else:
         raise GeometryError(f"unknown John fixture variant {variant!r}")
     return JohnDecomposition(points=points, weights=weights)
-
-
-def parse_hpolytope(text: str) -> HPolytope:
-    """Parse the plain-text polytope format.
-
-    First line: "n m".  Then m lines, each with n coefficients followed by
-    one offset, whitespace separated, decimal notation.
-    """
-    tokens = text.split()
-    if len(tokens) < 2:
-        raise GeometryError("polytope text must start with 'n m'")
-    try:
-        n, m = int(tokens[0]), int(tokens[1])
-    except ValueError as exc:
-        raise GeometryError("polytope header must hold two integers") from exc
-    need = 2 + m * (n + 1)
-    if len(tokens) != need:
-        raise GeometryError(f"expected {need} tokens for an {n}-dim polytope with {m} rows, got {len(tokens)}")
-    try:
-        data = np.array([float(t) for t in tokens[2:]]).reshape(m, n + 1)
-    except ValueError as exc:
-        raise GeometryError("polytope entries must be decimal numbers") from exc
-    return HPolytope(rows=data[:, :n], offsets=data[:, n])
-
-
-def load_hpolytope(path) -> HPolytope:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_hpolytope(fh.read())

@@ -37,7 +37,6 @@ __all__ = [
     "parse_config",
     "load_config",
     "derive_stream",
-    "make_draw",
     "run_check",
     "run_experiment",
     "render_csv",
@@ -45,7 +44,7 @@ __all__ = [
     "agg_output_path",
 ]
 
-EXPERIMENT_KINDS = ("sweep", "whiten", "truncated", "john-sparsify", "bernoulli", "check")
+EXPERIMENT_KINDS = ("sweep", "whiten", "truncated", "john-sparsify", "bernoulli")
 
 SAMPLER_CHOICES = ("cube", "ball", "simplex")
 FIXTURE_CHOICES = ("cross-polytope", "cube-vertices", "simplex")
@@ -78,8 +77,6 @@ class ExperimentConfig:
     mode: str = "ratio"
     seed: int = 0
     workers: int = 1
-    out: str | None = None
-    format: str = "csv"
 
     def validate(self):
         if self.kind not in EXPERIMENT_KINDS:
@@ -104,8 +101,6 @@ class ExperimentConfig:
             raise ConfigError("trials, max_attempts and workers must be >= 1")
         if self.mode not in ("ratio", "symmetrize"):
             raise ConfigError(f"unknown bernoulli mode {self.mode!r}")
-        if self.format not in ("csv", "json"):
-            raise ConfigError(f"unknown output format {self.format!r}")
         base, colon, sub = self.sampler.partition(":")
         if self.sampler not in SAMPLER_CHOICES and base != "john":
             raise ConfigError(f"unknown sampler {self.sampler!r}")
@@ -131,7 +126,7 @@ _INT_KEYS = {"n", "m", "trials", "max_attempts", "seed", "workers"}
 _FLOAT_KEYS = {"eps", "r", "c", "c0"}
 _INT_LIST_KEYS = {"m_grid", "seeds"}
 _FLOAT_LIST_KEYS = {"distortion"}
-_STR_KEYS = {"kind", "sampler", "fixture", "mode", "out", "format"}
+_STR_KEYS = {"kind", "sampler", "fixture", "mode"}
 
 
 def parse_config(text: str, kind: str | None = None) -> ExperimentConfig:
@@ -189,7 +184,7 @@ def derive_stream(kind: str, point: int, seed: int) -> int:
     return int.from_bytes(digest, "little")
 
 
-def make_draw(sampler: str, n: int, fixture: str = "cross-polytope"):
+def _make_draw(sampler: str, n: int, fixture: str):
     """Resolve a sampler name to (label, draw) with draw(m, rng) -> (m, n) array."""
     base, _, sub = sampler.partition(":")
     if base == "john":
@@ -282,7 +277,7 @@ SWEEP_AGG_HEADER = ["experiment", "n", "M", "sampler", "n_seeds", "mean_deviatio
 
 def _plan_sweep(cfg: ExperimentConfig):
     """Deviation reports over an M grid of fresh batches."""
-    label, draw = make_draw(cfg.sampler, cfg.n, cfg.fixture)
+    label, draw = _make_draw(cfg.sampler, cfg.n, cfg.fixture)
 
     def row(m: int, seed: int, rng: smp.RandomStream) -> dict:
         batch = smp.SampleBatch(vectors=draw(m, rng), sampler=label, seed=seed)
@@ -339,18 +334,16 @@ def _plan_whiten(cfg: ExperimentConfig):
     checks the fresh empirical second moment for eps-isotropy, which holds
     exactly when its deviation is at most eps.
     """
-    label, draw = make_draw(cfg.sampler, cfg.n, cfg.fixture)
+    label, draw = _make_draw(cfg.sampler, cfg.n, cfg.fixture)
     distortion = np.asarray(cfg.distortion if cfg.distortion is not None else default_distortion(cfg.n))
 
     def row(m: int, seed: int, rng: smp.RandomStream) -> dict:
         first = draw(m, rng)
         first *= distortion
         t_hat = mom.empirical_second_moment(smp.SampleBatch(vectors=first, sampler=label, seed=seed))
-        w = mom.whitening_transform(t_hat)
         second = draw(m, rng)
         second *= distortion
-        whitened = second @ w.mat
-        t2 = mom.empirical_second_moment(smp.SampleBatch(vectors=whitened, sampler=label, seed=seed))
+        t2 = mom.empirical_second_moment(smp.SampleBatch(vectors=mom.whiten(t_hat, second), sampler=label, seed=seed))
         dev = mom.deviation(t2)
         return {
             "experiment": cfg.kind,
@@ -384,11 +377,14 @@ TRUNCATED_HEADER = [
 
 
 def truncated_sample_count(n: int, r: float, eps: float, c0: float) -> int:
-    """M per the truncated-sampling rule: ceil(c0 (R^2 n / eps^2) log(R^2 n / eps^2))."""
+    """M per the truncated-sampling rule: ceil(c0 (R^2 n / eps^2) log(R^2 n / eps^2)), at least 3."""
     x = r * r * n / (eps * eps)
     if x <= 1.0:
         raise ConfigError("R^2 n / eps^2 must exceed 1")
-    return int(math.ceil(c0 * x * math.log(x)))
+    m = int(math.ceil(c0 * x * math.log(x)))
+    if m < 3:
+        raise ConfigError(f"the truncated sample-count rule gives M = {m}; it must give M >= 3")
+    return m
 
 
 def _plan_truncated(cfg: ExperimentConfig):
@@ -459,6 +455,8 @@ def _plan_john(cfg: ExperimentConfig):
             out["deviation_failures"] = exc.deviation_failures
             out["point_sum_failures"] = exc.point_sum_failures
             return out
+        except jsp.CertificateError as exc:
+            raise ExperimentError(f"seed {seed}: {exc}") from exc
         report = jsp.verify(approx)
         out.update(
             accepted=True,
@@ -478,7 +476,7 @@ SYMMETRIZE_HEADER = ["experiment", "n", "M", "trials", "seed", "lhs", "rhs", "lh
 
 def _plan_bernoulli(cfg: ExperimentConfig):
     """Signed rank-one sum experiments: bound ratios or symmetrization checks."""
-    _, draw = make_draw(cfg.sampler, cfg.n, cfg.fixture)
+    _, draw = _make_draw(cfg.sampler, cfg.n, cfg.fixture)
 
     if cfg.mode == "ratio":
 
@@ -609,34 +607,53 @@ def _check_sampler_support(rng: smp.RandomStream) -> CheckResult:
     return CheckResult("sampler-support", True, "all direct samples pass membership")
 
 
+def _trace_law(pts: np.ndarray) -> tuple[float, float]:
+    """Sample mean of |x|^2 over the rows of the (m, n) ``pts`` and its distance from n in
+    standard errors; an isotropic distribution has E|x|^2 = n."""
+    m, n = pts.shape
+    sq = np.einsum("ij,ij->i", pts, pts)
+    mean = float(sq.mean())
+    return mean, (mean - n) / float(sq.std(ddof=1) / math.sqrt(m))
+
+
+def _ball_radial_cdf(pts: np.ndarray, radius: float) -> float:
+    """Largest distance, in binomial standard errors, of the share of rows with |x| <= q radius
+    from q^n for q in {0.5, 0.9}; uniform points of the n-ball of that radius have P = q^n."""
+    m, n = pts.shape
+    radii = np.linalg.norm(pts, axis=1) / radius
+    worst = 0.0
+    for q in (0.5, 0.9):
+        target = q**n
+        worst = max(worst, abs(float(np.mean(radii <= q)) - target) / math.sqrt(target * (1 - target) / m))
+    return worst
+
+
+def _chord_failure(body: geo.Body, x: np.ndarray, d: np.ndarray) -> str | None:
+    """Why the chord of ``body`` through x along the unit d is wrong, or None: it must
+    bracket 0, end inside the body, and be maximal (1e-6 beyond either end is outside)."""
+    lo, hi = body.chord(x, d)
+    if not (lo <= 0.0 <= hi):
+        return "interval misses 0"
+    if not (body.membership(x + lo * d) and body.membership(x + hi * d)):
+        return "endpoint outside"
+    if body.membership(x + (hi + 1e-6) * d) or body.membership(x + (lo - 1e-6) * d):
+        return "interval not maximal"
+    return None
+
+
 def _check_trace_law(rng: smp.RandomStream) -> CheckResult:
-    m = 20000
     details = []
     ok = True
     for variant, n in (("cube", 4), ("ball", 6), ("simplex", 3)):
-        body = geo.isotropic_normalization(variant, n)
-        pts = smp.direct_draws(body, m, rng)
-        sq = np.einsum("ij,ij->i", pts, pts)
-        mean = float(sq.mean())
-        se = float(sq.std(ddof=1) / math.sqrt(m))
-        if abs(mean - n) > 3.0 * se:
-            ok = False
+        mean, z = _trace_law(smp.direct_draws(geo.isotropic_normalization(variant, n), 20000, rng))
+        ok = ok and abs(z) <= 3.0
         details.append(f"{variant}: {mean:.3f} vs {n}")
     return CheckResult("trace-law", ok, "; ".join(details))
 
 
 def _check_ball_radial_cdf(rng: smp.RandomStream) -> CheckResult:
-    n, m = 3, 20000
-    body = geo.isotropic_normalization("ball", n)
-    pts = smp.direct_draws(body, m, rng)
-    radii = np.linalg.norm(pts, axis=1) / body.radius
-    ok = True
-    for q in (0.5, 0.9):
-        frac = float(np.mean(radii <= q))
-        target = q**n
-        se = math.sqrt(target * (1 - target) / m)
-        if abs(frac - target) > 3.0 * se:
-            ok = False
+    body = geo.isotropic_normalization("ball", 3)
+    ok = _ball_radial_cdf(smp.direct_draws(body, 20000, rng), body.radius) <= 3.0
     return CheckResult("ball-radial-cdf", ok, "P(|x| <= qr) = q^n within 3 sigma for q in {0.5, 0.9}")
 
 
@@ -653,13 +670,9 @@ def _check_chords(rng: smp.RandomStream) -> CheckResult:
             x = smp.direct_draws(geo.Ball(radius=0.4, n=3), 1, rng)[0]
             d = rng.standard_normal(3)
             d /= np.linalg.norm(d)
-            lo, hi = body.chord(x, d)
-            if not (lo <= 0.0 <= hi):
-                return CheckResult("chord-consistency", False, f"{type(body).__name__}: interval misses 0")
-            if not (body.membership(x + lo * d) and body.membership(x + hi * d)):
-                return CheckResult("chord-consistency", False, f"{type(body).__name__}: endpoint outside")
-            if body.membership(x + (hi + 1e-6) * d) or body.membership(x + (lo - 1e-6) * d):
-                return CheckResult("chord-consistency", False, f"{type(body).__name__}: interval not maximal")
+            failure = _chord_failure(body, x, d)
+            if failure is not None:
+                return CheckResult("chord-consistency", False, f"{type(body).__name__}: {failure}")
     return CheckResult("chord-consistency", True, "endpoints inside, 1e-6 beyond outside, interval brackets 0")
 
 
@@ -768,8 +781,6 @@ def run_check(seed: int = 0) -> ExperimentResult:
 def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     """Validate ``cfg`` and run its experiment through the grid runner."""
     cfg.validate()
-    if cfg.kind == "check":
-        return run_check(seed=cfg.seed)
     row, header, points = _PLANS[cfg.kind](cfg)
     rows = _run_grid(cfg, row, points)
     if cfg.kind == "sweep":

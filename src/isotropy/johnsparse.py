@@ -27,8 +27,6 @@ __all__ = [
     "choose_M",
     "sparsify",
     "verify",
-    "serialize_approx_john",
-    "parse_approx_john",
 ]
 
 DEFAULT_C = 2.0
@@ -196,38 +194,3 @@ def verify(a: ApproxJohn) -> VerifyReport:
         centroid_norm=centroid,
         shift_scaled=float(np.linalg.norm(a.shift)) * math.sqrt(m),
     )
-
-
-def serialize_approx_john(a: ApproxJohn) -> str:
-    """Text format: header "n M eps residual u_norm", M point lines, then u."""
-    lines = [
-        "{} {} {} {} {}".format(
-            a.n,
-            a.M,
-            format(a.eps, ".17g"),
-            format(a.residual_norm, ".17g"),
-            format(float(np.linalg.norm(a.shift)), ".17g"),
-        )
-    ]
-    for row in a.points:
-        lines.append(" ".join(format(v, ".17g") for v in row))
-    lines.append(" ".join(format(v, ".17g") for v in a.shift))
-    return "\n".join(lines) + "\n"
-
-
-def parse_approx_john(text: str) -> ApproxJohn:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines:
-        raise SparsifyError("empty serialization")
-    head = lines[0].split()
-    if len(head) != 5:
-        raise SparsifyError("header must hold: n M eps residual u_norm")
-    n, m = int(head[0]), int(head[1])
-    eps, residual = float(head[2]), float(head[3])
-    if len(lines) != 2 + m:
-        raise SparsifyError(f"expected {m} point lines plus the shift, got {len(lines) - 1}")
-    points = np.array([[float(v) for v in ln.split()] for ln in lines[1 : 1 + m]])
-    shift = np.array([float(v) for v in lines[1 + m].split()])
-    if points.shape != (m, n) or shift.shape != (n,):
-        raise SparsifyError("point or shift dimensions do not match the header")
-    return ApproxJohn(points=points, shift=shift, residual_norm=residual, eps=eps, attempts=None)

@@ -24,8 +24,6 @@ __all__ = [
     "deviation",
     "log_moment",
     "concentration_report",
-    "epsilon_isotropy_check",
-    "whitening_transform",
     "whiten",
     "format_float",
 ]
@@ -120,26 +118,6 @@ def concentration_report(batch: SampleBatch) -> DeviationReport:
     )
 
 
-def epsilon_isotropy_check(t: SymMatrix, eps: float) -> bool:
-    """True iff every eigenvalue of T lies in [1-eps, 1+eps], i.e. |T - id| <= eps.
-
-    Equivalent to sandwiching the quadratic form x^T T x between
-    (1-eps)|x|^2 and (1+eps)|x|^2 for all x.
-    """
-    if not 0.0 < eps < 1.0:
-        raise MomentsError("eps must lie in (0, 1)")
-    return deviation(t) <= eps
-
-
-def whitening_transform(t: SymMatrix, floor: float | None = None) -> SymMatrix:
-    """The map T^(-1/2) that restores isotropy to what T was estimated from."""
-    return inv_sqrt(t) if floor is None else inv_sqrt(t, floor)
-
-
-def whiten(t: SymMatrix, points: np.ndarray, floor: float | None = None) -> np.ndarray:
-    """Apply T^(-1/2) to each row of ``points``."""
-    w = whitening_transform(t, floor)
-    pts = np.asarray(points, dtype=float)
-    if pts.ndim == 1:
-        return w.mat @ pts
-    return pts @ w.mat
+def whiten(t: SymMatrix, points: np.ndarray) -> np.ndarray:
+    """Apply T^(-1/2), the map that restores isotropy to what T was estimated from, to each row of ``points``."""
+    return np.asarray(points, dtype=float) @ inv_sqrt(t).mat

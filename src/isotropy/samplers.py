@@ -42,9 +42,7 @@ ACCEPTANCE_HARD_FLOOR = 1e-6
 _PILOT_STAGE1 = 4096
 _PILOT_TOTAL = 3_000_000
 _CHUNK_ROWS = 1 << 12  # rows per pilot / rejection draw, so memory does not follow the batch size
-
-DEFAULT_BURN_IN_PER_DIM = 50
-DEFAULT_THIN_PER_DIM = 2
+_THIN_PER_DIM = 2  # the truncated chain emits every (2n)-th state
 
 
 class SamplerError(ValueError):
@@ -221,14 +219,6 @@ def sample_hit_and_run(
     return out
 
 
-def default_burn_in(n: int) -> int:
-    return DEFAULT_BURN_IN_PER_DIM * n
-
-
-def default_thin(n: int) -> int:
-    return DEFAULT_THIN_PER_DIM * n
-
-
 class TruncatedSampler:
     """Uniform sampler on body intersected with the ball of radius R*sqrt(n).
 
@@ -280,7 +270,7 @@ class TruncatedSampler:
             raise SamplerError("batch size must be >= 1")
         if self.mode == "rejection":
             return self._draw_rejection(m)
-        return sample_hit_and_run(self.truncated, self._start, 0, default_thin(self.body.n), self.rng, count=m)
+        return sample_hit_and_run(self.truncated, self._start, 0, _THIN_PER_DIM * self.body.n, self.rng, count=m)
 
     def _draw_rejection(self, m: int) -> np.ndarray:
         """The first m in-radius rows of the direct stream, in stream order."""

@@ -14,10 +14,9 @@ from isotropy.geometry import (
     Truncated,
     canonical_john,
     isotropic_normalization,
-    load_hpolytope,
-    parse_hpolytope,
     regular_simplex_vertices,
 )
+from isotropy.harness import _chord_failure
 from isotropy.samplers import RandomStream, direct_draws
 from isotropy.symlin import SymMatrix, operator_norm
 
@@ -133,11 +132,7 @@ class TestChord:
             x = direct_draws(Ball(radius=0.3, n=3), 1, rng)[0]
             d = rng.standard_normal(3)
             d /= np.linalg.norm(d)
-            lo, hi = body.chord(x, d)
-            assert lo <= 0.0 <= hi
-            assert body.membership(x + lo * d) and body.membership(x + hi * d)
-            assert not body.membership(x + (hi + 1e-6) * d)
-            assert not body.membership(x + (lo - 1e-6) * d)
+            assert _chord_failure(body, x, d) is None
 
 
 class TestIsotropicNormalization:
@@ -285,30 +280,3 @@ class TestBodyValidation:
     def test_degenerate_simplex_rejected(self):
         with pytest.raises(GeometryError):
             Simplex(vertices=np.array([[1.0, 0.0], [2.0, 0.0], [3.0, 0.0]]))
-
-
-class TestHPolytopeFormat:
-    TEXT = "2 3\n-1 0 0.25\n0 -1 0.25\n1 1 1\n"
-
-    def test_parse(self):
-        poly = parse_hpolytope(self.TEXT)
-        assert poly.n == 2 and poly.rows.shape == (3, 2)
-        assert poly.membership(np.zeros(2))
-
-    def test_load_roundtrip(self, tmp_path):
-        path = tmp_path / "poly.txt"
-        path.write_text(self.TEXT, encoding="utf-8")
-        poly = load_hpolytope(path)
-        assert np.array_equal(poly.offsets, [0.25, 0.25, 1.0])
-
-    def test_bad_token_count(self):
-        with pytest.raises(GeometryError):
-            parse_hpolytope("2 2\n1 0 1\n")
-
-    def test_bad_header(self):
-        with pytest.raises(GeometryError):
-            parse_hpolytope("two 3\n")
-
-    def test_non_numeric_entry(self):
-        with pytest.raises(GeometryError):
-            parse_hpolytope("1 1\nx 1\n")

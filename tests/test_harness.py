@@ -99,6 +99,12 @@ class TestConfigParsing:
             "kind=sweep\nsampler=john:cube-vertices\nn=21\nm_grid=64\n",
             "kind=whiten\nn=2\ndistortion=1,nan\n",
             "kind=sweep\nsampler=cube:bogus\n",
+            # The truncated rule gives M = 2 here, below the M >= 3 every report needs.
+            "kind=truncated\nsampler=simplex\nn=1\nr=0.5\neps=0.4\nc0=2\n",
+            # The output path and format are CLI flags only; check is a subcommand, not a config kind.
+            "kind=sweep\nformat=json\n",
+            "kind=sweep\nout=x.csv\n",
+            "kind=check\n",
         ],
     )
     def test_validation_failures(self, text):
@@ -315,13 +321,14 @@ class TestCli:
             ("bernoulli", "sampler=john:cube-vertices\nn=21\nm_grid=16\n"),
             ("whiten", "n=2\ndistortion=1,nan\n"),
             ("sweep", "sampler=cube:bogus\nn=2\nm_grid=16\nseeds=0\n"),
+            ("truncated", "sampler=simplex\nn=1\nr=0.5\neps=0.4\nc0=2\n"),
         ]
         for i, (command, text) in enumerate(cases):
             path = tmp_path / f"bad{i}.cfg"
             path.write_text(text, encoding="utf-8")
             assert run_cli([command, "--config", str(path)]) == 2, text
             err = capsys.readouterr().err
-            assert err.startswith("error: ") and "Traceback" not in err, text
+            assert err.startswith("error: ") and err.count("error:") == 1 and "Traceback" not in err, text
 
     def test_infeasible_truncation_is_usage_error(self, tmp_path, capsys):
         # R^2 n / eps^2 <= 1 is caught by validate(), not raised mid-run.
@@ -350,6 +357,15 @@ class TestCli:
             encoding="utf-8",
         )
         assert run_cli(["john-sparsify", "--config", str(path)]) == 1
+
+    def test_certificate_failure_exits_one(self, tmp_path, capsys):
+        # With c = 0.01 the sample count is too small for the residual certificate.
+        path = tmp_path / "john.cfg"
+        path.write_text("kind=john-sparsify\nfixture=cross-polytope\nn=2\neps=0.9\nc=0.01\nseeds=0,1\n", encoding="utf-8")
+        assert run_cli(["john-sparsify", "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: seed 0: certificate failed") and err.count("error:") == 1
+        assert "Traceback" not in err
 
     def test_deterministic_csv(self, tmp_path):
         cfg = tmp_path / "sweep.cfg"

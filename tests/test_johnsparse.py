@@ -10,8 +10,6 @@ from isotropy.johnsparse import (
     SparsifyError,
     SparsifyRejectionError,
     choose_M,
-    parse_approx_john,
-    serialize_approx_john,
     sparsify,
     verify,
 )
@@ -143,26 +141,6 @@ class TestVerify:
 
 
 class TestSerialization:
-    def test_round_trip(self):
-        jd = canonical_john("cross-polytope", 2)
-        a = sparsify(jd, eps=0.5, rng=RandomStream(seed=0, stream=0), C=2.0)
-        text = serialize_approx_john(a)
-        head = text.splitlines()[0].split()
-        assert head[0] == "2" and head[1] == str(a.M)
-        back = parse_approx_john(text)
-        assert np.array_equal(back.points, a.points)
-        assert np.array_equal(back.shift, a.shift)
-        assert back.residual_norm == a.residual_norm
-        assert back.eps == a.eps
-
-    def test_bad_header(self):
-        with pytest.raises(SparsifyError):
-            parse_approx_john("1 2 3\n")
-
-    def test_wrong_line_count(self):
-        with pytest.raises(SparsifyError):
-            parse_approx_john("1 2 0.5 0.1 0.0\n1.0\n")
-
     def test_inconsistent_shapes_rejected(self):
         with pytest.raises(SparsifyError):
             ApproxJohn(points=np.ones((3, 2)), shift=np.ones(3), residual_norm=0.0, eps=0.5)

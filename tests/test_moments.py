@@ -9,12 +9,10 @@ from isotropy.moments import (
     MomentsError,
     deviation,
     empirical_second_moment,
-    epsilon_isotropy_check,
     format_float,
     log_moment,
     concentration_report,
     whiten,
-    whitening_transform,
 )
 from isotropy.samplers import RandomStream, SampleBatch, direct_draws, john_support
 from isotropy.symlin import SymMatrix, eigen
@@ -167,20 +165,18 @@ class TestConcentrationReport:
 
 
 class TestEpsilonIsotropy:
+    # T is eps-isotropic when deviation(T) = |T - id| <= eps, the rule behind
+    # the harness's isotropic column.
     def test_identity_passes(self):
-        assert epsilon_isotropy_check(SymMatrix.identity(4), 0.01)
+        assert deviation(SymMatrix.identity(4)) <= 0.01
 
     def test_out_of_band_eigenvalue_fails(self):
-        assert not epsilon_isotropy_check(SymMatrix(np.diag([1.2, 0.9])), 0.1)
-
-    def test_eps_bounds(self):
-        with pytest.raises(MomentsError):
-            epsilon_isotropy_check(SymMatrix.identity(2), 1.5)
+        assert deviation(SymMatrix(np.diag([1.2, 0.9]))) > 0.1
 
     def test_matches_quadratic_form_sandwich(self):
         # The extremes of x^T T x / |x|^2 are attained at eigenvectors, so
         # checking random directions plus the eigenvector directions must
-        # agree with the eigenvalue-interval test.
+        # agree with deviation(T) <= eps.
         rng = np.random.default_rng(3)
         for _ in range(100):
             n = int(rng.integers(2, 6))
@@ -191,7 +187,7 @@ class TestEpsilonIsotropy:
             dirs = np.vstack([dirs / np.linalg.norm(dirs, axis=1, keepdims=True), eigen(t).eigenvectors.T])
             quad = np.einsum("ij,jk,ik->i", dirs, t.mat, dirs) / np.einsum("ij,ij->i", dirs, dirs)
             sandwiched = bool(np.all(quad >= 1 - eps - 1e-12) and np.all(quad <= 1 + eps + 1e-12))
-            assert sandwiched == epsilon_isotropy_check(t, eps)
+            assert sandwiched == (deviation(t) <= eps)
 
 
 class TestWhiten:
@@ -208,9 +204,9 @@ class TestWhiten:
         assert deviation(t2) <= 1e-9
 
     def test_transform_is_inverse_square_root(self):
-        t = SymMatrix(np.diag([4.0, 0.25]))
-        w = whitening_transform(t)
-        assert np.allclose(w.mat, np.diag([0.5, 2.0]), atol=1e-14)
+        # Whitening the identity's rows gives the matrix of the map itself.
+        w = whiten(SymMatrix(np.diag([4.0, 0.25])), np.eye(2))
+        assert np.allclose(w, np.diag([0.5, 2.0]), atol=1e-14)
 
     def test_two_stage_distorted_cube(self):
         # Two-stage round trip: whiten fresh samples with a transform
@@ -223,4 +219,4 @@ class TestWhiten:
         t = empirical_second_moment(batch_of(first))
         fresh = direct_draws(body, m, rng) * distortion
         t2 = empirical_second_moment(batch_of(whiten(t, fresh)))
-        assert epsilon_isotropy_check(t2, 0.1)
+        assert deviation(t2) <= 0.1
