@@ -2,7 +2,7 @@
 
 Library layout, one module per concern:
 
-  symlin     dense symmetric linear algebra (LAPACK spectra, inv sqrt)
+  symlin     operator norm and inverse square root of symmetric arrays (LAPACK)
   geometry   convex bodies, oracles, John decomposition fixtures
   samplers   seedable uniform and point-mass samplers
   moments    empirical second moments, deviation, whitening
@@ -12,13 +12,7 @@ Library layout, one module per concern:
   cli        the `isotropy` command
 """
 
-from .symlin import (
-    SymMatrix,
-    EigenDecomposition,
-    eigen,
-    operator_norm,
-    inv_sqrt,
-)
+from .symlin import operator_norm, inv_sqrt
 from .geometry import (
     Body,
     Cube,

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .samplers import RandomStream
-from .symlin import SymMatrix, operator_norm, operator_norm_batch
+from .symlin import operator_norm
 
 __all__ = [
     "BernoulliError",
@@ -39,8 +39,8 @@ class BernoulliError(ValueError):
 
 def _as_points(points) -> np.ndarray:
     y = np.asarray(points, dtype=float)
-    if y.ndim != 2 or y.shape[0] < 1:
-        raise BernoulliError(f"need a nonempty (M, n) point array, got shape {y.shape}")
+    if y.ndim != 2 or 0 in y.shape:
+        raise BernoulliError(f"need an (M, n) point array with M, n >= 1, got shape {y.shape}")
     if not np.all(np.isfinite(y)):
         raise BernoulliError("points must be finite")
     return y
@@ -58,7 +58,7 @@ def _signed_sum_norms(y: np.ndarray, signs: np.ndarray) -> np.ndarray:
     norms = np.empty(signs.shape[0])
     for start in range(0, signs.shape[0], chunk):
         sums = signs[start : start + chunk] @ outer
-        norms[start : start + chunk] = operator_norm_batch(sums.reshape(-1, n, n))
+        norms[start : start + chunk] = operator_norm(sums.reshape(-1, n, n))
     return norms
 
 
@@ -122,7 +122,7 @@ def bound_ratio(points, trials: int, rng: RandomStream, seed: int | None = None)
     norms = rademacher_trial_norms(y, trials, rng)
     estimate = float(np.mean(norms))
     q = float(np.max(np.linalg.norm(y, axis=1)))
-    base = operator_norm(SymMatrix.from_dense(y.T @ y))
+    base = operator_norm(y.T @ y)
     bound_shape = math.sqrt(math.log(m)) * q * math.sqrt(base)
     ratio = estimate / bound_shape if bound_shape > 0.0 else math.inf
     return SignedSumReport(
@@ -171,8 +171,8 @@ def symmetrization_check(draw, n: int, M: int, trials: int, rng: RandomStream) -
         y2 = np.asarray(draw(M, rng), dtype=float)
         eps = rng.signs(M)
         rhs_mats[t] = ((eps[:, None] * y2).T @ y2) / M
-    lhs_norms = operator_norm_batch(lhs_mats)
-    rhs_norms = operator_norm_batch(rhs_mats)
+    lhs_norms = operator_norm(lhs_mats)
+    rhs_norms = operator_norm(rhs_mats)
     lhs = float(np.mean(lhs_norms))
     rhs = 2.0 * float(np.mean(rhs_norms))
     lhs_se = float(np.std(lhs_norms, ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .symlin import SymMatrix, eigen, operator_norm
+from .symlin import SymLinError, _checked, operator_norm
 
 __all__ = [
     "GeometryError",
@@ -208,23 +208,29 @@ class Simplex(Body):
 
 @dataclass(frozen=True)
 class Ellipsoid(Body):
-    """Ellipsoid {x : x^T shape^-1 x <= 1} for an SPD shape matrix.
+    """Ellipsoid {x : x^T shape^-1 x <= 1} for an SPD (n, n) shape array.
 
     The shape matrix is the second-moment-like form of the body: the
-    ellipsoid is the image of the unit ball under shape^(1/2).
+    ellipsoid is the image of the unit ball under shape^(1/2).  It must be
+    finite and symmetric within ``symlin``'s tolerance.
     """
 
-    shape: SymMatrix
+    shape: np.ndarray
     n: int = field(init=False)
 
     def __post_init__(self):
-        dec = eigen(self.shape)
-        if np.min(dec.eigenvalues) <= 0.0:
+        try:
+            shape = _checked(self.shape, ndims=(2,)).copy()
+        except SymLinError as exc:
+            raise GeometryError(f"ellipsoid shape: {exc}") from exc
+        vals, q = np.linalg.eigh(shape)
+        if vals[0] <= 0.0:
             raise GeometryError("ellipsoid shape matrix must be positive definite")
-        q = dec.eigenvectors
-        inv = (q / dec.eigenvalues) @ q.T
-        half = (q * np.sqrt(dec.eigenvalues)) @ q.T
-        object.__setattr__(self, "n", self.shape.n)
+        inv = (q / vals) @ q.T
+        half = (q * np.sqrt(vals)) @ q.T
+        shape.setflags(write=False)
+        object.__setattr__(self, "shape", shape)
+        object.__setattr__(self, "n", shape.shape[0])
         object.__setattr__(self, "_inv", 0.5 * (inv + inv.T))
         object.__setattr__(self, "_half", 0.5 * (half + half.T))
 
@@ -378,7 +384,7 @@ class JohnDecomposition:
         if np.max(np.abs(np.linalg.norm(z, axis=1) - 1.0)) > tol:
             raise GeometryError("contact points must be unit vectors")
         resolution = (z.T * c) @ z
-        if operator_norm(SymMatrix.from_dense(resolution) - SymMatrix.identity(n)) > tol:
+        if operator_norm(resolution - np.eye(n)) > tol:
             raise GeometryError("weighted rank-one sum must resolve the identity")
         if np.linalg.norm(c @ z) > tol:
             raise GeometryError("weighted point sum must vanish")

@@ -17,7 +17,7 @@ import json
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -27,7 +27,7 @@ from . import johnsparse as jsp
 from . import moments as mom
 from . import samplers as smp
 from .moments import format_float
-from .symlin import SymMatrix, eigen_batch, inv_sqrt, operator_norm
+from .symlin import inv_sqrt, operator_norm
 
 __all__ = [
     "ConfigError",
@@ -247,23 +247,23 @@ def agg_output_path(path: str) -> str:
     return f"{root}.agg{ext}"
 
 
-def _run_grid(cfg: ExperimentConfig, row, points: list) -> list[dict]:
+def _run_grid(row, points: list, kind: str, master_seed: int, seeds: list[int], workers: int = 1) -> list[dict]:
     """``row(point, seed, rng)`` for each point, then each seed, in config order.
 
-    The row for the i-th point draws from the stream keyed by (kind, i, seed),
-    so it does not depend on which worker computes it, and ``pool.map`` keeps
-    config order for any ``cfg.workers``.
+    The row for the i-th point draws from the stream keyed by (kind, i, seed)
+    under ``master_seed``, so it does not depend on which worker computes it,
+    and ``pool.map`` keeps config order for any ``workers``.
     """
 
     def one(task) -> dict:
         i, point, seed = task
-        rng = smp.RandomStream(seed=cfg.seed, stream=derive_stream(cfg.kind, i, seed))
+        rng = smp.RandomStream(seed=master_seed, stream=derive_stream(kind, i, seed))
         return row(point, seed, rng)
 
-    tasks = [(i, point, seed) for i, point in enumerate(points) for seed in cfg.seeds]
-    if cfg.workers <= 1:
+    tasks = [(i, point, seed) for i, point in enumerate(points) for seed in seeds]
+    if workers <= 1:
         return [one(task) for task in tasks]
-    with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
+    with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(one, tasks))
 
 
@@ -271,7 +271,7 @@ def _run_grid(cfg: ExperimentConfig, row, points: list) -> list[dict]:
 # fixture once and returns (row, header, points), where row(M, seed, rng)
 # computes one output row from that seed's stream.
 
-SWEEP_HEADER = ["experiment", "n", "M", "seed", "sampler", "deviation", "log_moment", "rhs_shape", "ratio"]
+SWEEP_HEADER = ["experiment", *(f.name for f in fields(mom.DeviationReport))]
 SWEEP_AGG_HEADER = ["experiment", "n", "M", "sampler", "n_seeds", "mean_deviation", "normalized_deviation"]
 
 
@@ -470,7 +470,7 @@ def _plan_john(cfg: ExperimentConfig):
     return row, JOHN_HEADER, [jsp.choose_M(cfg.n, cfg.eps, cfg.c)]
 
 
-BOUND_HEADER = ["experiment", "M", "n", "trials", "seed", "estimate", "Q", "base_norm", "bound_shape", "ratio"]
+BOUND_HEADER = ["experiment", *(f.name for f in fields(brn.SignedSumReport))]
 SYMMETRIZE_HEADER = ["experiment", "n", "M", "trials", "seed", "lhs", "rhs", "lhs_se", "rhs_se", "holds"]
 
 
@@ -534,7 +534,7 @@ def _check_eigen_reconstruction(rng: smp.RandomStream) -> CheckResult:
     for n in range(2, 17):
         mats = rng.standard_normal((16, n, n))
         mats = (mats + mats.transpose(0, 2, 1)) / 2.0
-        vals, vecs = eigen_batch(mats)
+        vals, vecs = np.linalg.eigh(mats)
         recon = vecs @ (vals[:, :, None] * vecs.transpose(0, 2, 1))
         scale = 1.0 + np.abs(mats).max(axis=(1, 2))
         worst = max(worst, float((np.abs(recon - mats).max(axis=(1, 2)) / scale).max()))
@@ -548,9 +548,9 @@ def _check_inv_sqrt(rng: smp.RandomStream) -> CheckResult:
     for _ in range(50):
         n = 2 + int(rng.random() * 10)
         g = rng.standard_normal((n, n))
-        a = SymMatrix.from_dense(g @ g.T + 0.5 * np.eye(n), asym_tol=1e-8)
+        a = g @ g.T + 0.5 * np.eye(n)
         w = inv_sqrt(a)
-        err = operator_norm(SymMatrix.from_dense(w.mat @ a.mat @ w.mat, asym_tol=1e-6) - SymMatrix.identity(n))
+        err = operator_norm(w @ a @ w - np.eye(n))
         worst = max(worst, err)
     return CheckResult("inv-sqrt-roundtrip", worst <= 1e-9, f"max |W A W - id| = {worst:.2e}")
 
@@ -560,11 +560,11 @@ def _check_operator_norm(rng: smp.RandomStream) -> CheckResult:
     for _ in range(50):
         n = 2 + int(rng.random() * 6)
         g = rng.standard_normal((n, n))
-        a = SymMatrix.from_dense((g + g.T) / 2.0)
-        if abs(operator_norm(a) - operator_norm(-1.0 * a)) > 1e-12:
+        a = (g + g.T) / 2.0
+        if abs(operator_norm(a) - operator_norm(-a)) > 1e-12:
             ok = False
         y = rng.standard_normal(n)
-        r1 = SymMatrix(np.outer(y, y))
+        r1 = np.outer(y, y)
         norm_y2 = float(y @ y)
         if abs(operator_norm(r1) - norm_y2) > 1e-12 * max(1.0, norm_y2):
             ok = False
@@ -587,7 +587,7 @@ def _check_john_sampler_exact(rng: smp.RandomStream) -> CheckResult:
         jd = geo.canonical_john(variant, n)
         support, probs = smp.john_support(jd)
         second = (support.T * probs) @ support
-        worst = max(worst, operator_norm(SymMatrix.from_dense(second) - SymMatrix.identity(n)))
+        worst = max(worst, operator_norm(second - np.eye(n)))
         norms = np.linalg.norm(support, axis=1)
         worst = max(worst, float(np.abs(norms - math.sqrt(n)).max()))
     return CheckResult("john-sampler-exact", worst <= 1e-10, f"max enumeration residual {worst:.2e}")
@@ -598,7 +598,7 @@ def _check_sampler_support(rng: smp.RandomStream) -> CheckResult:
         geo.isotropic_normalization("cube", 3),
         geo.isotropic_normalization("ball", 3),
         geo.isotropic_normalization("simplex", 3),
-        geo.Ellipsoid(shape=SymMatrix(np.diag([4.0, 1.0, 0.25]))),
+        geo.Ellipsoid(shape=np.diag([4.0, 1.0, 0.25])),
     ]
     for body in bodies:
         pts = smp.direct_draws(body, 2000, rng)
@@ -662,7 +662,7 @@ def _check_chords(rng: smp.RandomStream) -> CheckResult:
         geo.Cube(halfwidth=1.5, n=3),
         geo.Ball(radius=2.0, n=3),
         geo.isotropic_normalization("simplex", 3),
-        geo.Ellipsoid(shape=SymMatrix(np.diag([4.0, 1.0, 0.25]))),
+        geo.Ellipsoid(shape=np.diag([4.0, 1.0, 0.25])),
         geo.Truncated(base=geo.Cube(halfwidth=2.0, n=3), radius=2.5),
     ]
     for body in bodies:
@@ -774,7 +774,7 @@ def _check_row(check, seed: int, rng: smp.RandomStream) -> dict:
 
 def run_check(seed: int = 0) -> ExperimentResult:
     """Run the invariant suite through the grid runner: the checks are the points, 0 the only trial seed."""
-    rows = _run_grid(ExperimentConfig(kind="check", seed=seed, seeds=[0]), _check_row, list(_CHECKS))
+    rows = _run_grid(_check_row, list(_CHECKS), "check", seed, [0])
     return ExperimentResult(CHECK_HEADER, rows)
 
 
@@ -782,7 +782,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     """Validate ``cfg`` and run its experiment through the grid runner."""
     cfg.validate()
     row, header, points = _PLANS[cfg.kind](cfg)
-    rows = _run_grid(cfg, row, points)
+    rows = _run_grid(row, points, cfg.kind, cfg.seed, cfg.seeds, cfg.workers)
     if cfg.kind == "sweep":
         return ExperimentResult(header, rows, SWEEP_AGG_HEADER, _sweep_aggregates(cfg, rows))
     if cfg.kind == "john-sparsify" and not any(r["accepted"] for r in rows):

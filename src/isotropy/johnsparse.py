@@ -16,7 +16,7 @@ import numpy as np
 
 from .geometry import JohnDecomposition
 from .samplers import RandomStream, john_draws
-from .symlin import SymMatrix, operator_norm
+from .symlin import operator_norm
 
 __all__ = [
     "SparsifyError",
@@ -151,8 +151,7 @@ def sparsify(
     sum_failures = 0
     for attempt in range(1, max_attempts + 1):
         y = john_draws(jd, m, rng)
-        t = SymMatrix.from_dense((y.T @ y) / m)
-        dev = operator_norm(t - SymMatrix.identity(n))
+        dev = operator_norm((y.T @ y) / m - np.eye(n))
         point_sum = float(np.linalg.norm(y.sum(axis=0)))
         ok_dev = dev <= eps / 2.0
         ok_sum = point_sum <= POINT_SUM_FACTOR * math.sqrt(m * n)
@@ -164,7 +163,7 @@ def sparsify(
             continue
         x = y / math.sqrt(n)
         u = -x.mean(axis=0)
-        residual = operator_norm(SymMatrix.from_dense(_residual_matrix(x, u), asym_tol=1e-8))
+        residual = operator_norm(_residual_matrix(x, u))
         if residual >= eps:
             # Should be unreachable once 4n/M <= eps/2; a failure here means
             # the constant C is too small, not bad luck.
@@ -187,7 +186,7 @@ def verify(a: ApproxJohn) -> VerifyReport:
     shifted = a.points + a.shift
     gram = np.einsum("mi,mj->ij", shifted, shifted)
     s = np.eye(n) - (n / m) * gram
-    residual = operator_norm(SymMatrix.from_dense(s, asym_tol=1e-8))
+    residual = operator_norm(s)
     centroid = float(np.linalg.norm(shifted.sum(axis=0)))
     return VerifyReport(
         residual_norm=residual,

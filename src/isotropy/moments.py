@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .samplers import _CHUNK_ROWS, SampleBatch
-from .symlin import SymMatrix, inv_sqrt, operator_norm
+from .symlin import inv_sqrt, operator_norm
 
 __all__ = [
     "MomentsError",
@@ -52,17 +52,17 @@ class DeviationReport:
     ratio: float
 
 
-def empirical_second_moment(batch: SampleBatch) -> SymMatrix:
-    """T = (1/M) sum y_i (x) y_i, accumulated in fixed (matrix product) order."""
+def empirical_second_moment(batch: SampleBatch) -> np.ndarray:
+    """T = (1/M) sum y_i (x) y_i as an (n, n) array, accumulated in fixed (matrix product) order."""
     y = batch.vectors
     if y.shape[0] < 1:
         raise MomentsError("empty batch")
-    return SymMatrix.from_dense((y.T @ y) / y.shape[0])
+    return (y.T @ y) / y.shape[0]
 
 
-def deviation(t: SymMatrix) -> float:
+def deviation(t: np.ndarray) -> float:
     """Operator norm of T - id."""
-    return operator_norm(t - SymMatrix.identity(t.n))
+    return operator_norm(t - np.eye(t.shape[0]))
 
 
 def log_moment(batch: SampleBatch, p: float | None = None) -> float:
@@ -118,6 +118,6 @@ def concentration_report(batch: SampleBatch) -> DeviationReport:
     )
 
 
-def whiten(t: SymMatrix, points: np.ndarray) -> np.ndarray:
+def whiten(t: np.ndarray, points: np.ndarray) -> np.ndarray:
     """Apply T^(-1/2), the map that restores isotropy to what T was estimated from, to each row of ``points``."""
-    return np.asarray(points, dtype=float) @ inv_sqrt(t).mat
+    return np.asarray(points, dtype=float) @ inv_sqrt(t)

@@ -15,6 +15,18 @@ from isotropy.geometry import canonical_john, isotropic_normalization
 from isotropy.samplers import RandomStream, direct_draws, john_draws
 
 
+@pytest.mark.parametrize("shape", [(0, 3), (5, 0), (5,)])
+def test_rejects_empty_or_flat_points(shape):
+    pts = np.ones(shape)
+    for call in (
+        lambda: rademacher_trial_norms(pts, 10, RandomStream(seed=0, stream=0)),
+        lambda: rademacher_exact(pts),
+        lambda: bound_ratio(pts, 10, RandomStream(seed=0, stream=0)),
+    ):
+        with pytest.raises(BernoulliError):
+            call()
+
+
 class TestRademacherEstimate:
     def test_single_point_gives_squared_norm(self):
         y = np.array([[1.0, 2.0, 2.0]])  # norm 3

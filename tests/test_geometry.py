@@ -18,7 +18,7 @@ from isotropy.geometry import (
 )
 from isotropy.harness import _chord_failure
 from isotropy.samplers import RandomStream, direct_draws
-from isotropy.symlin import SymMatrix, operator_norm
+from isotropy.symlin import operator_norm
 
 E1 = np.array([1.0, 0.0])
 
@@ -27,7 +27,7 @@ CHORD_BODIES = [
     lambda: Cube(halfwidth=1.5, n=3),
     lambda: Ball(radius=2.0, n=3),
     lambda: isotropic_normalization("simplex", 3),
-    lambda: Ellipsoid(shape=SymMatrix(np.diag([4.0, 1.0, 0.25]))),
+    lambda: Ellipsoid(shape=np.diag([4.0, 1.0, 0.25])),
     lambda: Truncated(base=Cube(halfwidth=2.0, n=3), radius=2.2),
     lambda: HPolytope(rows=np.vstack([np.eye(3), -np.eye(3)]), offsets=np.ones(6)),
 ]
@@ -89,7 +89,7 @@ class TestChord:
             Ball(radius=1.0, n=2).chord(np.zeros(2), np.array([1.0, 1.0]))
 
     def test_ellipsoid_quadratic(self):
-        body = Ellipsoid(shape=SymMatrix(np.diag([4.0, 1.0])))
+        body = Ellipsoid(shape=np.diag([4.0, 1.0]))
         lo, hi = body.chord(np.zeros(2), E1)
         assert (lo, hi) == pytest.approx((-2.0, 2.0), abs=1e-12)
 
@@ -158,7 +158,7 @@ class TestIsotropicNormalization:
         body = isotropic_normalization("simplex", n)
         v = body.vertices
         second = (v.T @ v + np.outer(v.sum(0), v.sum(0))) / ((n + 1.0) * (n + 2.0))
-        assert operator_norm(SymMatrix.from_dense(second) - SymMatrix.identity(n)) <= 1e-10
+        assert operator_norm(second - np.eye(n)) <= 1e-10
         assert np.allclose(np.linalg.norm(v, axis=1), math.sqrt(n * (n + 2.0)), rtol=1e-12)
 
     @pytest.mark.parametrize("n", [2, 3])
@@ -202,7 +202,7 @@ class TestCanonicalJohn:
         tol = 1e-10
         assert np.abs(np.linalg.norm(jd.points, axis=1) - 1.0).max() <= tol
         resolution = (jd.points.T * jd.weights) @ jd.points
-        assert operator_norm(SymMatrix.from_dense(resolution) - SymMatrix.identity(n)) <= tol
+        assert operator_norm(resolution - np.eye(n)) <= tol
         assert np.linalg.norm(jd.weights @ jd.points) <= tol
         assert abs(jd.weights.sum() - n) <= tol
 
@@ -275,7 +275,21 @@ class TestBodyValidation:
 
     def test_ellipsoid_needs_spd_shape(self):
         with pytest.raises(GeometryError):
-            Ellipsoid(shape=SymMatrix(np.diag([1.0, -1.0])))
+            Ellipsoid(shape=np.diag([1.0, -1.0]))
+
+    @pytest.mark.parametrize(
+        "shape",
+        [
+            np.diag([1.0, 0.0]),  # singular
+            np.array([[1.0, 1e-3], [0.0, 1.0]]),  # asymmetric beyond the tolerance
+            np.array([[1.0, 0.0], [0.0, np.inf]]),  # not finite
+            np.ones((2, 3)),  # not square
+            np.ones((1, 2, 2)),  # a stack, not one matrix
+        ],
+    )
+    def test_ellipsoid_rejects_invalid_shape(self, shape):
+        with pytest.raises(GeometryError):
+            Ellipsoid(shape=shape)
 
     def test_degenerate_simplex_rejected(self):
         with pytest.raises(GeometryError):

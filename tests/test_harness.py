@@ -41,6 +41,17 @@ def strict_json_loads(text):
     return json.loads(text, parse_constant=reject_constant)
 
 
+CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
+# The subcommand each shipped config runs under; symmetrize.cfg is the bernoulli mode=symmetrize run.
+SHIPPED_CONFIG_COMMANDS = {
+    "bernoulli.cfg": "bernoulli",
+    "john.cfg": "john-sparsify",
+    "sweep.cfg": "sweep",
+    "symmetrize.cfg": "bernoulli",
+    "truncated.cfg": "truncated",
+    "whiten.cfg": "whiten",
+}
+
 SWEEP_TEXT = """
 # comment lines and blanks are skipped
 kind=sweep
@@ -115,6 +126,11 @@ class TestConfigParsing:
         path = tmp_path / "c.cfg"
         path.write_text(SWEEP_TEXT, encoding="utf-8")
         assert load_config(path).n == 4
+
+    @pytest.mark.parametrize("path", sorted(CONFIG_DIR.glob("*.cfg")), ids=lambda p: p.name)
+    def test_shipped_config_loads(self, path):
+        command = SHIPPED_CONFIG_COMMANDS[path.name]
+        assert load_config(path, kind=command).kind == command
 
 
 class TestStreams:

@@ -15,7 +15,6 @@ from isotropy.moments import (
     whiten,
 )
 from isotropy.samplers import RandomStream, SampleBatch, direct_draws, john_support
-from isotropy.symlin import SymMatrix, eigen
 
 
 def batch_of(vectors, sampler="test", seed=0):
@@ -25,11 +24,11 @@ def batch_of(vectors, sampler="test", seed=0):
 class TestEmpiricalSecondMoment:
     def test_single_vector(self):
         t = empirical_second_moment(batch_of([[math.sqrt(2), 0.0]]))
-        assert np.allclose(t.mat, np.diag([2.0, 0.0]), atol=1e-15)
+        assert np.allclose(t, np.diag([2.0, 0.0]), atol=1e-15)
 
     def test_orthonormal_pair(self):
         t = empirical_second_moment(batch_of([[1.0, 0.0], [0.0, 1.0]]))
-        assert np.array_equal(t.mat, np.diag([0.5, 0.5]))
+        assert np.array_equal(t, np.diag([0.5, 0.5]))
 
     def test_cube_n4_pilot_band(self):
         # Pilot run at this seed gives deviation 0.0214; the acceptance
@@ -42,10 +41,10 @@ class TestEmpiricalSecondMoment:
 
 class TestDeviation:
     def test_identity(self):
-        assert deviation(SymMatrix.identity(3)) == 0.0
+        assert deviation(np.eye(3)) == 0.0
 
     def test_diagonal(self):
-        assert deviation(SymMatrix(np.diag([1.2, 0.7]))) == pytest.approx(0.3, abs=1e-15)
+        assert deviation(np.diag([1.2, 0.7])) == pytest.approx(0.3, abs=1e-15)
 
     def test_exact_john_mixture(self):
         # The four cross-polytope supports, weighted equally, give T = id
@@ -168,10 +167,10 @@ class TestEpsilonIsotropy:
     # T is eps-isotropic when deviation(T) = |T - id| <= eps, the rule behind
     # the harness's isotropic column.
     def test_identity_passes(self):
-        assert deviation(SymMatrix.identity(4)) <= 0.01
+        assert deviation(np.eye(4)) <= 0.01
 
     def test_out_of_band_eigenvalue_fails(self):
-        assert deviation(SymMatrix(np.diag([1.2, 0.9]))) > 0.1
+        assert deviation(np.diag([1.2, 0.9])) > 0.1
 
     def test_matches_quadratic_form_sandwich(self):
         # The extremes of x^T T x / |x|^2 are attained at eigenvectors, so
@@ -181,18 +180,18 @@ class TestEpsilonIsotropy:
         for _ in range(100):
             n = int(rng.integers(2, 6))
             g = rng.standard_normal((n, n))
-            t = SymMatrix.from_dense(0.05 * (g + g.T) / 2.0 + np.eye(n), asym_tol=1e-8)
+            t = 0.05 * (g + g.T) / 2.0 + np.eye(n)
             eps = float(rng.uniform(0.02, 0.3))
             dirs = rng.standard_normal((1000, n))
-            dirs = np.vstack([dirs / np.linalg.norm(dirs, axis=1, keepdims=True), eigen(t).eigenvectors.T])
-            quad = np.einsum("ij,jk,ik->i", dirs, t.mat, dirs) / np.einsum("ij,ij->i", dirs, dirs)
+            dirs = np.vstack([dirs / np.linalg.norm(dirs, axis=1, keepdims=True), np.linalg.eigh(t)[1].T])
+            quad = np.einsum("ij,jk,ik->i", dirs, t, dirs) / np.einsum("ij,ij->i", dirs, dirs)
             sandwiched = bool(np.all(quad >= 1 - eps - 1e-12) and np.all(quad <= 1 + eps + 1e-12))
             assert sandwiched == (deviation(t) <= eps)
 
 
 class TestWhiten:
     def test_diagonal_example(self):
-        out = whiten(SymMatrix(np.diag([4.0, 1.0])), np.array([2.0, 3.0]))
+        out = whiten(np.diag([4.0, 1.0]), np.array([2.0, 3.0]))
         assert np.allclose(out, [1.0, 3.0], atol=1e-12)
 
     def test_self_whitening_restores_identity(self):
@@ -205,7 +204,7 @@ class TestWhiten:
 
     def test_transform_is_inverse_square_root(self):
         # Whitening the identity's rows gives the matrix of the map itself.
-        w = whiten(SymMatrix(np.diag([4.0, 0.25])), np.eye(2))
+        w = whiten(np.diag([4.0, 0.25]), np.eye(2))
         assert np.allclose(w, np.diag([0.5, 2.0]), atol=1e-14)
 
     def test_two_stage_distorted_cube(self):
