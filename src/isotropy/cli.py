@@ -69,7 +69,7 @@ def main(argv=None) -> int:
         result = harness.run_check(seed=seed)
         for row in result.rows:
             status = "PASS" if row["ok"] else "FAIL"
-            print(f"{status} {row['check']}: {row['detail']}")
+            print(f"{status} {row['check']}: {row['detail'] or row['invariant']}")
         if args.out and _emit(result, args.out, args.format):
             return 1
         failures = sum(1 for row in result.rows if not row["ok"])
@@ -95,7 +95,7 @@ def main(argv=None) -> int:
 
     try:
         result = harness.run_experiment(cfg)
-    except (harness.ExperimentError, SamplerError) as exc:
+    except harness.ExperimentError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return _emit(result, args.out, args.format)

@@ -12,7 +12,9 @@ output files.
 
 from __future__ import annotations
 
+import csv
 import hashlib
+import io
 import json
 import math
 import os
@@ -101,15 +103,12 @@ class ExperimentConfig:
             raise ConfigError("trials, max_attempts and workers must be >= 1")
         if self.mode not in ("ratio", "symmetrize"):
             raise ConfigError(f"unknown bernoulli mode {self.mode!r}")
-        base, colon, sub = self.sampler.partition(":")
-        if self.sampler not in SAMPLER_CHOICES and base != "john":
-            raise ConfigError(f"unknown sampler {self.sampler!r}")
-        sampler_fixture = sub if colon else self.fixture
-        if base == "john" and sampler_fixture not in FIXTURE_CHOICES:
-            raise ConfigError(f"unknown John fixture {sampler_fixture!r}")
+        base, _, sub = self.sampler.partition(":")
+        if self.sampler not in SAMPLER_CHOICES and not (base == "john" and sub in FIXTURE_CHOICES):
+            raise ConfigError(f"unknown sampler {self.sampler!r}; expected cube, ball, simplex or john:<fixture>")
         if self.fixture not in FIXTURE_CHOICES:
             raise ConfigError(f"unknown John fixture {self.fixture!r}")
-        built = self.fixture if self.kind == "john-sparsify" else sampler_fixture if base == "john" else None
+        built = self.fixture if self.kind == "john-sparsify" else sub if base == "john" else None
         if built == "cube-vertices" and self.n > geo.CUBE_VERTEX_DIM_CAP:
             raise ConfigError(f"cube-vertices fixture needs n <= {geo.CUBE_VERTEX_DIM_CAP}")
         if self.distortion is not None and (
@@ -184,17 +183,14 @@ def derive_stream(kind: str, point: int, seed: int) -> int:
     return int.from_bytes(digest, "little")
 
 
-def _make_draw(sampler: str, n: int, fixture: str):
-    """Resolve a sampler name to (label, draw) with draw(m, rng) -> (m, n) array."""
+def _make_draw(sampler: str, n: int):
+    """Resolve a validated sampler name to draw(m, rng) -> (m, n) array."""
     base, _, sub = sampler.partition(":")
     if base == "john":
-        jd = geo.canonical_john(sub or fixture, n)
-        label = f"john:{sub or fixture}"
-        return label, lambda m, rng: smp.john_draws(jd, m, rng)
-    if sampler in SAMPLER_CHOICES:
-        body = geo.isotropic_normalization(sampler, n)
-        return sampler, lambda m, rng: smp.direct_draws(body, m, rng)
-    raise ConfigError(f"unknown sampler {sampler!r}")
+        jd = geo.canonical_john(sub, n)
+        return lambda m, rng: smp.john_draws(jd, m, rng)
+    body = geo.isotropic_normalization(sampler, n)
+    return lambda m, rng: smp.direct_draws(body, m, rng)
 
 
 @dataclass
@@ -216,10 +212,12 @@ def _format_value(v) -> str:
 
 
 def render_csv(header: list[str], rows: list[dict]) -> str:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_format_value(row[k]) for k in header))
-    return "\n".join(lines) + "\n"
+    """RFC 4180 CSV of the header's fields only; a field with a comma or quote is quoted."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows([_format_value(row[k]) for k in header] for row in rows)
+    return buf.getvalue()
 
 
 def _json_value(v):
@@ -252,13 +250,19 @@ def _run_grid(row, points: list, kind: str, master_seed: int, seeds: list[int], 
 
     The row for the i-th point draws from the stream keyed by (kind, i, seed)
     under ``master_seed``, so it does not depend on which worker computes it,
-    and ``pool.map`` keeps config order for any ``workers``.
+    and ``pool.map`` keeps config order for any ``workers``.  This is the one
+    place where a package error, or a floating-point overflow, in a row
+    becomes an ``ExperimentError`` naming the seed.
     """
 
     def one(task) -> dict:
         i, point, seed = task
         rng = smp.RandomStream(seed=master_seed, stream=derive_stream(kind, i, seed))
-        return row(point, seed, rng)
+        try:
+            with np.errstate(over="raise"):
+                return row(point, seed, rng)
+        except (ValueError, ArithmeticError, jsp.SparsifyError) as exc:
+            raise ExperimentError(f"seed {seed}: {exc}") from exc
 
     tasks = [(i, point, seed) for i, point in enumerate(points) for seed in seeds]
     if workers <= 1:
@@ -277,10 +281,10 @@ SWEEP_AGG_HEADER = ["experiment", "n", "M", "sampler", "n_seeds", "mean_deviatio
 
 def _plan_sweep(cfg: ExperimentConfig):
     """Deviation reports over an M grid of fresh batches."""
-    label, draw = _make_draw(cfg.sampler, cfg.n, cfg.fixture)
+    draw = _make_draw(cfg.sampler, cfg.n)
 
     def row(m: int, seed: int, rng: smp.RandomStream) -> dict:
-        batch = smp.SampleBatch(vectors=draw(m, rng), sampler=label, seed=seed)
+        batch = smp.SampleBatch(vectors=draw(m, rng), sampler=cfg.sampler, seed=seed)
         return {"experiment": cfg.kind, **asdict(mom.concentration_report(batch))}
 
     return row, SWEEP_HEADER, cfg.m_grid
@@ -334,16 +338,18 @@ def _plan_whiten(cfg: ExperimentConfig):
     checks the fresh empirical second moment for eps-isotropy, which holds
     exactly when its deviation is at most eps.
     """
-    label, draw = _make_draw(cfg.sampler, cfg.n, cfg.fixture)
+    draw = _make_draw(cfg.sampler, cfg.n)
     distortion = np.asarray(cfg.distortion if cfg.distortion is not None else default_distortion(cfg.n))
 
     def row(m: int, seed: int, rng: smp.RandomStream) -> dict:
         first = draw(m, rng)
         first *= distortion
-        t_hat = mom.empirical_second_moment(smp.SampleBatch(vectors=first, sampler=label, seed=seed))
+        t_hat = mom.empirical_second_moment(smp.SampleBatch(vectors=first, sampler=cfg.sampler, seed=seed))
         second = draw(m, rng)
         second *= distortion
-        t2 = mom.empirical_second_moment(smp.SampleBatch(vectors=mom.whiten(t_hat, second), sampler=label, seed=seed))
+        t2 = mom.empirical_second_moment(
+            smp.SampleBatch(vectors=mom.whiten(t_hat, second), sampler=cfg.sampler, seed=seed)
+        )
         dev = mom.deviation(t2)
         return {
             "experiment": cfg.kind,
@@ -393,10 +399,7 @@ def _plan_truncated(cfg: ExperimentConfig):
     label = f"truncated:{cfg.sampler}"
 
     def row(m: int, seed: int, rng: smp.RandomStream) -> dict:
-        try:
-            vectors = smp.TruncatedSampler(body, cfg.r, rng).draw(m)
-        except smp.TruncationError as exc:
-            raise ExperimentError(f"seed {seed}: {exc}") from exc
+        vectors = smp.TruncatedSampler(body, cfg.r, rng).draw(m)
         rep = mom.concentration_report(smp.SampleBatch(vectors=vectors, sampler=label, seed=seed))
         return {
             "experiment": cfg.kind,
@@ -455,8 +458,6 @@ def _plan_john(cfg: ExperimentConfig):
             out["deviation_failures"] = exc.deviation_failures
             out["point_sum_failures"] = exc.point_sum_failures
             return out
-        except jsp.CertificateError as exc:
-            raise ExperimentError(f"seed {seed}: {exc}") from exc
         report = jsp.verify(approx)
         out.update(
             accepted=True,
@@ -476,7 +477,7 @@ SYMMETRIZE_HEADER = ["experiment", "n", "M", "trials", "seed", "lhs", "rhs", "lh
 
 def _plan_bernoulli(cfg: ExperimentConfig):
     """Signed rank-one sum experiments: bound ratios or symmetrization checks."""
-    _, draw = _make_draw(cfg.sampler, cfg.n, cfg.fixture)
+    draw = _make_draw(cfg.sampler, cfg.n)
 
     if cfg.mode == "ratio":
 
@@ -509,41 +510,22 @@ _PLANS = {
 
 
 # ---------------------------------------------------------------------------
-# Invariant check suite (the `check` subcommand).
+# Invariant check suite (the `check` subcommand).  Each _CHECKS entry is
+# (name, invariant with its bound, fn), and fn(rng) returns (ok, measured).
+# check.csv holds verdicts and invariants only; the measured text rides on
+# the row as "detail", outside the header, for the CLI's status lines.
 
-CHECK_HEADER = ["experiment", "check", "ok", "detail"]
-
-
-@dataclass
-class CheckResult:
-    name: str
-    ok: bool
-    detail: str
+CHECK_HEADER = ["experiment", "check", "ok", "invariant"]
 
 
-def _check_rng_streams(rng: smp.RandomStream) -> CheckResult:
+def _check_rng_streams(rng: smp.RandomStream) -> tuple[bool, str]:
     a = smp.RandomStream(seed=rng.seed, stream=777).random(16)
     b = smp.RandomStream(seed=rng.seed, stream=777).random(16)
     c = smp.RandomStream(seed=rng.seed, stream=778).random(16)
-    ok = bool(np.array_equal(a, b) and not np.array_equal(a, c))
-    return CheckResult("rng-streams", ok, "identical keys reproduce, sibling streams differ")
+    return np.array_equal(a, b) and not np.array_equal(a, c), ""
 
 
-def _check_eigen_reconstruction(rng: smp.RandomStream) -> CheckResult:
-    worst = 0.0
-    for n in range(2, 17):
-        mats = rng.standard_normal((16, n, n))
-        mats = (mats + mats.transpose(0, 2, 1)) / 2.0
-        vals, vecs = np.linalg.eigh(mats)
-        recon = vecs @ (vals[:, :, None] * vecs.transpose(0, 2, 1))
-        scale = 1.0 + np.abs(mats).max(axis=(1, 2))
-        worst = max(worst, float((np.abs(recon - mats).max(axis=(1, 2)) / scale).max()))
-        ortho = vecs.transpose(0, 2, 1) @ vecs - np.eye(n)
-        worst = max(worst, float(np.abs(ortho).max()))
-    return CheckResult("eigen-reconstruction", worst <= 1e-10, f"max residual {worst:.2e}")
-
-
-def _check_inv_sqrt(rng: smp.RandomStream) -> CheckResult:
+def _check_inv_sqrt(rng: smp.RandomStream) -> tuple[bool, str]:
     worst = 0.0
     for _ in range(50):
         n = 2 + int(rng.random() * 10)
@@ -552,10 +534,10 @@ def _check_inv_sqrt(rng: smp.RandomStream) -> CheckResult:
         w = inv_sqrt(a)
         err = operator_norm(w @ a @ w - np.eye(n))
         worst = max(worst, err)
-    return CheckResult("inv-sqrt-roundtrip", worst <= 1e-9, f"max |W A W - id| = {worst:.2e}")
+    return worst <= 1e-9, f"max |W A W - id| = {worst:.2e}"
 
 
-def _check_operator_norm(rng: smp.RandomStream) -> CheckResult:
+def _check_operator_norm(rng: smp.RandomStream) -> tuple[bool, str]:
     ok = True
     for _ in range(50):
         n = 2 + int(rng.random() * 6)
@@ -568,20 +550,17 @@ def _check_operator_norm(rng: smp.RandomStream) -> CheckResult:
         norm_y2 = float(y @ y)
         if abs(operator_norm(r1) - norm_y2) > 1e-12 * max(1.0, norm_y2):
             ok = False
-    return CheckResult("operator-norm-identities", ok, "negation symmetry and rank-one norm")
+    return ok, ""
 
 
-def _check_john_fixtures(rng: smp.RandomStream) -> CheckResult:
-    try:
-        for variant, dims in (("cross-polytope", (2, 8)), ("cube-vertices", (2, 4)), ("simplex", (2, 4))):
-            for n in dims:
-                geo.canonical_john(variant, n)  # constructor enforces the identities
-    except geo.GeometryError as exc:
-        return CheckResult("john-fixtures", False, str(exc))
-    return CheckResult("john-fixtures", True, "resolution, centering and trace identities at 1e-10")
+def _check_john_fixtures(rng: smp.RandomStream) -> tuple[bool, str]:
+    for variant, dims in (("cross-polytope", (2, 8)), ("cube-vertices", (2, 4)), ("simplex", (2, 4))):
+        for n in dims:
+            geo.canonical_john(variant, n)  # the constructor raises unless the identities hold
+    return True, ""
 
 
-def _check_john_sampler_exact(rng: smp.RandomStream) -> CheckResult:
+def _check_john_sampler_exact(rng: smp.RandomStream) -> tuple[bool, str]:
     worst = 0.0
     for variant, n in (("cross-polytope", 2), ("cube-vertices", 3), ("simplex", 4)):
         jd = geo.canonical_john(variant, n)
@@ -590,10 +569,10 @@ def _check_john_sampler_exact(rng: smp.RandomStream) -> CheckResult:
         worst = max(worst, operator_norm(second - np.eye(n)))
         norms = np.linalg.norm(support, axis=1)
         worst = max(worst, float(np.abs(norms - math.sqrt(n)).max()))
-    return CheckResult("john-sampler-exact", worst <= 1e-10, f"max enumeration residual {worst:.2e}")
+    return worst <= 1e-10, f"max enumeration residual {worst:.2e}"
 
 
-def _check_sampler_support(rng: smp.RandomStream) -> CheckResult:
+def _check_sampler_support(rng: smp.RandomStream) -> tuple[bool, str]:
     bodies = [
         geo.isotropic_normalization("cube", 3),
         geo.isotropic_normalization("ball", 3),
@@ -603,8 +582,8 @@ def _check_sampler_support(rng: smp.RandomStream) -> CheckResult:
     for body in bodies:
         pts = smp.direct_draws(body, 2000, rng)
         if not all(body.membership(p) for p in pts):
-            return CheckResult("sampler-support", False, f"{type(body).__name__} emitted an outside point")
-    return CheckResult("sampler-support", True, "all direct samples pass membership")
+            return False, f"{type(body).__name__} emitted an outside point"
+    return True, ""
 
 
 def _trace_law(pts: np.ndarray) -> tuple[float, float]:
@@ -641,23 +620,23 @@ def _chord_failure(body: geo.Body, x: np.ndarray, d: np.ndarray) -> str | None:
     return None
 
 
-def _check_trace_law(rng: smp.RandomStream) -> CheckResult:
+def _check_trace_law(rng: smp.RandomStream) -> tuple[bool, str]:
     details = []
     ok = True
     for variant, n in (("cube", 4), ("ball", 6), ("simplex", 3)):
         mean, z = _trace_law(smp.direct_draws(geo.isotropic_normalization(variant, n), 20000, rng))
         ok = ok and abs(z) <= 3.0
         details.append(f"{variant}: {mean:.3f} vs {n}")
-    return CheckResult("trace-law", ok, "; ".join(details))
+    return ok, "; ".join(details)
 
 
-def _check_ball_radial_cdf(rng: smp.RandomStream) -> CheckResult:
+def _check_ball_radial_cdf(rng: smp.RandomStream) -> tuple[bool, str]:
     body = geo.isotropic_normalization("ball", 3)
-    ok = _ball_radial_cdf(smp.direct_draws(body, 20000, rng), body.radius) <= 3.0
-    return CheckResult("ball-radial-cdf", ok, "P(|x| <= qr) = q^n within 3 sigma for q in {0.5, 0.9}")
+    worst = _ball_radial_cdf(smp.direct_draws(body, 20000, rng), body.radius)
+    return worst <= 3.0, f"max {worst:.2f} se"
 
 
-def _check_chords(rng: smp.RandomStream) -> CheckResult:
+def _check_chords(rng: smp.RandomStream) -> tuple[bool, str]:
     bodies = [
         geo.Cube(halfwidth=1.5, n=3),
         geo.Ball(radius=2.0, n=3),
@@ -672,11 +651,11 @@ def _check_chords(rng: smp.RandomStream) -> CheckResult:
             d /= np.linalg.norm(d)
             failure = _chord_failure(body, x, d)
             if failure is not None:
-                return CheckResult("chord-consistency", False, f"{type(body).__name__}: {failure}")
-    return CheckResult("chord-consistency", True, "endpoints inside, 1e-6 beyond outside, interval brackets 0")
+                return False, f"{type(body).__name__}: {failure}"
+    return True, ""
 
 
-def _check_truncated_membership(rng: smp.RandomStream) -> CheckResult:
+def _check_truncated_membership(rng: smp.RandomStream) -> tuple[bool, str]:
     base = geo.Cube(halfwidth=np.sqrt(3.0), n=4)
     trunc = geo.Truncated(base=base, radius=1.8)
     pts = rng.uniform(-2.2, 2.2, (500, 4))
@@ -684,21 +663,20 @@ def _check_truncated_membership(rng: smp.RandomStream) -> CheckResult:
         expect = base.membership(p) and np.linalg.norm(p) <= 1.8 + 1e-12
         got = trunc.membership(p)
         if got != expect and abs(np.linalg.norm(p) - 1.8) > 1e-9:
-            return CheckResult("truncated-membership", False, f"disagreement at radius {np.linalg.norm(p):.6f}")
-    return CheckResult("truncated-membership", True, "conjunction of base membership and radius bound")
+            return False, f"disagreement at radius {np.linalg.norm(p):.6f}"
+    return True, ""
 
 
-def _check_hit_and_run(rng: smp.RandomStream) -> CheckResult:
+def _check_hit_and_run(rng: smp.RandomStream) -> tuple[bool, str]:
     theta = math.pi / 6.0
     rot = np.array([[math.cos(theta), -math.sin(theta)], [math.sin(theta), math.cos(theta)]])
     rows = np.vstack([rot.T, -rot.T])
     body = geo.HPolytope(rows=rows, offsets=np.ones(4))
     pts = smp.sample_hit_and_run(body, np.zeros(2), burn_in=100, thin=2, rng=rng, count=200)
-    ok = all(body.membership(p) for p in pts)
-    return CheckResult("hit-and-run-support", ok, "all emitted states inside the rotated cube")
+    return all(body.membership(p) for p in pts), ""
 
 
-def _check_log_moment(rng: smp.RandomStream) -> CheckResult:
+def _check_log_moment(rng: smp.RandomStream) -> tuple[bool, str]:
     vectors = rng.standard_normal((64, 5))
     batch = smp.SampleBatch(vectors=vectors, sampler="gauss", seed=0)
     ps = [2.0, 4.0, math.log(64)]
@@ -708,20 +686,20 @@ def _check_log_moment(rng: smp.RandomStream) -> CheckResult:
     homogeneous = abs(mom.log_moment(scaled, 4.0) - 3.0 * mom.log_moment(batch, 4.0)) <= 1e-12 * mom.log_moment(
         scaled, 4.0
     )
-    return CheckResult("log-moment-properties", monotone and homogeneous, "monotone in p, degree-1 in scale")
+    return monotone and homogeneous, ""
 
 
-def _check_self_whitening(rng: smp.RandomStream) -> CheckResult:
+def _check_self_whitening(rng: smp.RandomStream) -> tuple[bool, str]:
     vectors = rng.standard_normal((400, 5)) @ np.diag([3.0, 2.0, 1.0, 0.5, 0.25])
     batch = smp.SampleBatch(vectors=vectors, sampler="gauss", seed=0)
     t = mom.empirical_second_moment(batch)
     white = mom.whiten(t, vectors)
     t2 = mom.empirical_second_moment(smp.SampleBatch(vectors=white, sampler="gauss", seed=0))
     err = mom.deviation(t2)
-    return CheckResult("self-whitening", err <= 1e-9, f"|T_whitened - id| = {err:.2e}")
+    return err <= 1e-9, f"|T_whitened - id| = {err:.2e}"
 
 
-def _check_sparsifier(rng: smp.RandomStream) -> CheckResult:
+def _check_sparsifier(rng: smp.RandomStream) -> tuple[bool, str]:
     jd = geo.canonical_john("cross-polytope", 2)
     approx = jsp.sparsify(jd, eps=0.5, rng=rng, C=2.0)
     rep = jsp.verify(approx)
@@ -731,45 +709,56 @@ def _check_sparsifier(rng: smp.RandomStream) -> CheckResult:
         and rep.centroid_norm <= 1e-10 * math.sqrt(approx.M)
         and rep.shift_scaled <= 4.0
     )
-    return CheckResult("sparsifier-smoke", ok, f"residual {rep.residual_norm:.4f}, centroid {rep.centroid_norm:.2e}")
+    return ok, f"residual {rep.residual_norm:.4f}, centroid {rep.centroid_norm:.2e}"
 
 
-def _check_rademacher_oracle(rng: smp.RandomStream) -> CheckResult:
+def _check_rademacher_oracle(rng: smp.RandomStream) -> tuple[bool, str]:
     y = rng.standard_normal((8, 3))
     exact = brn.rademacher_exact(y)
     norms = brn.rademacher_trial_norms(y, 4000, rng)
     est = float(norms.mean())
     se = float(norms.std(ddof=1) / math.sqrt(norms.size))
-    ok = abs(est - exact) <= 4.0 * se
-    return CheckResult("rademacher-oracle", ok, f"MC {est:.4f} vs exact {exact:.4f} ({se:.1e} se)")
+    return abs(est - exact) <= 4.0 * se, f"MC {est:.4f} vs exact {exact:.4f} ({se:.1e} se)"
 
 
 _CHECKS = (
-    _check_rng_streams,
-    _check_eigen_reconstruction,
-    _check_inv_sqrt,
-    _check_operator_norm,
-    _check_john_fixtures,
-    _check_john_sampler_exact,
-    _check_sampler_support,
-    _check_trace_law,
-    _check_ball_radial_cdf,
-    _check_chords,
-    _check_truncated_membership,
-    _check_hit_and_run,
-    _check_log_moment,
-    _check_self_whitening,
-    _check_sparsifier,
-    _check_rademacher_oracle,
+    ("rng-streams", "identical stream keys reproduce; sibling streams differ", _check_rng_streams),
+    ("inv-sqrt-roundtrip", "|W A W - id| <= 1e-9 for W = inv_sqrt(A)", _check_inv_sqrt),
+    (
+        "operator-norm-identities",
+        "|A| = |-A| and |y (x) y| = |y|^2 to 1e-12 (rank one: relative)",
+        _check_operator_norm,
+    ),
+    ("john-fixtures", "John fixtures meet resolution, centering and trace identities at 1e-10", _check_john_fixtures),
+    ("john-sampler-exact", "John support: |E x (x) x - id| and ||x| - sqrt n| <= 1e-10", _check_john_sampler_exact),
+    ("sampler-support", "direct draws of cube, ball, simplex and ellipsoid pass membership", _check_sampler_support),
+    ("trace-law", "mean |x|^2 within 3 se of n for cube, ball and simplex draws", _check_trace_law),
+    ("ball-radial-cdf", "P(|x| <= q r) within 3 se of q^n for q in {0.5, 0.9}", _check_ball_radial_cdf),
+    ("chord-consistency", "chord brackets 0 and ends inside; 1e-6 beyond either end is outside", _check_chords),
+    (
+        "truncated-membership",
+        "membership = base membership and |x| <= R, off a 1e-9 shell",
+        _check_truncated_membership,
+    ),
+    ("hit-and-run-support", "every hit-and-run state lies inside the rotated cube", _check_hit_and_run),
+    ("log-moment-properties", "log_moment monotone in p, degree-1 in scale, to 1e-12 relative", _check_log_moment),
+    ("self-whitening", "|T - id| <= 1e-9 after whitening a batch by its own T", _check_self_whitening),
+    (
+        "sparsifier-smoke",
+        "residual < eps = 0.5 and equal to its certificate to 1e-12; centroid <= 1e-10 sqrt M; |u| sqrt M <= 4",
+        _check_sparsifier,
+    ),
+    ("rademacher-oracle", "MC mean of |sum eps_i y_i (x) y_i| within 4 se of its exact mean", _check_rademacher_oracle),
 )
 
 
 def _check_row(check, seed: int, rng: smp.RandomStream) -> dict:
+    name, invariant, fn = check
     try:
-        res = check(rng)
+        ok, detail = fn(rng)
     except Exception as exc:  # a crashed check is a failed check
-        res = CheckResult(check.__name__.removeprefix("_check_"), False, f"raised {exc!r}")
-    return {"experiment": "check", "check": res.name, "ok": res.ok, "detail": res.detail}
+        ok, detail = False, f"raised {exc!r}"
+    return {"experiment": "check", "check": name, "ok": bool(ok), "invariant": invariant, "detail": detail}
 
 
 def run_check(seed: int = 0) -> ExperimentResult:

@@ -247,19 +247,6 @@ def test_09_symmetrization():
 
 def test_10_numerics():
     rng = np.random.default_rng(2718)
-    worst_eig = 0.0
-    count = 0
-    for n in range(2, 17):
-        b = 67  # 15 dimensions x 67 = 1005 matrices
-        mats = rng.standard_normal((b, n, n))
-        mats = (mats + mats.transpose(0, 2, 1)) / 2.0
-        vals, vecs = np.linalg.eigh(mats)
-        recon = vecs @ (vals[:, :, None] * vecs.transpose(0, 2, 1))
-        scale = 1.0 + np.abs(mats).max(axis=(1, 2), keepdims=True)
-        worst_eig = max(worst_eig, float((np.abs(recon - mats) / scale).max()))
-        ortho = vecs.transpose(0, 2, 1) @ vecs - np.eye(n)
-        worst_eig = max(worst_eig, float(np.abs(ortho).max()))
-        count += b
     worst_inv = 0.0
     for _ in range(200):
         n = 2 + int(rng.integers(0, 15))
@@ -268,13 +255,7 @@ def test_10_numerics():
         w = inv_sqrt(a)
         err = operator_norm(w @ a @ w - np.eye(n))
         worst_inv = max(worst_inv, err)
-    ok = worst_eig <= 1e-10 and worst_inv <= 1e-9
-    report(
-        10,
-        "numerics",
-        ok,
-        f"{count} eigen residuals max {worst_eig:.2e} (<= 1e-10); 200 inv-sqrt residuals max {worst_inv:.2e} (<= 1e-9)",
-    )
+    report(10, "numerics", worst_inv <= 1e-9, f"200 inv-sqrt residuals max {worst_inv:.2e} (<= 1e-9)")
 
 
 def test_11_cli_determinism(tmp_path):

@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 import subprocess
@@ -7,7 +8,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from isotropy import cli
+from isotropy import cli, harness
+from isotropy import johnsparse as jsp
 from isotropy.harness import (
     JOHN_HEADER,
     BOUND_HEADER,
@@ -143,9 +145,9 @@ class TestStreams:
 
 class TestRenderers:
     def test_csv_formatting(self):
-        rows = [{"a": 1, "b": 1.0 / 3.0, "c": True, "d": "x"}]
+        rows = [{"a": 1, "b": 1.0 / 3.0, "c": True, "d": "x"}, {"a": 2, "b": 0.5, "c": False, "d": "x,y"}]
         text = render_csv(["a", "b", "c", "d"], rows)
-        assert text == "a,b,c,d\n1,0.33333333333333331,true,x\n"
+        assert text == 'a,b,c,d\n1,0.33333333333333331,true,x\n2,0.5,false,"x,y"\n'
 
     def test_json_mirrors_fields(self):
         rows = [{"a": 1, "b": 0.5, "c": False, "d": "x"}, {"a": 2, "b": math.nan, "c": True, "d": "y"}]
@@ -306,6 +308,32 @@ class TestRunCheck:
 
         assert detail(0) != detail(1)
 
+    @pytest.mark.parametrize(
+        "module, attr, name",
+        [(harness, "_chord_failure", "chord-consistency"), (jsp, "sparsify", "sparsifier-smoke")],
+    )
+    def test_crashed_check_keeps_its_table_name(self, monkeypatch, module, attr, name):
+        def crash(*args, **kwargs):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(module, attr, crash)
+        rows = run_check(seed=0).rows
+        assert [r["check"] for r in rows] == [entry[0] for entry in harness._CHECKS]
+        assert [r["check"] for r in rows if not r["ok"]] == [name]
+        assert next(r["detail"] for r in rows if r["check"] == name) == "raised RuntimeError('boom')"
+
+    def test_check_csv_moves_only_with_verdicts(self, monkeypatch):
+        # A last-bit change in inv_sqrt moves the measured residual but no verdict.
+        def residual(res):
+            return next(r["detail"] for r in res.rows if r["check"] == "inv-sqrt-roundtrip")
+
+        base = run_check(seed=0)
+        exact = harness.inv_sqrt
+        monkeypatch.setattr(harness, "inv_sqrt", lambda a: exact(a) * (1 + 2**-50))
+        moved = run_check(seed=0)
+        assert residual(moved) != residual(base)
+        assert render_csv(moved.header, moved.rows) == render_csv(base.header, base.rows)
+
 
 def run_cli(args):
     return cli.main(args)
@@ -338,6 +366,8 @@ class TestCli:
             ("whiten", "n=2\ndistortion=1,nan\n"),
             ("sweep", "sampler=cube:bogus\nn=2\nm_grid=16\nseeds=0\n"),
             ("truncated", "sampler=simplex\nn=1\nr=0.5\neps=0.4\nc0=2\n"),
+            # A John sampler names its fixture; the fixture key is read by john-sparsify only.
+            ("sweep", "sampler=john\nfixture=simplex\nn=2\nm_grid=16\nseeds=0\n"),
         ]
         for i, (command, text) in enumerate(cases):
             path = tmp_path / f"bad{i}.cfg"
@@ -382,6 +412,32 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error: seed 0: certificate failed") and err.count("error:") == 1
         assert "Traceback" not in err
+
+    def test_validated_run_failure_is_one_error_line(self, tmp_path):
+        # The config passes validate(); the second moment of the distorted draws overflows mid-run.
+        path = tmp_path / "whiten.cfg"
+        path.write_text("n=2\nm=100\ndistortion=1e200,1\nseeds=0\n", encoding="utf-8")
+        proc = subprocess.run(
+            [sys.executable, "-m", "isotropy.cli", "whiten", "--config", str(path)],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 1 and "Traceback" not in proc.stderr
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: seed 0: "), proc.stderr
+
+    def test_every_output_is_valid_csv(self, tmp_path, capsys):
+        outs = [tmp_path / "check.csv"]
+        assert run_cli(["check", "--out", str(outs[0])]) == 0
+        for path in sorted(CONFIG_DIR.glob("*.cfg")):
+            out = tmp_path / f"{path.stem}.csv"
+            assert run_cli([SHIPPED_CONFIG_COMMANDS[path.name], "--config", str(path), "--out", str(out)]) == 0
+            outs.append(out)
+        outs.append(tmp_path / "sweep.agg.csv")
+        for out in outs:
+            with open(out, newline="", encoding="utf-8") as fh:
+                header, *rows = csv.reader(fh)
+            assert rows and all(len(row) == len(header) for row in rows), out.name
 
     def test_deterministic_csv(self, tmp_path):
         cfg = tmp_path / "sweep.cfg"
