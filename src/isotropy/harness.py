@@ -115,10 +115,15 @@ class ExperimentConfig:
             len(self.distortion) != self.n or not all(math.isfinite(d) for d in self.distortion)
         ):
             raise ConfigError("distortion must list one finite factor per coordinate")
-        if self.kind == "truncated":
-            if self.sampler not in SAMPLER_CHOICES:
-                raise ConfigError("truncated sampling needs a body sampler (cube, ball or simplex)")
-            truncated_sample_count(self.n, self.r, self.eps, self.c0)
+        if self.kind == "truncated" and self.sampler not in SAMPLER_CHOICES:
+            raise ConfigError("truncated sampling needs a body sampler (cube, ball or simplex)")
+        try:  # a sample count the run would compute at plan time is computed here first
+            if self.kind == "truncated":
+                truncated_sample_count(self.n, self.r, self.eps, self.c0)
+            elif self.kind == "john-sparsify":
+                jsp.choose_M(self.n, self.eps, self.c)
+        except OverflowError as exc:
+            raise ConfigError(f"the {self.kind} sample-count rule gives no finite M: {exc}") from exc
 
 
 _INT_KEYS = {"n", "m", "trials", "max_attempts", "seed", "workers"}

@@ -225,8 +225,12 @@ class TruncatedSampler:
     A pilot run measures the rejection acceptance rate: healthy rates use
     plain rejection from the direct sampler, thin intersections fall back
     to hit-and-run on the truncated body, and rates below the hard floor
-    raise TruncationError.  The chain starts at the pilot's first hit, an
-    exact uniform draw from the truncated body, so it needs no burn-in.
+    raise TruncationError.  The pilot draws growing stages until 50 hits or
+    3,000,000 draws, and stops sooner once 3 or more hits put even the
+    3-sigma Poisson upper reading of the rate below the rejection threshold;
+    so in hit-and-run mode ``acceptance`` comes from 3 or more hits.  The
+    chain starts at the pilot's first hit, an exact uniform draw from the
+    truncated body, so it needs no burn-in.
     """
 
     def __init__(self, body: Body, R: float, rng: RandomStream):
@@ -258,7 +262,9 @@ class TruncatedSampler:
                     first = pts[inside.argmax()].copy()
                 hits += int(np.count_nonzero(inside))
             draws += batch
-            if hits >= 50:
+            # An early stop settles hit-and-run with the first hit in hand, and its 3 or more
+            # hits clear the hard floor even at the 3M cap, so no verdict depends on it.
+            if hits >= 50 or (hits >= 3 and hits + 3.0 * math.sqrt(hits) < REJECTION_MIN_ACCEPTANCE * draws):
                 break
             batch = min(batch * 8, _PILOT_TOTAL - draws)
             if batch == 0:

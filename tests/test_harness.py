@@ -384,6 +384,22 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error: R^2 n / eps^2 must exceed 1\n") and "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "command, text",
+        [
+            ("john-sparsify", "fixture=cross-polytope\nn=2\neps=1e-9\nc=1e300\nseeds=0\n"),
+            ("truncated", "sampler=cube\nn=16\nr=1\neps=1e-10\nc0=1e300\nseeds=0\n"),
+        ],
+        ids=["john-sparsify", "truncated"],
+    )
+    def test_infinite_sample_count_is_usage_error(self, tmp_path, capsys, command, text):
+        # Each sample-count rule gives an infinite float here, which has no integer ceiling.
+        path = tmp_path / "huge.cfg"
+        path.write_text(text, encoding="utf-8")
+        assert run_cli([command, "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("error:") == 1 and "Traceback" not in err
+
     def test_rejected_seeds_give_valid_json(self, tmp_path):
         path = tmp_path / "john.cfg"
         path.write_text(

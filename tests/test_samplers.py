@@ -300,6 +300,21 @@ class TestTruncatedSampling:
         first = np.flatnonzero(np.einsum("ij,ij->i", pts, pts) <= sampler.rho**2)[0]
         assert np.array_equal(x0, pts[first])
 
+    def test_hit_and_run_samples_the_exact_ball_law(self):
+        # At cube12, R = 0.45 the cut radius rho = R sqrt(12) = 1.559 is below the
+        # cube's halfwidth sqrt(3), so the truncated body is exactly the ball of
+        # radius rho, where E|x|^2 / rho^2 = n / (n + 2).  Its acceptance is about
+        # 8e-5, so the chain samples it.  A chain on the ball of radius 1.05 rho (sphere
+        # chord and ball containment both scaled) moves the mean by 27 standard errors.
+        n = 12
+        sampler = TruncatedSampler(isotropic_normalization("cube", n), 0.45, RandomStream(0, 0))
+        assert sampler.mode == "hit-and-run" and sampler.rho < math.sqrt(3.0)
+        pts = sampler.draw(2000)
+        r2 = np.einsum("ij,ij->i", pts, pts) / sampler.rho**2
+        batch_means = r2.reshape(20, 100).mean(axis=1)
+        se = batch_means.std(ddof=1) / math.sqrt(20)
+        assert abs(r2.mean() - n / (n + 2)) <= 3.0 * se
+
     def test_too_aggressive_truncation(self):
         body = isotropic_normalization("cube", 2)
         with pytest.raises(TruncationError):
@@ -325,10 +340,82 @@ class TestTruncatedSampling:
         assert 0.78 <= vals.min() and vals.max() <= 0.87
 
 
+def _fifty_hit_pilot(body, rho, rng):
+    """Reference: the pilot without its early stop, which ends only on 50 hits or 3,000,000 draws."""
+    draws = hits = 0
+    first = None
+    batch = samplers._PILOT_STAGE1
+    while draws < samplers._PILOT_TOTAL:
+        for pts in samplers._direct_chunks(body, rng, batch):
+            inside = samplers._within_radius(pts, rho)
+            if first is None and inside.any():
+                first = pts[inside.argmax()].copy()
+            hits += int(np.count_nonzero(inside))
+        draws += batch
+        if hits >= 50:
+            break
+        batch = min(batch * 8, samplers._PILOT_TOTAL - draws)
+        if batch == 0:
+            break
+    return hits / draws, first
+
+
+class TestPilotStoppingRule:
+    # The pilot also stops once hits + 3 sqrt(hits) < 1e-3 draws with 3 or more hits.
+
+    def test_early_stop_keeps_the_decisions(self):
+        # In the plane a small cut's disc lies inside each body, so its acceptance is
+        # c R^2: c = pi/6 (cube), 1/2 (ball) and pi/(3 sqrt 3) (simplex).  The cuts sit
+        # 4x above, at, 4x below the 1e-3 threshold and at the 1e-6 hard floor.
+        verdicts, early = set(), 0
+        for name, c in (("cube", math.pi / 6), ("ball", 0.5), ("simplex", math.pi / (3 * math.sqrt(3)))):
+            body = isotropic_normalization(name, 2)
+            for target in (4e-3, 1e-3, 2.5e-4, 1e-6):
+                r = math.sqrt(target / c)
+                for seed in range(4):
+                    case = (name, target, seed)
+                    acceptance, first = _fifty_hit_pilot(body, r * math.sqrt(2), RandomStream(seed, 3))
+                    try:
+                        sampler = TruncatedSampler(body, r, RandomStream(seed, 3))
+                    except TruncationError:
+                        assert acceptance < samplers.ACCEPTANCE_HARD_FLOOR, case
+                        verdicts.add("raise")
+                        continue
+                    assert acceptance >= samplers.ACCEPTANCE_HARD_FLOOR, case
+                    verdicts.add("sample")
+                    assert np.array_equal(sampler._start, first), case
+                    if target != 1e-3:
+                        mode = "rejection" if acceptance >= samplers.REJECTION_MIN_ACCEPTANCE else "hit-and-run"
+                        assert sampler.mode == mode, case
+                    if sampler.acceptance != acceptance:  # stopped early: only hit-and-run is settled that way
+                        assert sampler.mode == "hit-and-run", case
+                        early += 1
+        assert verdicts == {"raise", "sample"} and early > 0
+
+    @pytest.mark.parametrize("name, n, r", [("cube", 16, 0.5), ("simplex", 8, 0.25)])
+    def test_benchmark_cuts_stop_before_the_largest_stage(self, monkeypatch, name, n, r):
+        drawn = []
+        chunks = samplers._direct_chunks
+
+        def counting(body, rng, rows):
+            drawn.append(rows)
+            return chunks(body, rng, rows)
+
+        monkeypatch.setattr(samplers, "_direct_chunks", counting)
+        sampler = TruncatedSampler(isotropic_normalization(name, n), r, RandomStream(1, 2))
+        assert sampler.mode == "hit-and-run" and max(drawn) < 2_097_152, drawn
+
+
+# A floor cut: no hit in 3,000,000 pilot rows, so the pilot runs every stage and raises.
 PILOT_RUN = """
 from isotropy.geometry import isotropic_normalization
-from isotropy.samplers import RandomStream, TruncatedSampler
-TruncatedSampler(isotropic_normalization("simplex", 8), 0.25, RandomStream(1, 2))
+from isotropy.samplers import RandomStream, TruncatedSampler, TruncationError
+try:
+    TruncatedSampler(isotropic_normalization("simplex", 8), 0.1, RandomStream(1, 2))
+except TruncationError:
+    pass
+else:
+    raise SystemExit("the floor cut did not raise TruncationError")
 """
 
 
@@ -340,8 +427,8 @@ class TestTruncatedChunks:
     @pytest.mark.parametrize(
         "name, n, r, acceptance",
         [
-            ("cube", 16, 0.5, 3.338675213675214e-05),
-            ("simplex", 8, 0.25, 5.884415064102564e-05),
+            ("cube", 16, 0.5, 3.678831335616438e-05),
+            ("simplex", 8, 0.25, 4.013270547945205e-05),
             ("cube", 16, 1.0, 0.51171875),
         ],
     )
@@ -368,7 +455,7 @@ class TestTruncatedChunks:
         assert np.array_equal(TruncatedSampler(cube, 1.0, RandomStream(1, 2)).draw(50_000), drawn)
 
     def test_pilot_memory_is_bounded(self, child_peak_rss_mb):
-        # The pilot's last stage is 2,097,152 simplex8 rows (about 150 MB per
+        # The pilot's largest stage is 2,097,152 simplex8 rows (about 150 MB per
         # (rows, 9) array); drawn whole it peaks near 490 MB.
         assert child_peak_rss_mb(PILOT_RUN) < 150
 
