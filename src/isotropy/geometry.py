@@ -188,11 +188,8 @@ class Simplex(Body):
             object.__setattr__(self, "_bary_inv", np.linalg.inv(m))
         except np.linalg.LinAlgError as exc:
             raise GeometryError("degenerate simplex vertices") from exc
-        if np.min(self.barycentric(np.zeros(self.n))) <= 0.0:
+        if np.min(self._barycentric(np.zeros(self.n))) <= 0.0:
             raise GeometryError("simplex must contain the origin strictly inside")
-
-    def barycentric(self, x) -> np.ndarray:
-        return self._barycentric(_as_point(x, self.n))
 
     def _barycentric(self, x: np.ndarray) -> np.ndarray:
         return self._bary_inv @ np.concatenate((x, _ONE))
@@ -239,17 +236,13 @@ class Ellipsoid(Body):
         """Symmetric square root of the shape matrix (maps unit ball onto the body)."""
         return self._half
 
-    def quadratic(self, x) -> float:
-        x = _as_point(x, self.n)
-        return float(x @ self._inv @ x)
-
     def _contains(self, x):
-        return self.quadratic(x) <= 1.0 + MEMBERSHIP_TOL
+        return float(x @ self._inv @ x) <= 1.0 + MEMBERSHIP_TOL
 
     def _chord_impl(self, x, d):
         a = float(d @ self._inv @ d)
         b = float(x @ self._inv @ d)
-        c = self.quadratic(x) - 1.0
+        c = float(x @ self._inv @ x) - 1.0
         disc = b * b - a * c
         if disc <= 0.0:
             return 0.0, 0.0  # tangency: degenerate interval

@@ -19,7 +19,7 @@ import json
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -256,8 +256,8 @@ def _run_grid(row, points: list, kind: str, master_seed: int, seeds: list[int], 
     The row for the i-th point draws from the stream keyed by (kind, i, seed)
     under ``master_seed``, so it does not depend on which worker computes it,
     and ``pool.map`` keeps config order for any ``workers``.  This is the one
-    place where a package error, or a floating-point overflow, in a row
-    becomes an ``ExperimentError`` naming the seed.
+    place where a row's package error, floating-point overflow or refused
+    allocation becomes an ``ExperimentError`` naming the seed.
     """
 
     def one(task) -> dict:
@@ -266,7 +266,7 @@ def _run_grid(row, points: list, kind: str, master_seed: int, seeds: list[int], 
         try:
             with np.errstate(over="raise"):
                 return row(point, seed, rng)
-        except (ValueError, ArithmeticError, jsp.SparsifyError) as exc:
+        except (ValueError, ArithmeticError, MemoryError, jsp.SparsifyError) as exc:
             raise ExperimentError(f"seed {seed}: {exc}") from exc
 
     tasks = [(i, point, seed) for i, point in enumerate(points) for seed in seeds]
@@ -277,11 +277,9 @@ def _run_grid(row, points: list, kind: str, master_seed: int, seeds: list[int], 
 
 
 # Each experiment kind is a plan: plan(cfg) resolves the sampler, body or
-# fixture once and returns (row, header, points), where row(M, seed, rng)
-# computes one output row from that seed's stream.
-
-SWEEP_HEADER = ["experiment", *(f.name for f in fields(mom.DeviationReport))]
-SWEEP_AGG_HEADER = ["experiment", "n", "M", "sampler", "n_seeds", "mean_deviation", "normalized_deviation"]
+# fixture once and returns (row, points), where row(M, seed, rng) computes
+# one output row from that seed's stream.  The row's keys, in order, are the
+# kind's output columns.
 
 
 def _plan_sweep(cfg: ExperimentConfig):
@@ -292,7 +290,7 @@ def _plan_sweep(cfg: ExperimentConfig):
         batch = smp.SampleBatch(vectors=draw(m, rng), sampler=cfg.sampler, seed=seed)
         return {"experiment": cfg.kind, **asdict(mom.concentration_report(batch))}
 
-    return row, SWEEP_HEADER, cfg.m_grid
+    return row, cfg.m_grid
 
 
 def _sweep_aggregates(cfg: ExperimentConfig, rows: list[dict]) -> list[dict]:
@@ -313,18 +311,6 @@ def _sweep_aggregates(cfg: ExperimentConfig, rows: list[dict]) -> list[dict]:
             }
         )
     return aggregates
-
-
-WHITEN_HEADER = [
-    "experiment",
-    "n",
-    "M",
-    "seed",
-    "eps",
-    "deviation_raw",
-    "deviation_whitened",
-    "isotropic",
-]
 
 
 def default_distortion(n: int) -> list[float]:
@@ -367,24 +353,7 @@ def _plan_whiten(cfg: ExperimentConfig):
             "isotropic": dev <= cfg.eps,
         }
 
-    return row, WHITEN_HEADER, [cfg.m]
-
-
-TRUNCATED_HEADER = [
-    "experiment",
-    "n",
-    "R",
-    "eps",
-    "c0",
-    "M",
-    "seed",
-    "sampler",
-    "deviation",
-    "log_moment",
-    "rhs_shape",
-    "ratio",
-    "isotropic",
-]
+    return row, [cfg.m]
 
 
 def truncated_sample_count(n: int, r: float, eps: float, c0: float) -> int:
@@ -408,6 +377,7 @@ def _plan_truncated(cfg: ExperimentConfig):
         rep = mom.concentration_report(smp.SampleBatch(vectors=vectors, sampler=label, seed=seed))
         return {
             "experiment": cfg.kind,
+            "n": cfg.n,  # asdict(rep) sets the value; this sets the column's place
             "R": cfg.r,
             "eps": cfg.eps,
             "c0": cfg.c0,
@@ -415,25 +385,7 @@ def _plan_truncated(cfg: ExperimentConfig):
             "isotropic": rep.deviation <= cfg.eps,
         }
 
-    return row, TRUNCATED_HEADER, [truncated_sample_count(cfg.n, cfg.r, cfg.eps, cfg.c0)]
-
-
-JOHN_HEADER = [
-    "experiment",
-    "fixture",
-    "n",
-    "eps",
-    "C",
-    "M",
-    "seed",
-    "accepted",
-    "attempts",
-    "residual_norm",
-    "u_norm_sqrt_m",
-    "centroid_norm",
-    "deviation_failures",
-    "point_sum_failures",
-]
+    return row, [truncated_sample_count(cfg.n, cfg.r, cfg.eps, cfg.c0)]
 
 
 def _plan_john(cfg: ExperimentConfig):
@@ -473,11 +425,7 @@ def _plan_john(cfg: ExperimentConfig):
         )
         return out
 
-    return row, JOHN_HEADER, [jsp.choose_M(cfg.n, cfg.eps, cfg.c)]
-
-
-BOUND_HEADER = ["experiment", *(f.name for f in fields(brn.SignedSumReport))]
-SYMMETRIZE_HEADER = ["experiment", "n", "M", "trials", "seed", "lhs", "rhs", "lhs_se", "rhs_se", "holds"]
+    return row, [jsp.choose_M(cfg.n, cfg.eps, cfg.c)]
 
 
 def _plan_bernoulli(cfg: ExperimentConfig):
@@ -489,7 +437,7 @@ def _plan_bernoulli(cfg: ExperimentConfig):
         def ratio_row(m: int, seed: int, rng: smp.RandomStream) -> dict:
             return {"experiment": cfg.kind, **asdict(brn.bound_ratio(draw(m, rng), cfg.trials, rng, seed=seed))}
 
-        return ratio_row, BOUND_HEADER, cfg.m_grid
+        return ratio_row, cfg.m_grid
 
     def symmetrize_row(m: int, seed: int, rng: smp.RandomStream) -> dict:
         res = brn.symmetrization_check(draw, cfg.n, m, cfg.trials, rng)
@@ -497,12 +445,13 @@ def _plan_bernoulli(cfg: ExperimentConfig):
             "experiment": cfg.kind,
             "n": cfg.n,
             "M": m,
+            "trials": cfg.trials,  # asdict(res) sets the value; this sets the column's place
             "seed": seed,
             **asdict(res),
             "holds": res.holds(),
         }
 
-    return symmetrize_row, SYMMETRIZE_HEADER, [cfg.m]
+    return symmetrize_row, [cfg.m]
 
 
 _PLANS = {
@@ -775,10 +724,11 @@ def run_check(seed: int = 0) -> ExperimentResult:
 def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     """Validate ``cfg`` and run its experiment through the grid runner."""
     cfg.validate()
-    row, header, points = _PLANS[cfg.kind](cfg)
+    row, points = _PLANS[cfg.kind](cfg)
     rows = _run_grid(row, points, cfg.kind, cfg.seed, cfg.seeds, cfg.workers)
     if cfg.kind == "sweep":
-        return ExperimentResult(header, rows, SWEEP_AGG_HEADER, _sweep_aggregates(cfg, rows))
+        aggregates = _sweep_aggregates(cfg, rows)
+        return ExperimentResult(list(rows[0]), rows, list(aggregates[0]), aggregates)
     if cfg.kind == "john-sparsify" and not any(r["accepted"] for r in rows):
         raise ExperimentError(f"sparsifier failed on all {len(rows)} seeds (fixture {cfg.fixture}, n={cfg.n})")
-    return ExperimentResult(header, rows)
+    return ExperimentResult(list(rows[0]), rows)

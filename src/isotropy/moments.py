@@ -101,9 +101,8 @@ def concentration_report(batch: SampleBatch) -> DeviationReport:
     m = batch.M
     if m < 3:
         raise MomentsError("need M >= 3 so the exponent log M exceeds 1")
-    p = max(2.0, math.log(m))
     dev = deviation(empirical_second_moment(batch))
-    lm = log_moment(batch, p)
+    lm = log_moment(batch)
     rhs_shape = math.sqrt(math.log(m) / m) * lm
     ratio = dev / rhs_shape if rhs_shape > 0.0 else math.inf
     return DeviationReport(

@@ -237,7 +237,6 @@ class TruncatedSampler:
         if R <= 0.0:
             raise SamplerError("truncation factor R must be positive")
         self.body = body
-        self.R = float(R)
         self.rho = float(R) * np.sqrt(body.n)
         self.rng = rng
         self.truncated = Truncated(base=body, radius=self.rho)

@@ -11,13 +11,6 @@ import pytest
 from isotropy import cli, harness
 from isotropy import johnsparse as jsp
 from isotropy.harness import (
-    JOHN_HEADER,
-    BOUND_HEADER,
-    SWEEP_AGG_HEADER,
-    SWEEP_HEADER,
-    SYMMETRIZE_HEADER,
-    TRUNCATED_HEADER,
-    WHITEN_HEADER,
     ConfigError,
     ExperimentConfig,
     ExperimentError,
@@ -52,6 +45,47 @@ SHIPPED_CONFIG_COMMANDS = {
     "symmetrize.cfg": "bernoulli",
     "truncated.cfg": "truncated",
     "whiten.cfg": "whiten",
+}
+
+# The column contract: each output's header, in order, keyed by the output's name.
+COLUMNS = {
+    "bernoulli": ["experiment", "M", "n", "trials", "seed", "estimate", "Q", "base_norm", "bound_shape", "ratio"],
+    "check": ["experiment", "check", "ok", "invariant"],
+    "john": [
+        "experiment",
+        "fixture",
+        "n",
+        "eps",
+        "C",
+        "M",
+        "seed",
+        "accepted",
+        "attempts",
+        "residual_norm",
+        "u_norm_sqrt_m",
+        "centroid_norm",
+        "deviation_failures",
+        "point_sum_failures",
+    ],
+    "sweep": ["experiment", "n", "M", "seed", "sampler", "deviation", "log_moment", "rhs_shape", "ratio"],
+    "sweep.agg": ["experiment", "n", "M", "sampler", "n_seeds", "mean_deviation", "normalized_deviation"],
+    "symmetrize": ["experiment", "n", "M", "trials", "seed", "lhs", "rhs", "lhs_se", "rhs_se", "holds"],
+    "truncated": [
+        "experiment",
+        "n",
+        "R",
+        "eps",
+        "c0",
+        "M",
+        "seed",
+        "sampler",
+        "deviation",
+        "log_moment",
+        "rhs_shape",
+        "ratio",
+        "isotropic",
+    ],
+    "whiten": ["experiment", "n", "M", "seed", "eps", "deviation_raw", "deviation_whitened", "isotropic"],
 }
 
 SWEEP_TEXT = """
@@ -166,7 +200,7 @@ class TestRunSweep:
     def test_row_and_aggregate_counts(self):
         cfg = parse_config(SWEEP_TEXT)
         res = run_experiment(cfg)
-        assert res.header == SWEEP_HEADER and res.agg_header == SWEEP_AGG_HEADER
+        assert res.header == COLUMNS["sweep"] and res.agg_header == COLUMNS["sweep.agg"]
         assert len(res.rows) == 2 * 3 and len(res.aggregates) == 2
         keys = {(r["M"], r["seed"]) for r in res.rows}
         assert len(keys) == 6  # one row per (config point, seed)
@@ -224,7 +258,7 @@ class TestRunWhiten:
     def test_round_trip_rows(self):
         cfg = parse_config("kind=whiten\nsampler=cube\nn=4\nm=20000\neps=0.15\nseeds=0,1\ndistortion=2,1,1,0.5\n")
         res = run_experiment(cfg)
-        assert res.header == WHITEN_HEADER
+        assert res.header == COLUMNS["whiten"]
         for row in res.rows:
             assert row["deviation_raw"] > 1.0  # the distortion is far from isotropic
             assert row["deviation_whitened"] < 0.15
@@ -251,7 +285,7 @@ class TestRunTruncated:
         dev_s = np.array([r["deviation"] for r in res_s.rows])
         se = math.hypot(dev_t.std(ddof=1), dev_s.std(ddof=1)) / math.sqrt(len(dev_t))
         assert abs(dev_t.mean() - dev_s.mean()) <= 3.0 * se
-        assert res_t.header == TRUNCATED_HEADER
+        assert res_t.header == COLUMNS["truncated"]
 
     def test_degenerate_radius_is_a_config_error(self):
         # R^2 n / eps^2 <= 1 leaves the sample-count rule undefined.
@@ -269,11 +303,21 @@ class TestRunJohn:
     def test_rows_and_attempt_bounds(self):
         cfg = parse_config("kind=john-sparsify\nfixture=simplex\nn=4\neps=0.25\nc=2\nseeds=0,1,2,3\n")
         res = run_experiment(cfg)
-        assert res.header == JOHN_HEADER
+        assert res.header == COLUMNS["john"]
         for row in res.rows:
             assert row["attempts"] <= cfg.max_attempts
             assert row["accepted"] is True
             assert row["residual_norm"] < 0.25
+
+    def test_rejected_and_accepted_rows_share_columns(self):
+        # The header is the first row's keys, and here the first row is a rejected seed.
+        cfg = parse_config(
+            "kind=john-sparsify\nfixture=cross-polytope\nn=8\neps=0.3\nc=1.5\nmax_attempts=1\nseeds=0,1,2,3,4,5\n"
+        )
+        res = run_experiment(cfg)
+        assert not res.rows[0]["accepted"] and any(r["accepted"] for r in res.rows)
+        assert res.header == COLUMNS["john"]
+        assert all(list(row) == res.header for row in res.rows)
 
     def test_all_seeds_failed(self):
         cfg = parse_config("kind=john-sparsify\nfixture=cross-polytope\nn=8\neps=0.05\nc=0.01\nmax_attempts=2\nseeds=0,1\n")
@@ -285,14 +329,14 @@ class TestRunBernoulli:
     def test_ratio_rows(self):
         cfg = parse_config("kind=bernoulli\nmode=ratio\nsampler=cube\nn=4\nm_grid=16,64\nseeds=0,1\ntrials=100\n")
         res = run_experiment(cfg)
-        assert res.header == BOUND_HEADER
+        assert res.header == COLUMNS["bernoulli"]
         assert len(res.rows) == 4
         assert all(r["ratio"] <= 8.0 for r in res.rows)
 
     def test_symmetrize_rows(self):
         cfg = parse_config("kind=bernoulli\nmode=symmetrize\nsampler=cube\nn=4\nm=128\ntrials=100\nseeds=0,1\n")
         res = run_experiment(cfg)
-        assert res.header == SYMMETRIZE_HEADER
+        assert res.header == COLUMNS["symmetrize"]
         assert all(r["holds"] for r in res.rows)
 
 
@@ -429,12 +473,23 @@ class TestCli:
         assert err.startswith("error: seed 0: certificate failed") and err.count("error:") == 1
         assert "Traceback" not in err
 
-    def test_validated_run_failure_is_one_error_line(self, tmp_path):
-        # The config passes validate(); the second moment of the distorted draws overflows mid-run.
-        path = tmp_path / "whiten.cfg"
-        path.write_text("n=2\nm=100\ndistortion=1e200,1\nseeds=0\n", encoding="utf-8")
+    @pytest.mark.parametrize(
+        "command, text",
+        [
+            ("whiten", "n=2\nm=100\ndistortion=1e200,1\nseeds=0\n"),
+            ("truncated", "sampler=cube\nn=16\nr=1\neps=0.2\nc0=1e10\nseeds=0\n"),
+            ("sweep", "sampler=cube\nn=16\nm_grid=100000000000000\nseeds=0\n"),
+        ],
+        ids=["whiten", "truncated", "sweep"],
+    )
+    def test_validated_run_failure_is_one_error_line(self, tmp_path, command, text):
+        # Each config passes validate().  whiten: the second moment of the distorted draws
+        # overflows mid-run.  truncated and sweep: M is finite, but the (M, 16) draw needs
+        # 2.72 PiB and 11.4 PiB, which numpy refuses before it allocates anything.
+        path = tmp_path / f"{command}.cfg"
+        path.write_text(text, encoding="utf-8")
         proc = subprocess.run(
-            [sys.executable, "-m", "isotropy.cli", "whiten", "--config", str(path)],
+            [sys.executable, "-m", "isotropy.cli", command, "--config", str(path)],
             capture_output=True,
             text=True,
         )
@@ -453,6 +508,7 @@ class TestCli:
         for out in outs:
             with open(out, newline="", encoding="utf-8") as fh:
                 header, *rows = csv.reader(fh)
+            assert header == COLUMNS[out.name.removesuffix(".csv")], out.name
             assert rows and all(len(row) == len(header) for row in rows), out.name
 
     def test_deterministic_csv(self, tmp_path):
@@ -464,7 +520,7 @@ class TestCli:
         assert out1.read_bytes() == out2.read_bytes()
         assert (tmp_path / "a.agg.csv").read_bytes() == (tmp_path / "b.agg.csv").read_bytes()
         header = out1.read_text(encoding="utf-8").splitlines()[0]
-        assert header == ",".join(SWEEP_HEADER)
+        assert header == ",".join(COLUMNS["sweep"])
 
     def test_seed_flag_changes_output(self, tmp_path):
         cfg = tmp_path / "sweep.cfg"
@@ -507,7 +563,7 @@ class TestCli:
             assert run_cli(["sweep", "--config", str(cfg), "--out", out]) == 0, out
             assert (tmp_path / out).is_file() and (tmp_path / f"{out}.agg").is_file(), out
         header = (tmp_path / "res.agg").read_text(encoding="utf-8").splitlines()[0]
-        assert header == ",".join(SWEEP_AGG_HEADER)
+        assert header == ",".join(COLUMNS["sweep.agg"])
 
     @pytest.mark.parametrize("command", ["sweep", "check"])
     def test_unwritable_out_exits_one(self, tmp_path, capsys, command):
@@ -525,7 +581,7 @@ class TestCli:
         cfg.write_text(SWEEP_TEXT, encoding="utf-8")
         assert run_cli(["sweep", "--config", str(cfg)]) == 0
         out = capsys.readouterr().out
-        assert out.startswith(",".join(SWEEP_HEADER))
+        assert out.startswith(",".join(COLUMNS["sweep"]))
 
     def test_installed_entry_point(self, tmp_path):
         cfg = tmp_path / "sweep.cfg"
