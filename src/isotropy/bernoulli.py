@@ -31,6 +31,7 @@ __all__ = [
 
 EXACT_ENUMERATION_CAP = 20
 DEFAULT_TRIALS = 1000
+_SIGN_ENTRIES = 1 << 18  # signs per chunk of a signed-sum GEMM: 3 MB as int32 draw plus floats
 
 
 class BernoulliError(ValueError):
@@ -46,29 +47,47 @@ def _as_points(points) -> np.ndarray:
     return y
 
 
-def _signed_sum_norms(y: np.ndarray, signs: np.ndarray) -> np.ndarray:
-    """Operator norms of sum_i signs[t, i] y_i (x) y_i for each row t of signs.
+def _signed_sum_norms(y: np.ndarray, sign_rows, trials: int) -> np.ndarray:
+    """Operator norms of sum_i s[t, i] y_i (x) y_i for t < trials.
 
-    Row i of ``outer`` is y_i (x) y_i flattened, so a chunk of signed sums
-    is one GEMM; the chunk cap bounds the working set to 2^20 entries.
+    ``sign_rows(a, b)`` returns rows a..b-1 of the (trials, M) sign array s;
+    it is called on consecutive ranges, so s is never held whole.  Row i of
+    ``outer`` is y_i (x) y_i flattened, so signed sums are a GEMM, filled
+    chunk by chunk into blocks of at most 2^20 entries with one operator_norm
+    call per block.
     """
     m, n = y.shape
     outer = (y[:, :, None] * y[:, None, :]).reshape(m, n * n)
-    chunk = max(1, (1 << 20) // (n * n))
-    norms = np.empty(signs.shape[0])
-    for start in range(0, signs.shape[0], chunk):
-        sums = signs[start : start + chunk] @ outer
-        norms[start : start + chunk] = operator_norm(sums.reshape(-1, n, n))
+    batch = max(1, (1 << 20) // (n * n))
+    # BLAS rounds a one-row product (gemv) or one under about 10^6 multiply-adds (a small-matrix
+    # kernel) unlike the block's GEMM, and gemv (n = 1) rounds alike only by aligned groups of
+    # 4 rows.  So a chunk is a multiple of 4 rows and at least _SIGN_ENTRIES signs, and the last
+    # chunk of a block takes the remainder: each row of sums has the bits of one whole-block GEMM.
+    rows = 4 * -(-_SIGN_ENTRIES // (4 * m))
+    norms = np.empty(trials)
+    block = np.empty((min(batch, trials), n * n))
+    for start in range(0, trials, batch):
+        stop = min(start + batch, trials)
+        a = start
+        while a < stop:
+            b = stop if stop - a < 2 * rows else a + rows
+            np.matmul(sign_rows(a, b), outer, out=block[a - start : b - start])
+            a = b
+        norms[start:stop] = operator_norm(block[: stop - start].reshape(-1, n, n))
     return norms
 
 
 def rademacher_trial_norms(points, trials: int, rng: RandomStream) -> np.ndarray:
-    """Per-trial norms |sum eps_i y_i (x) y_i| with fresh signs each trial."""
+    """Per-trial norms |sum eps_i y_i (x) y_i| with fresh signs each trial.
+
+    The signs are drawn chunk by chunk in row order, the stream order of one
+    (trials, M) draw.
+    """
     if trials < 1:
         raise BernoulliError("trials must be >= 1")
     y = _as_points(points)
-    signs = rng.signs((trials, y.shape[0]))
-    return _signed_sum_norms(y, signs)
+    m = y.shape[0]
+    return _signed_sum_norms(y, lambda a, b: rng.signs((b - a, m)), trials)
 
 
 def rademacher_exact(points) -> float:
@@ -81,13 +100,17 @@ def rademacher_exact(points) -> float:
     m = y.shape[0]
     if m > EXACT_ENUMERATION_CAP:
         raise BernoulliError(f"exact enumeration capped at M={EXACT_ENUMERATION_CAP}, got {m}")
-    k = np.arange(2 ** (m - 1))
-    signs = np.ones((k.size, m))
-    if m > 1:
-        signs[:, 1:] = 1.0 - 2.0 * ((k[:, None] >> np.arange(m - 1)) & 1)
-    norms = _signed_sum_norms(y, signs)
+
+    def patterns(a: int, b: int) -> np.ndarray:
+        # Pattern k has sign -1 at point i + 1 where bit i of k is set.
+        signs = np.ones((b - a, m))
+        if m > 1:
+            signs[:, 1:] = 1.0 - 2.0 * ((np.arange(a, b)[:, None] >> np.arange(m - 1)) & 1)
+        return signs
+
+    norms = _signed_sum_norms(y, patterns, 2 ** (m - 1))
     # Spot-check the halving symmetry on the first pattern.
-    flipped = _signed_sum_norms(y, -signs[:1])
+    flipped = _signed_sum_norms(y, lambda a, b: -patterns(0, 1), 1)
     assert abs(flipped[0] - norms[0]) <= 1e-12 * (1.0 + norms[0]), "sign-flip symmetry violated"
     return float(np.mean(norms))
 

@@ -55,9 +55,17 @@ def _as_point(x, n: int) -> np.ndarray:
     return x
 
 
-def _is_finite(x: np.ndarray) -> bool:
-    # x.dot(x) is finite whenever x is, unless it overflows; the full test settles that case.
-    return math.isfinite(x.dot(x)) or bool(np.isfinite(x).all())
+def _is_finite(x: np.ndarray, xx: float) -> bool:
+    """Whether every entry of x is finite, given xx = x.dot(x) or x.sum().
+
+    Either is finite whenever x is, unless it overflows; the full test settles that case.
+    """
+    return math.isfinite(xx) or bool(np.isfinite(x).all())
+
+
+def _in_ball(xx: float, radius: float) -> bool:
+    """Whether a point with squared norm xx lies in the centered ball of the given radius."""
+    return bool(math.sqrt(xx) <= radius + MEMBERSHIP_TOL * max(1.0, radius))
 
 
 class Body:
@@ -68,10 +76,11 @@ class Body:
     def membership(self, x) -> bool:
         """Whether x lies in the body; a non-finite point never does."""
         x = _as_point(x, self.n)
-        return _is_finite(x) and self._contains(x)
+        xx = float(x.dot(x))
+        return _is_finite(x, xx) and self._contains(x, xx)
 
-    def _contains(self, x: np.ndarray) -> bool:
-        """Membership of a finite point of the body's dimension."""
+    def _contains(self, x: np.ndarray, xx: float) -> bool:
+        """Membership of a finite point of the body's dimension with xx = x.dot(x)."""
         raise NotImplementedError
 
     def chord(self, x, d) -> tuple[float, float]:
@@ -85,16 +94,22 @@ class Body:
         # Written so that a NaN or infinite direction fails the test too.
         if not abs(float(d.dot(d)) - 1.0) <= 2e-10:
             raise GeometryError("direction must be a finite unit vector")
-        if not _is_finite(x):
+        xx = float(x.dot(x))
+        if not _is_finite(x, xx):
             raise GeometryError("chord base point must be finite")
-        if not self._contains(x):
+        chord = self._chord_impl(x, d, xx)
+        if chord is None:
             raise GeometryError("chord base point lies outside the body")
-        t_lo, t_hi = self._chord_impl(x, d)
+        t_lo, t_hi = chord
         # Roundoff can push a bound marginally across 0 when x sits on the
         # boundary; the contract is t_lo <= 0 <= t_hi.
         return min(t_lo, 0.0), max(t_hi, 0.0)
 
-    def _chord_impl(self, x: np.ndarray, d: np.ndarray) -> tuple[float, float]:
+    def _chord_impl(self, x: np.ndarray, d: np.ndarray, xx: float) -> tuple[float, float] | None:
+        """The chord through a finite x with xx = x.dot(x), or None when x lies outside.
+
+        Each body tests membership here, so the test's work serves the chord too.
+        """
         raise NotImplementedError
 
 
@@ -120,10 +135,10 @@ def _slab_chord(slack: list[float], coef: list[float]) -> tuple[float, float]:
     return t_lo, t_hi
 
 
-def _sphere_chord(x: np.ndarray, d: np.ndarray, radius: float) -> tuple[float, float]:
-    """Chord of the centered ball of the given radius through x along unit d."""
+def _sphere_chord(x: np.ndarray, d: np.ndarray, radius: float, xx: float) -> tuple[float, float]:
+    """Chord of the centered ball of the given radius through x (xx = x.dot(x)) along unit d."""
     b = float(x.dot(d))
-    disc = b * b - (float(x.dot(x)) - radius**2)
+    disc = b * b - (xx - radius**2)
     root = math.sqrt(disc) if disc > 0.0 else 0.0
     return -b - root, -b + root
 
@@ -139,10 +154,12 @@ class Cube(Body):
         if self.halfwidth <= 0 or self.n < 1:
             raise GeometryError("cube needs positive halfwidth and dimension")
 
-    def _contains(self, x):
+    def _contains(self, x, xx):
         return bool(max(map(abs, x.tolist())) <= self.halfwidth + MEMBERSHIP_TOL * max(1.0, self.halfwidth))
 
-    def _chord_impl(self, x, d):
+    def _chord_impl(self, x, d, xx):
+        if not self._contains(x, xx):
+            return None
         # The rows a - x, a + x against d, -d, built as Python floats.
         a = float(self.halfwidth)
         xs, ds = x.tolist(), d.tolist()
@@ -160,11 +177,11 @@ class Ball(Body):
         if self.radius <= 0 or self.n < 1:
             raise GeometryError("ball needs positive radius and dimension")
 
-    def _contains(self, x):
-        return bool(math.sqrt(x.dot(x)) <= self.radius + MEMBERSHIP_TOL * max(1.0, self.radius))
+    def _contains(self, x, xx):
+        return _in_ball(xx, self.radius)
 
-    def _chord_impl(self, x, d):
-        return _sphere_chord(x, d, self.radius)
+    def _chord_impl(self, x, d, xx):
+        return _sphere_chord(x, d, self.radius, xx) if _in_ball(xx, self.radius) else None
 
 
 @dataclass(frozen=True)
@@ -194,13 +211,16 @@ class Simplex(Body):
     def _barycentric(self, x: np.ndarray) -> np.ndarray:
         return self._bary_inv @ np.concatenate((x, _ONE))
 
-    def _contains(self, x):
+    def _contains(self, x, xx):
         return min(self._barycentric(x).tolist()) >= -MEMBERSHIP_TOL
 
-    def _chord_impl(self, x, d):
-        # Barycentric coordinates along the line are lam + t * mu >= 0.
+    def _chord_impl(self, x, d, xx):
+        # Barycentric coordinates along the line are lam + t * mu >= 0; x is inside when lam >= 0.
+        lam = self._barycentric(x).tolist()
+        if not min(lam) >= -MEMBERSHIP_TOL:
+            return None
         mu = self._bary_inv @ np.concatenate((d, _ZERO))
-        return _slab_chord(self._barycentric(x).tolist(), [-c for c in mu.tolist()])
+        return _slab_chord(lam, [-c for c in mu.tolist()])
 
 
 @dataclass(frozen=True)
@@ -236,13 +256,16 @@ class Ellipsoid(Body):
         """Symmetric square root of the shape matrix (maps unit ball onto the body)."""
         return self._half
 
-    def _contains(self, x):
+    def _contains(self, x, xx):
         return float(x @ self._inv @ x) <= 1.0 + MEMBERSHIP_TOL
 
-    def _chord_impl(self, x, d):
+    def _chord_impl(self, x, d, xx):
+        q = float(x @ self._inv @ x)
+        if not q <= 1.0 + MEMBERSHIP_TOL:
+            return None
         a = float(d @ self._inv @ d)
         b = float(x @ self._inv @ d)
-        c = float(x @ self._inv @ x) - 1.0
+        c = q - 1.0
         disc = b * b - a * c
         if disc <= 0.0:
             return 0.0, 0.0  # tangency: degenerate interval
@@ -275,11 +298,13 @@ class HPolytope(Body):
         object.__setattr__(self, "offsets", b)
         object.__setattr__(self, "n", a.shape[1])
 
-    def _contains(self, x):
+    def _contains(self, x, xx):
         scale = 1.0 + float(np.max(np.abs(self.offsets)))
         return bool(np.max(self.rows @ x - self.offsets) <= MEMBERSHIP_TOL * scale)
 
-    def _chord_impl(self, x, d):
+    def _chord_impl(self, x, d, xx):
+        if not self._contains(x, xx):
+            return None
         return _slab_chord((self.offsets - self.rows @ x).tolist(), (self.rows @ d).tolist())
 
 
@@ -296,16 +321,19 @@ class Truncated(Body):
             raise GeometryError("truncation radius must be positive")
         object.__setattr__(self, "n", self.base.n)
 
-    def _contains(self, x):
-        ball_ok = math.sqrt(x.dot(x)) <= self.radius + MEMBERSHIP_TOL * max(1.0, self.radius)
-        return bool(ball_ok) and self.base._contains(x)
+    def _contains(self, x, xx):
+        return _in_ball(xx, self.radius) and self.base._contains(x, xx)
 
-    def _chord_impl(self, x, d):
-        # Body.chord has checked x and d once, and membership here implies
-        # base membership, so the private oracles compose directly.
-        lo_b, hi_b = self.base._chord_impl(x, d)
-        lo_s, hi_s = _sphere_chord(x, d, self.radius)
-        return max(lo_b, lo_s), min(hi_b, hi_s)
+    def _chord_impl(self, x, d, xx):
+        # Body.chord has checked x and d once, so the private oracles compose
+        # directly; the base chord tests base membership.
+        if not _in_ball(xx, self.radius):
+            return None
+        base = self.base._chord_impl(x, d, xx)
+        if base is None:
+            return None
+        lo_s, hi_s = _sphere_chord(x, d, self.radius, xx)
+        return max(base[0], lo_s), min(base[1], hi_s)
 
 
 def regular_simplex_vertices(n: int) -> np.ndarray:

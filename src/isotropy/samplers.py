@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import Ball, Body, Cube, Ellipsoid, JohnDecomposition, Simplex, Truncated
+from .geometry import Ball, Body, Cube, Ellipsoid, JohnDecomposition, Simplex, Truncated, _is_finite
 
 __all__ = [
     "SamplerError",
@@ -94,8 +94,13 @@ class RandomStream:
         return self._gen.standard_exponential(size)
 
     def signs(self, size=None) -> np.ndarray:
-        """Independent +-1 variables with probability 1/2 each."""
-        return 1.0 - 2.0 * self._gen.integers(0, 2, size=size)
+        """Independent +-1 variables with probability 1/2 each, as floats."""
+        # int32 and int64 draws on [0, 2) take the same 32-bit path: the same values and the
+        # same stream state after, from half the bytes.
+        s = self._gen.integers(0, 2, size=size, dtype=np.int32).astype(float)
+        s *= -2.0
+        s += 1.0
+        return s
 
 
 @dataclass(frozen=True, eq=False)
@@ -115,7 +120,11 @@ class SampleBatch:
         v = np.asarray(self.vectors, dtype=float)
         if v.ndim != 2 or v.shape[0] < 1:
             raise SamplerError(f"batch needs at least one vector, got shape {v.shape}")
-        if not np.all(np.isfinite(v)):
+        # The sum tests finiteness without an (M, n) mask.  A huge finite batch may overflow
+        # it, under the harness's over="raise" too, and then _is_finite runs the full test.
+        with np.errstate(over="ignore", invalid="ignore"):
+            total = float(v.sum())
+        if not _is_finite(v, total):
             raise SamplerError("batch vectors must be finite")
         v.setflags(write=False)
         object.__setattr__(self, "vectors", v)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,6 +14,17 @@ from isotropy.bernoulli import (
 )
 from isotropy.geometry import canonical_john, isotropic_normalization
 from isotropy.samplers import RandomStream, direct_draws, john_draws
+from isotropy.symlin import operator_norm
+
+
+def traced_peak_mb(fn) -> float:
+    """Peak traced allocation in MB while ``fn()`` runs."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
 
 
 @pytest.mark.parametrize("shape", [(0, 3), (5, 0), (5,)])
@@ -43,13 +55,36 @@ class TestRademacherEstimate:
             rademacher_trial_norms(np.eye(2), 0, RandomStream(seed=0, stream=0)).mean()
 
     def test_matches_per_trial_oracle_across_chunk_boundary(self):
-        # n = 16 gives chunks of 2^20 / 256 = 4096 signed sums, so 5000
-        # trials span one full chunk and a partial one.
+        # n = 16 gives blocks of 2^20 / 256 = 4096 signed sums per
+        # operator_norm call, so 5000 trials span one full block and a
+        # partial one.
         y = direct_draws(isotropic_normalization("cube", 16), 40, RandomStream(seed=3, stream=1))
         norms = rademacher_trial_norms(y, 5000, RandomStream(seed=3, stream=2))
         signs = RandomStream(seed=3, stream=2).signs((5000, 40))
         oracle = np.array([np.linalg.norm((s[:, None] * y).T @ y, 2) for s in signs])
         assert np.allclose(norms, oracle, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize(
+        "m, n, trials",
+        [(4096, 16, 400), (4096, 8, 386), (40000, 2, 200)],
+        ids=["six-chunks", "two-row-remainder", "small-chunks"],
+    )
+    def test_streamed_signs_match_one_shot_reference(self, m, n, trials):
+        # The reference draws every sign at once and makes one GEMM and one
+        # operator_norm call.  At M = 4096 a sign chunk is 64 rows; 64-row
+        # chunks with a 2-row last one, or 6-row chunks at M = 40000, would
+        # change bits here (BLAS sums a small product in another order).
+        y = direct_draws(isotropic_normalization("cube", n), m, RandomStream(seed=4, stream=0))
+        norms = rademacher_trial_norms(y, trials, RandomStream(seed=4, stream=1))
+        signs = RandomStream(seed=4, stream=1).signs((trials, m))
+        outer = (y[:, :, None] * y[:, None, :]).reshape(m, n * n)
+        reference = operator_norm((signs @ outer).reshape(-1, n, n))
+        assert norms.tobytes() == reference.tobytes()
+
+    def test_memory_does_not_follow_trials_times_m(self):
+        # One (trials, M) draw held 16 * trials * M bytes: 200 MiB traced here.
+        y = np.random.default_rng(0).standard_normal((65536, 2))
+        assert traced_peak_mb(lambda: rademacher_trial_norms(y, 200, RandomStream(seed=0, stream=0))) < 16
 
     @pytest.mark.parametrize("n", [2, 16])
     def test_khintchine_lower_bound(self, n):
@@ -83,6 +118,24 @@ class TestRademacherExact:
     def test_enumeration_cap(self):
         with pytest.raises(BernoulliError):
             rademacher_exact(np.ones((21, 2)))
+
+    def test_matches_full_enumeration(self):
+        y = np.random.default_rng(16).standard_normal((16, 3))
+        # Pattern k gives point 0 the sign of bit 15 and point i + 1 that of
+        # bit i, so the first half of the patterns, with point 0 at +1, is
+        # what the enumeration streams, and its mean must match to the bit.
+        k = np.arange(2**16)
+        signs = 1.0 - 2.0 * ((k[:, None] >> np.r_[15, 0:15]) & 1)
+        outer = (y[:, :, None] * y[:, None, :]).reshape(16, 9)
+        norms = operator_norm((signs @ outer).reshape(-1, 3, 3))
+        exact = rademacher_exact(y)
+        assert exact == float(np.mean(norms[: 2**15]))
+        assert exact == pytest.approx(float(np.mean(norms)), rel=1e-13)
+
+    def test_enumeration_streams_its_patterns(self):
+        # All 2^17 patterns at once peaked at 53 MB.
+        y = np.random.default_rng(18).standard_normal((18, 2))
+        assert traced_peak_mb(lambda: rademacher_exact(y)) < 32
 
     def test_monte_carlo_matches_exact(self):
         rng = np.random.default_rng(12)

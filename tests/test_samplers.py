@@ -36,6 +36,18 @@ class TestRandomStream:
     def test_signs_are_plus_minus_one(self):
         s = RandomStream(seed=1, stream=0).signs(1000)
         assert set(np.unique(s)) == {-1.0, 1.0}
+        assert isinstance(RandomStream(seed=1, stream=0).signs(), float)
+
+    def test_recorded_sign_bytes(self):
+        # Pins the sign draw and the stream state it leaves behind.
+        rng = RandomStream(seed=3, stream=5)
+        signs = rng.signs((400, 4096))
+        assert hashlib.sha256(signs.tobytes()).hexdigest() == (
+            "638a8c882fc1937821c47b32a8aa55323b8eff3123f3c02e28e3556d26ccca4d"
+        )
+        assert hashlib.sha256(rng.random(8).tobytes()).hexdigest() == (
+            "8494b62e9f3173a37a980085dd24f3775d29c1eb0f1ec30d68d65da97b624050"
+        )
 
     def test_seed_env_override(self, monkeypatch):
         monkeypatch.delenv("ISOTROPY_SEED", raising=False)
@@ -70,8 +82,15 @@ class TestSampleBatch:
             SampleBatch(vectors=np.empty((0, 3)), sampler="x", seed=0)
 
     def test_rejects_non_finite(self):
-        with pytest.raises(SamplerError):
-            SampleBatch(vectors=np.array([[1.0, np.inf]]), sampler="x", seed=0)
+        for bad in ([[1.0, np.inf]], [[np.nan, 1.0]], [[np.inf, -np.inf]], [[1e308, np.inf]]):
+            with pytest.raises(SamplerError):
+                SampleBatch(vectors=np.array(bad), sampler="x", seed=0)
+
+    def test_finite_entries_whose_sum_overflows(self):
+        # The harness runs rows under np.errstate(over="raise").
+        with np.errstate(all="raise"):
+            batch = SampleBatch(vectors=np.array([[1e308, 1e308], [1e308, -1.0]]), sampler="x", seed=0)
+        assert batch.M == 2
 
     def test_bit_reproducible(self):
         body = isotropic_normalization("cube", 5)
