@@ -20,7 +20,6 @@ from .samplers import RandomStream
 from .symlin import operator_norm
 
 __all__ = [
-    "BernoulliError",
     "SignedSumReport",
     "SymmetrizationResult",
     "rademacher_trial_norms",
@@ -34,16 +33,12 @@ DEFAULT_TRIALS = 1000
 _SIGN_ENTRIES = 1 << 18  # signs per chunk of a signed-sum GEMM: 3 MB as int32 draw plus floats
 
 
-class BernoulliError(ValueError):
-    pass
-
-
 def _as_points(points) -> np.ndarray:
     y = np.asarray(points, dtype=float)
     if y.ndim != 2 or 0 in y.shape:
-        raise BernoulliError(f"need an (M, n) point array with M, n >= 1, got shape {y.shape}")
+        raise ValueError(f"need an (M, n) point array with M, n >= 1, got shape {y.shape}")
     if not np.all(np.isfinite(y)):
-        raise BernoulliError("points must be finite")
+        raise ValueError("points must be finite")
     return y
 
 
@@ -84,7 +79,7 @@ def rademacher_trial_norms(points, trials: int, rng: RandomStream) -> np.ndarray
     (trials, M) draw.
     """
     if trials < 1:
-        raise BernoulliError("trials must be >= 1")
+        raise ValueError("trials must be >= 1")
     y = _as_points(points)
     m = y.shape[0]
     return _signed_sum_norms(y, lambda a, b: rng.signs((b - a, m)), trials)
@@ -99,7 +94,7 @@ def rademacher_exact(points) -> float:
     y = _as_points(points)
     m = y.shape[0]
     if m > EXACT_ENUMERATION_CAP:
-        raise BernoulliError(f"exact enumeration capped at M={EXACT_ENUMERATION_CAP}, got {m}")
+        raise ValueError(f"exact enumeration capped at M={EXACT_ENUMERATION_CAP}, got {m}")
 
     def patterns(a: int, b: int) -> np.ndarray:
         # Pattern k has sign -1 at point i + 1 where bit i of k is set.
@@ -141,7 +136,7 @@ def bound_ratio(points, trials: int, rng: RandomStream, seed: int | None = None)
     y = _as_points(points)
     m, n = y.shape
     if m < 3:
-        raise BernoulliError("need M >= 3")
+        raise ValueError("need M >= 3")
     norms = rademacher_trial_norms(y, trials, rng)
     estimate = float(np.mean(norms))
     q = float(np.max(np.linalg.norm(y, axis=1)))
@@ -184,7 +179,7 @@ def symmetrization_check(draw, n: int, M: int, trials: int, rng: RandomStream) -
     fresh signs per trial, matching the inequality's independent copies.
     """
     if trials < 1:
-        raise BernoulliError("trials must be >= 1")
+        raise ValueError("trials must be >= 1")
     eye = np.eye(n)
     lhs_mats = np.empty((trials, n, n))
     rhs_mats = np.empty((trials, n, n))

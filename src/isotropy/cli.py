@@ -2,9 +2,10 @@
 
 Subcommands: sweep, whiten, truncated, john-sparsify, bernoulli, check.
 Experiment subcommands read a flat key=value config file; `check` runs
-the built-in invariant suite.  Exit codes: 0 on success, 1 when an
-experiment or check fails, 2 for usage errors (unknown flags or
-subcommands, missing or invalid config).
+the built-in invariant suite.  ISOTROPY_SEED, when set, overrides
+--seed.  Exit codes: 0 on success, 1 when an experiment or check fails,
+2 for usage errors (unknown flags or subcommands, missing or invalid
+config, an ISOTROPY_SEED that is not a decimal integer).
 """
 
 from __future__ import annotations
@@ -14,7 +15,17 @@ import os
 import sys
 
 from . import harness
-from .samplers import SamplerError, seed_from_env
+
+
+def _seed_from_env(default: int) -> int:
+    """The seed: ISOTROPY_SEED when it is set, else ``default``."""
+    raw = os.environ.get("ISOTROPY_SEED")
+    if raw is None:
+        return default
+    try:
+        return int(raw, 10)
+    except ValueError as exc:
+        raise harness.ConfigError(f"ISOTROPY_SEED must be a decimal integer, got {raw!r}") from exc
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -62,8 +73,8 @@ def main(argv=None) -> int:
 
     if args.command == "check":
         try:
-            seed = seed_from_env(args.seed if args.seed is not None else 0)
-        except SamplerError as exc:
+            seed = _seed_from_env(args.seed if args.seed is not None else 0)
+        except harness.ConfigError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
         result = harness.run_check(seed=seed)
@@ -87,8 +98,8 @@ def main(argv=None) -> int:
         cfg = harness.load_config(args.config, kind=args.command)
         if args.seed is not None:
             cfg.seed = args.seed
-        cfg.seed = seed_from_env(cfg.seed)
-    except (harness.ConfigError, SamplerError) as exc:
+        cfg.seed = _seed_from_env(cfg.seed)
+    except harness.ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         print(parser.format_usage(), end="", file=sys.stderr)
         return 2

@@ -14,10 +14,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .symlin import SymLinError, _checked, operator_norm
+from .symlin import _checked, operator_norm
 
 __all__ = [
-    "GeometryError",
     "Body",
     "Cube",
     "Ball",
@@ -39,10 +38,6 @@ MEMBERSHIP_TOL = 1e-9
 CUBE_VERTEX_DIM_CAP = 20
 
 
-class GeometryError(ValueError):
-    """Invalid body data or oracle misuse."""
-
-
 # Appended to a point (1) or a direction (0) to take barycentric coordinates in one product.
 _ONE = np.ones(1)
 _ZERO = np.zeros(1)
@@ -51,7 +46,7 @@ _ZERO = np.zeros(1)
 def _as_point(x, n: int) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if x.shape != (n,):
-        raise GeometryError(f"point of dimension {x.shape} does not match body dimension {n}")
+        raise ValueError(f"point of dimension {x.shape} does not match body dimension {n}")
     return x
 
 
@@ -93,13 +88,13 @@ class Body:
         d = _as_point(d, self.n)
         # Written so that a NaN or infinite direction fails the test too.
         if not abs(float(d.dot(d)) - 1.0) <= 2e-10:
-            raise GeometryError("direction must be a finite unit vector")
+            raise ValueError("direction must be a finite unit vector")
         xx = float(x.dot(x))
         if not _is_finite(x, xx):
-            raise GeometryError("chord base point must be finite")
+            raise ValueError("chord base point must be finite")
         chord = self._chord_impl(x, d, xx)
         if chord is None:
-            raise GeometryError("chord base point lies outside the body")
+            raise ValueError("chord base point lies outside the body")
         t_lo, t_hi = chord
         # Roundoff can push a bound marginally across 0 when x sits on the
         # boundary; the contract is t_lo <= 0 <= t_hi.
@@ -131,7 +126,7 @@ def _slab_chord(slack: list[float], coef: list[float]) -> tuple[float, float]:
             if t > t_lo:
                 t_lo = t
     if not (math.isfinite(t_lo) and math.isfinite(t_hi)):
-        raise GeometryError("chord is unbounded; body data must describe a bounded set")
+        raise ValueError("chord is unbounded; body data must describe a bounded set")
     return t_lo, t_hi
 
 
@@ -152,7 +147,9 @@ class Cube(Body):
 
     def __post_init__(self):
         if self.halfwidth <= 0 or self.n < 1:
-            raise GeometryError("cube needs positive halfwidth and dimension")
+            raise ValueError("cube needs positive halfwidth and dimension")
+        if not math.isfinite(self.halfwidth):
+            raise ValueError("cube halfwidth must be finite")
 
     def _contains(self, x, xx):
         return bool(max(map(abs, x.tolist())) <= self.halfwidth + MEMBERSHIP_TOL * max(1.0, self.halfwidth))
@@ -175,7 +172,9 @@ class Ball(Body):
 
     def __post_init__(self):
         if self.radius <= 0 or self.n < 1:
-            raise GeometryError("ball needs positive radius and dimension")
+            raise ValueError("ball needs positive radius and dimension")
+        if not math.isfinite(self.radius):
+            raise ValueError("ball radius must be finite")
 
     def _contains(self, x, xx):
         return _in_ball(xx, self.radius)
@@ -194,7 +193,9 @@ class Simplex(Body):
     def __post_init__(self):
         v = np.asarray(self.vertices, dtype=float)
         if v.ndim != 2 or v.shape[0] != v.shape[1] + 1:
-            raise GeometryError(f"simplex needs n+1 vertices in dimension n, got shape {v.shape}")
+            raise ValueError(f"simplex needs n+1 vertices in dimension n, got shape {v.shape}")
+        if not np.all(np.isfinite(v)):
+            raise ValueError("simplex vertices must be finite")
         v = v.copy()
         v.setflags(write=False)
         object.__setattr__(self, "vertices", v)
@@ -204,9 +205,9 @@ class Simplex(Body):
         try:
             object.__setattr__(self, "_bary_inv", np.linalg.inv(m))
         except np.linalg.LinAlgError as exc:
-            raise GeometryError("degenerate simplex vertices") from exc
+            raise ValueError("degenerate simplex vertices") from exc
         if np.min(self._barycentric(np.zeros(self.n))) <= 0.0:
-            raise GeometryError("simplex must contain the origin strictly inside")
+            raise ValueError("simplex must contain the origin strictly inside")
 
     def _barycentric(self, x: np.ndarray) -> np.ndarray:
         return self._bary_inv @ np.concatenate((x, _ONE))
@@ -236,13 +237,10 @@ class Ellipsoid(Body):
     n: int = field(init=False)
 
     def __post_init__(self):
-        try:
-            shape = _checked(self.shape, ndims=(2,)).copy()
-        except SymLinError as exc:
-            raise GeometryError(f"ellipsoid shape: {exc}") from exc
+        shape = _checked(self.shape, ndims=(2,)).copy()
         vals, q = np.linalg.eigh(shape)
         if vals[0] <= 0.0:
-            raise GeometryError("ellipsoid shape matrix must be positive definite")
+            raise ValueError("ellipsoid shape matrix must be positive definite")
         inv = (q / vals) @ q.T
         half = (q * np.sqrt(vals)) @ q.T
         shape.setflags(write=False)
@@ -285,9 +283,9 @@ class HPolytope(Body):
         a = np.asarray(self.rows, dtype=float)
         b = np.asarray(self.offsets, dtype=float)
         if a.ndim != 2 or b.ndim != 1 or a.shape[0] != b.shape[0]:
-            raise GeometryError("need matching inequality rows and offsets")
+            raise ValueError("need matching inequality rows and offsets")
         if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
-            raise GeometryError("polytope data must be finite")
+            raise ValueError("polytope data must be finite")
         # Unlike the canonical families, explicit polytope data may be
         # non-centered; boundedness is enforced lazily by chord queries.
         a = a.copy()
@@ -318,7 +316,9 @@ class Truncated(Body):
 
     def __post_init__(self):
         if self.radius <= 0.0:
-            raise GeometryError("truncation radius must be positive")
+            raise ValueError("truncation radius must be positive")
+        if not math.isfinite(self.radius):
+            raise ValueError("truncation radius must be finite")
         object.__setattr__(self, "n", self.base.n)
 
     def _contains(self, x, xx):
@@ -344,7 +344,7 @@ def regular_simplex_vertices(n: int) -> np.ndarray:
     Pairwise inner products are exactly -1/n up to roundoff.
     """
     if n < 1:
-        raise GeometryError("dimension must be >= 1")
+        raise ValueError("dimension must be >= 1")
     m = n + 1
     u = np.ones(m) / np.sqrt(m)
     w = u - np.eye(m)[-1]
@@ -369,7 +369,7 @@ def isotropic_normalization(variant: str, n: int) -> Body:
     for vertex norm rho).
     """
     if n < 1:
-        raise GeometryError("dimension must be >= 1")
+        raise ValueError("dimension must be >= 1")
     key = variant.lower()
     if key == "cube":
         return Cube(halfwidth=np.sqrt(3.0), n=n)
@@ -378,7 +378,7 @@ def isotropic_normalization(variant: str, n: int) -> Body:
     if key == "simplex":
         scale = np.sqrt(n * (n + 2.0))
         return Simplex(vertices=regular_simplex_vertices(n) * scale)
-    raise GeometryError(f"no isotropic normalization for variant {variant!r}")
+    raise ValueError(f"no isotropic normalization for variant {variant!r}")
 
 
 @dataclass(frozen=True)
@@ -397,20 +397,20 @@ class JohnDecomposition:
         z = np.asarray(self.points, dtype=float)
         c = np.asarray(self.weights, dtype=float)
         if z.ndim != 2 or c.ndim != 1 or z.shape[0] != c.shape[0]:
-            raise GeometryError("need one weight per point")
+            raise ValueError("need one weight per point")
         if np.min(c, initial=np.inf) <= 0.0:
-            raise GeometryError("weights must be positive")
+            raise ValueError("weights must be positive")
         n = z.shape[1]
         tol = 1e-10
         if np.max(np.abs(np.linalg.norm(z, axis=1) - 1.0)) > tol:
-            raise GeometryError("contact points must be unit vectors")
+            raise ValueError("contact points must be unit vectors")
         resolution = (z.T * c) @ z
         if operator_norm(resolution - np.eye(n)) > tol:
-            raise GeometryError("weighted rank-one sum must resolve the identity")
+            raise ValueError("weighted rank-one sum must resolve the identity")
         if np.linalg.norm(c @ z) > tol:
-            raise GeometryError("weighted point sum must vanish")
+            raise ValueError("weighted point sum must vanish")
         if abs(float(np.sum(c)) - n) > tol:
-            raise GeometryError("weights must sum to the dimension")
+            raise ValueError("weights must sum to the dimension")
         z = z.copy()
         c = c.copy()
         z.setflags(write=False)
@@ -432,7 +432,7 @@ def canonical_john(variant: str, n: int) -> JohnDecomposition:
     simplex: the n+1 regular simplex vertices, weights n/(n+1).
     """
     if n < 1:
-        raise GeometryError("dimension must be >= 1")
+        raise ValueError("dimension must be >= 1")
     key = variant.lower().replace("_", "-")
     if key == "cross-polytope":
         eye = np.eye(n)
@@ -440,7 +440,7 @@ def canonical_john(variant: str, n: int) -> JohnDecomposition:
         weights = np.full(2 * n, 0.5)
     elif key == "cube-vertices":
         if n > CUBE_VERTEX_DIM_CAP:
-            raise GeometryError(f"cube-vertices fixture capped at n={CUBE_VERTEX_DIM_CAP}")
+            raise ValueError(f"cube-vertices fixture capped at n={CUBE_VERTEX_DIM_CAP}")
         k = np.arange(2**n)
         signs = 1.0 - 2.0 * ((k[:, None] >> np.arange(n)) & 1)
         points = signs / np.sqrt(n)
@@ -449,5 +449,5 @@ def canonical_john(variant: str, n: int) -> JohnDecomposition:
         points = regular_simplex_vertices(n)
         weights = np.full(n + 1, n / (n + 1.0))
     else:
-        raise GeometryError(f"unknown John fixture variant {variant!r}")
+        raise ValueError(f"unknown John fixture variant {variant!r}")
     return JohnDecomposition(points=points, weights=weights)

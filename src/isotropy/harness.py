@@ -19,7 +19,7 @@ import json
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -28,7 +28,6 @@ from . import geometry as geo
 from . import johnsparse as jsp
 from . import moments as mom
 from . import samplers as smp
-from .moments import format_float
 from .symlin import inv_sqrt, operator_norm
 
 __all__ = [
@@ -126,19 +125,22 @@ class ExperimentConfig:
             raise ConfigError(f"the {self.kind} sample-count rule gives no finite M: {exc}") from exc
 
 
-_INT_KEYS = {"n", "m", "trials", "max_attempts", "seed", "workers"}
-_FLOAT_KEYS = {"eps", "r", "c", "c0"}
-_INT_LIST_KEYS = {"m_grid", "seeds"}
-_FLOAT_LIST_KEYS = {"distortion"}
-_STR_KEYS = {"kind", "sampler", "fixture", "mode"}
+def _list_of(parse):
+    """Parser of a comma-separated list; empty items are skipped."""
+    return lambda val: [parse(v) for v in val.split(",") if v.strip() != ""]
+
+
+# Each config key is parsed by the annotation of its ExperimentConfig field.
+_PARSERS = {"int": int, "float": float, "str": str, "list[int]": _list_of(int), "list[float] | None": _list_of(float)}
+_KEY_PARSERS = {f.name: _PARSERS[f.type] for f in fields(ExperimentConfig)}
 
 
 def parse_config(text: str, kind: str | None = None) -> ExperimentConfig:
     """Parse flat key=value config text (comma-separated list values).
 
-    Blank lines and lines starting with '#' are skipped.  ``kind`` from
-    the caller (the CLI subcommand) must agree with a kind key in the
-    text, if present.
+    Blank lines and lines starting with '#' are skipped; an unknown or
+    repeated key is an error.  ``kind`` from the caller (the CLI
+    subcommand) must agree with a kind key in the text, if present.
     """
     values: dict[str, object] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -150,19 +152,12 @@ def parse_config(text: str, kind: str | None = None) -> ExperimentConfig:
         key, _, val = line.partition("=")
         key = key.strip().lower()
         val = val.strip()
+        if key not in _KEY_PARSERS:
+            raise ConfigError(f"line {lineno}: unknown key {key!r}")
+        if key in values:
+            raise ConfigError(f"line {lineno}: repeated key {key!r}")
         try:
-            if key in _INT_KEYS:
-                values[key] = int(val)
-            elif key in _FLOAT_KEYS:
-                values[key] = float(val)
-            elif key in _INT_LIST_KEYS:
-                values[key] = [int(v) for v in val.split(",") if v.strip() != ""]
-            elif key in _FLOAT_LIST_KEYS:
-                values[key] = [float(v) for v in val.split(",") if v.strip() != ""]
-            elif key in _STR_KEYS:
-                values[key] = val
-            else:
-                raise ConfigError(f"line {lineno}: unknown key {key!r}")
+            values[key] = _KEY_PARSERS[key](val)
         except ValueError as exc:
             raise ConfigError(f"line {lineno}: bad value for {key!r}: {val!r}") from exc
     if kind is not None:
@@ -212,7 +207,7 @@ def _format_value(v) -> str:
     if isinstance(v, (int, np.integer)):
         return str(int(v))
     if isinstance(v, (float, np.floating)):
-        return format_float(float(v))
+        return format(float(v), ".17g")
     return str(v)
 
 
@@ -256,8 +251,8 @@ def _run_grid(row, points: list, kind: str, master_seed: int, seeds: list[int], 
     The row for the i-th point draws from the stream keyed by (kind, i, seed)
     under ``master_seed``, so it does not depend on which worker computes it,
     and ``pool.map`` keeps config order for any ``workers``.  This is the one
-    place where a row's package error, floating-point overflow or refused
-    allocation becomes an ``ExperimentError`` naming the seed.
+    place where a row's ValueError (every package error is one), floating-point
+    overflow or refused allocation becomes an ``ExperimentError`` naming the seed.
     """
 
     def one(task) -> dict:
@@ -266,7 +261,7 @@ def _run_grid(row, points: list, kind: str, master_seed: int, seeds: list[int], 
         try:
             with np.errstate(over="raise"):
                 return row(point, seed, rng)
-        except (ValueError, ArithmeticError, MemoryError, jsp.SparsifyError) as exc:
+        except (ValueError, ArithmeticError, MemoryError) as exc:
             raise ExperimentError(f"seed {seed}: {exc}") from exc
 
     tasks = [(i, point, seed) for i, point in enumerate(points) for seed in seeds]

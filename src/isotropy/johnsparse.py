@@ -19,9 +19,7 @@ from .samplers import RandomStream, john_draws
 from .symlin import operator_norm
 
 __all__ = [
-    "SparsifyError",
     "SparsifyRejectionError",
-    "CertificateError",
     "ApproxJohn",
     "VerifyReport",
     "choose_M",
@@ -40,11 +38,7 @@ DEFAULT_MAX_ATTEMPTS = 16
 POINT_SUM_FACTOR = 2.0
 
 
-class SparsifyError(RuntimeError):
-    pass
-
-
-class SparsifyRejectionError(SparsifyError):
+class SparsifyRejectionError(ValueError):
     """Every attempt was rejected; carries per-condition failure counts."""
 
     def __init__(self, attempts: int, deviation_failures: int, point_sum_failures: int):
@@ -56,10 +50,6 @@ class SparsifyRejectionError(SparsifyError):
             f"(deviation condition failed {deviation_failures}x, "
             f"point-sum condition failed {point_sum_failures}x)"
         )
-
-
-class CertificateError(SparsifyError):
-    """Residual certificate failed after acceptance; M is too small for eps."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -79,9 +69,9 @@ class ApproxJohn:
         x = np.asarray(self.points, dtype=float)
         u = np.asarray(self.shift, dtype=float)
         if x.ndim != 2 or u.shape != (x.shape[1],):
-            raise SparsifyError(f"inconsistent shapes: points {x.shape}, shift {u.shape}")
+            raise ValueError(f"inconsistent shapes: points {x.shape}, shift {u.shape}")
         if not (np.all(np.isfinite(x)) and np.all(np.isfinite(u))):
-            raise SparsifyError("points and shift must be finite")
+            raise ValueError("points and shift must be finite")
         x = x.copy()
         u = u.copy()
         x.setflags(write=False)
@@ -108,11 +98,11 @@ class VerifyReport:
 def choose_M(n: int, eps: float, C: float) -> int:
     """Sample count ceil((C/eps^2) n log(n/eps)), floored at n+1."""
     if n < 1:
-        raise SparsifyError("dimension must be >= 1")
+        raise ValueError("dimension must be >= 1")
     if not 0.0 < eps < 1.0:
-        raise SparsifyError("eps must lie in (0, 1)")
+        raise ValueError("eps must lie in (0, 1)")
     if C <= 0.0:
-        raise SparsifyError("C must be positive")
+        raise ValueError("C must be positive")
     m = math.ceil((C / eps**2) * n * math.log(n / eps))
     return max(m, n + 1)
 
@@ -142,9 +132,9 @@ def sparsify(
     provably stays below eps/2 + 4n/M.
     """
     if not 0.0 < eps < 1.0:
-        raise SparsifyError("eps must lie in (0, 1)")
+        raise ValueError("eps must lie in (0, 1)")
     if max_attempts < 1:
-        raise SparsifyError("max_attempts must be >= 1")
+        raise ValueError("max_attempts must be >= 1")
     n = jd.n
     m = choose_M(n, eps, C)
     dev_failures = 0
@@ -167,7 +157,7 @@ def sparsify(
         if residual >= eps:
             # Should be unreachable once 4n/M <= eps/2; a failure here means
             # the constant C is too small, not bad luck.
-            raise CertificateError(
+            raise ValueError(
                 f"certificate failed: residual {residual:.6g} >= eps {eps:.6g} "
                 f"with M={m} (increase C so that 4n/M <= eps/2)"
             )

@@ -18,24 +18,13 @@ from .samplers import _CHUNK_ROWS, SampleBatch
 from .symlin import inv_sqrt, operator_norm
 
 __all__ = [
-    "MomentsError",
     "DeviationReport",
     "empirical_second_moment",
     "deviation",
     "log_moment",
     "concentration_report",
     "whiten",
-    "format_float",
 ]
-
-
-class MomentsError(ValueError):
-    pass
-
-
-def format_float(x: float) -> str:
-    """Decimal with 17 significant digits, the fixed serialization format."""
-    return format(float(x), ".17g")
 
 
 @dataclass(frozen=True)
@@ -56,7 +45,7 @@ def empirical_second_moment(batch: SampleBatch) -> np.ndarray:
     """T = (1/M) sum y_i (x) y_i as an (n, n) array, accumulated in fixed (matrix product) order."""
     y = batch.vectors
     if y.shape[0] < 1:
-        raise MomentsError("empty batch")
+        raise ValueError("empty batch")
     return (y.T @ y) / y.shape[0]
 
 
@@ -76,7 +65,7 @@ def log_moment(batch: SampleBatch, p: float | None = None) -> float:
     if p is None:
         p = max(2.0, math.log(m))
     if p <= 0.0:
-        raise MomentsError("exponent p must be positive")
+        raise ValueError("exponent p must be positive")
     # One (M,) array: norms by row chunk (no (M, n) temporary), then the log-domain
     # terms in place.  log(0) = -inf gives exp(-inf) = 0 for zero rows.
     v = batch.vectors
@@ -100,7 +89,7 @@ def concentration_report(batch: SampleBatch) -> DeviationReport:
     """Deviation, log-M moment, the bound's shape term, and their ratio."""
     m = batch.M
     if m < 3:
-        raise MomentsError("need M >= 3 so the exponent log M exceeds 1")
+        raise ValueError("need M >= 3 so the exponent log M exceeds 1")
     dev = deviation(empirical_second_moment(batch))
     lm = log_moment(batch)
     rhs_shape = math.sqrt(math.log(m) / m) * lm

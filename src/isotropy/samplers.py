@@ -11,7 +11,6 @@ batch bit for bit.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -19,8 +18,6 @@ import numpy as np
 from .geometry import Ball, Body, Cube, Ellipsoid, JohnDecomposition, Simplex, Truncated, _is_finite
 
 __all__ = [
-    "SamplerError",
-    "TruncationError",
     "RandomStream",
     "SampleBatch",
     "direct_draws",
@@ -28,10 +25,8 @@ __all__ = [
     "TruncatedSampler",
     "john_draws",
     "john_support",
-    "seed_from_env",
 ]
 
-SEED_ENV_VAR = "ISOTROPY_SEED"
 MASK64 = (1 << 64) - 1
 
 # Rejection sampling for truncated bodies is abandoned below this measured
@@ -43,25 +38,6 @@ _PILOT_STAGE1 = 4096
 _PILOT_TOTAL = 3_000_000
 _CHUNK_ROWS = 1 << 12  # rows per pilot / rejection draw, so memory does not follow the batch size
 _THIN_PER_DIM = 2  # the truncated chain emits every (2n)-th state
-
-
-class SamplerError(ValueError):
-    """Invalid sampler input or unsupported body variant."""
-
-
-class TruncationError(SamplerError):
-    """Truncation keeps too little of the body to sample from."""
-
-
-def seed_from_env(default: int) -> int:
-    """Resolve the seed, honoring the ISOTROPY_SEED override."""
-    raw = os.environ.get(SEED_ENV_VAR)
-    if raw is None:
-        return default
-    try:
-        return int(raw, 10)
-    except ValueError as exc:
-        raise SamplerError(f"{SEED_ENV_VAR} must be a decimal integer, got {raw!r}") from exc
 
 
 @dataclass
@@ -119,13 +95,13 @@ class SampleBatch:
     def __post_init__(self):
         v = np.asarray(self.vectors, dtype=float)
         if v.ndim != 2 or v.shape[0] < 1:
-            raise SamplerError(f"batch needs at least one vector, got shape {v.shape}")
+            raise ValueError(f"batch needs at least one vector, got shape {v.shape}")
         # The sum tests finiteness without an (M, n) mask.  A huge finite batch may overflow
         # it, under the harness's over="raise" too, and then _is_finite runs the full test.
         with np.errstate(over="ignore", invalid="ignore"):
             total = float(v.sum())
         if not _is_finite(v, total):
-            raise SamplerError("batch vectors must be finite")
+            raise ValueError("batch vectors must be finite")
         v.setflags(write=False)
         object.__setattr__(self, "vectors", v)
 
@@ -168,7 +144,7 @@ def _draw_direct(body: Body, rng: RandomStream, m: int) -> np.ndarray:
         return pts
     if isinstance(body, Ellipsoid):
         return _unit_ball_points(rng, m, n) @ body.half_map
-    raise SamplerError(f"no direct sampler for body {type(body).__name__}; use hit-and-run")
+    raise ValueError(f"no direct sampler for body {type(body).__name__}; use hit-and-run")
 
 
 def _unit_ball_points(rng: RandomStream, m: int, n: int) -> np.ndarray:
@@ -185,7 +161,7 @@ def _unit_ball_points(rng: RandomStream, m: int, n: int) -> np.ndarray:
 def direct_draws(body: Body, m: int, rng: RandomStream) -> np.ndarray:
     """M exact uniform samples as a plain (m, n) array."""
     if m < 1:
-        raise SamplerError("batch size must be >= 1")
+        raise ValueError("batch size must be >= 1")
     return _draw_direct(body, rng, m)
 
 
@@ -204,10 +180,10 @@ def sample_hit_and_run(
     direction, makes one ``body.chord`` call and one uniform draw on it.
     """
     if burn_in < 0 or thin < 1 or count < 1:
-        raise SamplerError("need burn_in >= 0, thin >= 1, count >= 1")
+        raise ValueError("need burn_in >= 0, thin >= 1, count >= 1")
     x = np.array(x0, dtype=float)  # a copy: the chain moves it in place
     if not body.membership(x):
-        raise SamplerError("hit-and-run start point lies outside the body")
+        raise ValueError("hit-and-run start point lies outside the body")
     n = body.n
     chord, normal, random = body.chord, rng._gen.standard_normal, rng._gen.random
     out = np.empty((count, n))
@@ -234,7 +210,7 @@ class TruncatedSampler:
     A pilot run measures the rejection acceptance rate: healthy rates use
     plain rejection from the direct sampler, thin intersections fall back
     to hit-and-run on the truncated body, and rates below the hard floor
-    raise TruncationError.  The pilot draws growing stages until 50 hits or
+    raise ValueError.  The pilot draws growing stages until 50 hits or
     3,000,000 draws, and stops sooner once 3 or more hits put even the
     3-sigma Poisson upper reading of the rate below the rejection threshold;
     so in hit-and-run mode ``acceptance`` comes from 3 or more hits.  The
@@ -244,14 +220,14 @@ class TruncatedSampler:
 
     def __init__(self, body: Body, R: float, rng: RandomStream):
         if R <= 0.0:
-            raise SamplerError("truncation factor R must be positive")
+            raise ValueError("truncation factor R must be positive")
         self.body = body
         self.rho = float(R) * np.sqrt(body.n)
         self.rng = rng
         self.truncated = Truncated(base=body, radius=self.rho)
         self.acceptance, self._start = self._pilot_acceptance()
         if self.acceptance < ACCEPTANCE_HARD_FLOOR:
-            raise TruncationError(
+            raise ValueError(
                 f"truncation too aggressive: estimated acceptance {self.acceptance:.2e} "
                 f"below {ACCEPTANCE_HARD_FLOOR:.0e}"
             )
@@ -281,7 +257,7 @@ class TruncatedSampler:
 
     def draw(self, m: int) -> np.ndarray:
         if m < 1:
-            raise SamplerError("batch size must be >= 1")
+            raise ValueError("batch size must be >= 1")
         if self.mode == "rejection":
             return self._draw_rejection(m)
         return sample_hit_and_run(self.truncated, self._start, 0, _THIN_PER_DIM * self.body.n, self.rng, count=m)

@@ -6,7 +6,8 @@ module provides exactly two operations: the operator norm, of one
 (n, n) matrix or of a (B, n, n) stack, and the inverse square root.
 Spectra come from LAPACK through numpy's ``eigvalsh`` / ``eigh``.  Input
 is validated once per call: square with n >= 1, finite, and symmetric
-within ``ASYM_TOL * (1 + the matrix's largest absolute entry)``.
+within ``ASYM_TOL * (1 + the matrix's largest absolute entry)``; bad
+input raises ``ValueError``.
 """
 
 from __future__ import annotations
@@ -14,8 +15,6 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = [
-    "SymLinError",
-    "NotPositiveSemidefiniteError",
     "operator_norm",
     "inv_sqrt",
 ]
@@ -24,28 +23,20 @@ ASYM_TOL = 1e-9
 EIG_FLOOR = 1e-8
 
 
-class SymLinError(ValueError):
-    """Base error for this module."""
-
-
-class NotPositiveSemidefiniteError(SymLinError):
-    """Matrix has a negative eigenvalue beyond the regularization floor."""
-
-
 def _checked(a, ndims=(2, 3)) -> np.ndarray:
     """``a`` as a float (n, n) matrix, or (B, n, n) stack if 3 is in ``ndims``, validated."""
     a = np.asarray(a, dtype=float)
     if a.ndim not in ndims or a.shape[-1] != a.shape[-2] or a.shape[-1] == 0:
         want = "an (n, n) matrix or a (B, n, n) stack" if 3 in ndims else "an (n, n) matrix"
-        raise SymLinError(f"expected {want} with n >= 1, got shape {a.shape}")
+        raise ValueError(f"expected {want} with n >= 1, got shape {a.shape}")
     # A NaN or inf entry makes its matrix's largest magnitude non-finite.
     scale = np.max(np.abs(a), axis=(-2, -1))
     if not np.all(np.isfinite(scale)):
-        raise SymLinError("matrix entries must be finite")
+        raise ValueError("matrix entries must be finite")
     diff = a - np.swapaxes(a, -1, -2)
     np.abs(diff, out=diff)
     if np.any(np.max(diff, axis=(-2, -1)) > ASYM_TOL * (1.0 + scale)):
-        raise SymLinError("matrix is not symmetric within tolerance")
+        raise ValueError("matrix is not symmetric within tolerance")
     return a
 
 
@@ -72,7 +63,7 @@ def inv_sqrt(a) -> np.ndarray:
     vals, vecs = np.linalg.eigh(_checked(a, ndims=(2,)))
     vals, q = vals[::-1], vecs[:, ::-1]
     if np.any((vals < 0.0) & (np.abs(vals) > EIG_FLOOR)):
-        raise NotPositiveSemidefiniteError(
+        raise ValueError(
             f"not positive semidefinite within tolerance (min eigenvalue {vals.min():.3e})"
         )
     w = _checked((q * (1.0 / np.sqrt(np.maximum(vals, EIG_FLOOR)))) @ q.T)

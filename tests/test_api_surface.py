@@ -2,10 +2,14 @@
 
 A name counts as used when it appears on a line of some module under
 src/isotropy (the package __init__ excluded) other than its own def or
-class line and its __all__ entry.
+class line and the lines of an __all__ list.  An exported exception
+class counts as used only when some package module names it in an
+``except`` clause: a class that no caller catches by name is a plain
+``ValueError`` with a longer name.
 """
 
 import ast
+import importlib
 import re
 from pathlib import Path
 
@@ -13,22 +17,68 @@ import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "isotropy"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
-LINES = [line for path in MODULES for line in path.read_text(encoding="utf-8").splitlines()]
+TREES = [ast.parse(path.read_text(encoding="utf-8")) for path in MODULES]
+
+
+def _all_node(tree: ast.Module) -> ast.Assign | None:
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
+            return node
+    return None
+
+
+def _lines_outside_all(path: Path, tree: ast.Module) -> list[str]:
+    lines = path.read_text(encoding="utf-8").splitlines()
+    node = _all_node(tree)
+    if node is not None:
+        del lines[node.lineno - 1 : node.end_lineno]
+    return lines
+
+
+LINES = [line for path, tree in zip(MODULES, TREES) for line in _lines_outside_all(path, tree)]
+
+
+def _handler_names(node) -> list[str]:
+    """The names an ``except`` clause's type expression lists (``X``, ``mod.X`` or a tuple of them)."""
+    if isinstance(node, ast.Tuple):
+        return [name for elt in node.elts for name in _handler_names(elt)]
+    if isinstance(node, ast.Attribute):
+        return [node.attr]
+    if isinstance(node, ast.Name):
+        return [node.id]
+    return []
+
+
+CAUGHT = {
+    name
+    for tree in TREES
+    for node in ast.walk(tree)
+    if isinstance(node, ast.ExceptHandler)
+    for name in _handler_names(node.type)
+}
 
 
 def exported(path: Path) -> list[str]:
-    for node in ast.parse(path.read_text(encoding="utf-8")).body:
-        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
-            return list(ast.literal_eval(node.value))
-    return []
+    node = _all_node(TREES[MODULES.index(path)])
+    return [] if node is None else list(ast.literal_eval(node.value))
 
 
 def used(name: str) -> bool:
     word = re.compile(rf"\b{re.escape(name)}\b")
-    own = re.compile(rf"\s*((def|class)\s+{re.escape(name)}\b|[\"']{re.escape(name)}[\"'],?\s*$)")
+    own = re.compile(rf"\s*(def|class)\s+{re.escape(name)}\b")
     return any(word.search(line) and not own.match(line) for line in LINES)
+
+
+def is_exception(module: Path, name: str) -> bool:
+    obj = getattr(importlib.import_module(f"isotropy.{module.stem}"), name)
+    return isinstance(obj, type) and issubclass(obj, BaseException)
 
 
 @pytest.mark.parametrize("module", MODULES, ids=lambda p: p.stem)
 def test_exported_names_are_used_by_the_package(module):
-    assert [name for name in exported(module) if not used(name)] == []
+    unused = [
+        name
+        for name in exported(module)
+        if not (name in CAUGHT if is_exception(module, name) else used(name))
+    ]
+    assert unused == []

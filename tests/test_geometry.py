@@ -7,7 +7,6 @@ from isotropy.geometry import (
     Ball,
     Cube,
     Ellipsoid,
-    GeometryError,
     HPolytope,
     JohnDecomposition,
     Simplex,
@@ -47,7 +46,7 @@ class TestMembership:
         assert not body.membership(x)
 
     def test_dimension_mismatch(self):
-        with pytest.raises(GeometryError):
+        with pytest.raises(ValueError, match="does not match body dimension"):
             Cube(halfwidth=1.0, n=3).membership(np.zeros(2))
 
     def test_boundary_counts_as_inside(self):
@@ -81,11 +80,11 @@ class TestChord:
         assert (lo, hi) == pytest.approx((-0.25, 0.5), abs=1e-12)
 
     def test_requires_interior_point(self):
-        with pytest.raises(GeometryError):
+        with pytest.raises(ValueError, match="chord base point lies outside the body"):
             Ball(radius=1.0, n=2).chord(np.array([2.0, 0.0]), E1)
 
     def test_requires_unit_direction(self):
-        with pytest.raises(GeometryError):
+        with pytest.raises(ValueError, match="direction must be a finite unit vector"):
             Ball(radius=1.0, n=2).chord(np.zeros(2), np.array([1.0, 1.0]))
 
     def test_ellipsoid_quadratic(self):
@@ -95,7 +94,7 @@ class TestChord:
 
     def test_unbounded_polytope_rejected(self):
         half_space = HPolytope(rows=np.array([[1.0, 0.0]]), offsets=np.array([1.0]))
-        with pytest.raises(GeometryError):
+        with pytest.raises(ValueError, match="chord is unbounded"):
             half_space.chord(np.zeros(2), E1)
 
     @pytest.mark.parametrize("make_body", CHORD_BODIES)
@@ -104,7 +103,7 @@ class TestChord:
         body = make_body()
         e1 = np.array([1.0, 0.0, 0.0])
         for x, d in ((np.zeros(3), np.array([1.0, bad, 0.0])), (np.array([0.1, bad, 0.0]), e1)):
-            with pytest.raises(GeometryError, match="finite"):
+            with pytest.raises(ValueError, match="finite"):
                 body.chord(x, d)
 
     @pytest.mark.parametrize("make_body", CHORD_BODIES)
@@ -121,7 +120,7 @@ class TestChord:
             # |x|^2 overflows to inf, yet x is finite: it is outside, not non-finite.
             (np.array([1e200, 0.0, 0.0]), e1, "^chord base point lies outside the body$"),
         ):
-            with pytest.raises(GeometryError, match=message), np.errstate(invalid="ignore", over="ignore"):
+            with pytest.raises(ValueError, match=message), np.errstate(invalid="ignore", over="ignore"):
                 body.chord(x, d)
 
     @pytest.mark.parametrize("make_body", CHORD_BODIES)
@@ -171,7 +170,7 @@ class TestIsotropicNormalization:
         assert np.abs(t - np.diag(np.diag(t))).max() < 0.03
 
     def test_unsupported_variant(self):
-        with pytest.raises(GeometryError):
+        with pytest.raises(ValueError, match="no isotropic normalization"):
             isotropic_normalization("ellipsoid", 3)
 
 
@@ -239,11 +238,11 @@ class TestCanonicalJohn:
         assert len(canonical_john("cube-vertices", 4).points) > (4 + 3) * 4 / 2
 
     def test_cube_vertices_cap(self):
-        with pytest.raises(GeometryError):
+        with pytest.raises(ValueError, match="cube-vertices fixture capped"):
             canonical_john("cube-vertices", 21)
 
     def test_invalid_decomposition_rejected(self):
-        with pytest.raises(GeometryError):
+        with pytest.raises(ValueError, match="weighted point sum must vanish"):
             JohnDecomposition(points=np.eye(2), weights=np.array([1.0, 1.0]))  # sum c z != 0
 
 
@@ -259,38 +258,54 @@ class TestTruncated:
                 assert trunc.membership(p) == (base.membership(p) and r <= 1.8)
 
     def test_positive_radius_required(self):
-        with pytest.raises(GeometryError):
+        with pytest.raises(ValueError, match="truncation radius must be positive"):
             Truncated(base=Ball(radius=1.0, n=2), radius=0.0)
 
 
 class TestBodyValidation:
     def test_cube_needs_positive_halfwidth(self):
-        with pytest.raises(GeometryError):
+        with pytest.raises(ValueError, match="cube needs positive halfwidth"):
             Cube(halfwidth=0.0, n=2)
 
     def test_simplex_must_contain_origin(self):
         shifted = regular_simplex_vertices(2) + np.array([5.0, 0.0])
-        with pytest.raises(GeometryError):
+        with pytest.raises(ValueError, match="must contain the origin"):
             Simplex(vertices=shifted)
 
     def test_ellipsoid_needs_spd_shape(self):
-        with pytest.raises(GeometryError):
+        with pytest.raises(ValueError, match="must be positive definite"):
             Ellipsoid(shape=np.diag([1.0, -1.0]))
 
     @pytest.mark.parametrize(
-        "shape",
+        "shape, message",
         [
-            np.diag([1.0, 0.0]),  # singular
-            np.array([[1.0, 1e-3], [0.0, 1.0]]),  # asymmetric beyond the tolerance
-            np.array([[1.0, 0.0], [0.0, np.inf]]),  # not finite
-            np.ones((2, 3)),  # not square
-            np.ones((1, 2, 2)),  # a stack, not one matrix
+            (np.diag([1.0, 0.0]), "must be positive definite"),  # singular
+            (np.array([[1.0, 1e-3], [0.0, 1.0]]), "not symmetric"),  # asymmetric beyond the tolerance
+            (np.array([[1.0, 0.0], [0.0, np.inf]]), "must be finite"),  # not finite
+            (np.ones((2, 3)), "expected an \\(n, n\\) matrix"),  # not square
+            (np.ones((1, 2, 2)), "expected an \\(n, n\\) matrix"),  # a stack, not one matrix
         ],
+        ids=[f"shape{i}" for i in range(5)],
     )
-    def test_ellipsoid_rejects_invalid_shape(self, shape):
-        with pytest.raises(GeometryError):
+    def test_ellipsoid_rejects_invalid_shape(self, shape, message):
+        with pytest.raises(ValueError, match=message):
             Ellipsoid(shape=shape)
 
+    @pytest.mark.parametrize(
+        "make_body",
+        [
+            lambda: Cube(halfwidth=math.nan, n=3),
+            lambda: Cube(halfwidth=math.inf, n=3),
+            lambda: Ball(radius=math.inf, n=2),
+            lambda: Truncated(base=Ball(radius=1.0, n=2), radius=math.nan),
+            lambda: Simplex(vertices=np.vstack([[math.nan, 0.0], regular_simplex_vertices(2)[1:]])),
+        ],
+        ids=["cube-nan", "cube-inf", "ball-inf", "truncated-nan", "simplex-nan-vertex"],
+    )
+    def test_non_finite_body_data_rejected(self, make_body):
+        with pytest.raises(ValueError, match="must be finite"):
+            make_body()
+
     def test_degenerate_simplex_rejected(self):
-        with pytest.raises(GeometryError):
+        with pytest.raises(ValueError, match="degenerate simplex vertices"):
             Simplex(vertices=np.array([[1.0, 0.0], [2.0, 0.0], [3.0, 0.0]]))

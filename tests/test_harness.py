@@ -118,8 +118,13 @@ class TestConfigParsing:
             parse_config("n=4\n")
 
     def test_unknown_key(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="^line 2: unknown key 'bogus'$"):
             parse_config("kind=sweep\nbogus=1\n")
+
+    def test_repeated_key(self):
+        # Keys are case-insensitive, so N repeats n too.
+        with pytest.raises(ConfigError, match="^line 3: repeated key 'n'$"):
+            parse_config("kind=sweep\nn=4\nn=8\nN=16\n")
 
     def test_bad_value(self):
         with pytest.raises(ConfigError):
@@ -182,6 +187,12 @@ class TestRenderers:
         rows = [{"a": 1, "b": 1.0 / 3.0, "c": True, "d": "x"}, {"a": 2, "b": 0.5, "c": False, "d": "x,y"}]
         text = render_csv(["a", "b", "c", "d"], rows)
         assert text == 'a,b,c,d\n1,0.33333333333333331,true,x\n2,0.5,false,"x,y"\n'
+
+    def test_floats_have_17_significant_digits(self):
+        values = [1.0 / 3.0, 0.1, np.float64(2.0 / 3.0), 1e-300, -math.pi]
+        fields = render_csv(["x"], [{"x": v} for v in values]).splitlines()[1:]
+        assert fields[0] == "0.33333333333333331"
+        assert [float(f) for f in fields] == [float(v) for v in values]
 
     def test_json_mirrors_fields(self):
         rows = [{"a": 1, "b": 0.5, "c": False, "d": "x"}, {"a": 2, "b": math.nan, "c": True, "d": "y"}]
@@ -412,6 +423,7 @@ class TestCli:
             ("truncated", "sampler=simplex\nn=1\nr=0.5\neps=0.4\nc0=2\n"),
             # A John sampler names its fixture; the fixture key is read by john-sparsify only.
             ("sweep", "sampler=john\nfixture=simplex\nn=2\nm_grid=16\nseeds=0\n"),
+            ("sweep", "n=2\nm_grid=16\nn=3\nseeds=0\n"),
         ]
         for i, (command, text) in enumerate(cases):
             path = tmp_path / f"bad{i}.cfg"
@@ -539,6 +551,22 @@ class TestCli:
         monkeypatch.delenv("ISOTROPY_SEED")
         assert run_cli(["sweep", "--config", str(cfg), "--out", str(out2), "--seed", "7"]) == 0
         assert out1.read_bytes() == out2.read_bytes()
+
+    def test_seed_env_override(self, tmp_path, monkeypatch, capsys):
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text(SWEEP_TEXT, encoding="utf-8")
+        out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
+        monkeypatch.setenv("ISOTROPY_SEED", "12345")
+        assert run_cli(["sweep", "--config", str(cfg), "--out", str(out1), "--seed", "42"]) == 0
+        monkeypatch.delenv("ISOTROPY_SEED")
+        assert run_cli(["sweep", "--config", str(cfg), "--out", str(out2), "--seed", "12345"]) == 0
+        assert out1.read_bytes() == out2.read_bytes()
+        monkeypatch.setenv("ISOTROPY_SEED", "not-a-number")
+        for args in (["sweep", "--config", str(cfg)], ["check"]):
+            assert run_cli(args) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: ISOTROPY_SEED must be a decimal integer, got 'not-a-number'\n"), args
+            assert err.count("error:") == 1 and "Traceback" not in err, args
 
     def test_json_output_mirrors_csv(self, tmp_path):
         cfg = tmp_path / "sweep.cfg"

@@ -11,14 +11,11 @@ from isotropy.harness import _ball_radial_cdf, _trace_law
 from isotropy.samplers import (
     RandomStream,
     SampleBatch,
-    SamplerError,
     TruncatedSampler,
-    TruncationError,
     direct_draws,
     john_draws,
     john_support,
     sample_hit_and_run,
-    seed_from_env,
 )
 
 
@@ -49,15 +46,6 @@ class TestRandomStream:
             "8494b62e9f3173a37a980085dd24f3775d29c1eb0f1ec30d68d65da97b624050"
         )
 
-    def test_seed_env_override(self, monkeypatch):
-        monkeypatch.delenv("ISOTROPY_SEED", raising=False)
-        assert seed_from_env(42) == 42
-        monkeypatch.setenv("ISOTROPY_SEED", "12345")
-        assert seed_from_env(42) == 12345
-        monkeypatch.setenv("ISOTROPY_SEED", "not-a-number")
-        with pytest.raises(SamplerError):
-            seed_from_env(42)
-
 
 # Direct draws of one body in n = 16 (argv: variant, rows; 0 rows draws nothing).
 DIRECT_RUN = """
@@ -78,12 +66,12 @@ run_experiment(parse_config("kind=truncated\\nsampler=cube\\nn=16\\nr=1\\neps=0.
 
 class TestSampleBatch:
     def test_rejects_empty(self):
-        with pytest.raises(SamplerError):
+        with pytest.raises(ValueError, match="batch needs at least one vector"):
             SampleBatch(vectors=np.empty((0, 3)), sampler="x", seed=0)
 
     def test_rejects_non_finite(self):
         for bad in ([[1.0, np.inf]], [[np.nan, 1.0]], [[np.inf, -np.inf]], [[1e308, np.inf]]):
-            with pytest.raises(SamplerError):
+            with pytest.raises(ValueError, match="batch vectors must be finite"):
                 SampleBatch(vectors=np.array(bad), sampler="x", seed=0)
 
     def test_finite_entries_whose_sum_overflows(self):
@@ -198,7 +186,7 @@ class TestDirectSamplers:
 
     def test_unsupported_variant(self):
         poly = HPolytope(rows=np.array([[1.0], [-1.0]]), offsets=np.array([1.0, 1.0]))
-        with pytest.raises(SamplerError):
+        with pytest.raises(ValueError, match="no direct sampler for body HPolytope"):
             direct_draws(poly, 1, RandomStream(seed=0, stream=0))
 
     @pytest.mark.parametrize("variant,n", [("cube", 4), ("ball", 6), ("simplex", 3)])
@@ -233,7 +221,7 @@ class TestHitAndRun:
         assert pts.shape == (1, 2) and body.membership(pts[0])
 
     def test_start_outside_rejected(self):
-        with pytest.raises(SamplerError):
+        with pytest.raises(ValueError, match="start point lies outside the body"):
             sample_hit_and_run(Ball(radius=1.0, n=2), np.array([5.0, 0.0]), 0, 1, RandomStream(seed=0, stream=0))
 
     def test_start_point_is_not_modified(self):
@@ -336,7 +324,7 @@ class TestTruncatedSampling:
 
     def test_too_aggressive_truncation(self):
         body = isotropic_normalization("cube", 2)
-        with pytest.raises(TruncationError):
+        with pytest.raises(ValueError, match="truncation too aggressive"):
             TruncatedSampler(body, 1e-4, RandomStream(seed=3, stream=0))
 
     def test_single_sample_helper(self):
@@ -396,7 +384,8 @@ class TestPilotStoppingRule:
                     acceptance, first = _fifty_hit_pilot(body, r * math.sqrt(2), RandomStream(seed, 3))
                     try:
                         sampler = TruncatedSampler(body, r, RandomStream(seed, 3))
-                    except TruncationError:
+                    except ValueError as exc:
+                        assert "truncation too aggressive" in str(exc), case
                         assert acceptance < samplers.ACCEPTANCE_HARD_FLOOR, case
                         verdicts.add("raise")
                         continue
@@ -428,13 +417,14 @@ class TestPilotStoppingRule:
 # A floor cut: no hit in 3,000,000 pilot rows, so the pilot runs every stage and raises.
 PILOT_RUN = """
 from isotropy.geometry import isotropic_normalization
-from isotropy.samplers import RandomStream, TruncatedSampler, TruncationError
+from isotropy.samplers import RandomStream, TruncatedSampler
 try:
     TruncatedSampler(isotropic_normalization("simplex", 8), 0.1, RandomStream(1, 2))
-except TruncationError:
-    pass
+except ValueError as exc:
+    if "truncation too aggressive" not in str(exc):
+        raise
 else:
-    raise SystemExit("the floor cut did not raise TruncationError")
+    raise SystemExit("the floor cut did not raise its truncation error")
 """
 
 

@@ -2,12 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from isotropy.symlin import (
-    NotPositiveSemidefiniteError,
-    SymLinError,
-    inv_sqrt,
-    operator_norm,
-)
+from isotropy.symlin import inv_sqrt, operator_norm
 
 
 def random_symmetric(rng, n):
@@ -34,9 +29,9 @@ def test_rejects_non_finite():
     stack = np.stack([np.eye(3), np.eye(3)])
     stack[1, 2, 2] = np.inf
     for a in (bad, stack):
-        with pytest.raises(SymLinError, match="finite"):
+        with pytest.raises(ValueError, match="finite"):
             operator_norm(a)
-    with pytest.raises(SymLinError, match="finite"):
+    with pytest.raises(ValueError, match="finite"):
         inv_sqrt(bad)
 
 
@@ -45,9 +40,9 @@ def test_rejects_asymmetric():
     a[0, 1] = 1e-3
     stack = np.stack([np.eye(3), a])
     for bad in (a, stack):
-        with pytest.raises(SymLinError, match="symmetric"):
+        with pytest.raises(ValueError, match="symmetric"):
             operator_norm(bad)
-    with pytest.raises(SymLinError, match="symmetric"):
+    with pytest.raises(ValueError, match="symmetric"):
         inv_sqrt(a)
     # Asymmetry below the relative tolerance is accepted.
     a[0, 1] = 1e-10
@@ -60,12 +55,12 @@ def test_rejects_asymmetric():
     [(3,), (2, 3), (4, 2, 3), (2, 2, 2, 2), (0, 0), (3, 0, 0)],
 )
 def test_rejects_bad_shapes(shape):
-    with pytest.raises(SymLinError, match="expected"):
+    with pytest.raises(ValueError, match="expected"):
         operator_norm(np.zeros(shape))
 
 
 def test_inv_sqrt_takes_one_matrix_only():
-    with pytest.raises(SymLinError, match="expected"):
+    with pytest.raises(ValueError, match="expected"):
         inv_sqrt(np.stack([np.eye(2), np.eye(2)]))
 
 
@@ -183,7 +178,7 @@ class TestInvSqrt:
         assert np.abs(comm).max() <= 1e-9 * operator_norm(a)
 
     def test_negative_eigenvalue_rejected(self):
-        with pytest.raises(NotPositiveSemidefiniteError):
+        with pytest.raises(ValueError, match="not positive semidefinite"):
             inv_sqrt(np.diag([1.0, -0.5]))
 
     def test_floor_clamps_tiny_eigenvalues(self):
@@ -193,5 +188,5 @@ class TestInvSqrt:
         # A tiny negative eigenvalue within the floor is regularized too.
         w2 = inv_sqrt(np.diag([1.0, -1e-12]))
         assert w2[1, 1] == pytest.approx(1e4, rel=1e-12)
-        with pytest.raises(NotPositiveSemidefiniteError):
+        with pytest.raises(ValueError, match="not positive semidefinite"):
             inv_sqrt(np.diag([1.0, -1e-7]))
