@@ -14,14 +14,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .symlin import _checked, operator_norm
+from .symlin import operator_norm
 
 __all__ = [
     "Body",
     "Cube",
     "Ball",
     "Simplex",
-    "Ellipsoid",
     "HPolytope",
     "Truncated",
     "JohnDecomposition",
@@ -222,53 +221,6 @@ class Simplex(Body):
             return None
         mu = self._bary_inv @ np.concatenate((d, _ZERO))
         return _slab_chord(lam, [-c for c in mu.tolist()])
-
-
-@dataclass(frozen=True)
-class Ellipsoid(Body):
-    """Ellipsoid {x : x^T shape^-1 x <= 1} for an SPD (n, n) shape array.
-
-    The shape matrix is the second-moment-like form of the body: the
-    ellipsoid is the image of the unit ball under shape^(1/2).  It must be
-    finite and symmetric within ``symlin``'s tolerance.
-    """
-
-    shape: np.ndarray
-    n: int = field(init=False)
-
-    def __post_init__(self):
-        shape = _checked(self.shape, ndims=(2,)).copy()
-        vals, q = np.linalg.eigh(shape)
-        if vals[0] <= 0.0:
-            raise ValueError("ellipsoid shape matrix must be positive definite")
-        inv = (q / vals) @ q.T
-        half = (q * np.sqrt(vals)) @ q.T
-        shape.setflags(write=False)
-        object.__setattr__(self, "shape", shape)
-        object.__setattr__(self, "n", shape.shape[0])
-        object.__setattr__(self, "_inv", 0.5 * (inv + inv.T))
-        object.__setattr__(self, "_half", 0.5 * (half + half.T))
-
-    @property
-    def half_map(self) -> np.ndarray:
-        """Symmetric square root of the shape matrix (maps unit ball onto the body)."""
-        return self._half
-
-    def _contains(self, x, xx):
-        return float(x @ self._inv @ x) <= 1.0 + MEMBERSHIP_TOL
-
-    def _chord_impl(self, x, d, xx):
-        q = float(x @ self._inv @ x)
-        if not q <= 1.0 + MEMBERSHIP_TOL:
-            return None
-        a = float(d @ self._inv @ d)
-        b = float(x @ self._inv @ d)
-        c = q - 1.0
-        disc = b * b - a * c
-        if disc <= 0.0:
-            return 0.0, 0.0  # tangency: degenerate interval
-        root = np.sqrt(disc)
-        return (-b - root) / a, (-b + root) / a
 
 
 @dataclass(frozen=True)

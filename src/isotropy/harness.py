@@ -110,6 +110,8 @@ class ExperimentConfig:
         built = self.fixture if self.kind == "john-sparsify" else sub if base == "john" else None
         if built == "cube-vertices" and self.n > geo.CUBE_VERTEX_DIM_CAP:
             raise ConfigError(f"cube-vertices fixture needs n <= {geo.CUBE_VERTEX_DIM_CAP}")
+        if self.kind == "whiten" and self.distortion is None:
+            raise ConfigError("whiten needs a distortion: one finite factor per coordinate")
         if self.distortion is not None and (
             len(self.distortion) != self.n or not all(math.isfinite(d) for d in self.distortion)
         ):
@@ -308,14 +310,6 @@ def _sweep_aggregates(cfg: ExperimentConfig, rows: list[dict]) -> list[dict]:
     return aggregates
 
 
-def default_distortion(n: int) -> list[float]:
-    """The fixed diagonal distortion used by the whitening experiment."""
-    d = [1.0] * n
-    d[0] = 2.0
-    d[-1] = 0.5
-    return d
-
-
 def _plan_whiten(cfg: ExperimentConfig):
     """Two-stage whitening round trip on a linearly distorted body.
 
@@ -325,7 +319,7 @@ def _plan_whiten(cfg: ExperimentConfig):
     exactly when its deviation is at most eps.
     """
     draw = _make_draw(cfg.sampler, cfg.n)
-    distortion = np.asarray(cfg.distortion if cfg.distortion is not None else default_distortion(cfg.n))
+    distortion = np.asarray(cfg.distortion)
 
     def row(m: int, seed: int, rng: smp.RandomStream) -> dict:
         first = draw(m, rng)
@@ -526,7 +520,6 @@ def _check_sampler_support(rng: smp.RandomStream) -> tuple[bool, str]:
         geo.isotropic_normalization("cube", 3),
         geo.isotropic_normalization("ball", 3),
         geo.isotropic_normalization("simplex", 3),
-        geo.Ellipsoid(shape=np.diag([4.0, 1.0, 0.25])),
     ]
     for body in bodies:
         pts = smp.direct_draws(body, 2000, rng)
@@ -590,7 +583,6 @@ def _check_chords(rng: smp.RandomStream) -> tuple[bool, str]:
         geo.Cube(halfwidth=1.5, n=3),
         geo.Ball(radius=2.0, n=3),
         geo.isotropic_normalization("simplex", 3),
-        geo.Ellipsoid(shape=np.diag([4.0, 1.0, 0.25])),
         geo.Truncated(base=geo.Cube(halfwidth=2.0, n=3), radius=2.5),
     ]
     for body in bodies:
@@ -680,7 +672,7 @@ _CHECKS = (
     ),
     ("john-fixtures", "John fixtures meet resolution, centering and trace identities at 1e-10", _check_john_fixtures),
     ("john-sampler-exact", "John support: |E x (x) x - id| and ||x| - sqrt n| <= 1e-10", _check_john_sampler_exact),
-    ("sampler-support", "direct draws of cube, ball, simplex and ellipsoid pass membership", _check_sampler_support),
+    ("sampler-support", "direct draws of cube, ball and simplex pass membership", _check_sampler_support),
     ("trace-law", "mean |x|^2 within 3 se of n for cube, ball and simplex draws", _check_trace_law),
     ("ball-radial-cdf", "P(|x| <= q r) within 3 se of q^n for q in {0.5, 0.9}", _check_ball_radial_cdf),
     ("chord-consistency", "chord brackets 0 and ends inside; 1e-6 beyond either end is outside", _check_chords),

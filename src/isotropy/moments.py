@@ -44,8 +44,6 @@ class DeviationReport:
 def empirical_second_moment(batch: SampleBatch) -> np.ndarray:
     """T = (1/M) sum y_i (x) y_i as an (n, n) array, accumulated in fixed (matrix product) order."""
     y = batch.vectors
-    if y.shape[0] < 1:
-        raise ValueError("empty batch")
     return (y.T @ y) / y.shape[0]
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import Ball, Body, Cube, Ellipsoid, JohnDecomposition, Simplex, Truncated, _is_finite
+from .geometry import Ball, Body, Cube, JohnDecomposition, Simplex, Truncated, _is_finite
 
 __all__ = [
     "RandomStream",
@@ -142,8 +142,6 @@ def _draw_direct(body: Body, rng: RandomStream, m: int) -> np.ndarray:
             np.matmul(e, body.vertices, out=pts[i : i + rows])
             i += rows
         return pts
-    if isinstance(body, Ellipsoid):
-        return _unit_ball_points(rng, m, n) @ body.half_map
     raise ValueError(f"no direct sampler for body {type(body).__name__}; use hit-and-run")
 
 
@@ -280,7 +278,7 @@ class TruncatedSampler:
 
 def _direct_chunks(body: Body, rng: RandomStream, rows: int):
     """Yield ``rows`` direct draws in arrays of at most _CHUNK_ROWS rows.  Cube and simplex
-    chunks read the stream as one draw would; ball and ellipsoid chunks draw normals per chunk."""
+    chunks read the stream as one draw would; ball chunks draw normals per chunk."""
     for start in range(0, rows, _CHUNK_ROWS):
         yield _draw_direct(body, rng, min(_CHUNK_ROWS, rows - start))
 

@@ -5,15 +5,19 @@ src/isotropy (the package __init__ excluded) other than its own def or
 class line and the lines of an __all__ list.  An exported exception
 class counts as used only when some package module names it in an
 ``except`` clause: a class that no caller catches by name is a plain
-``ValueError`` with a longer name.
+``ValueError`` with a longer name.  The package root binds no public
+name but ``__version__``: callers import the submodules.
 """
 
 import ast
 import importlib
 import re
+import types
 from pathlib import Path
 
 import pytest
+
+import isotropy
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "isotropy"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
@@ -82,3 +86,9 @@ def test_exported_names_are_used_by_the_package(module):
         if not (name in CAUGHT if is_exception(module, name) else used(name))
     ]
     assert unused == []
+
+
+def test_package_root_binds_only_version():
+    public = {k for k, v in vars(isotropy).items() if not k.startswith("_") and not isinstance(v, types.ModuleType)}
+    assert public == set()
+    assert isinstance(isotropy.__version__, str)

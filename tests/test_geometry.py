@@ -6,7 +6,6 @@ import pytest
 from isotropy.geometry import (
     Ball,
     Cube,
-    Ellipsoid,
     HPolytope,
     JohnDecomposition,
     Simplex,
@@ -26,7 +25,6 @@ CHORD_BODIES = [
     lambda: Cube(halfwidth=1.5, n=3),
     lambda: Ball(radius=2.0, n=3),
     lambda: isotropic_normalization("simplex", 3),
-    lambda: Ellipsoid(shape=np.diag([4.0, 1.0, 0.25])),
     lambda: Truncated(base=Cube(halfwidth=2.0, n=3), radius=2.2),
     lambda: HPolytope(rows=np.vstack([np.eye(3), -np.eye(3)]), offsets=np.ones(6)),
 ]
@@ -86,11 +84,6 @@ class TestChord:
     def test_requires_unit_direction(self):
         with pytest.raises(ValueError, match="direction must be a finite unit vector"):
             Ball(radius=1.0, n=2).chord(np.zeros(2), np.array([1.0, 1.0]))
-
-    def test_ellipsoid_quadratic(self):
-        body = Ellipsoid(shape=np.diag([4.0, 1.0]))
-        lo, hi = body.chord(np.zeros(2), E1)
-        assert (lo, hi) == pytest.approx((-2.0, 2.0), abs=1e-12)
 
     def test_unbounded_polytope_rejected(self):
         half_space = HPolytope(rows=np.array([[1.0, 0.0]]), offsets=np.array([1.0]))
@@ -271,25 +264,6 @@ class TestBodyValidation:
         shifted = regular_simplex_vertices(2) + np.array([5.0, 0.0])
         with pytest.raises(ValueError, match="must contain the origin"):
             Simplex(vertices=shifted)
-
-    def test_ellipsoid_needs_spd_shape(self):
-        with pytest.raises(ValueError, match="must be positive definite"):
-            Ellipsoid(shape=np.diag([1.0, -1.0]))
-
-    @pytest.mark.parametrize(
-        "shape, message",
-        [
-            (np.diag([1.0, 0.0]), "must be positive definite"),  # singular
-            (np.array([[1.0, 1e-3], [0.0, 1.0]]), "not symmetric"),  # asymmetric beyond the tolerance
-            (np.array([[1.0, 0.0], [0.0, np.inf]]), "must be finite"),  # not finite
-            (np.ones((2, 3)), "expected an \\(n, n\\) matrix"),  # not square
-            (np.ones((1, 2, 2)), "expected an \\(n, n\\) matrix"),  # a stack, not one matrix
-        ],
-        ids=[f"shape{i}" for i in range(5)],
-    )
-    def test_ellipsoid_rejects_invalid_shape(self, shape, message):
-        with pytest.raises(ValueError, match=message):
-            Ellipsoid(shape=shape)
 
     @pytest.mark.parametrize(
         "make_body",

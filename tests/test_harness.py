@@ -15,7 +15,6 @@ from isotropy.harness import (
     ExperimentConfig,
     ExperimentError,
     agg_output_path,
-    default_distortion,
     derive_stream,
     load_config,
     parse_config,
@@ -150,6 +149,7 @@ class TestConfigParsing:
             "kind=john-sparsify\nfixture=cube-vertices\nn=21\n",
             "kind=sweep\nsampler=john:cube-vertices\nn=21\nm_grid=64\n",
             "kind=whiten\nn=2\ndistortion=1,nan\n",
+            "kind=whiten\nn=4\n",
             "kind=sweep\nsampler=cube:bogus\n",
             # The truncated rule gives M = 2 here, below the M >= 3 every report needs.
             "kind=truncated\nsampler=simplex\nn=1\nr=0.5\neps=0.4\nc0=2\n",
@@ -244,7 +244,7 @@ class TestRunSweep:
         # config order (points, then seeds) and the CSV bytes do not move.
         texts = [
             "kind=sweep\nsampler=cube\nn=4\nm_grid=64,256",
-            "kind=whiten\nsampler=cube\nn=4\nm=2000",
+            "kind=whiten\nsampler=cube\nn=4\nm=2000\ndistortion=2,1,1,0.5",
             "kind=truncated\nsampler=cube\nn=4\nr=2.0\neps=0.3\nc0=0.12",
             "kind=john-sparsify\nfixture=simplex\nn=4\neps=0.25\nc=2",
             "kind=bernoulli\nmode=ratio\nsampler=cube\nn=4\nm_grid=16,64\ntrials=50",
@@ -263,9 +263,6 @@ class TestRunSweep:
 
 
 class TestRunWhiten:
-    def test_default_distortion_shape(self):
-        assert default_distortion(8) == [2.0, 1, 1, 1, 1, 1, 1, 0.5]
-
     def test_round_trip_rows(self):
         cfg = parse_config("kind=whiten\nsampler=cube\nn=4\nm=20000\neps=0.15\nseeds=0,1\ndistortion=2,1,1,0.5\n")
         res = run_experiment(cfg)
@@ -419,6 +416,7 @@ class TestCli:
             ("john-sparsify", "fixture=cube-vertices\nn=21\n"),
             ("bernoulli", "sampler=john:cube-vertices\nn=21\nm_grid=16\n"),
             ("whiten", "n=2\ndistortion=1,nan\n"),
+            ("whiten", "n=2\nm=100\nseeds=0\n"),
             ("sweep", "sampler=cube:bogus\nn=2\nm_grid=16\nseeds=0\n"),
             ("truncated", "sampler=simplex\nn=1\nr=0.5\neps=0.4\nc0=2\n"),
             # A John sampler names its fixture; the fixture key is read by john-sparsify only.
