@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -25,6 +26,8 @@ CHORD_BODIES = [
     lambda: Cube(halfwidth=1.5, n=3),
     lambda: Ball(radius=2.0, n=3),
     lambda: isotropic_normalization("simplex", 3),
+    # The cross-polytope |x1| + |x2| + |x3| <= 1: every facet is slanted to the axes.
+    lambda: HPolytope(rows=np.array(list(itertools.product((-1.0, 1.0), repeat=3))), offsets=np.ones(8)),
     lambda: Truncated(base=Cube(halfwidth=2.0, n=3), radius=2.2),
     lambda: HPolytope(rows=np.vstack([np.eye(3), -np.eye(3)]), offsets=np.ones(6)),
 ]
