@@ -1,11 +1,11 @@
 """Seedable samplers for uniform draws from bodies and John point masses.
 
-Randomness flows through RandomStream, a counter-based (Philox) generator
-keyed by (seed, stream id).  Distinct stream ids from one seed give
-independent streams, which is what lets experiment harnesses fan trials
-out without sharing state.  All batch draws consume the stream in a fixed
-documented order, so identical (seed, stream, parameters) reproduce a
-batch bit for bit.
+Randomness flows through RandomStream, an SFC64 generator keyed one-to-one
+by (seed, stream id) through SeedSequence(seed, spawn_key=(stream,)).
+Distinct stream ids from one seed give independent streams, which is what
+lets experiment harnesses fan trials out without sharing state.  All batch
+draws consume the stream in a fixed documented order, so identical
+(seed, stream, parameters) reproduce a batch bit for bit.
 """
 
 from __future__ import annotations
@@ -42,11 +42,14 @@ _THIN_PER_DIM = 2  # the truncated chain emits every (2n)-th state
 
 @dataclass
 class RandomStream:
-    """Counter-based random source keyed by (seed, stream id).
+    """Random source keyed by (seed, stream id), each reduced modulo 2**64.
 
-    Wraps a Philox generator; an independent stream is just a different
-    stream id under the same seed.  Instances are single-owner: share
-    seeds, not streams.
+    Wraps an SFC64 generator seeded by SeedSequence(seed, spawn_key=(stream,)).
+    The spawn key pads the seed to a fixed width, so distinct 64-bit pairs
+    give distinct keys (a (seed, stream) entropy tuple would not: it is
+    flattened into variable-length 32-bit words).  An independent stream is
+    just a different stream id under the same seed.  Instances are
+    single-owner: share seeds, not streams.
     """
 
     seed: int
@@ -54,8 +57,8 @@ class RandomStream:
     _gen: np.random.Generator = field(init=False, repr=False)
 
     def __post_init__(self):
-        key = (int(self.seed) & MASK64, int(self.stream) & MASK64)
-        self._gen = np.random.Generator(np.random.Philox(key=key))
+        seq = np.random.SeedSequence(int(self.seed) & MASK64, spawn_key=(int(self.stream) & MASK64,))
+        self._gen = np.random.Generator(np.random.SFC64(seq))
 
     def uniform(self, low=0.0, high=1.0, size=None):
         return self._gen.uniform(low, high, size)

@@ -10,6 +10,7 @@ import pytest
 
 from isotropy import cli, harness
 from isotropy import johnsparse as jsp
+from isotropy.geometry import canonical_john
 from isotropy.harness import (
     ConfigError,
     ExperimentConfig,
@@ -24,6 +25,7 @@ from isotropy.harness import (
     run_experiment,
     truncated_sample_count,
 )
+from isotropy.samplers import RandomStream
 
 
 def strict_json_loads(text):
@@ -475,12 +477,29 @@ class TestCli:
         assert run_cli(["john-sparsify", "--config", str(path)]) == 1
 
     def test_certificate_failure_exits_one(self, tmp_path, capsys):
-        # With c = 0.01 the sample count is too small for the residual certificate.
+        # With c = 0.01 (M = 3) the sample count is too small for the residual certificate,
+        # and an accepted draw fails it on some streams.  The failing seed is the first s >= 0
+        # whose row, on the stream the runner derives for it under master seed 0, raises.
+        jd = canonical_john("cross-polytope", 2)
+
+        def row_fails(seed: int) -> bool:
+            rng = RandomStream(seed=0, stream=derive_stream("john-sparsify", 0, seed))
+            try:
+                jsp.sparsify(jd, 0.9, rng, C=0.01)
+            except jsp.SparsifyRejectionError:
+                return False  # a rejected row is reported in the CSV, not as an error
+            except ValueError:
+                return True
+            return False
+
+        failing = next(s for s in range(64) if row_fails(s))
+        seeds = ",".join(str(s) for s in range(failing + 2))
         path = tmp_path / "john.cfg"
-        path.write_text("kind=john-sparsify\nfixture=cross-polytope\nn=2\neps=0.9\nc=0.01\nseeds=0,1\n", encoding="utf-8")
+        text = f"kind=john-sparsify\nfixture=cross-polytope\nn=2\neps=0.9\nc=0.01\nseeds={seeds}\nseed=0\n"
+        path.write_text(text, encoding="utf-8")
         assert run_cli(["john-sparsify", "--config", str(path)]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: seed 0: certificate failed") and err.count("error:") == 1
+        assert err.startswith(f"error: seed {failing}: certificate failed") and err.count("error:") == 1
         assert "Traceback" not in err
 
     @pytest.mark.parametrize(

@@ -80,11 +80,13 @@ class TestSparsify:
         assert err.value.deviation_failures + err.value.point_sum_failures >= 4
 
     def test_certificate_error_when_C_is_too_small(self):
-        # n=1 always passes both acceptance conditions (the second moment
-        # is exactly 1) but M=2 makes 4n/M far larger than eps/2, so the
-        # certificate must fail loudly rather than retry.
+        # At n=1 the draws are +-1, so the second moment is exactly 1 and the point sum is
+        # at most M <= 2 sqrt(M) for M <= 4: every draw is accepted.  After recentering the
+        # residual is mean(x)^2.  C=0.01 gives M=3, which is odd, so |mean(x)| >= 1/3 and
+        # the residual is at least 1/9 > eps = 0.1 on every stream: the certificate fails
+        # loudly rather than retry.
         with pytest.raises(ValueError, match="certificate failed"):
-            sparsify(pair_fixture_1d(), eps=0.1, rng=RandomStream(seed=0, stream=0), C=0.001, max_attempts=1)
+            sparsify(pair_fixture_1d(), eps=0.1, rng=RandomStream(seed=0, stream=0), C=0.01, max_attempts=1)
 
     def test_eps_validation(self):
         with pytest.raises(ValueError, match="eps must lie in"):
