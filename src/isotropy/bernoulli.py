@@ -12,7 +12,6 @@ inequality that reduces mean deviation to the signed sum.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,8 +19,6 @@ from .samplers import RandomStream
 from .symlin import operator_norm
 
 __all__ = [
-    "SignedSumReport",
-    "SymmetrizationResult",
     "rademacher_trial_norms",
     "rademacher_exact",
     "bound_ratio",
@@ -110,23 +107,8 @@ def rademacher_exact(points) -> float:
     return float(np.mean(norms))
 
 
-@dataclass(frozen=True)
-class SignedSumReport:
-    """Monte Carlo estimate of the signed sum norm against the bound shape."""
-
-    M: int
-    n: int
-    trials: int
-    seed: int
-    estimate: float
-    Q: float
-    base_norm: float
-    bound_shape: float
-    ratio: float
-
-
-def bound_ratio(points, trials: int, rng: RandomStream, seed: int | None = None) -> SignedSumReport:
-    """Assemble the signed-sum estimate, the bound shape, and their ratio.
+def bound_ratio(points, trials: int, rng: RandomStream) -> dict:
+    """The signed-sum estimate, the bound shape, and their ratio, keyed by column name.
 
     The ratio is the empirical constant of the signed rank-one bound for
     this point set.  The bound is an upper bound only: at fixed n the
@@ -134,7 +116,7 @@ def bound_ratio(points, trials: int, rng: RandomStream, seed: int | None = None)
     decreases as M grows.
     """
     y = _as_points(points)
-    m, n = y.shape
+    m = y.shape[0]
     if m < 3:
         raise ValueError("need M >= 3")
     norms = rademacher_trial_norms(y, trials, rng)
@@ -143,40 +125,17 @@ def bound_ratio(points, trials: int, rng: RandomStream, seed: int | None = None)
     base = operator_norm(y.T @ y)
     bound_shape = math.sqrt(math.log(m)) * q * math.sqrt(base)
     ratio = estimate / bound_shape if bound_shape > 0.0 else math.inf
-    return SignedSumReport(
-        M=m,
-        n=n,
-        trials=trials,
-        seed=rng.seed if seed is None else seed,
-        estimate=estimate,
-        Q=q,
-        base_norm=base,
-        bound_shape=bound_shape,
-        ratio=ratio,
-    )
+    return {"estimate": estimate, "Q": q, "base_norm": base, "bound_shape": bound_shape, "ratio": ratio}
 
 
-@dataclass(frozen=True)
-class SymmetrizationResult:
-    """Both sides of the symmetrization inequality with standard errors."""
-
-    lhs: float
-    rhs: float
-    lhs_se: float
-    rhs_se: float
-    trials: int
-
-    def holds(self) -> bool:
-        """lhs <= rhs up to 3 combined standard errors of Monte Carlo noise."""
-        return self.lhs <= self.rhs + 3.0 * math.hypot(self.lhs_se, self.rhs_se)
-
-
-def symmetrization_check(draw, n: int, M: int, trials: int, rng: RandomStream) -> SymmetrizationResult:
+def symmetrization_check(draw, n: int, M: int, trials: int, rng: RandomStream) -> dict:
     """Estimate E|T - id| and 2 E|(1/M) sum eps y (x) y| for an isotropic sampler.
 
     ``draw(m, rng)`` must return m fresh vectors.  The left side uses one
     fresh batch per trial; the right side uses another fresh batch and
     fresh signs per trial, matching the inequality's independent copies.
+    Returns both sides, their standard errors and ``holds``: lhs <= rhs up
+    to 3 combined standard errors of Monte Carlo noise.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -195,4 +154,5 @@ def symmetrization_check(draw, n: int, M: int, trials: int, rng: RandomStream) -
     rhs = 2.0 * float(np.mean(rhs_norms))
     lhs_se = float(np.std(lhs_norms, ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
     rhs_se = 2.0 * float(np.std(rhs_norms, ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
-    return SymmetrizationResult(lhs=lhs, rhs=rhs, lhs_se=lhs_se, rhs_se=rhs_se, trials=trials)
+    holds = lhs <= rhs + 3.0 * math.hypot(lhs_se, rhs_se)
+    return {"lhs": lhs, "rhs": rhs, "lhs_se": lhs_se, "rhs_se": rhs_se, "holds": holds}

@@ -19,7 +19,7 @@ import json
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -267,6 +267,7 @@ def _run_grid(row, points: list, kind: str, master_seed: int, seeds: list[int], 
             raise ExperimentError(f"seed {seed}: {exc}") from exc
 
     tasks = [(i, point, seed) for i, point in enumerate(points) for seed in seeds]
+    workers = min(workers, len(tasks), os.cpu_count() or 1)  # validate() sets no upper bound; each worker is a thread
     if workers <= 1:
         return [one(task) for task in tasks]
     with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -276,7 +277,8 @@ def _run_grid(row, points: list, kind: str, master_seed: int, seeds: list[int], 
 # Each experiment kind is a plan: plan(cfg) resolves the sampler, body or
 # fixture once and returns (row, points), where row(M, seed, rng) computes
 # one output row from that seed's stream.  The row's keys, in order, are the
-# kind's output columns.
+# kind's output columns: the provenance columns set here, then the columns
+# the science function measured.
 
 
 def _plan_sweep(cfg: ExperimentConfig):
@@ -284,8 +286,8 @@ def _plan_sweep(cfg: ExperimentConfig):
     draw = _make_draw(cfg.sampler, cfg.n)
 
     def row(m: int, seed: int, rng: smp.RandomStream) -> dict:
-        batch = smp.SampleBatch(vectors=draw(m, rng), sampler=cfg.sampler, seed=seed)
-        return {"experiment": cfg.kind, **asdict(mom.concentration_report(batch))}
+        measured = mom.concentration_report(smp.SampleBatch(draw(m, rng)))
+        return {"experiment": cfg.kind, "n": cfg.n, "M": m, "seed": seed, "sampler": cfg.sampler, **measured}
 
     return row, cfg.m_grid
 
@@ -324,12 +326,10 @@ def _plan_whiten(cfg: ExperimentConfig):
     def row(m: int, seed: int, rng: smp.RandomStream) -> dict:
         first = draw(m, rng)
         first *= distortion
-        t_hat = mom.empirical_second_moment(smp.SampleBatch(vectors=first, sampler=cfg.sampler, seed=seed))
+        t_hat = mom.empirical_second_moment(smp.SampleBatch(first))
         second = draw(m, rng)
         second *= distortion
-        t2 = mom.empirical_second_moment(
-            smp.SampleBatch(vectors=mom.whiten(t_hat, second), sampler=cfg.sampler, seed=seed)
-        )
+        t2 = mom.empirical_second_moment(smp.SampleBatch(mom.whiten(t_hat, second)))
         dev = mom.deviation(t2)
         return {
             "experiment": cfg.kind,
@@ -362,16 +362,18 @@ def _plan_truncated(cfg: ExperimentConfig):
     label = f"truncated:{cfg.sampler}"
 
     def row(m: int, seed: int, rng: smp.RandomStream) -> dict:
-        vectors = smp.TruncatedSampler(body, cfg.r, rng).draw(m)
-        rep = mom.concentration_report(smp.SampleBatch(vectors=vectors, sampler=label, seed=seed))
+        measured = mom.concentration_report(smp.SampleBatch(smp.TruncatedSampler(body, cfg.r, rng).draw(m)))
         return {
             "experiment": cfg.kind,
-            "n": cfg.n,  # asdict(rep) sets the value; this sets the column's place
+            "n": cfg.n,
             "R": cfg.r,
             "eps": cfg.eps,
             "c0": cfg.c0,
-            **asdict(rep),
-            "isotropic": rep.deviation <= cfg.eps,
+            "M": m,
+            "seed": seed,
+            "sampler": label,
+            **measured,
+            "isotropic": measured["deviation"] <= cfg.eps,
         }
 
     return row, [truncated_sample_count(cfg.n, cfg.r, cfg.eps, cfg.c0)]
@@ -404,14 +406,7 @@ def _plan_john(cfg: ExperimentConfig):
             out["deviation_failures"] = exc.deviation_failures
             out["point_sum_failures"] = exc.point_sum_failures
             return out
-        report = jsp.verify(approx)
-        out.update(
-            accepted=True,
-            attempts=approx.attempts,
-            residual_norm=report.residual_norm,
-            u_norm_sqrt_m=report.shift_scaled,
-            centroid_norm=report.centroid_norm,
-        )
+        out.update(accepted=True, attempts=approx.attempts, **jsp.verify(approx))
         return out
 
     return row, [jsp.choose_M(cfg.n, cfg.eps, cfg.c)]
@@ -424,21 +419,14 @@ def _plan_bernoulli(cfg: ExperimentConfig):
     if cfg.mode == "ratio":
 
         def ratio_row(m: int, seed: int, rng: smp.RandomStream) -> dict:
-            return {"experiment": cfg.kind, **asdict(brn.bound_ratio(draw(m, rng), cfg.trials, rng, seed=seed))}
+            measured = brn.bound_ratio(draw(m, rng), cfg.trials, rng)
+            return {"experiment": cfg.kind, "M": m, "n": cfg.n, "trials": cfg.trials, "seed": seed, **measured}
 
         return ratio_row, cfg.m_grid
 
     def symmetrize_row(m: int, seed: int, rng: smp.RandomStream) -> dict:
-        res = brn.symmetrization_check(draw, cfg.n, m, cfg.trials, rng)
-        return {
-            "experiment": cfg.kind,
-            "n": cfg.n,
-            "M": m,
-            "trials": cfg.trials,  # asdict(res) sets the value; this sets the column's place
-            "seed": seed,
-            **asdict(res),
-            "holds": res.holds(),
-        }
+        measured = brn.symmetrization_check(draw, cfg.n, m, cfg.trials, rng)
+        return {"experiment": cfg.kind, "n": cfg.n, "M": m, "trials": cfg.trials, "seed": seed, **measured}
 
     return symmetrize_row, [cfg.m]
 
@@ -619,11 +607,11 @@ def _check_hit_and_run(rng: smp.RandomStream) -> tuple[bool, str]:
 
 def _check_log_moment(rng: smp.RandomStream) -> tuple[bool, str]:
     vectors = rng.standard_normal((64, 5))
-    batch = smp.SampleBatch(vectors=vectors, sampler="gauss", seed=0)
+    batch = smp.SampleBatch(vectors)
     ps = [2.0, 4.0, math.log(64)]
     vals = [mom.log_moment(batch, p) for p in sorted(ps)]
     monotone = all(vals[i] <= vals[i + 1] * (1 + 1e-12) for i in range(len(vals) - 1))
-    scaled = smp.SampleBatch(vectors=3.0 * vectors, sampler="gauss", seed=0)
+    scaled = smp.SampleBatch(3.0 * vectors)
     homogeneous = abs(mom.log_moment(scaled, 4.0) - 3.0 * mom.log_moment(batch, 4.0)) <= 1e-12 * mom.log_moment(
         scaled, 4.0
     )
@@ -632,10 +620,8 @@ def _check_log_moment(rng: smp.RandomStream) -> tuple[bool, str]:
 
 def _check_self_whitening(rng: smp.RandomStream) -> tuple[bool, str]:
     vectors = rng.standard_normal((400, 5)) @ np.diag([3.0, 2.0, 1.0, 0.5, 0.25])
-    batch = smp.SampleBatch(vectors=vectors, sampler="gauss", seed=0)
-    t = mom.empirical_second_moment(batch)
-    white = mom.whiten(t, vectors)
-    t2 = mom.empirical_second_moment(smp.SampleBatch(vectors=white, sampler="gauss", seed=0))
+    t = mom.empirical_second_moment(smp.SampleBatch(vectors))
+    t2 = mom.empirical_second_moment(smp.SampleBatch(mom.whiten(t, vectors)))
     err = mom.deviation(t2)
     return err <= 1e-9, f"|T_whitened - id| = {err:.2e}"
 
@@ -644,13 +630,14 @@ def _check_sparsifier(rng: smp.RandomStream) -> tuple[bool, str]:
     jd = geo.canonical_john("cross-polytope", 2)
     approx = jsp.sparsify(jd, eps=0.5, rng=rng, C=2.0)
     rep = jsp.verify(approx)
+    residual, centroid = rep["residual_norm"], rep["centroid_norm"]
     ok = (
-        rep.residual_norm < 0.5
-        and abs(rep.residual_norm - approx.residual_norm) <= 1e-12
-        and rep.centroid_norm <= 1e-10 * math.sqrt(approx.M)
-        and rep.shift_scaled <= 4.0
+        residual < 0.5
+        and abs(residual - approx.residual_norm) <= 1e-12
+        and centroid <= 1e-10 * math.sqrt(approx.M)
+        and rep["u_norm_sqrt_m"] <= 4.0
     )
-    return ok, f"residual {rep.residual_norm:.4f}, centroid {rep.centroid_norm:.2e}"
+    return ok, f"residual {residual:.4f}, centroid {centroid:.2e}"
 
 
 def _check_rademacher_oracle(rng: smp.RandomStream) -> tuple[bool, str]:

@@ -21,7 +21,6 @@ from .symlin import operator_norm
 __all__ = [
     "SparsifyRejectionError",
     "ApproxJohn",
-    "VerifyReport",
     "choose_M",
     "sparsify",
     "verify",
@@ -62,7 +61,6 @@ class ApproxJohn:
     points: np.ndarray
     shift: np.ndarray
     residual_norm: float
-    eps: float
     attempts: int | None = None
 
     def __post_init__(self):
@@ -86,13 +84,6 @@ class ApproxJohn:
     @property
     def n(self) -> int:
         return self.points.shape[1]
-
-
-@dataclass(frozen=True)
-class VerifyReport:
-    residual_norm: float
-    centroid_norm: float
-    shift_scaled: float  # |u| * sqrt(M)
 
 
 def choose_M(n: int, eps: float, C: float) -> int:
@@ -161,25 +152,23 @@ def sparsify(
                 f"certificate failed: residual {residual:.6g} >= eps {eps:.6g} "
                 f"with M={m} (increase C so that 4n/M <= eps/2)"
             )
-        return ApproxJohn(points=x, shift=u, residual_norm=residual, eps=eps, attempts=attempt)
+        return ApproxJohn(points=x, shift=u, residual_norm=residual, attempts=attempt)
     raise SparsifyRejectionError(max_attempts, dev_failures, sum_failures)
 
 
-def verify(a: ApproxJohn) -> VerifyReport:
+def verify(a: ApproxJohn) -> dict:
     """Recompute the certificate from scratch, independently of sparsify.
 
     Uses a separate accumulation route (einsum contraction) for the
     rank-one sum, so agreement with the stored residual is a real
-    crosscheck rather than a replay of the same arithmetic.
+    crosscheck rather than a replay of the same arithmetic.  Returns the
+    residual norm, the scaled shift |u| sqrt(M) and the centroid norm.
     """
     m, n = a.M, a.n
     shifted = a.points + a.shift
     gram = np.einsum("mi,mj->ij", shifted, shifted)
     s = np.eye(n) - (n / m) * gram
     residual = operator_norm(s)
+    u_scaled = float(np.linalg.norm(a.shift)) * math.sqrt(m)
     centroid = float(np.linalg.norm(shifted.sum(axis=0)))
-    return VerifyReport(
-        residual_norm=residual,
-        centroid_norm=centroid,
-        shift_scaled=float(np.linalg.norm(a.shift)) * math.sqrt(m),
-    )
+    return {"residual_norm": residual, "u_norm_sqrt_m": u_scaled, "centroid_norm": centroid}

@@ -10,7 +10,6 @@ ratio of the two is the empirical absolute constant reported per draw.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,27 +17,12 @@ from .samplers import _CHUNK_ROWS, SampleBatch
 from .symlin import inv_sqrt, operator_norm
 
 __all__ = [
-    "DeviationReport",
     "empirical_second_moment",
     "deviation",
     "log_moment",
     "concentration_report",
     "whiten",
 ]
-
-
-@dataclass(frozen=True)
-class DeviationReport:
-    """Both sides of the concentration bound for one sampled batch."""
-
-    n: int
-    M: int
-    seed: int
-    sampler: str
-    deviation: float
-    log_moment: float
-    rhs_shape: float
-    ratio: float
 
 
 def empirical_second_moment(batch: SampleBatch) -> np.ndarray:
@@ -83,8 +67,8 @@ def log_moment(batch: SampleBatch, p: float | None = None) -> float:
     return float(np.exp(lstar + np.log(total / m) / p))
 
 
-def concentration_report(batch: SampleBatch) -> DeviationReport:
-    """Deviation, log-M moment, the bound's shape term, and their ratio."""
+def concentration_report(batch: SampleBatch) -> dict:
+    """Deviation, log-M moment, the bound's shape term, and their ratio, keyed by column name."""
     m = batch.M
     if m < 3:
         raise ValueError("need M >= 3 so the exponent log M exceeds 1")
@@ -92,16 +76,7 @@ def concentration_report(batch: SampleBatch) -> DeviationReport:
     lm = log_moment(batch)
     rhs_shape = math.sqrt(math.log(m) / m) * lm
     ratio = dev / rhs_shape if rhs_shape > 0.0 else math.inf
-    return DeviationReport(
-        n=batch.n,
-        M=m,
-        seed=batch.seed,
-        sampler=batch.sampler,
-        deviation=dev,
-        log_moment=lm,
-        rhs_shape=rhs_shape,
-        ratio=ratio,
-    )
+    return {"deviation": dev, "log_moment": lm, "rhs_shape": rhs_shape, "ratio": ratio}
 
 
 def whiten(t: np.ndarray, points: np.ndarray) -> np.ndarray:

@@ -84,7 +84,7 @@ class RandomStream:
 
 @dataclass(frozen=True, eq=False)
 class SampleBatch:
-    """M sampled vectors in dimension n with provenance.
+    """M sampled vectors in dimension n.
 
     The batch keeps the float64 array it is given, without a copy, and
     freezes it: after construction neither the batch nor the caller can
@@ -92,8 +92,6 @@ class SampleBatch:
     """
 
     vectors: np.ndarray
-    sampler: str
-    seed: int
 
     def __post_init__(self):
         v = np.asarray(self.vectors, dtype=float)

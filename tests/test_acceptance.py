@@ -129,9 +129,9 @@ def test_05_john_sparsifier():
             successes += 1
             rep = jsp.verify(a)
             cert_ok = cert_ok and (
-                rep.residual_norm < 0.25
-                and rep.centroid_norm <= 1e-10 * math.sqrt(a.M)
-                and rep.shift_scaled <= 4.0
+                rep["residual_norm"] < 0.25
+                and rep["centroid_norm"] <= 1e-10 * math.sqrt(a.M)
+                and rep["u_norm_sqrt_m"] <= 4.0
             )
         ok = ok and successes >= 95 and cert_ok
         details.append(f"{fixture} n={n}: {successes}/100 ok, certificates valid={cert_ok}")
@@ -207,14 +207,14 @@ def test_08_signed_sum_bound():
             for s in seeds:
                 rng = smp.RandomStream(seed=0, stream=derive_stream("acc-bound", i, 1000 * n + s))
                 pts = smp.direct_draws(body, m, rng)
-                rep = brn.bound_ratio(pts, trials, rng, seed=s)
+                rep = brn.bound_ratio(pts, trials, rng)
                 sq = np.einsum("ij,ij->i", pts, pts)
                 v = float(np.linalg.eigvalsh((pts.T * sq) @ pts)[-1])
-                khintchine = rep.estimate / math.sqrt(2.0 * v * math.log(2 * n))
-                ok = ok and rep.ratio <= 8.0 and khintchine <= 1.0
-                max_ratio = max(max_ratio, rep.ratio)
+                khintchine = rep["estimate"] / math.sqrt(2.0 * v * math.log(2 * n))
+                ok = ok and rep["ratio"] <= 8.0 and khintchine <= 1.0
+                max_ratio = max(max_ratio, rep["ratio"])
                 max_khintchine = max(max_khintchine, khintchine)
-                cell.append(rep.ratio)
+                cell.append(rep["ratio"])
                 kh_cell.append(khintchine)
             mean_ratios.append(float(np.mean(cell)))
             mean_khintchine.append(float(np.mean(kh_cell)))
@@ -239,9 +239,9 @@ def test_09_symmetrization():
         draw = lambda m, rng: smp.direct_draws(body, m, rng)
         rng = smp.RandomStream(seed=0, stream=derive_stream("acc-symm", 0, n))
         res = brn.symmetrization_check(draw, n, 256, 200, rng)
-        holds = res.holds()
+        holds = res["holds"]
         ok = ok and holds
-        details.append(f"n={n}: lhs {res.lhs:.4f} <= rhs {res.rhs:.4f} (3-se slack): {holds}")
+        details.append(f"n={n}: lhs {res['lhs']:.4f} <= rhs {res['rhs']:.4f} (3-se slack): {holds}")
     report(9, "symmetrization-inequality", ok, "; ".join(details))
 
 

@@ -1,6 +1,8 @@
 import csv
+import hashlib
 import json
 import math
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -87,6 +89,20 @@ COLUMNS = {
         "isotropic",
     ],
     "whiten": ["experiment", "n", "M", "seed", "eps", "deviation_raw", "deviation_whitened", "isotropic"],
+}
+
+# The sha256 of each shipped output (the six configs at their default seed, and
+# `check --out`).  The pins hold for numpy 2.4.6 on OpenBLAS; a change that moves
+# an output's bytes announces it and re-records the pin.
+SHIPPED_SHA256 = {
+    "bernoulli": "488cb5cef8f6ddee8f361ab8439fafe06f32202ee0111e0af9422eece74c79df",
+    "check": "e039d893122aa45fe1498f228aad963e56e4f41dea28a76565e9f9b4f9e765c7",
+    "john": "a7c8156449dc2b9774729b7ba077e70a2162cf1c2ab731dfa1fba15382c89ec0",
+    "sweep": "712e7a37d2d4e99a943f6486907706156a382270ef3fca01d81f3a5c24cd6178",
+    "sweep.agg": "a6e4f64bee075ecb3ecdbf73114c9270b511f89ab3bca93a0780c625a3c326fa",
+    "symmetrize": "ebf1ad80d37205881a333963c2dab1ca328022674c3cddb04dd4c9df49db2ab0",
+    "truncated": "d3f4855c682174192233ea9c957979a85c9572be89ead9574b10fb93ab0a7e7d",
+    "whiten": "6219c8c7199031c9e677bdce0a03116d26f9c452a2cd53277262043943ebe314",
 }
 
 SWEEP_TEXT = """
@@ -262,6 +278,31 @@ class TestRunSweep:
             assert render_csv(seq.header, seq.rows) == render_csv(par.header, par.rows), text
             if seq.aggregates is not None:
                 assert render_csv(seq.agg_header, seq.aggregates) == render_csv(par.agg_header, par.aggregates)
+
+    def test_pool_threads_are_capped(self, monkeypatch):
+        # validate() accepts any workers >= 1, and a pool starts up to max_workers threads;
+        # a stand-in pool records the request and maps in the calling thread.
+        requested = []
+
+        class InlinePool:
+            def __init__(self, max_workers):
+                requested.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return list(map(fn, tasks))
+
+        text = "kind=sweep\nsampler=cube\nn=2\nm_grid=8\nseeds=" + ",".join(map(str, range(64))) + "\n"
+        serial = run_experiment(parse_config(text))
+        monkeypatch.setattr(harness, "ThreadPoolExecutor", InlinePool)
+        capped = run_experiment(parse_config(text + "workers=100000\n"))
+        assert all(w <= (os.cpu_count() or 1) for w in requested), requested
+        assert render_csv(capped.header, capped.rows) == render_csv(serial.header, serial.rows)
 
 
 class TestRunWhiten:
@@ -526,7 +567,8 @@ class TestCli:
         lines = proc.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: seed 0: "), proc.stderr
 
-    def test_every_output_is_valid_csv(self, tmp_path, capsys):
+    def test_every_output_is_valid_csv(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.delenv("ISOTROPY_SEED", raising=False)  # the pins are of the default seeds
         outs = [tmp_path / "check.csv"]
         assert run_cli(["check", "--out", str(outs[0])]) == 0
         for path in sorted(CONFIG_DIR.glob("*.cfg")):
@@ -539,6 +581,8 @@ class TestCli:
                 header, *rows = csv.reader(fh)
             assert header == COLUMNS[out.name.removesuffix(".csv")], out.name
             assert rows and all(len(row) == len(header) for row in rows), out.name
+            digest = hashlib.sha256(out.read_bytes()).hexdigest()
+            assert digest == SHIPPED_SHA256[out.name.removesuffix(".csv")], out.name
 
     def test_deterministic_csv(self, tmp_path):
         cfg = tmp_path / "sweep.cfg"

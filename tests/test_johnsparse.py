@@ -48,8 +48,8 @@ class TestSparsify:
         a = sparsify(jd, eps=0.5, rng=RandomStream(seed=0, stream=0), C=2.0)
         assert a.residual_norm < 0.5
         rep = verify(a)
-        assert rep.centroid_norm <= 1e-10 * math.sqrt(a.M)
-        assert rep.shift_scaled <= 4.0
+        assert rep["centroid_norm"] <= 1e-10 * math.sqrt(a.M)
+        assert rep["u_norm_sqrt_m"] <= 4.0
         assert np.allclose(np.linalg.norm(a.points, axis=1), 1.0, atol=1e-10)
 
     def test_simplex_n4_success_rate(self):
@@ -117,30 +117,25 @@ class TestVerify:
         jd = canonical_john("simplex", 3)
         a = sparsify(jd, eps=0.3, rng=RandomStream(seed=2, stream=0), C=2.0)
         rep = verify(a)
-        assert rep.residual_norm == pytest.approx(a.residual_norm, abs=1e-12)
+        assert rep["residual_norm"] == pytest.approx(a.residual_norm, abs=1e-12)
 
     def test_hand_built_pair(self):
-        a = ApproxJohn(
-            points=np.array([[1.0], [-1.0]]),
-            shift=np.zeros(1),
-            residual_norm=0.0,
-            eps=0.5,
-        )
+        a = ApproxJohn(points=np.array([[1.0], [-1.0]]), shift=np.zeros(1), residual_norm=0.0)
         rep = verify(a)
-        assert rep.residual_norm == 0.0 and rep.centroid_norm == 0.0 and rep.shift_scaled == 0.0
+        assert rep == {"residual_norm": 0.0, "u_norm_sqrt_m": 0.0, "centroid_norm": 0.0}
 
     def test_perturbation_is_flagged(self):
         jd = canonical_john("cross-polytope", 3)
         a = sparsify(jd, eps=0.4, rng=RandomStream(seed=3, stream=0), C=2.0)
         pts = a.points.copy()
         pts[0, 0] += 0.1
-        tampered = ApproxJohn(points=pts, shift=a.shift, residual_norm=a.residual_norm, eps=a.eps)
+        tampered = ApproxJohn(points=pts, shift=a.shift, residual_norm=a.residual_norm)
         rep = verify(tampered)
-        assert rep.centroid_norm == pytest.approx(0.1, abs=1e-9)
-        assert abs(rep.residual_norm - a.residual_norm) > 1e-6
+        assert rep["centroid_norm"] == pytest.approx(0.1, abs=1e-9)
+        assert abs(rep["residual_norm"] - a.residual_norm) > 1e-6
 
 
 class TestSerialization:
     def test_inconsistent_shapes_rejected(self):
         with pytest.raises(ValueError, match="inconsistent shapes"):
-            ApproxJohn(points=np.ones((3, 2)), shift=np.ones(3), residual_norm=0.0, eps=0.5)
+            ApproxJohn(points=np.ones((3, 2)), shift=np.ones(3), residual_norm=0.0)

@@ -15,8 +15,8 @@ from isotropy.moments import (
 from isotropy.samplers import RandomStream, SampleBatch, direct_draws, john_support
 
 
-def batch_of(vectors, sampler="test", seed=0):
-    return SampleBatch(vectors=np.asarray(vectors, dtype=float), sampler=sampler, seed=seed)
+def batch_of(vectors):
+    return SampleBatch(np.asarray(vectors, dtype=float))
 
 
 class TestEmpiricalSecondMoment:
@@ -118,9 +118,9 @@ class TestLogMoment:
 class TestConcentrationReport:
     def test_exact_mixture_has_zero_ratio(self):
         support, _ = john_support(canonical_john("cross-polytope", 2))
-        rep = concentration_report(batch_of(support, sampler="john"))
-        assert rep.deviation <= 1e-12 and rep.ratio <= 1e-11
-        assert rep.log_moment == pytest.approx(math.sqrt(2.0), rel=1e-12)
+        rep = concentration_report(batch_of(support))
+        assert rep["deviation"] <= 1e-12 and rep["ratio"] <= 1e-11
+        assert rep["log_moment"] == pytest.approx(math.sqrt(2.0), rel=1e-12)
 
     def test_requires_three_vectors(self):
         with pytest.raises(ValueError, match="need M >= 3"):
@@ -130,9 +130,9 @@ class TestConcentrationReport:
         body = isotropic_normalization("cube", 8)
         for seed in range(3):
             rng = RandomStream(seed=seed, stream=17)
-            rep = concentration_report(batch_of(direct_draws(body, 1024, rng), seed=seed))
-            assert 0.0 < rep.ratio <= 4.0
-            assert rep.rhs_shape < 1.0  # in the regime where the bound is asserted
+            rep = concentration_report(batch_of(direct_draws(body, 1024, rng)))
+            assert 0.0 < rep["ratio"] <= 4.0
+            assert rep["rhs_shape"] < 1.0  # in the regime where the bound is asserted
 
     def test_ratio_uniform_across_m(self):
         # The empirical constant moves little between M = 2^10 and 2^14
@@ -143,7 +143,7 @@ class TestConcentrationReport:
             ratios = []
             for seed in range(3):
                 rng = RandomStream(seed=seed, stream=23)
-                ratios.append(concentration_report(batch_of(direct_draws(body, m, rng), seed=seed)).ratio)
+                ratios.append(concentration_report(batch_of(direct_draws(body, m, rng)))["ratio"])
             means[m] = float(np.mean(ratios))
         assert max(means.values()) / min(means.values()) <= 2.0
 
@@ -152,8 +152,8 @@ class TestConcentrationReport:
         rep = concentration_report(batch_of(y))
         p = math.log(64)
         expected = math.sqrt(p / 64) * log_moment(batch_of(y), p)
-        assert rep.rhs_shape == pytest.approx(expected, rel=1e-15)
-        assert rep.ratio == pytest.approx(rep.deviation / expected, rel=1e-15)
+        assert rep["rhs_shape"] == pytest.approx(expected, rel=1e-15)
+        assert rep["ratio"] == pytest.approx(rep["deviation"] / expected, rel=1e-15)
 
 
 class TestEpsilonIsotropy:

@@ -76,29 +76,29 @@ run_experiment(parse_config("kind=truncated\\nsampler=cube\\nn=16\\nr=1\\neps=0.
 class TestSampleBatch:
     def test_rejects_empty(self):
         with pytest.raises(ValueError, match="batch needs at least one vector"):
-            SampleBatch(vectors=np.empty((0, 3)), sampler="x", seed=0)
+            SampleBatch(np.empty((0, 3)))
 
     def test_rejects_non_finite(self):
         for bad in ([[1.0, np.inf]], [[np.nan, 1.0]], [[np.inf, -np.inf]], [[1e308, np.inf]]):
             with pytest.raises(ValueError, match="batch vectors must be finite"):
-                SampleBatch(vectors=np.array(bad), sampler="x", seed=0)
+                SampleBatch(np.array(bad))
 
     def test_finite_entries_whose_sum_overflows(self):
         # The harness runs rows under np.errstate(over="raise").
         with np.errstate(all="raise"):
-            batch = SampleBatch(vectors=np.array([[1e308, 1e308], [1e308, -1.0]]), sampler="x", seed=0)
+            batch = SampleBatch(np.array([[1e308, 1e308], [1e308, -1.0]]))
         assert batch.M == 2
 
     def test_bit_reproducible(self):
         body = isotropic_normalization("cube", 5)
         rng1, rng2 = RandomStream(seed=3, stream=9), RandomStream(seed=3, stream=9)
-        b1 = SampleBatch(vectors=direct_draws(body, 100, rng1), sampler="cube", seed=3)
-        b2 = SampleBatch(vectors=direct_draws(body, 100, rng2), sampler="cube", seed=3)
+        b1 = SampleBatch(direct_draws(body, 100, rng1))
+        b2 = SampleBatch(direct_draws(body, 100, rng2))
         assert np.array_equal(b1.vectors, b2.vectors)
 
     def test_keeps_and_freezes_the_given_array(self):
         arr = RandomStream(seed=3, stream=9).standard_normal((50, 4))
-        batch = SampleBatch(vectors=arr, sampler="gauss", seed=3)
+        batch = SampleBatch(arr)
         assert np.shares_memory(batch.vectors, arr)
         with pytest.raises(ValueError):
             arr[0, 0] = 1.0
@@ -106,7 +106,7 @@ class TestSampleBatch:
             batch.vectors[0, 0] = 1.0
 
     def test_list_input(self):
-        batch = SampleBatch(vectors=[[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]], sampler="x", seed=0)
+        batch = SampleBatch([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
         assert batch.M == 3 and batch.n == 2
         assert batch.vectors.dtype == np.float64 and not batch.vectors.flags.writeable
 
@@ -344,7 +344,7 @@ class TestTruncatedSampling:
         body = isotropic_normalization("cube", 16)
         sampler = TruncatedSampler(body, 1.0, RandomStream(seed=0, stream=11))
         pts = sampler.draw(100_000)
-        batch = SampleBatch(vectors=pts, sampler="truncated:cube", seed=0)
+        batch = SampleBatch(pts)
         vals = np.linalg.eigvalsh(empirical_second_moment(batch))
         assert 0.78 <= vals.min() and vals.max() <= 0.87
 
@@ -442,6 +442,7 @@ class TestTruncatedChunks:
             ("simplex", 8, 0.25, 6.354345034246575e-05),
             ("cube", 16, 1.0, 0.511474609375),
         ],
+        ids=["cube-16-0.5", "simplex-8-0.25", "cube-16-1.0"],
     )
     def test_recorded_pilot_acceptance(self, name, n, r, acceptance):
         assert TruncatedSampler(isotropic_normalization(name, n), r, RandomStream(1, 2)).acceptance == acceptance
@@ -504,9 +505,7 @@ class TestJohnSampler:
         se = math.sqrt(0.125 * 0.875 / m)
         assert np.abs(freqs - 0.125).max() <= 3.0 * se
 
-    def test_batch_provenance(self):
+    def test_batch_shape(self):
         jd = canonical_john("cross-polytope", 2)
-        rng = RandomStream(seed=4, stream=5)
-        batch = SampleBatch(vectors=john_draws(jd, 10, rng), sampler="john", seed=rng.seed)
-        assert batch.sampler == "john" and batch.seed == 4
+        batch = SampleBatch(john_draws(jd, 10, RandomStream(seed=4, stream=5)))
         assert batch.M == 10 and batch.n == 2
