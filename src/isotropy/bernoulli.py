@@ -15,7 +15,6 @@ import math
 
 import numpy as np
 
-from .samplers import RandomStream
 from .symlin import operator_norm
 
 __all__ = [
@@ -28,6 +27,16 @@ __all__ = [
 EXACT_ENUMERATION_CAP = 20
 DEFAULT_TRIALS = 1000
 _SIGN_ENTRIES = 1 << 18  # signs per chunk of a signed-sum GEMM: 3 MB as int32 draw plus floats
+
+
+def _signs(rng: np.random.Generator, size) -> np.ndarray:
+    """Independent +-1 variables with probability 1/2 each, as floats."""
+    # int32 and int64 draws on [0, 2) take the same 32-bit path: the same values and the
+    # same stream state after, from half the bytes.
+    s = rng.integers(0, 2, size=size, dtype=np.int32).astype(float)
+    s *= -2.0
+    s += 1.0
+    return s
 
 
 def _as_points(points) -> np.ndarray:
@@ -69,7 +78,7 @@ def _signed_sum_norms(y: np.ndarray, sign_rows, trials: int) -> np.ndarray:
     return norms
 
 
-def rademacher_trial_norms(points, trials: int, rng: RandomStream) -> np.ndarray:
+def rademacher_trial_norms(points, trials: int, rng: np.random.Generator) -> np.ndarray:
     """Per-trial norms |sum eps_i y_i (x) y_i| with fresh signs each trial.
 
     The signs are drawn chunk by chunk in row order, the stream order of one
@@ -79,7 +88,7 @@ def rademacher_trial_norms(points, trials: int, rng: RandomStream) -> np.ndarray
         raise ValueError("trials must be >= 1")
     y = _as_points(points)
     m = y.shape[0]
-    return _signed_sum_norms(y, lambda a, b: rng.signs((b - a, m)), trials)
+    return _signed_sum_norms(y, lambda a, b: _signs(rng, (b - a, m)), trials)
 
 
 def rademacher_exact(points) -> float:
@@ -107,7 +116,7 @@ def rademacher_exact(points) -> float:
     return float(np.mean(norms))
 
 
-def bound_ratio(points, trials: int, rng: RandomStream) -> dict:
+def bound_ratio(points, trials: int, rng: np.random.Generator) -> dict:
     """The signed-sum estimate, the bound shape, and their ratio, keyed by column name.
 
     The ratio is the empirical constant of the signed rank-one bound for
@@ -128,7 +137,7 @@ def bound_ratio(points, trials: int, rng: RandomStream) -> dict:
     return {"estimate": estimate, "Q": q, "base_norm": base, "bound_shape": bound_shape, "ratio": ratio}
 
 
-def symmetrization_check(draw, n: int, M: int, trials: int, rng: RandomStream) -> dict:
+def symmetrization_check(draw, n: int, M: int, trials: int, rng: np.random.Generator) -> dict:
     """Estimate E|T - id| and 2 E|(1/M) sum eps y (x) y| for an isotropic sampler.
 
     ``draw(m, rng)`` must return m fresh vectors.  The left side uses one
@@ -146,7 +155,7 @@ def symmetrization_check(draw, n: int, M: int, trials: int, rng: RandomStream) -
         y = np.asarray(draw(M, rng), dtype=float)
         lhs_mats[t] = (y.T @ y) / M - eye
         y2 = np.asarray(draw(M, rng), dtype=float)
-        eps = rng.signs(M)
+        eps = _signs(rng, M)
         rhs_mats[t] = ((eps[:, None] * y2).T @ y2) / M
     lhs_norms = operator_norm(lhs_mats)
     rhs_norms = operator_norm(rhs_mats)

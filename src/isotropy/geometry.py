@@ -298,15 +298,12 @@ def regular_simplex_vertices(n: int) -> np.ndarray:
     if n < 1:
         raise ValueError("dimension must be >= 1")
     m = n + 1
-    u = np.ones(m) / np.sqrt(m)
-    w = u - np.eye(m)[-1]
+    eye = np.eye(m)
+    w = np.ones(m) / np.sqrt(m) - eye[-1]
     denom = float(w @ w)
-    verts = []
-    for i in range(m):
-        v = np.eye(m)[i] - np.ones(m) / m
-        v = v - (2.0 * float(w @ v) / denom) * w
-        verts.append(v[:n])
-    verts = np.array(verts)
+    # Reflect each centered basis vector with its own vector dot: one matrix product may
+    # round those sums differently.
+    verts = np.array([(v - (2.0 * float(w @ v) / denom) * w)[:n] for v in eye - np.ones(m) / m])
     norms = np.linalg.norm(verts, axis=1)
     return verts / norms[:, None]
 
@@ -322,12 +319,11 @@ def isotropic_normalization(variant: str, n: int) -> Body:
     """
     if n < 1:
         raise ValueError("dimension must be >= 1")
-    key = variant.lower()
-    if key == "cube":
+    if variant == "cube":
         return Cube(halfwidth=np.sqrt(3.0), n=n)
-    if key == "ball":
+    if variant == "ball":
         return Ball(radius=np.sqrt(n + 2.0), n=n)
-    if key == "simplex":
+    if variant == "simplex":
         scale = np.sqrt(n * (n + 2.0))
         return Simplex(vertices=regular_simplex_vertices(n) * scale)
     raise ValueError(f"no isotropic normalization for variant {variant!r}")
@@ -385,19 +381,18 @@ def canonical_john(variant: str, n: int) -> JohnDecomposition:
     """
     if n < 1:
         raise ValueError("dimension must be >= 1")
-    key = variant.lower().replace("_", "-")
-    if key == "cross-polytope":
+    if variant == "cross-polytope":
         eye = np.eye(n)
         points = np.vstack([eye, -eye])
         weights = np.full(2 * n, 0.5)
-    elif key == "cube-vertices":
+    elif variant == "cube-vertices":
         if n > CUBE_VERTEX_DIM_CAP:
             raise ValueError(f"cube-vertices fixture capped at n={CUBE_VERTEX_DIM_CAP}")
         k = np.arange(2**n)
         signs = 1.0 - 2.0 * ((k[:, None] >> np.arange(n)) & 1)
         points = signs / np.sqrt(n)
         weights = np.full(2**n, n / 2.0**n)
-    elif key == "simplex":
+    elif variant == "simplex":
         points = regular_simplex_vertices(n)
         weights = np.full(n + 1, n / (n + 1.0))
     else:

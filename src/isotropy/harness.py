@@ -5,9 +5,9 @@ through the same grid runner: each config point and trial seed owns a
 random stream keyed by (experiment kind, point index, trial seed)
 and yields one row, so results do not depend on execution order, a worker
 pool can fan rows out safely, and rows come out in config order for any
-worker count.  Science fields are serialized as CSV (or a mirroring JSON
-array) with 17 significant digits; wall-clock time never enters the
-output files.
+worker count.  Science fields are serialized as CSV with 17 significant
+digits, or as a mirroring JSON array of shortest round-trip floats;
+wall-clock time never enters the output files.
 """
 
 from __future__ import annotations
@@ -259,7 +259,7 @@ def _run_grid(row, points: list, kind: str, master_seed: int, seeds: list[int], 
 
     def one(task) -> dict:
         i, point, seed = task
-        rng = smp.RandomStream(seed=master_seed, stream=derive_stream(kind, i, seed))
+        rng = smp.random_stream(master_seed, derive_stream(kind, i, seed))
         try:
             with np.errstate(over="raise"):
                 return row(point, seed, rng)
@@ -285,7 +285,7 @@ def _plan_sweep(cfg: ExperimentConfig):
     """Deviation reports over an M grid of fresh batches."""
     draw = _make_draw(cfg.sampler, cfg.n)
 
-    def row(m: int, seed: int, rng: smp.RandomStream) -> dict:
+    def row(m: int, seed: int, rng: np.random.Generator) -> dict:
         measured = mom.concentration_report(smp.SampleBatch(draw(m, rng)))
         return {"experiment": cfg.kind, "n": cfg.n, "M": m, "seed": seed, "sampler": cfg.sampler, **measured}
 
@@ -323,7 +323,7 @@ def _plan_whiten(cfg: ExperimentConfig):
     draw = _make_draw(cfg.sampler, cfg.n)
     distortion = np.asarray(cfg.distortion)
 
-    def row(m: int, seed: int, rng: smp.RandomStream) -> dict:
+    def row(m: int, seed: int, rng: np.random.Generator) -> dict:
         first = draw(m, rng)
         first *= distortion
         t_hat = mom.empirical_second_moment(smp.SampleBatch(first))
@@ -361,7 +361,7 @@ def _plan_truncated(cfg: ExperimentConfig):
     body = geo.isotropic_normalization(cfg.sampler, cfg.n)
     label = f"truncated:{cfg.sampler}"
 
-    def row(m: int, seed: int, rng: smp.RandomStream) -> dict:
+    def row(m: int, seed: int, rng: np.random.Generator) -> dict:
         measured = mom.concentration_report(smp.SampleBatch(smp.TruncatedSampler(body, cfg.r, rng).draw(m)))
         return {
             "experiment": cfg.kind,
@@ -383,7 +383,7 @@ def _plan_john(cfg: ExperimentConfig):
     """Sparsify the configured John fixture once per seed and certify results."""
     jd = geo.canonical_john(cfg.fixture, cfg.n)
 
-    def row(m: int, seed: int, rng: smp.RandomStream) -> dict:
+    def row(m: int, seed: int, rng: np.random.Generator) -> dict:
         out = {
             "experiment": cfg.kind,
             "fixture": cfg.fixture,
@@ -418,13 +418,13 @@ def _plan_bernoulli(cfg: ExperimentConfig):
 
     if cfg.mode == "ratio":
 
-        def ratio_row(m: int, seed: int, rng: smp.RandomStream) -> dict:
+        def ratio_row(m: int, seed: int, rng: np.random.Generator) -> dict:
             measured = brn.bound_ratio(draw(m, rng), cfg.trials, rng)
             return {"experiment": cfg.kind, "M": m, "n": cfg.n, "trials": cfg.trials, "seed": seed, **measured}
 
         return ratio_row, cfg.m_grid
 
-    def symmetrize_row(m: int, seed: int, rng: smp.RandomStream) -> dict:
+    def symmetrize_row(m: int, seed: int, rng: np.random.Generator) -> dict:
         measured = brn.symmetrization_check(draw, cfg.n, m, cfg.trials, rng)
         return {"experiment": cfg.kind, "n": cfg.n, "M": m, "trials": cfg.trials, "seed": seed, **measured}
 
@@ -449,14 +449,15 @@ _PLANS = {
 CHECK_HEADER = ["experiment", "check", "ok", "invariant"]
 
 
-def _check_rng_streams(rng: smp.RandomStream) -> tuple[bool, str]:
-    a = smp.RandomStream(seed=rng.seed, stream=777).random(16)
-    b = smp.RandomStream(seed=rng.seed, stream=777).random(16)
-    c = smp.RandomStream(seed=rng.seed, stream=778).random(16)
+def _check_rng_streams(rng: np.random.Generator) -> tuple[bool, str]:
+    seed = int(rng.integers(2**63))
+    a = smp.random_stream(seed, 777).random(16)
+    b = smp.random_stream(seed, 777).random(16)
+    c = smp.random_stream(seed, 778).random(16)
     return np.array_equal(a, b) and not np.array_equal(a, c), ""
 
 
-def _check_inv_sqrt(rng: smp.RandomStream) -> tuple[bool, str]:
+def _check_inv_sqrt(rng: np.random.Generator) -> tuple[bool, str]:
     worst = 0.0
     for _ in range(50):
         n = 2 + int(rng.random() * 10)
@@ -468,7 +469,7 @@ def _check_inv_sqrt(rng: smp.RandomStream) -> tuple[bool, str]:
     return worst <= 1e-9, f"max |W A W - id| = {worst:.2e}"
 
 
-def _check_operator_norm(rng: smp.RandomStream) -> tuple[bool, str]:
+def _check_operator_norm(rng: np.random.Generator) -> tuple[bool, str]:
     ok = True
     for _ in range(50):
         n = 2 + int(rng.random() * 6)
@@ -484,14 +485,14 @@ def _check_operator_norm(rng: smp.RandomStream) -> tuple[bool, str]:
     return ok, ""
 
 
-def _check_john_fixtures(rng: smp.RandomStream) -> tuple[bool, str]:
+def _check_john_fixtures(rng: np.random.Generator) -> tuple[bool, str]:
     for variant, dims in (("cross-polytope", (2, 8)), ("cube-vertices", (2, 4)), ("simplex", (2, 4))):
         for n in dims:
             geo.canonical_john(variant, n)  # the constructor raises unless the identities hold
     return True, ""
 
 
-def _check_john_sampler_exact(rng: smp.RandomStream) -> tuple[bool, str]:
+def _check_john_sampler_exact(rng: np.random.Generator) -> tuple[bool, str]:
     worst = 0.0
     for variant, n in (("cross-polytope", 2), ("cube-vertices", 3), ("simplex", 4)):
         jd = geo.canonical_john(variant, n)
@@ -503,7 +504,7 @@ def _check_john_sampler_exact(rng: smp.RandomStream) -> tuple[bool, str]:
     return worst <= 1e-10, f"max enumeration residual {worst:.2e}"
 
 
-def _check_sampler_support(rng: smp.RandomStream) -> tuple[bool, str]:
+def _check_sampler_support(rng: np.random.Generator) -> tuple[bool, str]:
     bodies = [
         geo.isotropic_normalization("cube", 3),
         geo.isotropic_normalization("ball", 3),
@@ -550,7 +551,7 @@ def _chord_failure(body: geo.Body, x: np.ndarray, d: np.ndarray) -> str | None:
     return None
 
 
-def _check_trace_law(rng: smp.RandomStream) -> tuple[bool, str]:
+def _check_trace_law(rng: np.random.Generator) -> tuple[bool, str]:
     details = []
     ok = True
     for variant, n in (("cube", 4), ("ball", 6), ("simplex", 3)):
@@ -560,13 +561,13 @@ def _check_trace_law(rng: smp.RandomStream) -> tuple[bool, str]:
     return ok, "; ".join(details)
 
 
-def _check_ball_radial_cdf(rng: smp.RandomStream) -> tuple[bool, str]:
+def _check_ball_radial_cdf(rng: np.random.Generator) -> tuple[bool, str]:
     body = geo.isotropic_normalization("ball", 3)
     worst = _ball_radial_cdf(smp.direct_draws(body, 20000, rng), body.radius)
     return worst <= 3.0, f"max {worst:.2f} se"
 
 
-def _check_chords(rng: smp.RandomStream) -> tuple[bool, str]:
+def _check_chords(rng: np.random.Generator) -> tuple[bool, str]:
     bodies = [
         geo.Cube(halfwidth=1.5, n=3),
         geo.Ball(radius=2.0, n=3),
@@ -584,7 +585,7 @@ def _check_chords(rng: smp.RandomStream) -> tuple[bool, str]:
     return True, ""
 
 
-def _check_truncated_membership(rng: smp.RandomStream) -> tuple[bool, str]:
+def _check_truncated_membership(rng: np.random.Generator) -> tuple[bool, str]:
     base = geo.Cube(halfwidth=np.sqrt(3.0), n=4)
     trunc = geo.Truncated(base=base, radius=1.8)
     pts = rng.uniform(-2.2, 2.2, (500, 4))
@@ -596,7 +597,7 @@ def _check_truncated_membership(rng: smp.RandomStream) -> tuple[bool, str]:
     return True, ""
 
 
-def _check_hit_and_run(rng: smp.RandomStream) -> tuple[bool, str]:
+def _check_hit_and_run(rng: np.random.Generator) -> tuple[bool, str]:
     theta = math.pi / 6.0
     rot = np.array([[math.cos(theta), -math.sin(theta)], [math.sin(theta), math.cos(theta)]])
     rows = np.vstack([rot.T, -rot.T])
@@ -605,7 +606,7 @@ def _check_hit_and_run(rng: smp.RandomStream) -> tuple[bool, str]:
     return all(body.membership(p) for p in pts), ""
 
 
-def _check_log_moment(rng: smp.RandomStream) -> tuple[bool, str]:
+def _check_log_moment(rng: np.random.Generator) -> tuple[bool, str]:
     vectors = rng.standard_normal((64, 5))
     batch = smp.SampleBatch(vectors)
     ps = [2.0, 4.0, math.log(64)]
@@ -618,7 +619,7 @@ def _check_log_moment(rng: smp.RandomStream) -> tuple[bool, str]:
     return monotone and homogeneous, ""
 
 
-def _check_self_whitening(rng: smp.RandomStream) -> tuple[bool, str]:
+def _check_self_whitening(rng: np.random.Generator) -> tuple[bool, str]:
     vectors = rng.standard_normal((400, 5)) @ np.diag([3.0, 2.0, 1.0, 0.5, 0.25])
     t = mom.empirical_second_moment(smp.SampleBatch(vectors))
     t2 = mom.empirical_second_moment(smp.SampleBatch(mom.whiten(t, vectors)))
@@ -626,7 +627,7 @@ def _check_self_whitening(rng: smp.RandomStream) -> tuple[bool, str]:
     return err <= 1e-9, f"|T_whitened - id| = {err:.2e}"
 
 
-def _check_sparsifier(rng: smp.RandomStream) -> tuple[bool, str]:
+def _check_sparsifier(rng: np.random.Generator) -> tuple[bool, str]:
     jd = geo.canonical_john("cross-polytope", 2)
     approx = jsp.sparsify(jd, eps=0.5, rng=rng, C=2.0)
     rep = jsp.verify(approx)
@@ -640,7 +641,7 @@ def _check_sparsifier(rng: smp.RandomStream) -> tuple[bool, str]:
     return ok, f"residual {residual:.4f}, centroid {centroid:.2e}"
 
 
-def _check_rademacher_oracle(rng: smp.RandomStream) -> tuple[bool, str]:
+def _check_rademacher_oracle(rng: np.random.Generator) -> tuple[bool, str]:
     y = rng.standard_normal((8, 3))
     exact = brn.rademacher_exact(y)
     norms = brn.rademacher_trial_norms(y, 4000, rng)
@@ -680,7 +681,7 @@ _CHECKS = (
 )
 
 
-def _check_row(check, seed: int, rng: smp.RandomStream) -> dict:
+def _check_row(check, seed: int, rng: np.random.Generator) -> dict:
     name, invariant, fn = check
     try:
         ok, detail = fn(rng)

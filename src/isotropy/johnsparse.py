@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import JohnDecomposition
-from .samplers import RandomStream, john_draws
+from .samplers import john_draws
 from .symlin import operator_norm
 
 __all__ = [
@@ -61,7 +61,7 @@ class ApproxJohn:
     points: np.ndarray
     shift: np.ndarray
     residual_norm: float
-    attempts: int | None = None
+    attempts: int
 
     def __post_init__(self):
         x = np.asarray(self.points, dtype=float)
@@ -108,7 +108,7 @@ def _residual_matrix(points: np.ndarray, shift: np.ndarray) -> np.ndarray:
 def sparsify(
     jd: JohnDecomposition,
     eps: float,
-    rng: RandomStream,
+    rng: np.random.Generator,
     C: float = DEFAULT_C,
     max_attempts: int = DEFAULT_MAX_ATTEMPTS,
 ) -> ApproxJohn:

@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from .samplers import _CHUNK_ROWS, SampleBatch
+from .samplers import SampleBatch, _row_norms
 from .symlin import inv_sqrt, operator_norm
 
 __all__ = [
@@ -48,12 +48,9 @@ def log_moment(batch: SampleBatch, p: float | None = None) -> float:
         p = max(2.0, math.log(m))
     if p <= 0.0:
         raise ValueError("exponent p must be positive")
-    # One (M,) array: norms by row chunk (no (M, n) temporary), then the log-domain
-    # terms in place.  log(0) = -inf gives exp(-inf) = 0 for zero rows.
-    v = batch.vectors
-    w = np.empty(m)
-    for i in range(0, m, _CHUNK_ROWS):
-        w[i : i + _CHUNK_ROWS] = np.linalg.norm(v[i : i + _CHUNK_ROWS], axis=1)
+    # One (M,) array: the row norms, then the log-domain terms in place.
+    # log(0) = -inf gives exp(-inf) = 0 for zero rows.
+    w = _row_norms(batch.vectors)
     top = float(np.max(w))
     if top == 0.0:
         return 0.0

@@ -1,7 +1,7 @@
 """Seedable samplers for uniform draws from bodies and John point masses.
 
-Randomness flows through RandomStream, an SFC64 generator keyed one-to-one
-by (seed, stream id) through SeedSequence(seed, spawn_key=(stream,)).
+Randomness flows through plain numpy Generators made by random_stream: SFC64
+keyed one-to-one by (seed, stream id) through SeedSequence(seed, spawn_key=(stream,)).
 Distinct stream ids from one seed give independent streams, which is what
 lets experiment harnesses fan trials out without sharing state.  All batch
 draws consume the stream in a fixed documented order, so identical
@@ -11,14 +11,14 @@ draws consume the stream in a fixed documented order, so identical
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .geometry import Ball, Body, Cube, JohnDecomposition, Simplex, Truncated, _is_finite
 
 __all__ = [
-    "RandomStream",
+    "random_stream",
     "SampleBatch",
     "direct_draws",
     "sample_hit_and_run",
@@ -40,46 +40,18 @@ _CHUNK_ROWS = 1 << 12  # rows per pilot / rejection draw, so memory does not fol
 _THIN_PER_DIM = 2  # the truncated chain emits every (2n)-th state
 
 
-@dataclass
-class RandomStream:
-    """Random source keyed by (seed, stream id), each reduced modulo 2**64.
+def random_stream(seed: int, stream: int) -> np.random.Generator:
+    """The SFC64 generator keyed by (seed, stream id), each reduced modulo 2**64.
 
-    Wraps an SFC64 generator seeded by SeedSequence(seed, spawn_key=(stream,)).
-    The spawn key pads the seed to a fixed width, so distinct 64-bit pairs
-    give distinct keys (a (seed, stream) entropy tuple would not: it is
-    flattened into variable-length 32-bit words).  An independent stream is
-    just a different stream id under the same seed.  Instances are
-    single-owner: share seeds, not streams.
+    It is seeded by SeedSequence(seed, spawn_key=(stream,)).  The spawn key
+    pads the seed to a fixed width, so distinct 64-bit pairs give distinct
+    keys (a (seed, stream) entropy tuple would not: it is flattened into
+    variable-length 32-bit words).  An independent stream is just a
+    different stream id under the same seed.  Generators are single-owner:
+    share seeds, not streams.
     """
-
-    seed: int
-    stream: int = 0
-    _gen: np.random.Generator = field(init=False, repr=False)
-
-    def __post_init__(self):
-        seq = np.random.SeedSequence(int(self.seed) & MASK64, spawn_key=(int(self.stream) & MASK64,))
-        self._gen = np.random.Generator(np.random.SFC64(seq))
-
-    def uniform(self, low=0.0, high=1.0, size=None):
-        return self._gen.uniform(low, high, size)
-
-    def random(self, size=None):
-        return self._gen.random(size)
-
-    def standard_normal(self, size=None):
-        return self._gen.standard_normal(size)
-
-    def standard_exponential(self, size=None):
-        return self._gen.standard_exponential(size)
-
-    def signs(self, size=None) -> np.ndarray:
-        """Independent +-1 variables with probability 1/2 each, as floats."""
-        # int32 and int64 draws on [0, 2) take the same 32-bit path: the same values and the
-        # same stream state after, from half the bytes.
-        s = self._gen.integers(0, 2, size=size, dtype=np.int32).astype(float)
-        s *= -2.0
-        s += 1.0
-        return s
+    seq = np.random.SeedSequence(int(seed) & MASK64, spawn_key=(int(stream) & MASK64,))
+    return np.random.Generator(np.random.SFC64(seq))
 
 
 @dataclass(frozen=True, eq=False)
@@ -115,7 +87,7 @@ class SampleBatch:
         return self.vectors.shape[0]
 
 
-def _draw_direct(body: Body, rng: RandomStream, m: int) -> np.ndarray:
+def _draw_direct(body: Body, rng: np.random.Generator, m: int) -> np.ndarray:
     """Vectorized exact uniform draws; consumption order is fixed per variant.  Cube and
     ball points are scaled in place, so each returns the one array it drew into; simplex
     points are formed by row chunk in one output array."""
@@ -146,18 +118,24 @@ def _draw_direct(body: Body, rng: RandomStream, m: int) -> np.ndarray:
     raise ValueError(f"no direct sampler for body {type(body).__name__}; use hit-and-run")
 
 
-def _unit_ball_points(rng: RandomStream, m: int, n: int) -> np.ndarray:
+def _unit_ball_points(rng: np.random.Generator, m: int, n: int) -> np.ndarray:
     g = rng.standard_normal((m, n))
     u = rng.random(m)
-    norms = np.empty(m)
-    for i in range(0, m, _CHUNK_ROWS):  # by row chunk, so no (m, n) g * g temporary forms
-        norms[i : i + _CHUNK_ROWS] = np.linalg.norm(g[i : i + _CHUNK_ROWS], axis=1)
+    norms = _row_norms(g)
     norms[norms == 0.0] = 1.0  # measure-zero guard
     g *= (u ** (1.0 / n) / norms)[:, None]
     return g
 
 
-def direct_draws(body: Body, m: int, rng: RandomStream) -> np.ndarray:
+def _row_norms(v: np.ndarray) -> np.ndarray:
+    """The Euclidean norm of each row of v, by row chunk, so no (m, n) v * v temporary forms."""
+    norms = np.empty(v.shape[0])
+    for i in range(0, v.shape[0], _CHUNK_ROWS):
+        norms[i : i + _CHUNK_ROWS] = np.linalg.norm(v[i : i + _CHUNK_ROWS], axis=1)
+    return norms
+
+
+def direct_draws(body: Body, m: int, rng: np.random.Generator) -> np.ndarray:
     """M exact uniform samples as a plain (m, n) array."""
     if m < 1:
         raise ValueError("batch size must be >= 1")
@@ -169,7 +147,7 @@ def sample_hit_and_run(
     x0,
     burn_in: int,
     thin: int,
-    rng: RandomStream,
+    rng: np.random.Generator,
     count: int = 1,
 ) -> np.ndarray:
     """Hit-and-run chain: uniform point on a uniformly random chord, repeated.
@@ -184,7 +162,7 @@ def sample_hit_and_run(
     if not body.membership(x):
         raise ValueError("hit-and-run start point lies outside the body")
     n = body.n
-    chord, normal, random = body.chord, rng._gen.standard_normal, rng._gen.random
+    chord, normal, random = body.chord, rng.standard_normal, rng.random
     out = np.empty((count, n))
     for step in range(-burn_in, thin * count):
         # The same operations as np.linalg.norm(g), g / norm, Generator.uniform(lo, hi)
@@ -217,7 +195,7 @@ class TruncatedSampler:
     truncated body, so it needs no burn-in.
     """
 
-    def __init__(self, body: Body, R: float, rng: RandomStream):
+    def __init__(self, body: Body, R: float, rng: np.random.Generator):
         if R <= 0.0:
             raise ValueError("truncation factor R must be positive")
         self.body = body
@@ -277,7 +255,7 @@ class TruncatedSampler:
         return out
 
 
-def _direct_chunks(body: Body, rng: RandomStream, rows: int):
+def _direct_chunks(body: Body, rng: np.random.Generator, rows: int):
     """Yield ``rows`` direct draws in arrays of at most _CHUNK_ROWS rows.  Cube and simplex
     chunks read the stream as one draw would; ball chunks draw normals per chunk."""
     for start in range(0, rows, _CHUNK_ROWS):
@@ -300,11 +278,7 @@ def john_support(jd: JohnDecomposition) -> tuple[np.ndarray, np.ndarray]:
     return np.sqrt(n) * jd.points, jd.weights / n
 
 
-def john_draws(jd: JohnDecomposition, m: int, rng: RandomStream) -> np.ndarray:
+def john_draws(jd: JohnDecomposition, m: int, rng: np.random.Generator) -> np.ndarray:
     """M draws from the John point mass, by inverse CDF over the fixed point order."""
     support, probs = john_support(jd)
-    cdf = np.cumsum(probs)
-    cdf[-1] = 1.0  # guard the top against cumsum roundoff
-    u = rng.random(m)
-    idx = np.searchsorted(cdf, u, side="right")
-    return support[idx]
+    return rng.choice(support, m, p=probs)

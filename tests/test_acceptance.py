@@ -64,12 +64,12 @@ def test_02_trace_law():
     ok = True
     for variant in ("cube", "ball", "simplex"):
         body = geo.isotropic_normalization(variant, n)
-        rng = smp.RandomStream(seed=0, stream=derive_stream("acc-trace", 0, hash(variant) % 997))
+        rng = smp.random_stream(0, derive_stream("acc-trace", 0, hash(variant) % 997))
         _, z = _trace_law(smp.direct_draws(body, m, rng))
         ok = ok and abs(z) <= 3.0
         details.append(f"{variant} z={z:+.2f}")
     jd = geo.canonical_john("cross-polytope", n)
-    pts = smp.john_draws(jd, m, smp.RandomStream(seed=0, stream=derive_stream("acc-trace", 0, 4)))
+    pts = smp.john_draws(jd, m, smp.random_stream(0, derive_stream("acc-trace", 0, 4)))
     sq = np.einsum("ij,ij->i", pts, pts)
     exact = bool(np.abs(sq - n).max() <= 1e-10)
     ok = ok and exact
@@ -121,7 +121,7 @@ def test_05_john_sparsifier():
         successes = 0
         cert_ok = True
         for seed in range(100):
-            rng = smp.RandomStream(seed=0, stream=derive_stream("acc-john", 0, seed))
+            rng = smp.random_stream(0, derive_stream("acc-john", 0, seed))
             try:
                 a = jsp.sparsify(jd, eps=0.25, rng=rng, C=2.0, max_attempts=16)
             except jsp.SparsifyRejectionError:
@@ -158,7 +158,7 @@ def test_06_truncated_sampling():
 
 
 def test_07_oracle_equivalence():
-    gen = smp.RandomStream(seed=42, stream=0)
+    gen = smp.random_stream(42, 0)
     worst_z = 0.0
     ok = True
     for k in range(20):
@@ -166,7 +166,7 @@ def test_07_oracle_equivalence():
         n = 2 + int(gen.random() * 3)  # 2..4
         pts = gen.standard_normal((m, n))
         exact = brn.rademacher_exact(pts)
-        norms = brn.rademacher_trial_norms(pts, 10_000, smp.RandomStream(seed=100 + k, stream=0))
+        norms = brn.rademacher_trial_norms(pts, 10_000, smp.random_stream(100 + k, 0))
         se = norms.std(ddof=1) / math.sqrt(norms.size)
         z = abs(float(norms.mean()) - exact) / se
         worst_z = max(worst_z, z)
@@ -205,7 +205,7 @@ def test_08_signed_sum_bound():
             cell = []
             kh_cell = []
             for s in seeds:
-                rng = smp.RandomStream(seed=0, stream=derive_stream("acc-bound", i, 1000 * n + s))
+                rng = smp.random_stream(0, derive_stream("acc-bound", i, 1000 * n + s))
                 pts = smp.direct_draws(body, m, rng)
                 rep = brn.bound_ratio(pts, trials, rng)
                 sq = np.einsum("ij,ij->i", pts, pts)
@@ -237,7 +237,7 @@ def test_09_symmetrization():
     for n in (4, 8):
         body = geo.isotropic_normalization("cube", n)
         draw = lambda m, rng: smp.direct_draws(body, m, rng)
-        rng = smp.RandomStream(seed=0, stream=derive_stream("acc-symm", 0, n))
+        rng = smp.random_stream(0, derive_stream("acc-symm", 0, n))
         res = brn.symmetrization_check(draw, n, 256, 200, rng)
         holds = res["holds"]
         ok = ok and holds

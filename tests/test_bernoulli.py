@@ -6,13 +6,14 @@ import pytest
 from scipy import integrate
 
 from isotropy.bernoulli import (
+    _signs,
     bound_ratio,
     rademacher_exact,
     rademacher_trial_norms,
     symmetrization_check,
 )
 from isotropy.geometry import canonical_john, isotropic_normalization
-from isotropy.samplers import RandomStream, direct_draws, john_draws
+from isotropy.samplers import direct_draws, john_draws, random_stream
 from isotropy.symlin import operator_norm
 
 
@@ -30,9 +31,9 @@ def traced_peak_mb(fn) -> float:
 def test_rejects_empty_or_flat_points(shape):
     pts = np.ones(shape)
     for call in (
-        lambda: rademacher_trial_norms(pts, 10, RandomStream(seed=0, stream=0)),
+        lambda: rademacher_trial_norms(pts, 10, random_stream(0, 0)),
         lambda: rademacher_exact(pts),
-        lambda: bound_ratio(pts, 10, RandomStream(seed=0, stream=0)),
+        lambda: bound_ratio(pts, 10, random_stream(0, 0)),
     ):
         with pytest.raises(ValueError, match="need an \\(M, n\\) point array"):
             call()
@@ -41,25 +42,25 @@ def test_rejects_empty_or_flat_points(shape):
 class TestRademacherEstimate:
     def test_single_point_gives_squared_norm(self):
         y = np.array([[1.0, 2.0, 2.0]])  # norm 3
-        norms = rademacher_trial_norms(y, 50, RandomStream(seed=0, stream=0))
+        norms = rademacher_trial_norms(y, 50, random_stream(0, 0))
         assert np.allclose(norms, 9.0, rtol=1e-12)
 
     def test_orthonormal_pair_is_always_one(self):
         y = np.eye(2)
-        norms = rademacher_trial_norms(y, 100, RandomStream(seed=1, stream=0))
+        norms = rademacher_trial_norms(y, 100, random_stream(1, 0))
         assert norms.mean() == pytest.approx(1.0, rel=1e-12)
 
     def test_trials_required(self):
         with pytest.raises(ValueError, match="trials must be >= 1"):
-            rademacher_trial_norms(np.eye(2), 0, RandomStream(seed=0, stream=0)).mean()
+            rademacher_trial_norms(np.eye(2), 0, random_stream(0, 0)).mean()
 
     def test_matches_per_trial_oracle_across_chunk_boundary(self):
         # n = 16 gives blocks of 2^20 / 256 = 4096 signed sums per
         # operator_norm call, so 5000 trials span one full block and a
         # partial one.
-        y = direct_draws(isotropic_normalization("cube", 16), 40, RandomStream(seed=3, stream=1))
-        norms = rademacher_trial_norms(y, 5000, RandomStream(seed=3, stream=2))
-        signs = RandomStream(seed=3, stream=2).signs((5000, 40))
+        y = direct_draws(isotropic_normalization("cube", 16), 40, random_stream(3, 1))
+        norms = rademacher_trial_norms(y, 5000, random_stream(3, 2))
+        signs = _signs(random_stream(3, 2), (5000, 40))
         oracle = np.array([np.linalg.norm((s[:, None] * y).T @ y, 2) for s in signs])
         assert np.allclose(norms, oracle, rtol=1e-12, atol=0)
 
@@ -73,9 +74,9 @@ class TestRademacherEstimate:
         # operator_norm call.  At M = 4096 a sign chunk is 64 rows; 64-row
         # chunks with a 2-row last one, or 6-row chunks at M = 40000, would
         # change bits here (BLAS sums a small product in another order).
-        y = direct_draws(isotropic_normalization("cube", n), m, RandomStream(seed=4, stream=0))
-        norms = rademacher_trial_norms(y, trials, RandomStream(seed=4, stream=1))
-        signs = RandomStream(seed=4, stream=1).signs((trials, m))
+        y = direct_draws(isotropic_normalization("cube", n), m, random_stream(4, 0))
+        norms = rademacher_trial_norms(y, trials, random_stream(4, 1))
+        signs = _signs(random_stream(4, 1), (trials, m))
         outer = (y[:, :, None] * y[:, None, :]).reshape(m, n * n)
         reference = operator_norm((signs @ outer).reshape(-1, n, n))
         assert norms.tobytes() == reference.tobytes()
@@ -83,7 +84,7 @@ class TestRademacherEstimate:
     def test_memory_does_not_follow_trials_times_m(self):
         # One (trials, M) draw held 16 * trials * M bytes: 200 MiB traced here.
         y = np.random.default_rng(0).standard_normal((65536, 2))
-        assert traced_peak_mb(lambda: rademacher_trial_norms(y, 200, RandomStream(seed=0, stream=0))) < 16
+        assert traced_peak_mb(lambda: rademacher_trial_norms(y, 200, random_stream(0, 0))) < 16
 
     @pytest.mark.parametrize("n", [2, 16])
     def test_khintchine_lower_bound(self, n):
@@ -93,7 +94,7 @@ class TestRademacherEstimate:
         # 3 Monte Carlo standard errors of the E|Z|^2 estimate.
         body = isotropic_normalization("cube", n)
         for m in (8, 64, 512):
-            rng = RandomStream(seed=0, stream=1000 * n + m)
+            rng = random_stream(0, 1000 * n + m)
             y = direct_draws(body, m, rng)
             v = np.linalg.eigvalsh((np.einsum("ij,ij->i", y, y)[:, None] * y).T @ y).max()
             sq = rademacher_trial_norms(y, 400, rng) ** 2
@@ -140,7 +141,7 @@ class TestRademacherExact:
         rng = np.random.default_rng(12)
         pts = rng.standard_normal((10, 3))
         exact = rademacher_exact(pts)
-        norms = rademacher_trial_norms(pts, 10_000, RandomStream(seed=5, stream=0))
+        norms = rademacher_trial_norms(pts, 10_000, random_stream(5, 0))
         se = norms.std(ddof=1) / math.sqrt(norms.size)
         assert abs(norms.mean() - exact) <= 4.0 * se
 
@@ -148,7 +149,7 @@ class TestRademacherExact:
 class TestBoundRatio:
     def test_cube_envelope(self):
         body = isotropic_normalization("cube", 8)
-        rng = RandomStream(seed=0, stream=7)
+        rng = random_stream(0, 7)
         pts = direct_draws(body, 256, rng)
         rep = bound_ratio(pts, 1000, rng)
         assert rep["ratio"] <= 4.0
@@ -161,7 +162,7 @@ class TestBoundRatio:
         body = isotropic_normalization("cube", 8)
         ratios = {}
         for m in (64, 1024):
-            rng = RandomStream(seed=0, stream=100 + m)
+            rng = random_stream(0, 100 + m)
             pts = direct_draws(body, m, rng)
             ratios[m] = bound_ratio(pts, 500, rng)["ratio"]
         hi, lo = max(ratios.values()), min(ratios.values())
@@ -171,30 +172,30 @@ class TestBoundRatio:
         # Estimate and bound shape are both homogeneous of degree 2, so the
         # ratio is exactly scale-free (identical signs via identical seeds).
         pts = np.random.default_rng(3).standard_normal((16, 4))
-        a = bound_ratio(pts, 200, RandomStream(seed=9, stream=0))
-        b = bound_ratio(5.0 * pts, 200, RandomStream(seed=9, stream=0))
+        a = bound_ratio(pts, 200, random_stream(9, 0))
+        b = bound_ratio(5.0 * pts, 200, random_stream(9, 0))
         assert b["estimate"] == pytest.approx(25.0 * a["estimate"], rel=1e-12)
         assert b["bound_shape"] == pytest.approx(25.0 * a["bound_shape"], rel=1e-12)
         assert b["ratio"] == pytest.approx(a["ratio"], rel=1e-12)
 
     def test_needs_three_points(self):
         with pytest.raises(ValueError, match="need M >= 3"):
-            bound_ratio(np.eye(2), 10, RandomStream(seed=0, stream=0))
+            bound_ratio(np.eye(2), 10, random_stream(0, 0))
 
 
 class TestSymmetrization:
     def test_cube_n4(self):
         body = isotropic_normalization("cube", 4)
         draw = lambda m, rng: direct_draws(body, m, rng)
-        res = symmetrization_check(draw, 4, 256, 200, RandomStream(seed=0, stream=0))
+        res = symmetrization_check(draw, 4, 256, 200, random_stream(0, 0))
         assert res["holds"]
         assert res["lhs"] <= res["rhs"]  # ample slack in practice, not just within noise
 
     def test_john_sampler_slack_grows_with_m(self):
         jd = canonical_john("cross-polytope", 2)
         draw = lambda m, rng: john_draws(jd, m, rng)
-        small = symmetrization_check(draw, 2, 64, 300, RandomStream(seed=0, stream=64))
-        large = symmetrization_check(draw, 2, 1024, 300, RandomStream(seed=0, stream=1024))
+        small = symmetrization_check(draw, 2, 64, 300, random_stream(0, 64))
+        large = symmetrization_check(draw, 2, 1024, 300, random_stream(0, 1024))
         assert small["holds"] and large["holds"]
         assert large["lhs"] < small["lhs"]  # deviation shrinks as M grows
         assert large["rhs"] > 0.0
@@ -209,7 +210,7 @@ class TestSymmetrization:
         assert oracle == pytest.approx(4.0 / (3.0 * math.sqrt(3.0)), rel=1e-9)
         body = isotropic_normalization("cube", 1)
         draw = lambda m, rng: direct_draws(body, m, rng)
-        res = symmetrization_check(draw, 1, 1, 2000, RandomStream(seed=0, stream=0))
+        res = symmetrization_check(draw, 1, 1, 2000, random_stream(0, 0))
         assert abs(res["lhs"] - oracle) <= 3.0 * res["lhs_se"]
         assert abs(res["rhs"] - 2.0) <= 3.0 * res["rhs_se"]
         assert res["lhs"] < 2.0
@@ -218,4 +219,4 @@ class TestSymmetrization:
         body = isotropic_normalization("cube", 2)
         draw = lambda m, rng: direct_draws(body, m, rng)
         with pytest.raises(ValueError, match="trials must be >= 1"):
-            symmetrization_check(draw, 2, 8, 0, RandomStream(seed=0, stream=0))
+            symmetrization_check(draw, 2, 8, 0, random_stream(0, 0))

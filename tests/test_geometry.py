@@ -16,7 +16,7 @@ from isotropy.geometry import (
     regular_simplex_vertices,
 )
 from isotropy.harness import _chord_failure
-from isotropy.samplers import RandomStream, direct_draws
+from isotropy.samplers import direct_draws, random_stream
 from isotropy.symlin import operator_norm
 
 E1 = np.array([1.0, 0.0])
@@ -122,7 +122,7 @@ class TestChord:
     @pytest.mark.parametrize("make_body", CHORD_BODIES)
     def test_endpoints_are_extremal(self, make_body):
         body = make_body()
-        rng = RandomStream(seed=99, stream=0)
+        rng = random_stream(99, 0)
         for _ in range(25):
             x = direct_draws(Ball(radius=0.3, n=3), 1, rng)[0]
             d = rng.standard_normal(3)
@@ -160,7 +160,7 @@ class TestIsotropicNormalization:
     def test_simplex_normalization_monte_carlo(self, n):
         # Brute-force crosscheck of the closed-form constant.
         body = isotropic_normalization("simplex", n)
-        pts = direct_draws(body, 200_000, RandomStream(seed=2024, stream=n))
+        pts = direct_draws(body, 200_000, random_stream(2024, n))
         t = pts.T @ pts / pts.shape[0]
         assert np.abs(np.diag(t) - 1.0).max() < 0.03
         assert np.abs(t - np.diag(np.diag(t))).max() < 0.03
@@ -237,6 +237,13 @@ class TestCanonicalJohn:
         with pytest.raises(ValueError, match="cube-vertices fixture capped"):
             canonical_john("cube-vertices", 21)
 
+    def test_only_exact_names_resolve(self):
+        # validate() admits only the exact names, so no other spelling is an alias.
+        with pytest.raises(ValueError, match="unknown John fixture variant"):
+            canonical_john("cross_polytope", 2)
+        with pytest.raises(ValueError, match="no isotropic normalization"):
+            isotropic_normalization("Cube", 2)
+
     def test_invalid_decomposition_rejected(self):
         with pytest.raises(ValueError, match="weighted point sum must vanish"):
             JohnDecomposition(points=np.eye(2), weights=np.array([1.0, 1.0]))  # sum c z != 0
@@ -246,7 +253,7 @@ class TestTruncated:
     def test_membership_is_conjunction(self):
         base = Cube(halfwidth=np.sqrt(3), n=4)
         trunc = Truncated(base=base, radius=1.8)
-        rng = RandomStream(seed=5, stream=0)
+        rng = random_stream(5, 0)
         pts = rng.uniform(-2.2, 2.2, (300, 4))
         for p in pts:
             r = np.linalg.norm(p)

@@ -27,7 +27,7 @@ from isotropy.harness import (
     run_experiment,
     truncated_sample_count,
 )
-from isotropy.samplers import RandomStream
+from isotropy.samplers import random_stream
 
 
 def strict_json_loads(text):
@@ -524,7 +524,7 @@ class TestCli:
         jd = canonical_john("cross-polytope", 2)
 
         def row_fails(seed: int) -> bool:
-            rng = RandomStream(seed=0, stream=derive_stream("john-sparsify", 0, seed))
+            rng = random_stream(0, derive_stream("john-sparsify", 0, seed))
             try:
                 jsp.sparsify(jd, 0.9, rng, C=0.01)
             except jsp.SparsifyRejectionError:

@@ -11,7 +11,7 @@ from isotropy.johnsparse import (
     sparsify,
     verify,
 )
-from isotropy.samplers import RandomStream
+from isotropy.samplers import random_stream
 
 
 def pair_fixture_1d():
@@ -45,7 +45,7 @@ class TestChooseM:
 class TestSparsify:
     def test_cross_polytope_n2_seed0(self):
         jd = canonical_john("cross-polytope", 2)
-        a = sparsify(jd, eps=0.5, rng=RandomStream(seed=0, stream=0), C=2.0)
+        a = sparsify(jd, eps=0.5, rng=random_stream(0, 0), C=2.0)
         assert a.residual_norm < 0.5
         rep = verify(a)
         assert rep["centroid_norm"] <= 1e-10 * math.sqrt(a.M)
@@ -57,7 +57,7 @@ class TestSparsify:
         successes = 0
         for seed in range(20):
             try:
-                a = sparsify(jd, eps=0.25, rng=RandomStream(seed=seed, stream=1), C=2.0, max_attempts=8)
+                a = sparsify(jd, eps=0.25, rng=random_stream(seed, 1), C=2.0, max_attempts=8)
             except SparsifyRejectionError:
                 continue
             successes += 1
@@ -68,14 +68,14 @@ class TestSparsify:
     def test_degenerate_one_dimensional_identity(self):
         # With the +-z pair the empirical second moment is exactly 1, so
         # the residual reduces to the recentering term u^2.
-        a = sparsify(pair_fixture_1d(), eps=0.5, rng=RandomStream(seed=0, stream=0), C=2.0)
+        a = sparsify(pair_fixture_1d(), eps=0.5, rng=random_stream(0, 0), C=2.0)
         assert a.residual_norm == pytest.approx(float(a.shift[0] ** 2), abs=1e-12)
         assert a.residual_norm < 0.5
 
     def test_rejection_error_carries_counts(self):
         jd = canonical_john("cross-polytope", 8)
         with pytest.raises(SparsifyRejectionError) as err:
-            sparsify(jd, eps=0.05, rng=RandomStream(seed=0, stream=0), C=0.01, max_attempts=4)
+            sparsify(jd, eps=0.05, rng=random_stream(0, 0), C=0.01, max_attempts=4)
         assert err.value.attempts == 4
         assert err.value.deviation_failures + err.value.point_sum_failures >= 4
 
@@ -86,16 +86,16 @@ class TestSparsify:
         # the residual is at least 1/9 > eps = 0.1 on every stream: the certificate fails
         # loudly rather than retry.
         with pytest.raises(ValueError, match="certificate failed"):
-            sparsify(pair_fixture_1d(), eps=0.1, rng=RandomStream(seed=0, stream=0), C=0.01, max_attempts=1)
+            sparsify(pair_fixture_1d(), eps=0.1, rng=random_stream(0, 0), C=0.01, max_attempts=1)
 
     def test_eps_validation(self):
         with pytest.raises(ValueError, match="eps must lie in"):
-            sparsify(pair_fixture_1d(), eps=0.0, rng=RandomStream(seed=0, stream=0))
+            sparsify(pair_fixture_1d(), eps=0.0, rng=random_stream(0, 0))
 
     def test_residual_bound_shape(self):
         # Accepted draws obey |S| <= eps/2 + 4n/M by construction.
         jd = canonical_john("cross-polytope", 4)
-        a = sparsify(jd, eps=0.3, rng=RandomStream(seed=1, stream=0), C=2.0)
+        a = sparsify(jd, eps=0.3, rng=random_stream(1, 0), C=2.0)
         assert a.residual_norm <= 0.15 + 4.0 * a.n / a.M + 1e-12
 
     def test_mean_residual_does_not_grow_with_C(self):
@@ -105,7 +105,7 @@ class TestSparsify:
         means = {}
         for c in (2.0, 4.0):
             residuals = [
-                sparsify(jd, 0.25, RandomStream(seed=seed, stream=77), C=c, max_attempts=16).residual_norm
+                sparsify(jd, 0.25, random_stream(seed, 77), C=c, max_attempts=16).residual_norm
                 for seed in range(20)
             ]
             means[c] = float(np.mean(residuals))
@@ -115,21 +115,21 @@ class TestSparsify:
 class TestVerify:
     def test_matches_stored_residual(self):
         jd = canonical_john("simplex", 3)
-        a = sparsify(jd, eps=0.3, rng=RandomStream(seed=2, stream=0), C=2.0)
+        a = sparsify(jd, eps=0.3, rng=random_stream(2, 0), C=2.0)
         rep = verify(a)
         assert rep["residual_norm"] == pytest.approx(a.residual_norm, abs=1e-12)
 
     def test_hand_built_pair(self):
-        a = ApproxJohn(points=np.array([[1.0], [-1.0]]), shift=np.zeros(1), residual_norm=0.0)
+        a = ApproxJohn(points=np.array([[1.0], [-1.0]]), shift=np.zeros(1), residual_norm=0.0, attempts=1)
         rep = verify(a)
         assert rep == {"residual_norm": 0.0, "u_norm_sqrt_m": 0.0, "centroid_norm": 0.0}
 
     def test_perturbation_is_flagged(self):
         jd = canonical_john("cross-polytope", 3)
-        a = sparsify(jd, eps=0.4, rng=RandomStream(seed=3, stream=0), C=2.0)
+        a = sparsify(jd, eps=0.4, rng=random_stream(3, 0), C=2.0)
         pts = a.points.copy()
         pts[0, 0] += 0.1
-        tampered = ApproxJohn(points=pts, shift=a.shift, residual_norm=a.residual_norm)
+        tampered = ApproxJohn(points=pts, shift=a.shift, residual_norm=a.residual_norm, attempts=1)
         rep = verify(tampered)
         assert rep["centroid_norm"] == pytest.approx(0.1, abs=1e-9)
         assert abs(rep["residual_norm"] - a.residual_norm) > 1e-6
@@ -138,4 +138,4 @@ class TestVerify:
 class TestSerialization:
     def test_inconsistent_shapes_rejected(self):
         with pytest.raises(ValueError, match="inconsistent shapes"):
-            ApproxJohn(points=np.ones((3, 2)), shift=np.ones(3), residual_norm=0.0)
+            ApproxJohn(points=np.ones((3, 2)), shift=np.ones(3), residual_norm=0.0, attempts=1)

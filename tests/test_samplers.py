@@ -6,48 +6,53 @@ import numpy as np
 import pytest
 
 from isotropy import samplers
+from isotropy.bernoulli import _signs
 from isotropy.geometry import Ball, Cube, HPolytope, Truncated, canonical_john, isotropic_normalization
 from isotropy.harness import _ball_radial_cdf, _trace_law
 from isotropy.samplers import (
-    RandomStream,
     SampleBatch,
     TruncatedSampler,
     direct_draws,
     john_draws,
     john_support,
+    random_stream,
     sample_hit_and_run,
 )
 
 
 class TestRandomStream:
     def test_reproducible(self):
-        a = RandomStream(seed=7, stream=3).random(32)
-        b = RandomStream(seed=7, stream=3).random(32)
+        a = random_stream(7, 3).random(32)
+        b = random_stream(7, 3).random(32)
         assert np.array_equal(a, b)
 
     def test_streams_do_not_share_a_prefix(self):
-        a = RandomStream(seed=7, stream=0).random(32)
-        b = RandomStream(seed=7, stream=1).random(32)
+        a = random_stream(7, 0).random(32)
+        b = random_stream(7, 1).random(32)
         assert not np.any(a[:8] == b[:8])
 
     def test_keying_is_one_to_one_on_64_bit_pairs(self):
         # An entropy tuple (seed, stream) is flattened into variable-length 32-bit words, so
         # these two pairs would share a stream; the spawn key pads the seed to a fixed width.
-        a = RandomStream(seed=2**32 + 5, stream=3).random(8)
-        b = RandomStream(seed=5, stream=1 + 3 * 2**32).random(8)
+        a = random_stream(2**32 + 5, 3).random(8)
+        b = random_stream(5, 1 + 3 * 2**32).random(8)
         assert not np.any(a == b)
         # The seed is still reduced modulo 2**64.
-        assert np.array_equal(RandomStream(seed=-1, stream=0).random(8), RandomStream(seed=2**64 - 1, stream=0).random(8))
+        assert np.array_equal(random_stream(-1, 0).random(8), random_stream(2**64 - 1, 0).random(8))
+
+    def test_streams_are_plain_sfc64_generators(self):
+        rng = random_stream(1, 2)
+        assert type(rng) is np.random.Generator
+        assert isinstance(rng.bit_generator, np.random.SFC64)
 
     def test_signs_are_plus_minus_one(self):
-        s = RandomStream(seed=1, stream=0).signs(1000)
+        s = _signs(random_stream(1, 0), 1000)
         assert set(np.unique(s)) == {-1.0, 1.0}
-        assert isinstance(RandomStream(seed=1, stream=0).signs(), float)
 
     def test_recorded_sign_bytes(self):
         # Pins the sign draw and the stream state it leaves behind.
-        rng = RandomStream(seed=3, stream=5)
-        signs = rng.signs((400, 4096))
+        rng = random_stream(3, 5)
+        signs = _signs(rng, (400, 4096))
         assert hashlib.sha256(signs.tobytes()).hexdigest() == (
             "cf82fcd63d929c1308f789c891422864a65eef347f5917f07d1e33ff01fe9708"
         )
@@ -60,10 +65,10 @@ class TestRandomStream:
 DIRECT_RUN = """
 import sys
 from isotropy.geometry import isotropic_normalization
-from isotropy.samplers import RandomStream, direct_draws
+from isotropy.samplers import direct_draws, random_stream
 body = isotropic_normalization(sys.argv[1], 16)
 if int(sys.argv[2]):
-    direct_draws(body, int(sys.argv[2]), RandomStream(0, 0))
+    direct_draws(body, int(sys.argv[2]), random_stream(0, 0))
 """
 
 # One seed of the benchmark's truncated rejection cut, through the harness.
@@ -91,13 +96,13 @@ class TestSampleBatch:
 
     def test_bit_reproducible(self):
         body = isotropic_normalization("cube", 5)
-        rng1, rng2 = RandomStream(seed=3, stream=9), RandomStream(seed=3, stream=9)
+        rng1, rng2 = random_stream(3, 9), random_stream(3, 9)
         b1 = SampleBatch(direct_draws(body, 100, rng1))
         b2 = SampleBatch(direct_draws(body, 100, rng2))
         assert np.array_equal(b1.vectors, b2.vectors)
 
     def test_keeps_and_freezes_the_given_array(self):
-        arr = RandomStream(seed=3, stream=9).standard_normal((50, 4))
+        arr = random_stream(3, 9).standard_normal((50, 4))
         batch = SampleBatch(arr)
         assert np.shares_memory(batch.vectors, arr)
         with pytest.raises(ValueError):
@@ -119,16 +124,16 @@ class TestSampleBatch:
 class TestDirectSamplers:
     def test_cube_support(self):
         body = Cube(halfwidth=math.sqrt(3), n=2)
-        pts = direct_draws(body, 500, RandomStream(seed=0, stream=0))
+        pts = direct_draws(body, 500, random_stream(0, 0))
         assert np.abs(pts).max() <= math.sqrt(3)
 
     def test_ball_support(self):
-        pts = direct_draws(Ball(radius=1.0, n=3), 500, RandomStream(seed=1, stream=0))
+        pts = direct_draws(Ball(radius=1.0, n=3), 500, random_stream(1, 0))
         assert np.linalg.norm(pts, axis=1).max() <= 1.0
 
     def test_simplex_support(self):
         body = isotropic_normalization("simplex", 3)
-        pts = direct_draws(body, 500, RandomStream(seed=2, stream=0))
+        pts = direct_draws(body, 500, random_stream(2, 0))
         assert all(body.membership(p) for p in pts)
 
     def test_cube_marginal_second_moment(self):
@@ -136,7 +141,7 @@ class TestDirectSamplers:
         # empirical per-coordinate second moment at M = 1e5 has a 3-sigma
         # band of 3 sqrt(0.8 / M) around 1.
         m = 100_000
-        pts = direct_draws(isotropic_normalization("cube", 4), m, RandomStream(seed=4, stream=0))
+        pts = direct_draws(isotropic_normalization("cube", 4), m, random_stream(4, 0))
         second = (pts**2).mean(axis=0)
         band = 3.0 * math.sqrt(0.8 / m)
         assert np.abs(second - 1.0).max() <= band
@@ -144,7 +149,7 @@ class TestDirectSamplers:
     def test_ball_radial_cdf(self):
         n, m = 3, 50_000
         body = isotropic_normalization("ball", n)
-        assert _ball_radial_cdf(direct_draws(body, m, RandomStream(seed=5, stream=0)), body.radius) <= 3.0
+        assert _ball_radial_cdf(direct_draws(body, m, random_stream(5, 0)), body.radius) <= 3.0
 
     @pytest.mark.parametrize("a", [math.sqrt(3.0), 0.7, 1e3])
     @pytest.mark.parametrize("m, n", [(1, 1), (3, 2), (32769, 16)])
@@ -153,7 +158,7 @@ class TestDirectSamplers:
         # reference generator is built here, so the test also pins how (seed, stream) is keyed.
         seq = np.random.SeedSequence(11, spawn_key=(5,))
         expect = np.random.Generator(np.random.SFC64(seq)).uniform(-a, a, (m, n))
-        got = direct_draws(Cube(halfwidth=a, n=n), m, RandomStream(seed=11, stream=5))
+        got = direct_draws(Cube(halfwidth=a, n=n), m, random_stream(11, 5))
         assert got.tobytes() == expect.tobytes()
 
     @pytest.mark.parametrize("m, n", [(1, 1), (3, 2), (32769, 16)])
@@ -166,8 +171,8 @@ class TestDirectSamplers:
             return g * (u ** (1.0 / n) / norms)[:, None]
 
         ball = Ball(radius=2.5, n=n)
-        expect = ball.radius * unit_points(RandomStream(11, 5))
-        assert direct_draws(ball, m, RandomStream(11, 5)).tobytes() == expect.tobytes()
+        expect = ball.radius * unit_points(random_stream(11, 5))
+        assert direct_draws(ball, m, random_stream(11, 5)).tobytes() == expect.tobytes()
 
     @pytest.mark.parametrize("n", [8, 16])
     @pytest.mark.parametrize("m", [1, 4097, 65_536, 306_781])
@@ -175,9 +180,9 @@ class TestDirectSamplers:
         # The product with the vertices is formed by row chunk into one output
         # array; it must equal the whole (m, n + 1) @ (n + 1, n) product.
         simplex = isotropic_normalization("simplex", n)
-        e = RandomStream(11, 5).standard_exponential((m, n + 1))
+        e = random_stream(11, 5).standard_exponential((m, n + 1))
         e /= e.sum(axis=1, keepdims=True)
-        assert np.array_equal(direct_draws(simplex, m, RandomStream(11, 5)), e @ simplex.vertices)
+        assert np.array_equal(direct_draws(simplex, m, random_stream(11, 5)), e @ simplex.vertices)
 
     def test_ball_and_simplex_draws_hold_one_batch(self, child_peak_rss_mb):
         # 306,781 rows in n = 16 are 39 MB.  A whole-array row norm (ball) or the
@@ -189,13 +194,13 @@ class TestDirectSamplers:
     def test_unsupported_variant(self):
         poly = HPolytope(rows=np.array([[1.0], [-1.0]]), offsets=np.array([1.0, 1.0]))
         with pytest.raises(ValueError, match="no direct sampler for body HPolytope"):
-            direct_draws(poly, 1, RandomStream(seed=0, stream=0))
+            direct_draws(poly, 1, random_stream(0, 0))
 
     @pytest.mark.parametrize("variant,n", [("cube", 4), ("ball", 6), ("simplex", 3)])
     def test_trace_law(self, variant, n):
         m = 50_000
         body = isotropic_normalization(variant, n)
-        _, z = _trace_law(direct_draws(body, m, RandomStream(seed=6, stream=n)))
+        _, z = _trace_law(direct_draws(body, m, random_stream(6, n)))
         assert abs(z) <= 3.0
 
 
@@ -205,13 +210,13 @@ ROT30 = np.array([[math.cos(math.pi / 6), -math.sin(math.pi / 6)], [math.sin(mat
 class TestHitAndRun:
     def test_emitted_states_are_members(self):
         body = Ball(radius=1.0, n=2)
-        pts = sample_hit_and_run(body, np.zeros(2), burn_in=10, thin=1, rng=RandomStream(seed=0, stream=0), count=200)
+        pts = sample_hit_and_run(body, np.zeros(2), burn_in=10, thin=1, rng=random_stream(0, 0), count=200)
         assert all(body.membership(p) for p in pts)
 
     def test_rotated_cube_mean(self):
         # 30-degree rotated cube as an H-polytope; target mean is 0 by symmetry.
         body = HPolytope(rows=np.vstack([ROT30.T, -ROT30.T]), offsets=np.ones(4))
-        pts = sample_hit_and_run(body, np.zeros(2), burn_in=1000, thin=5, rng=RandomStream(seed=0, stream=1), count=10_000)
+        pts = sample_hit_and_run(body, np.zeros(2), burn_in=1000, thin=5, rng=random_stream(0, 1), count=10_000)
         assert all(body.membership(p) for p in pts)
         mean = pts.mean(axis=0)
         se = pts.std(axis=0, ddof=1) / math.sqrt(pts.shape[0])
@@ -219,16 +224,16 @@ class TestHitAndRun:
 
     def test_single_step_from_center(self):
         body = Cube(halfwidth=1.0, n=2)
-        pts = sample_hit_and_run(body, np.zeros(2), burn_in=0, thin=1, rng=RandomStream(seed=2, stream=0), count=1)
+        pts = sample_hit_and_run(body, np.zeros(2), burn_in=0, thin=1, rng=random_stream(2, 0), count=1)
         assert pts.shape == (1, 2) and body.membership(pts[0])
 
     def test_start_outside_rejected(self):
         with pytest.raises(ValueError, match="start point lies outside the body"):
-            sample_hit_and_run(Ball(radius=1.0, n=2), np.array([5.0, 0.0]), 0, 1, RandomStream(seed=0, stream=0))
+            sample_hit_and_run(Ball(radius=1.0, n=2), np.array([5.0, 0.0]), 0, 1, random_stream(0, 0))
 
     def test_start_point_is_not_modified(self):
         x0 = np.array([0.25, -0.5])
-        sample_hit_and_run(Cube(halfwidth=1.0, n=2), x0, burn_in=5, thin=2, rng=RandomStream(seed=2, stream=0), count=3)
+        sample_hit_and_run(Cube(halfwidth=1.0, n=2), x0, burn_in=5, thin=2, rng=random_stream(2, 0), count=3)
         assert x0.tolist() == [0.25, -0.5]
 
     @pytest.mark.parametrize(
@@ -257,7 +262,7 @@ class TestHitAndRun:
         # The chain states are pinned bit for bit: a faster step must repeat the
         # same floating-point operations, not approximate them.
         body = make_body()
-        rng = RandomStream(seed=5, stream=17)
+        rng = random_stream(5, 17)
         states = sample_hit_and_run(body, np.zeros(body.n), burn_in=800, thin=32, rng=rng, count=300)
         assert hashlib.sha256(states.tobytes()).hexdigest() == digest
 
@@ -268,7 +273,7 @@ class TestTruncatedSampling:
         # radius sqrt(12) < 4), so nothing is ever rejected and the output
         # is distributed exactly like the direct sampler.
         body = isotropic_normalization("cube", 4)
-        sampler = TruncatedSampler(body, 2.0, RandomStream(seed=7, stream=0))
+        sampler = TruncatedSampler(body, 2.0, random_stream(7, 0))
         assert sampler.acceptance == 1.0 and sampler.mode == "rejection"
         pts = sampler.draw(50_000)
         sq = np.einsum("ij,ij->i", pts, pts)
@@ -277,12 +282,12 @@ class TestTruncatedSampling:
 
     def test_ball_truncation_support(self):
         body = isotropic_normalization("ball", 10)
-        pts = TruncatedSampler(body, 1.0, RandomStream(seed=8, stream=0)).draw(2000)
+        pts = TruncatedSampler(body, 1.0, random_stream(8, 0)).draw(2000)
         assert np.linalg.norm(pts, axis=1).max() <= math.sqrt(10.0) + 1e-12
 
     def test_thin_intersection_switches_to_hit_and_run(self):
         body = isotropic_normalization("cube", 2)
-        sampler = TruncatedSampler(body, 0.0138, RandomStream(seed=3, stream=0))
+        sampler = TruncatedSampler(body, 0.0138, random_stream(3, 0))
         assert sampler.mode == "hit-and-run"
         assert 1e-6 <= sampler.acceptance < 1e-3
         pts = sampler.draw(40)
@@ -297,7 +302,7 @@ class TestTruncatedSampling:
 
         monkeypatch.setattr(samplers, "sample_hit_and_run", spy)
         body = isotropic_normalization("cube", 2)
-        sampler = TruncatedSampler(body, 0.0138, RandomStream(seed=3, stream=0))
+        sampler = TruncatedSampler(body, 0.0138, random_stream(3, 0))
         assert sampler.mode == "hit-and-run"
         sampler.draw(5)
         [(chain_body, x0, burn_in, thin)] = calls
@@ -305,7 +310,7 @@ class TestTruncatedSampling:
         assert burn_in == 0 and thin == 2 * body.n
         # Cube pilot rows read the stream in sequence: the first in-radius row of
         # one long draw from a fresh stream is the pilot's first hit.
-        pts = direct_draws(body, 4096 + 32768 + 262144, RandomStream(seed=3, stream=0))
+        pts = direct_draws(body, 4096 + 32768 + 262144, random_stream(3, 0))
         first = np.flatnonzero(np.einsum("ij,ij->i", pts, pts) <= sampler.rho**2)[0]
         assert np.array_equal(x0, pts[first])
 
@@ -316,7 +321,7 @@ class TestTruncatedSampling:
         # 8e-5, so the chain samples it.  A chain on the ball of radius 1.05 rho (sphere
         # chord and ball containment both scaled) moves the mean by 27 standard errors.
         n = 12
-        sampler = TruncatedSampler(isotropic_normalization("cube", n), 0.45, RandomStream(0, 0))
+        sampler = TruncatedSampler(isotropic_normalization("cube", n), 0.45, random_stream(0, 0))
         assert sampler.mode == "hit-and-run" and sampler.rho < math.sqrt(3.0)
         pts = sampler.draw(2000)
         r2 = np.einsum("ij,ij->i", pts, pts) / sampler.rho**2
@@ -327,11 +332,11 @@ class TestTruncatedSampling:
     def test_too_aggressive_truncation(self):
         body = isotropic_normalization("cube", 2)
         with pytest.raises(ValueError, match="truncation too aggressive"):
-            TruncatedSampler(body, 1e-4, RandomStream(seed=3, stream=0))
+            TruncatedSampler(body, 1e-4, random_stream(3, 0))
 
     def test_single_sample_helper(self):
         body = isotropic_normalization("cube", 3)
-        x = TruncatedSampler(body, 1.0, RandomStream(seed=9, stream=0)).draw(1)[0]
+        x = TruncatedSampler(body, 1.0, random_stream(9, 0)).draw(1)[0]
         assert np.linalg.norm(x) <= math.sqrt(3.0) and body.membership(x)
 
     def test_truncated_cube_spectral_band(self):
@@ -342,7 +347,7 @@ class TestTruncatedSampling:
         from isotropy.moments import empirical_second_moment
 
         body = isotropic_normalization("cube", 16)
-        sampler = TruncatedSampler(body, 1.0, RandomStream(seed=0, stream=11))
+        sampler = TruncatedSampler(body, 1.0, random_stream(0, 11))
         pts = sampler.draw(100_000)
         batch = SampleBatch(pts)
         vals = np.linalg.eigvalsh(empirical_second_moment(batch))
@@ -383,9 +388,9 @@ class TestPilotStoppingRule:
                 r = math.sqrt(target / c)
                 for seed in range(4):
                     case = (name, target, seed)
-                    acceptance, first = _fifty_hit_pilot(body, r * math.sqrt(2), RandomStream(seed, 3))
+                    acceptance, first = _fifty_hit_pilot(body, r * math.sqrt(2), random_stream(seed, 3))
                     try:
-                        sampler = TruncatedSampler(body, r, RandomStream(seed, 3))
+                        sampler = TruncatedSampler(body, r, random_stream(seed, 3))
                     except ValueError as exc:
                         assert "truncation too aggressive" in str(exc), case
                         assert acceptance < samplers.ACCEPTANCE_HARD_FLOOR, case
@@ -412,16 +417,16 @@ class TestPilotStoppingRule:
             return chunks(body, rng, rows)
 
         monkeypatch.setattr(samplers, "_direct_chunks", counting)
-        sampler = TruncatedSampler(isotropic_normalization(name, n), r, RandomStream(1, 2))
+        sampler = TruncatedSampler(isotropic_normalization(name, n), r, random_stream(1, 2))
         assert sampler.mode == "hit-and-run" and max(drawn) < 2_097_152, drawn
 
 
 # A floor cut: no hit in 3,000,000 pilot rows, so the pilot runs every stage and raises.
 PILOT_RUN = """
 from isotropy.geometry import isotropic_normalization
-from isotropy.samplers import RandomStream, TruncatedSampler
+from isotropy.samplers import TruncatedSampler, random_stream
 try:
-    TruncatedSampler(isotropic_normalization("simplex", 8), 0.1, RandomStream(1, 2))
+    TruncatedSampler(isotropic_normalization("simplex", 8), 0.1, random_stream(1, 2))
 except ValueError as exc:
     if "truncation too aggressive" not in str(exc):
         raise
@@ -445,15 +450,15 @@ class TestTruncatedChunks:
         ids=["cube-16-0.5", "simplex-8-0.25", "cube-16-1.0"],
     )
     def test_recorded_pilot_acceptance(self, name, n, r, acceptance):
-        assert TruncatedSampler(isotropic_normalization(name, n), r, RandomStream(1, 2)).acceptance == acceptance
+        assert TruncatedSampler(isotropic_normalization(name, n), r, random_stream(1, 2)).acceptance == acceptance
 
     def test_chunk_size_changes_no_byte(self, monkeypatch):
         cube, simplex = isotropic_normalization("cube", 16), isotropic_normalization("simplex", 8)
 
         def run(rows):
             monkeypatch.setattr(samplers, "_CHUNK_ROWS", rows)
-            drawn = TruncatedSampler(cube, 1.0, RandomStream(1, 2)).draw(50_000)
-            rng = RandomStream(1, 2)
+            drawn = TruncatedSampler(cube, 1.0, random_stream(1, 2)).draw(50_000)
+            rng = random_stream(1, 2)
             acceptance = TruncatedSampler(simplex, 0.25, rng).acceptance
             return drawn, acceptance, rng.random(8)
 
@@ -464,7 +469,7 @@ class TestTruncatedChunks:
         assert small_acceptance == acceptance and np.array_equal(small_after, after)
         # With 2**40-row chunks every rejection batch (about 117k rows) is drawn whole, as before chunking.
         monkeypatch.setattr(samplers, "_CHUNK_ROWS", 1 << 40)
-        assert np.array_equal(TruncatedSampler(cube, 1.0, RandomStream(1, 2)).draw(50_000), drawn)
+        assert np.array_equal(TruncatedSampler(cube, 1.0, random_stream(1, 2)).draw(50_000), drawn)
 
     def test_pilot_memory_is_bounded(self, child_peak_rss_mb):
         # The pilot's largest stage is 2,097,152 simplex8 rows (about 150 MB per
@@ -483,12 +488,12 @@ class TestJohnSampler:
 
     def test_outputs_live_on_the_support_sphere(self):
         jd = canonical_john("simplex", 5)
-        pts = john_draws(jd, 2000, RandomStream(seed=0, stream=0))
+        pts = john_draws(jd, 2000, random_stream(0, 0))
         assert np.allclose(np.linalg.norm(pts, axis=1), math.sqrt(5.0), atol=1e-12)
 
     def test_single_draw(self):
         jd = canonical_john("cross-polytope", 3)
-        y = john_draws(jd, 1, RandomStream(seed=1, stream=0))[0]
+        y = john_draws(jd, 1, random_stream(1, 0))[0]
         assert abs(np.linalg.norm(y) - math.sqrt(3.0)) <= 1e-12
 
     def test_cube_vertices_frequencies(self):
@@ -498,7 +503,7 @@ class TestJohnSampler:
         jd = canonical_john("cube-vertices", 3)
         support, probs = john_support(jd)
         assert np.allclose(probs, 0.125, atol=0)
-        pts = john_draws(jd, m, RandomStream(seed=0, stream=42))
+        pts = john_draws(jd, m, random_stream(0, 42))
         keys = [tuple(np.sign(p).astype(int)) for p in support]
         counts = collections.Counter(tuple(np.sign(p).astype(int)) for p in pts)
         freqs = np.array([counts[k] / m for k in keys])
@@ -507,5 +512,5 @@ class TestJohnSampler:
 
     def test_batch_shape(self):
         jd = canonical_john("cross-polytope", 2)
-        batch = SampleBatch(john_draws(jd, 10, RandomStream(seed=4, stream=5)))
+        batch = SampleBatch(john_draws(jd, 10, random_stream(4, 5)))
         assert batch.M == 10 and batch.n == 2
