@@ -4,8 +4,8 @@ Subcommands: sweep, whiten, truncated, john-sparsify, bernoulli, check.
 Experiment subcommands read a flat key=value config file; `check` runs
 the built-in invariant suite.  ISOTROPY_SEED, when set, overrides
 --seed.  Exit codes: 0 on success, 1 when an experiment or check fails,
-2 for usage errors (unknown flags or subcommands, missing or invalid
-config, an ISOTROPY_SEED that is not a decimal integer).
+2 for usage errors (unknown flags or subcommands, a missing, unreadable
+or invalid config, an ISOTROPY_SEED that is not a decimal integer).
 """
 
 from __future__ import annotations
@@ -90,10 +90,6 @@ def main(argv=None) -> int:
         print(f"all {len(result.rows)} checks passed")
         return 0
 
-    if not os.path.isfile(args.config):
-        print(f"error: config file not found: {args.config}", file=sys.stderr)
-        print(parser.format_usage(), end="", file=sys.stderr)
-        return 2
     try:
         cfg = harness.load_config(args.config, kind=args.command)
         if args.seed is not None:

@@ -57,6 +57,23 @@ def _is_finite(x: np.ndarray, xx: float) -> bool:
     return math.isfinite(xx) or bool(np.isfinite(x).all())
 
 
+def _frozen(a, what: str) -> np.ndarray:
+    """The value-object ownership rule: keep a float64 array as given, check it, freeze it.
+
+    Other input (lists, other dtypes) is converted once.  After this the
+    owner and the caller share one read-only array.  The sum tests
+    finiteness without a mask; when a huge finite array overflows it (under
+    the harness's over="raise" too), _is_finite runs the full test.
+    """
+    a = np.asarray(a, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = float(a.sum())
+    if not _is_finite(a, total):
+        raise ValueError(f"{what} must be finite")
+    a.setflags(write=False)
+    return a
+
+
 def _in_ball(xx: float, radius: float) -> bool:
     """Whether a point with squared norm xx lies in the centered ball of the given radius."""
     return bool(math.sqrt(xx) <= radius + MEMBERSHIP_TOL * max(1.0, radius))
@@ -190,13 +207,9 @@ class Simplex(Body):
     n: int = field(init=False)
 
     def __post_init__(self):
-        v = np.asarray(self.vertices, dtype=float)
+        v = _frozen(self.vertices, "simplex vertices")
         if v.ndim != 2 or v.shape[0] != v.shape[1] + 1:
             raise ValueError(f"simplex needs n+1 vertices in dimension n, got shape {v.shape}")
-        if not np.all(np.isfinite(v)):
-            raise ValueError("simplex vertices must be finite")
-        v = v.copy()
-        v.setflags(write=False)
         object.__setattr__(self, "vertices", v)
         object.__setattr__(self, "n", v.shape[1])
         # Barycentric solve: [V^T; 1] lam = [x; 1].
@@ -232,18 +245,12 @@ class HPolytope(Body):
     n: int = field(init=False)
 
     def __post_init__(self):
-        a = np.asarray(self.rows, dtype=float)
-        b = np.asarray(self.offsets, dtype=float)
+        a = _frozen(self.rows, "polytope rows/offsets")
+        b = _frozen(self.offsets, "polytope rows/offsets")
         if a.ndim != 2 or b.ndim != 1 or a.shape[0] != b.shape[0]:
             raise ValueError("need matching inequality rows and offsets")
-        if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
-            raise ValueError("polytope data must be finite")
         # Unlike the canonical families, explicit polytope data may be
         # non-centered; boundedness is enforced lazily by chord queries.
-        a = a.copy()
-        b = b.copy()
-        a.setflags(write=False)
-        b.setflags(write=False)
         object.__setattr__(self, "rows", a)
         object.__setattr__(self, "offsets", b)
         object.__setattr__(self, "n", a.shape[1])
@@ -333,17 +340,17 @@ def isotropic_normalization(variant: str, n: int) -> Body:
 class JohnDecomposition:
     """Unit contact points z_i with positive weights c_i.
 
-    Construction validates the defining identities: sum c_i z_i (x) z_i
-    equals the identity, sum c_i z_i vanishes, and the weights add to n
-    (all at 1e-10).
+    Construction validates finite data and the defining identities:
+    sum c_i z_i (x) z_i equals the identity, sum c_i z_i vanishes, and the
+    weights add to n (all at 1e-10).
     """
 
     points: np.ndarray
     weights: np.ndarray
 
     def __post_init__(self):
-        z = np.asarray(self.points, dtype=float)
-        c = np.asarray(self.weights, dtype=float)
+        z = _frozen(self.points, "contact points/weights")
+        c = _frozen(self.weights, "contact points/weights")
         if z.ndim != 2 or c.ndim != 1 or z.shape[0] != c.shape[0]:
             raise ValueError("need one weight per point")
         if np.min(c, initial=np.inf) <= 0.0:
@@ -359,10 +366,6 @@ class JohnDecomposition:
             raise ValueError("weighted point sum must vanish")
         if abs(float(np.sum(c)) - n) > tol:
             raise ValueError("weights must sum to the dimension")
-        z = z.copy()
-        c = c.copy()
-        z.setflags(write=False)
-        c.setflags(write=False)
         object.__setattr__(self, "points", z)
         object.__setattr__(self, "weights", c)
 

@@ -175,8 +175,12 @@ def parse_config(text: str, kind: str | None = None) -> ExperimentConfig:
 
 
 def load_config(path, kind: str | None = None) -> ExperimentConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_config(fh.read(), kind=kind)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    return parse_config(text, kind=kind)
 
 
 def derive_stream(kind: str, point: int, seed: int) -> int:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import JohnDecomposition
+from .geometry import JohnDecomposition, _frozen
 from .samplers import john_draws
 from .symlin import operator_norm
 
@@ -64,16 +64,10 @@ class ApproxJohn:
     attempts: int
 
     def __post_init__(self):
-        x = np.asarray(self.points, dtype=float)
-        u = np.asarray(self.shift, dtype=float)
+        x = _frozen(self.points, "points and shift")
+        u = _frozen(self.shift, "points and shift")
         if x.ndim != 2 or u.shape != (x.shape[1],):
             raise ValueError(f"inconsistent shapes: points {x.shape}, shift {u.shape}")
-        if not (np.all(np.isfinite(x)) and np.all(np.isfinite(u))):
-            raise ValueError("points and shift must be finite")
-        x = x.copy()
-        u = u.copy()
-        x.setflags(write=False)
-        u.setflags(write=False)
         object.__setattr__(self, "points", x)
         object.__setattr__(self, "shift", u)
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Ball, Body, Cube, JohnDecomposition, Simplex, Truncated, _is_finite
+from .geometry import Ball, Body, Cube, JohnDecomposition, Simplex, Truncated, _frozen
 
 __all__ = [
     "random_stream",
@@ -58,29 +58,18 @@ def random_stream(seed: int, stream: int) -> np.random.Generator:
 class SampleBatch:
     """M sampled vectors in dimension n.
 
-    The batch keeps the float64 array it is given, without a copy, and
-    freezes it: after construction neither the batch nor the caller can
-    write through it.  Other input (lists, other dtypes) is converted once.
+    Like every value object of the package that holds arrays, the batch
+    keeps the float64 array it is given, without a copy, and freezes it
+    (geometry._frozen), so the caller's array becomes read-only too.
     """
 
     vectors: np.ndarray
 
     def __post_init__(self):
-        v = np.asarray(self.vectors, dtype=float)
+        v = _frozen(self.vectors, "batch vectors")
         if v.ndim != 2 or v.shape[0] < 1:
             raise ValueError(f"batch needs at least one vector, got shape {v.shape}")
-        # The sum tests finiteness without an (M, n) mask.  A huge finite batch may overflow
-        # it, under the harness's over="raise" too, and then _is_finite runs the full test.
-        with np.errstate(over="ignore", invalid="ignore"):
-            total = float(v.sum())
-        if not _is_finite(v, total):
-            raise ValueError("batch vectors must be finite")
-        v.setflags(write=False)
         object.__setattr__(self, "vectors", v)
-
-    @property
-    def n(self) -> int:
-        return self.vectors.shape[1]
 
     @property
     def M(self) -> int:

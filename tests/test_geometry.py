@@ -16,7 +16,8 @@ from isotropy.geometry import (
     regular_simplex_vertices,
 )
 from isotropy.harness import _chord_failure
-from isotropy.samplers import direct_draws, random_stream
+from isotropy.johnsparse import ApproxJohn
+from isotropy.samplers import SampleBatch, direct_draws, random_stream
 from isotropy.symlin import operator_norm
 
 E1 = np.array([1.0, 0.0])
@@ -247,6 +248,8 @@ class TestCanonicalJohn:
     def test_invalid_decomposition_rejected(self):
         with pytest.raises(ValueError, match="weighted point sum must vanish"):
             JohnDecomposition(points=np.eye(2), weights=np.array([1.0, 1.0]))  # sum c z != 0
+        with pytest.raises(ValueError, match="contact points/weights must be finite"):
+            JohnDecomposition(points=np.array([[1.0], [math.nan]]), weights=np.array([0.5, 0.5]))
 
 
 class TestTruncated:
@@ -283,8 +286,9 @@ class TestBodyValidation:
             lambda: Ball(radius=math.inf, n=2),
             lambda: Truncated(base=Ball(radius=1.0, n=2), radius=math.nan),
             lambda: Simplex(vertices=np.vstack([[math.nan, 0.0], regular_simplex_vertices(2)[1:]])),
+            lambda: HPolytope(rows=np.vstack([np.eye(2), -np.eye(2)]), offsets=np.array([1.0, 1.0, math.inf, 1.0])),
         ],
-        ids=["cube-nan", "cube-inf", "ball-inf", "truncated-nan", "simplex-nan-vertex"],
+        ids=["cube-nan", "cube-inf", "ball-inf", "truncated-nan", "simplex-nan-vertex", "hpolytope-inf-offset"],
     )
     def test_non_finite_body_data_rejected(self, make_body):
         with pytest.raises(ValueError, match="must be finite"):
@@ -293,3 +297,22 @@ class TestBodyValidation:
     def test_degenerate_simplex_rejected(self):
         with pytest.raises(ValueError, match="degenerate simplex vertices"):
             Simplex(vertices=np.array([[1.0, 0.0], [2.0, 0.0], [3.0, 0.0]]))
+
+
+@pytest.mark.parametrize(
+    "cls, kwargs",
+    [
+        (Simplex, {"vertices": regular_simplex_vertices(2)}),
+        (HPolytope, {"rows": np.vstack([np.eye(2), -np.eye(2)]), "offsets": np.ones(4)}),
+        (JohnDecomposition, {"points": np.vstack([np.eye(2), -np.eye(2)]), "weights": np.full(4, 0.5)}),
+        (ApproxJohn, {"points": np.array([[1.0], [-1.0]]), "shift": np.zeros(1), "residual_norm": 0.0, "attempts": 1}),
+        (SampleBatch, {"vectors": np.ones((3, 2))}),
+    ],
+    ids=["simplex", "hpolytope", "john", "approx-john", "sample-batch"],
+)
+def test_value_objects_keep_and_freeze_the_given_arrays(cls, kwargs):
+    obj = cls(**kwargs)
+    arrays = {k: a for k, a in kwargs.items() if isinstance(a, np.ndarray)}
+    for name, a in arrays.items():
+        assert getattr(obj, name) is a, name
+        assert not a.flags.writeable, name

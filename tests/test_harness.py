@@ -443,6 +443,16 @@ class TestCli:
     def test_missing_config_is_usage_error(self, capsys):
         assert run_cli(["sweep", "--config", "does-not-exist.cfg"]) == 2
 
+    def test_unreadable_config_is_usage_error(self, tmp_path, capsys):
+        # Undecodable bytes and a directory take the same path as a missing file.
+        path = tmp_path / "bytes.cfg"
+        path.write_bytes(b"kind=sweep\nn=\xff\n")
+        for config in (path, tmp_path):
+            assert run_cli(["sweep", "--config", str(config)]) == 2, config
+            err = capsys.readouterr().err
+            assert err.startswith("error: cannot read config ") and err.count("error:") == 1, config
+            assert "Traceback" not in err, config
+
     def test_unknown_subcommand_exits_two(self):
         with pytest.raises(SystemExit) as err:
             run_cli(["bogus"])

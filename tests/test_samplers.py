@@ -112,7 +112,7 @@ class TestSampleBatch:
 
     def test_list_input(self):
         batch = SampleBatch([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
-        assert batch.M == 3 and batch.n == 2
+        assert batch.M == 3 and batch.vectors.shape[1] == 2
         assert batch.vectors.dtype == np.float64 and not batch.vectors.flags.writeable
 
     def test_truncated_rejection_seed_holds_one_batch(self, child_peak_rss_mb):
@@ -513,4 +513,4 @@ class TestJohnSampler:
     def test_batch_shape(self):
         jd = canonical_john("cross-polytope", 2)
         batch = SampleBatch(john_draws(jd, 10, random_stream(4, 5)))
-        assert batch.M == 10 and batch.n == 2
+        assert batch.M == 10 and batch.vectors.shape[1] == 2
