@@ -76,10 +76,12 @@ class SampleBatch:
         return self.vectors.shape[0]
 
 
-def _draw_direct(body: Body, rng: np.random.Generator, m: int) -> np.ndarray:
-    """Vectorized exact uniform draws; consumption order is fixed per variant.  Cube and
-    ball points are scaled in place, so each returns the one array it drew into; simplex
-    points are formed by row chunk in one output array."""
+def direct_draws(body: Body, m: int, rng: np.random.Generator) -> np.ndarray:
+    """M exact uniform samples as a plain (m, n) array; consumption order is fixed per variant.
+    Cube and ball points are scaled in place, so each returns the one array it drew into;
+    simplex points are formed by row chunk in one output array."""
+    if m < 1:
+        raise ValueError("batch size must be >= 1")
     n = body.n
     if isinstance(body, Cube):
         # Generator.uniform(low, high) is low + (high - low) * U: the same operations, same bytes.
@@ -122,13 +124,6 @@ def _row_norms(v: np.ndarray) -> np.ndarray:
     for i in range(0, v.shape[0], _CHUNK_ROWS):
         norms[i : i + _CHUNK_ROWS] = np.linalg.norm(v[i : i + _CHUNK_ROWS], axis=1)
     return norms
-
-
-def direct_draws(body: Body, m: int, rng: np.random.Generator) -> np.ndarray:
-    """M exact uniform samples as a plain (m, n) array."""
-    if m < 1:
-        raise ValueError("batch size must be >= 1")
-    return _draw_direct(body, rng, m)
 
 
 def sample_hit_and_run(
@@ -248,7 +243,7 @@ def _direct_chunks(body: Body, rng: np.random.Generator, rows: int):
     """Yield ``rows`` direct draws in arrays of at most _CHUNK_ROWS rows.  Cube and simplex
     chunks read the stream as one draw would; ball chunks draw normals per chunk."""
     for start in range(0, rows, _CHUNK_ROWS):
-        yield _draw_direct(body, rng, min(_CHUNK_ROWS, rows - start))
+        yield direct_draws(body, min(_CHUNK_ROWS, rows - start), rng)
 
 
 def _within_radius(pts: np.ndarray, rho: float) -> np.ndarray:

@@ -109,7 +109,7 @@ def test_04_whitening_round_trip():
     )
     res = run_experiment(cfg)
     passes = sum(1 for r in res.rows if r["isotropic"])
-    worst = max(r["deviation_whitened"] for r in res.rows)
+    worst = max(r["deviation_exact"] for r in res.rows)
     report(4, "whitening-round-trip", passes >= 9, f"{passes}/10 seeds eps-isotropic at 0.1 (worst dev {worst:.4f})")
 
 

@@ -12,7 +12,7 @@ import pytest
 
 from isotropy import cli, harness
 from isotropy import johnsparse as jsp
-from isotropy.geometry import canonical_john
+from isotropy.geometry import canonical_john, isotropic_normalization
 from isotropy.harness import (
     ConfigError,
     ExperimentConfig,
@@ -27,7 +27,7 @@ from isotropy.harness import (
     run_experiment,
     truncated_sample_count,
 )
-from isotropy.samplers import random_stream
+from isotropy.samplers import direct_draws, john_draws, random_stream
 
 
 def strict_json_loads(text):
@@ -88,7 +88,7 @@ COLUMNS = {
         "ratio",
         "isotropic",
     ],
-    "whiten": ["experiment", "n", "M", "seed", "eps", "deviation_raw", "deviation_whitened", "isotropic"],
+    "whiten": ["experiment", "n", "M", "seed", "eps", "deviation_raw", "deviation_exact", "isotropic"],
 }
 
 # The sha256 of each shipped output (the six configs at their default seed, and
@@ -102,7 +102,7 @@ SHIPPED_SHA256 = {
     "sweep.agg": "a6e4f64bee075ecb3ecdbf73114c9270b511f89ab3bca93a0780c625a3c326fa",
     "symmetrize": "ebf1ad80d37205881a333963c2dab1ca328022674c3cddb04dd4c9df49db2ab0",
     "truncated": "d3f4855c682174192233ea9c957979a85c9572be89ead9574b10fb93ab0a7e7d",
-    "whiten": "6219c8c7199031c9e677bdce0a03116d26f9c452a2cd53277262043943ebe314",
+    "whiten": "d5db617ce99d54c710bdb9d63977f43adddd389abf88425548af767c79258672",
 }
 
 SWEEP_TEXT = """
@@ -312,8 +312,26 @@ class TestRunWhiten:
         assert res.header == COLUMNS["whiten"]
         for row in res.rows:
             assert row["deviation_raw"] > 1.0  # the distortion is far from isotropic
-            assert row["deviation_whitened"] < 0.15
+            assert row["deviation_exact"] < 0.15
             assert row["isotropic"] is True
+
+    @pytest.mark.parametrize("m", [40, 2000])
+    @pytest.mark.parametrize("sampler", ["cube", "ball", "simplex", "john:cross-polytope"])
+    def test_deviation_is_exact(self, sampler, m):
+        # The whitened law's second moment W A^2 W has the spectrum of T_x^(-1), where
+        # T_x is the second moment of the row's undistorted points x_i = A^(-1) y_i:
+        # with G = W A, G G^T = W A^2 W and G^T G = A (A T_x A)^(-1) A = T_x^(-1).
+        # The points are replayed from the row's stream and the oracle uses only numpy.
+        n, distortion = 4, "2,1,1,0.5"
+        cfg = parse_config(f"kind=whiten\nsampler={sampler}\nn={n}\nm={m}\ndistortion={distortion}\nseeds=0,1,2\n")
+        for row in run_experiment(cfg).rows:
+            rng = random_stream(cfg.seed, derive_stream("whiten", 0, row["seed"]))
+            if sampler.startswith("john:"):
+                x = john_draws(canonical_john(sampler.removeprefix("john:"), n), m, rng)
+            else:
+                x = direct_draws(isotropic_normalization(sampler, n), m, rng)
+            oracle = np.linalg.norm(np.linalg.inv(x.T @ x / m) - np.eye(n), 2)
+            assert abs(row["deviation_exact"] - oracle) <= 1e-9 * max(1.0, oracle), (row["seed"], oracle)
 
 
 class TestRunTruncated:
@@ -554,18 +572,27 @@ class TestCli:
         assert "Traceback" not in err
 
     @pytest.mark.parametrize(
-        "command, text",
+        "command, text, prefix",
         [
-            ("whiten", "n=2\nm=100\ndistortion=1e200,1\nseeds=0\n"),
-            ("truncated", "sampler=cube\nn=16\nr=1\neps=0.2\nc0=1e10\nseeds=0\n"),
-            ("sweep", "sampler=cube\nn=16\nm_grid=100000000000000\nseeds=0\n"),
+            ("whiten", "n=2\nm=100\ndistortion=1e200,1\nseeds=0\n", "error: seed 0: "),
+            ("truncated", "sampler=cube\nn=16\nr=1\neps=0.2\nc0=1e10\nseeds=0\n", "error: seed 0: "),
+            ("sweep", "sampler=cube\nn=16\nm_grid=100000000000000\nseeds=0\n", "error: seed 0: "),
+            ("sweep", "sampler=simplex\nn=10000000\nm_grid=3\nseeds=0\n", "error: Unable to allocate"),
+            ("john-sparsify", "fixture=cross-polytope\nn=10000000\nseeds=0\n", "error: Unable to allocate"),
+            (
+                "bernoulli",
+                "mode=symmetrize\nsampler=john:cross-polytope\nn=10000000\nseeds=0\n",
+                "error: Unable to allocate",
+            ),
         ],
-        ids=["whiten", "truncated", "sweep"],
+        ids=["whiten", "truncated", "sweep", "plan-sweep-simplex", "plan-john-sparsify", "plan-symmetrize-john"],
     )
-    def test_validated_run_failure_is_one_error_line(self, tmp_path, command, text):
+    def test_validated_run_failure_is_one_error_line(self, tmp_path, command, text, prefix):
         # Each config passes validate().  whiten: the second moment of the distorted draws
         # overflows mid-run.  truncated and sweep: M is finite, but the (M, 16) draw needs
-        # 2.72 PiB and 11.4 PiB, which numpy refuses before it allocates anything.
+        # 2.72 PiB and 11.4 PiB, which numpy refuses before it allocates anything.  plan-*:
+        # the plan builds an n = 10^7 body or fixture before any row starts, and its
+        # (n + 1, n) or (n, n) array needs 728 TiB, so no seed is named.
         path = tmp_path / f"{command}.cfg"
         path.write_text(text, encoding="utf-8")
         proc = subprocess.run(
@@ -575,7 +602,7 @@ class TestCli:
         )
         assert proc.returncode == 1 and "Traceback" not in proc.stderr
         lines = proc.stderr.splitlines()
-        assert len(lines) == 1 and lines[0].startswith("error: seed 0: "), proc.stderr
+        assert len(lines) == 1 and lines[0].startswith(prefix), proc.stderr
 
     def test_every_output_is_valid_csv(self, tmp_path, capsys, monkeypatch):
         monkeypatch.delenv("ISOTROPY_SEED", raising=False)  # the pins are of the default seeds
