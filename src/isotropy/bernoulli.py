@@ -53,28 +53,23 @@ def _signed_sum_norms(y: np.ndarray, sign_rows, trials: int) -> np.ndarray:
 
     ``sign_rows(a, b)`` returns rows a..b-1 of the (trials, M) sign array s;
     it is called on consecutive ranges, so s is never held whole.  Row i of
-    ``outer`` is y_i (x) y_i flattened, so signed sums are a GEMM, filled
-    chunk by chunk into blocks of at most 2^20 entries with one operator_norm
-    call per block.
+    ``outer`` is y_i (x) y_i flattened, so each chunk of signed sums is one
+    GEMM, followed by one operator_norm call.
     """
     m, n = y.shape
     outer = (y[:, :, None] * y[:, None, :]).reshape(m, n * n)
-    batch = max(1, (1 << 20) // (n * n))
     # BLAS rounds a one-row product (gemv) or one under about 10^6 multiply-adds (a small-matrix
-    # kernel) unlike the block's GEMM, and gemv (n = 1) rounds alike only by aligned groups of
-    # 4 rows.  So a chunk is a multiple of 4 rows and at least _SIGN_ENTRIES signs, and the last
-    # chunk of a block takes the remainder: each row of sums has the bits of one whole-block GEMM.
-    rows = 4 * -(-_SIGN_ENTRIES // (4 * m))
+    # kernel) unlike a larger GEMM, and gemv (n = 1) rounds alike only by aligned groups of 4 rows.
+    # So a chunk is a multiple of 4 rows and at least _SIGN_ENTRIES signs, or 2^19 sum entries
+    # where that is fewer rows (10^6 multiply-adds from M = 2), and the last chunk takes the
+    # remainder: each row of sums has the bits of one whole GEMM, and no chunk holds 2^20 sums.
+    rows = 4 * max(1, min(-(-_SIGN_ENTRIES // (4 * m)), (1 << 20) // (8 * n * n)))
     norms = np.empty(trials)
-    block = np.empty((min(batch, trials), n * n))
-    for start in range(0, trials, batch):
-        stop = min(start + batch, trials)
-        a = start
-        while a < stop:
-            b = stop if stop - a < 2 * rows else a + rows
-            np.matmul(sign_rows(a, b), outer, out=block[a - start : b - start])
-            a = b
-        norms[start:stop] = operator_norm(block[: stop - start].reshape(-1, n, n))
+    a = 0
+    while a < trials:
+        b = trials if trials - a < 2 * rows else a + rows
+        norms[a:b] = operator_norm((sign_rows(a, b) @ outer).reshape(-1, n, n))
+        a = b
     return norms
 
 
@@ -112,7 +107,8 @@ def rademacher_exact(points) -> float:
     norms = _signed_sum_norms(y, patterns, 2 ** (m - 1))
     # Spot-check the halving symmetry on the first pattern.
     flipped = _signed_sum_norms(y, lambda a, b: -patterns(0, 1), 1)
-    assert abs(flipped[0] - norms[0]) <= 1e-12 * (1.0 + norms[0]), "sign-flip symmetry violated"
+    if not abs(flipped[0] - norms[0]) <= 1e-12 * (1.0 + norms[0]):
+        raise ValueError("sign-flip symmetry violated")
     return float(np.mean(norms))
 
 

@@ -34,8 +34,7 @@ MASK64 = (1 << 64) - 1
 # truncation is considered infeasible.
 REJECTION_MIN_ACCEPTANCE = 1e-3
 ACCEPTANCE_HARD_FLOOR = 1e-6
-_PILOT_STAGE1 = 4096
-_PILOT_TOTAL = 3_000_000
+_PILOT_STAGE_ENDS = (4096, 36_864, 299_008, 2_396_160, 3_000_000)  # cumulative pilot draws
 _CHUNK_ROWS = 1 << 12  # rows per pilot / rejection draw, so memory does not follow the batch size
 _THIN_PER_DIM = 2  # the truncated chain emits every (2n)-th state
 
@@ -84,7 +83,7 @@ def direct_draws(body: Body, m: int, rng: np.random.Generator) -> np.ndarray:
         raise ValueError("batch size must be >= 1")
     n = body.n
     if isinstance(body, Cube):
-        # Generator.uniform(low, high) is low + (high - low) * U: the same operations, same bytes.
+        # Generator.uniform(low, high)'s low + (high - low) * U, same bytes, in faster vector passes.
         low, high = -body.halfwidth, body.halfwidth
         pts = rng.random((m, n))
         pts *= high - low
@@ -196,59 +195,40 @@ class TruncatedSampler:
 
     def _pilot_acceptance(self) -> tuple[float, np.ndarray | None]:
         """The pilot's hit rate and its first in-radius row (None without a hit)."""
-        draws = 0
-        hits = 0
+        draws = hits = 0
         first = None
-        batch = _PILOT_STAGE1
-        while draws < _PILOT_TOTAL:
-            for pts in _direct_chunks(self.body, self.rng, batch):
-                inside = _within_radius(pts, self.rho)
-                if first is None and inside.any():
-                    first = pts[inside.argmax()].copy()
-                hits += int(np.count_nonzero(inside))
-            draws += batch
+        for end in _PILOT_STAGE_ENDS:
+            while draws < end:
+                rows = min(_CHUNK_ROWS, end - draws)
+                inside = self._hits(rows)
+                if first is None and len(inside):
+                    first = inside[0].copy()
+                hits += len(inside)
+                draws += rows
             # An early stop settles hit-and-run with the first hit in hand, and its 3 or more
             # hits clear the hard floor even at the 3M cap, so no verdict depends on it.
             if hits >= 50 or (hits >= 3 and hits + 3.0 * math.sqrt(hits) < REJECTION_MIN_ACCEPTANCE * draws):
                 break
-            batch = min(batch * 8, _PILOT_TOTAL - draws)
-            if batch == 0:
-                break
         return hits / draws, first
+
+    def _hits(self, rows: int) -> np.ndarray:
+        """The rows x with |x| <= rho among the next ``rows`` <= _CHUNK_ROWS direct draws, in stream order."""
+        pts = direct_draws(self.body, rows, self.rng)
+        return pts[np.einsum("ij,ij->i", pts, pts) <= self.rho * self.rho]
 
     def draw(self, m: int) -> np.ndarray:
         if m < 1:
             raise ValueError("batch size must be >= 1")
-        if self.mode == "rejection":
-            return self._draw_rejection(m)
-        return sample_hit_and_run(self.truncated, self._start, 0, _THIN_PER_DIM * self.body.n, self.rng, count=m)
-
-    def _draw_rejection(self, m: int) -> np.ndarray:
-        """The first m in-radius rows of the direct stream, in stream order."""
+        if self.mode == "hit-and-run":
+            return sample_hit_and_run(self.truncated, self._start, 0, _THIN_PER_DIM * self.body.n, self.rng, count=m)
+        # The first m in-radius rows of the direct stream, in stream order.
         out = np.empty((m, self.body.n))
         got = 0
         while got < m:
-            batch = max(32, int(np.ceil((m - got) / self.acceptance * 1.2)))
-            for pts in _direct_chunks(self.body, self.rng, batch):
-                keep = pts[_within_radius(pts, self.rho)]
-                take = min(m - got, keep.shape[0])
-                out[got : got + take] = keep[:take]
-                got += take
-                if got == m:
-                    break
+            keep = self._hits(_CHUNK_ROWS)[: m - got]
+            out[got : got + len(keep)] = keep
+            got += len(keep)
         return out
-
-
-def _direct_chunks(body: Body, rng: np.random.Generator, rows: int):
-    """Yield ``rows`` direct draws in arrays of at most _CHUNK_ROWS rows.  Cube and simplex
-    chunks read the stream as one draw would; ball chunks draw normals per chunk."""
-    for start in range(0, rows, _CHUNK_ROWS):
-        yield direct_draws(body, min(_CHUNK_ROWS, rows - start), rng)
-
-
-def _within_radius(pts: np.ndarray, rho: float) -> np.ndarray:
-    """Mask of the rows x of pts with |x| <= rho, formed without an (m, n) temporary."""
-    return np.einsum("ij,ij->i", pts, pts) <= rho * rho
 
 
 def john_support(jd: JohnDecomposition) -> tuple[np.ndarray, np.ndarray]:

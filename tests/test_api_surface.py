@@ -6,7 +6,9 @@ class line and the lines of an __all__ list.  An exported exception
 class counts as used only when some package module names it in an
 ``except`` clause: a class that no caller catches by name is a plain
 ``ValueError`` with a longer name.  The package root binds no public
-name but ``__version__``: callers import the submodules.
+name but ``__version__``: callers import the submodules.  No module
+checks with ``assert``, which ``python -O`` strips: a detected failure
+raises ``ValueError``.
 """
 
 import ast
@@ -92,3 +94,13 @@ def test_package_root_binds_only_version():
     public = {k for k, v in vars(isotropy).items() if not k.startswith("_") and not isinstance(v, types.ModuleType)}
     assert public == set()
     assert isinstance(isotropy.__version__, str)
+
+
+def test_no_assert_statements():
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
+from isotropy import bernoulli
 from isotropy.bernoulli import (
     _signs,
     bound_ratio,
@@ -55,9 +56,8 @@ class TestRademacherEstimate:
             rademacher_trial_norms(np.eye(2), 0, random_stream(0, 0)).mean()
 
     def test_matches_per_trial_oracle_across_chunk_boundary(self):
-        # n = 16 gives blocks of 2^20 / 256 = 4096 signed sums per
-        # operator_norm call, so 5000 trials span one full block and a
-        # partial one.
+        # n = 16 caps a chunk at 2^19 / 256 = 2048 signed sums, so 5000
+        # trials make one 2048-row chunk and a 2952-row last one.
         y = direct_draws(isotropic_normalization("cube", 16), 40, random_stream(3, 1))
         norms = rademacher_trial_norms(y, 5000, random_stream(3, 2))
         signs = _signs(random_stream(3, 2), (5000, 40))
@@ -114,6 +114,14 @@ class TestRademacherExact:
         # is 1.5.
         pts = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
         assert rademacher_exact(pts) == pytest.approx(1.5, rel=1e-12)
+
+    def test_broken_sign_flip_symmetry_raises(self, monkeypatch):
+        # The check must hold under python -O too, so it raises rather than asserts.
+        # The flipped pattern is the one single-matrix operator_norm call here.
+        norm = bernoulli.operator_norm
+        monkeypatch.setattr(bernoulli, "operator_norm", lambda a: norm(a) + (len(a) == 1))
+        with pytest.raises(ValueError, match="sign-flip symmetry violated"):
+            rademacher_exact(np.eye(3))
 
     def test_enumeration_cap(self):
         with pytest.raises(ValueError, match="exact enumeration capped"):

@@ -316,3 +316,5 @@ def test_value_objects_keep_and_freeze_the_given_arrays(cls, kwargs):
     for name, a in arrays.items():
         assert getattr(obj, name) is a, name
         assert not a.flags.writeable, name
+        with pytest.raises(ValueError):
+            a.flat[0] = 0.0

@@ -101,15 +101,6 @@ class TestSampleBatch:
         b2 = SampleBatch(direct_draws(body, 100, rng2))
         assert np.array_equal(b1.vectors, b2.vectors)
 
-    def test_keeps_and_freezes_the_given_array(self):
-        arr = random_stream(3, 9).standard_normal((50, 4))
-        batch = SampleBatch(arr)
-        assert np.shares_memory(batch.vectors, arr)
-        with pytest.raises(ValueError):
-            arr[0, 0] = 1.0
-        with pytest.raises(ValueError):
-            batch.vectors[0, 0] = 1.0
-
     def test_list_input(self):
         batch = SampleBatch([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
         assert batch.M == 3 and batch.vectors.shape[1] == 2
@@ -355,21 +346,22 @@ class TestTruncatedSampling:
 
 
 def _fifty_hit_pilot(body, rho, rng):
-    """Reference: the pilot without its early stop, which ends only on 50 hits or 3,000,000 draws."""
+    """Reference: the pilot without its early stop, which ends only on 50 hits or 3,000,000 draws.
+
+    It reads the stream in the sampler's chunks (ball chunks draw their normals before
+    their radii per chunk) and applies its own radius test to them.
+    """
     draws = hits = 0
     first = None
-    batch = samplers._PILOT_STAGE1
-    while draws < samplers._PILOT_TOTAL:
-        for pts in samplers._direct_chunks(body, rng, batch):
-            inside = samplers._within_radius(pts, rho)
+    for end in samplers._PILOT_STAGE_ENDS:
+        while draws < end:
+            pts = direct_draws(body, min(samplers._CHUNK_ROWS, end - draws), rng)
+            inside = (pts * pts).sum(axis=1) <= rho * rho
             if first is None and inside.any():
-                first = pts[inside.argmax()].copy()
-            hits += int(np.count_nonzero(inside))
-        draws += batch
+                first = pts[inside][0]
+            hits += int(inside.sum())
+            draws += len(pts)
         if hits >= 50:
-            break
-        batch = min(batch * 8, samplers._PILOT_TOTAL - draws)
-        if batch == 0:
             break
     return hits / draws, first
 
@@ -410,15 +402,15 @@ class TestPilotStoppingRule:
     @pytest.mark.parametrize("name, n, r", [("cube", 16, 0.5), ("simplex", 8, 0.25)])
     def test_benchmark_cuts_stop_before_the_largest_stage(self, monkeypatch, name, n, r):
         drawn = []
-        chunks = samplers._direct_chunks
 
-        def counting(body, rng, rows):
-            drawn.append(rows)
-            return chunks(body, rng, rows)
+        def counting(body, m, rng):
+            drawn.append(m)
+            return direct_draws(body, m, rng)
 
-        monkeypatch.setattr(samplers, "_direct_chunks", counting)
+        monkeypatch.setattr(samplers, "direct_draws", counting)
         sampler = TruncatedSampler(isotropic_normalization(name, n), r, random_stream(1, 2))
-        assert sampler.mode == "hit-and-run" and max(drawn) < 2_097_152, drawn
+        # 299,008 rows end the third stage; the fourth would bring the pilot to 2,396,160.
+        assert sampler.mode == "hit-and-run" and sum(drawn) <= 299_008, sum(drawn)
 
 
 # A floor cut: no hit in 3,000,000 pilot rows, so the pilot runs every stage and raises.
@@ -467,9 +459,21 @@ class TestTruncatedChunks:
         drawn, acceptance, after = run(default)
         assert np.array_equal(small_drawn, drawn)
         assert small_acceptance == acceptance and np.array_equal(small_after, after)
-        # With 2**40-row chunks every rejection batch (about 117k rows) is drawn whole, as before chunking.
-        monkeypatch.setattr(samplers, "_CHUNK_ROWS", 1 << 40)
+        # With 2**17-row chunks the pilot's 4,096 rows and the rejection draw's about 98k rows
+        # are each drawn whole.
+        monkeypatch.setattr(samplers, "_CHUNK_ROWS", 1 << 17)
         assert np.array_equal(TruncatedSampler(cube, 1.0, random_stream(1, 2)).draw(50_000), drawn)
+
+    @pytest.mark.parametrize("name, n", [("cube", 16), ("simplex", 8)])
+    def test_rejection_draw_is_the_next_in_radius_rows(self, name, n):
+        # Cube and simplex rows read the stream in sequence, so the rejection draw is the first
+        # m in-radius rows after the pilot's 4,096 in one long draw from a fresh stream.
+        body, m = isotropic_normalization(name, n), 5000
+        sampler = TruncatedSampler(body, 1.0, random_stream(1, 2))
+        assert sampler.mode == "rejection"
+        pts = direct_draws(body, 4096 + 4 * 4096, random_stream(1, 2))[4096:]
+        inside = np.flatnonzero(np.einsum("ij,ij->i", pts, pts) <= sampler.rho**2)
+        assert np.array_equal(sampler.draw(m), pts[inside[:m]])
 
     def test_pilot_memory_is_bounded(self, child_peak_rss_mb):
         # The pilot's largest stage is 2,097,152 simplex8 rows (about 150 MB per
