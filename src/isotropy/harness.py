@@ -290,7 +290,7 @@ def _plan_sweep(cfg: ExperimentConfig):
     draw = _make_draw(cfg.sampler, cfg.n)
 
     def row(m: int, seed: int, rng: np.random.Generator) -> dict:
-        measured = mom.concentration_report(smp.SampleBatch(draw(m, rng)))
+        measured = mom.concentration_report([draw(m, rng)], m)
         return {"experiment": cfg.kind, "n": cfg.n, "M": m, "seed": seed, "sampler": cfg.sampler, **measured}
 
     return row, cfg.m_grid
@@ -365,7 +365,7 @@ def _plan_truncated(cfg: ExperimentConfig):
     label = f"truncated:{cfg.sampler}"
 
     def row(m: int, seed: int, rng: np.random.Generator) -> dict:
-        measured = mom.concentration_report(smp.SampleBatch(smp.TruncatedSampler(body, cfg.r, rng).draw(m)))
+        measured = mom.concentration_report(smp.TruncatedSampler(body, cfg.r, rng).draw(m), m)
         return {
             "experiment": cfg.kind,
             "n": cfg.n,

@@ -5,11 +5,14 @@ Its operator-norm distance from the identity is the left side of the
 concentration bound this project measures; the right side's shape is
 sqrt(log M / M) times the log-M power mean of the vector norms.  The
 ratio of the two is the empirical absolute constant reported per draw.
+Both sides need only T and the M vector norms, so concentration_report
+reads its vectors as a stream of row chunks and never holds the batch.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 
 import numpy as np
 
@@ -48,9 +51,12 @@ def log_moment(batch: SampleBatch, p: float | None = None) -> float:
         p = max(2.0, math.log(m))
     if p <= 0.0:
         raise ValueError("exponent p must be positive")
-    # One (M,) array: the row norms, then the log-domain terms in place.
+    return _power_mean(_row_norms(batch.vectors), p)
+
+
+def _power_mean(w: np.ndarray, p: float) -> float:
+    """((1/M) sum w_i^p)^(1/p) of the M norms w, in the log domain; w is overwritten."""
     # log(0) = -inf gives exp(-inf) = 0 for zero rows.
-    w = _row_norms(batch.vectors)
     top = float(np.max(w))
     if top == 0.0:
         return 0.0
@@ -61,16 +67,37 @@ def log_moment(batch: SampleBatch, p: float | None = None) -> float:
     w *= p
     np.exp(w, out=w)
     total = float(np.sum(w))
-    return float(np.exp(lstar + np.log(total / m) / p))
+    return float(np.exp(lstar + np.log(total / w.shape[0]) / p))
 
 
-def concentration_report(batch: SampleBatch) -> dict:
-    """Deviation, log-M moment, the bound's shape term, and their ratio, keyed by column name."""
-    m = batch.M
+def concentration_report(chunks: Iterable[np.ndarray], m: int) -> dict:
+    """Deviation, log-M moment, the bound's shape term, and their ratio, keyed by column name.
+
+    The m vectors arrive as a stream of (rows, n) chunks, each checked as a
+    SampleBatch.  Only the sum T = sum c^T c, in chunk order, and one (m,)
+    array of row norms are kept, so a stream never forms an (m, n) array.  One
+    chunk gives the bits of empirical_second_moment and log_moment on the
+    whole batch; more chunks give the same log moment and a T that differs
+    only by rounding.
+    """
     if m < 3:
         raise ValueError("need M >= 3 so the exponent log M exceeds 1")
-    dev = deviation(empirical_second_moment(batch))
-    lm = log_moment(batch)
+    norms = np.empty(m)  # before the first chunk, so an M too large to hold fails before any draw
+    t = None
+    got = 0
+    for chunk in chunks:
+        y = SampleBatch(chunk).vectors
+        rows = y.shape[0]
+        if got + rows > m:
+            raise ValueError(f"the stream holds more than M = {m} vectors")
+        _row_norms(y, out=norms[got : got + rows])
+        gram = y.T @ y
+        t = gram if t is None else t + gram
+        got += rows
+    if got != m:
+        raise ValueError(f"the stream holds {got} vectors, not M = {m}")
+    dev = deviation(t / m)
+    lm = _power_mean(norms, max(2.0, math.log(m)))
     rhs_shape = math.sqrt(math.log(m) / m) * lm
     ratio = dev / rhs_shape if rhs_shape > 0.0 else math.inf
     return {"deviation": dev, "log_moment": lm, "rhs_shape": rhs_shape, "ratio": ratio}

@@ -11,6 +11,7 @@ draws consume the stream in a fixed documented order, so identical
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -117,9 +118,10 @@ def _unit_ball_points(rng: np.random.Generator, m: int, n: int) -> np.ndarray:
     return g
 
 
-def _row_norms(v: np.ndarray) -> np.ndarray:
-    """The Euclidean norm of each row of v, by row chunk, so no (m, n) v * v temporary forms."""
-    norms = np.empty(v.shape[0])
+def _row_norms(v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """The Euclidean norm of each row of v, by row chunk, so no (m, n) v * v temporary forms.
+    Written into ``out`` when it is given."""
+    norms = np.empty(v.shape[0]) if out is None else out
     for i in range(0, v.shape[0], _CHUNK_ROWS):
         norms[i : i + _CHUNK_ROWS] = np.linalg.norm(v[i : i + _CHUNK_ROWS], axis=1)
     return norms
@@ -216,19 +218,28 @@ class TruncatedSampler:
         pts = direct_draws(self.body, rows, self.rng)
         return pts[np.einsum("ij,ij->i", pts, pts) <= self.rho * self.rho]
 
-    def draw(self, m: int) -> np.ndarray:
+    def draw(self, m: int) -> Iterator[np.ndarray]:
+        """The next m points as a stream of (rows, n) chunks, in stream order; m is checked here.
+
+        Rejection yields the in-radius rows of each chunk that ``_hits`` reads, at most
+        _CHUNK_ROWS each, the last trimmed; hit-and-run yields the chain's (m, n) array
+        as one chunk.  Chunks are drawn as they are read, so no (m, n) array forms for a
+        rejection draw.
+        """
         if m < 1:
             raise ValueError("batch size must be >= 1")
+        return self._chunks(m)
+
+    def _chunks(self, m: int) -> Iterator[np.ndarray]:
         if self.mode == "hit-and-run":
-            return sample_hit_and_run(self.truncated, self._start, 0, _THIN_PER_DIM * self.body.n, self.rng, count=m)
+            yield sample_hit_and_run(self.truncated, self._start, 0, _THIN_PER_DIM * self.body.n, self.rng, count=m)
+            return
         # The first m in-radius rows of the direct stream, in stream order.
-        out = np.empty((m, self.body.n))
-        got = 0
-        while got < m:
-            keep = self._hits(_CHUNK_ROWS)[: m - got]
-            out[got : got + len(keep)] = keep
-            got += len(keep)
-        return out
+        while m > 0:
+            keep = self._hits(_CHUNK_ROWS)[:m]
+            if len(keep):
+                yield keep
+            m -= len(keep)
 
 
 def john_support(jd: JohnDecomposition) -> tuple[np.ndarray, np.ndarray]:

@@ -101,7 +101,7 @@ SHIPPED_SHA256 = {
     "sweep": "712e7a37d2d4e99a943f6486907706156a382270ef3fca01d81f3a5c24cd6178",
     "sweep.agg": "a6e4f64bee075ecb3ecdbf73114c9270b511f89ab3bca93a0780c625a3c326fa",
     "symmetrize": "ebf1ad80d37205881a333963c2dab1ca328022674c3cddb04dd4c9df49db2ab0",
-    "truncated": "d3f4855c682174192233ea9c957979a85c9572be89ead9574b10fb93ab0a7e7d",
+    "truncated": "761c56c179522831e1fe1e29ede14937691d859ea0223aac55baab7ff775daeb",
     "whiten": "d5db617ce99d54c710bdb9d63977f43adddd389abf88425548af767c79258672",
 }
 
@@ -589,8 +589,9 @@ class TestCli:
     )
     def test_validated_run_failure_is_one_error_line(self, tmp_path, command, text, prefix):
         # Each config passes validate().  whiten: the second moment of the distorted draws
-        # overflows mid-run.  truncated and sweep: M is finite, but the (M, 16) draw needs
-        # 2.72 PiB and 11.4 PiB, which numpy refuses before it allocates anything.  plan-*:
+        # overflows mid-run.  truncated and sweep: M is finite, but the truncated row's (M,)
+        # norms and the sweep's (M, 16) draw need 174 TiB and 11.4 PiB, which numpy refuses
+        # before it allocates anything or draws a chunk.  plan-*:
         # the plan builds an n = 10^7 body or fixture before any row starts, and its
         # (n + 1, n) or (n, n) array needs 728 TiB, so no seed is named.
         path = tmp_path / f"{command}.cfg"

@@ -19,6 +19,12 @@ def batch_of(vectors):
     return SampleBatch(np.asarray(vectors, dtype=float))
 
 
+def report_of(vectors):
+    """The concentration report of one batch, passed as a single chunk."""
+    y = np.asarray(vectors, dtype=float)
+    return concentration_report([y], len(y))
+
+
 class TestEmpiricalSecondMoment:
     def test_single_vector(self):
         t = empirical_second_moment(batch_of([[math.sqrt(2), 0.0]]))
@@ -118,19 +124,19 @@ class TestLogMoment:
 class TestConcentrationReport:
     def test_exact_mixture_has_zero_ratio(self):
         support, _ = john_support(canonical_john("cross-polytope", 2))
-        rep = concentration_report(batch_of(support))
+        rep = report_of(support)
         assert rep["deviation"] <= 1e-12 and rep["ratio"] <= 1e-11
         assert rep["log_moment"] == pytest.approx(math.sqrt(2.0), rel=1e-12)
 
     def test_requires_three_vectors(self):
         with pytest.raises(ValueError, match="need M >= 3"):
-            concentration_report(batch_of([[1.0, 0.0], [0.0, 1.0]]))
+            report_of([[1.0, 0.0], [0.0, 1.0]])
 
     def test_pilot_envelope(self):
         body = isotropic_normalization("cube", 8)
         for seed in range(3):
             rng = random_stream(seed, 17)
-            rep = concentration_report(batch_of(direct_draws(body, 1024, rng)))
+            rep = report_of(direct_draws(body, 1024, rng))
             assert 0.0 < rep["ratio"] <= 4.0
             assert rep["rhs_shape"] < 1.0  # in the regime where the bound is asserted
 
@@ -143,17 +149,48 @@ class TestConcentrationReport:
             ratios = []
             for seed in range(3):
                 rng = random_stream(seed, 23)
-                ratios.append(concentration_report(batch_of(direct_draws(body, m, rng)))["ratio"])
+                ratios.append(report_of(direct_draws(body, m, rng))["ratio"])
             means[m] = float(np.mean(ratios))
         assert max(means.values()) / min(means.values()) <= 2.0
 
     def test_shape_term_formula(self):
         y = np.random.default_rng(5).standard_normal((64, 4))
-        rep = concentration_report(batch_of(y))
+        rep = report_of(y)
         p = math.log(64)
         expected = math.sqrt(p / 64) * log_moment(batch_of(y), p)
         assert rep["rhs_shape"] == pytest.approx(expected, rel=1e-15)
         assert rep["ratio"] == pytest.approx(rep["deviation"] / expected, rel=1e-15)
+
+    def test_one_chunk_is_the_batch_path(self):
+        # The sweep, and every hit-and-run truncated row, pass their batch as one chunk.
+        for name, n, m in (("cube", 8, 1000), ("ball", 16, 9000), ("simplex", 4, 333)):
+            y = direct_draws(isotropic_normalization(name, n), m, random_stream(2, 7))
+            rep = report_of(y)
+            dev, lm = deviation(empirical_second_moment(batch_of(y))), log_moment(batch_of(y))
+            shape = math.sqrt(math.log(m) / m) * lm
+            assert rep == {"deviation": dev, "log_moment": lm, "rhs_shape": shape, "ratio": dev / shape}, name
+
+    def test_chunks_match_one_batch(self):
+        y = direct_draws(isotropic_normalization("cube", 16), 20_000, random_stream(4, 1))
+        whole = report_of(y)
+        for cuts in ([4096, 8192, 12288, 16384], [1, 2, 19_999], list(range(1000, 20_000, 1000))):
+            rep = concentration_report(np.split(y, cuts), len(y))
+            assert rep["log_moment"] == whole["log_moment"] and rep["rhs_shape"] == whole["rhs_shape"]
+            assert rep["deviation"] == pytest.approx(whole["deviation"], rel=1e-12, abs=0)
+
+    def test_stream_must_hold_m_vectors(self):
+        y = direct_draws(isotropic_normalization("cube", 3), 100, random_stream(0, 0))
+        with pytest.raises(ValueError, match="more than M = 99"):
+            concentration_report([y[:50], y[50:]], 99)
+        with pytest.raises(ValueError, match="holds 100 vectors, not M = 101"):
+            concentration_report([y[:50], y[50:]], 101)
+
+    def test_non_finite_chunk(self):
+        y = np.ones((10, 2))
+        bad = y.copy()
+        bad[3, 1] = math.nan
+        with pytest.raises(ValueError, match="batch vectors must be finite"):
+            concentration_report([y, bad], 20)
 
 
 class TestEpsilonIsotropy:

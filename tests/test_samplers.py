@@ -20,6 +20,11 @@ from isotropy.samplers import (
 )
 
 
+def drawn(sampler, m):
+    """A truncated draw's stream of row chunks as one (m, n) array."""
+    return np.concatenate(list(sampler.draw(m)))
+
+
 class TestRandomStream:
     def test_reproducible(self):
         a = random_stream(7, 3).random(32)
@@ -71,11 +76,6 @@ if int(sys.argv[2]):
     direct_draws(body, int(sys.argv[2]), random_stream(0, 0))
 """
 
-# One seed of the benchmark's truncated rejection cut, through the harness.
-TRUNCATED_SEED_RUN = """
-from isotropy.harness import parse_config, run_experiment
-run_experiment(parse_config("kind=truncated\\nsampler=cube\\nn=16\\nr=1\\neps=0.2\\nc0=128\\nseeds=0\\n"))
-"""
 
 
 class TestSampleBatch:
@@ -105,11 +105,6 @@ class TestSampleBatch:
         batch = SampleBatch([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
         assert batch.M == 3 and batch.vectors.shape[1] == 2
         assert batch.vectors.dtype == np.float64 and not batch.vectors.flags.writeable
-
-    def test_truncated_rejection_seed_holds_one_batch(self, child_peak_rss_mb):
-        # M = 306,781 rows in n = 16 is 39 MB per (M, n) array.  Holding the
-        # draw and a copy of it peaked near 123 MB; one array stays near 86 MB.
-        assert child_peak_rss_mb(TRUNCATED_SEED_RUN) < 105
 
 
 class TestDirectSamplers:
@@ -266,14 +261,14 @@ class TestTruncatedSampling:
         body = isotropic_normalization("cube", 4)
         sampler = TruncatedSampler(body, 2.0, random_stream(7, 0))
         assert sampler.acceptance == 1.0 and sampler.mode == "rejection"
-        pts = sampler.draw(50_000)
+        pts = drawn(sampler, 50_000)
         sq = np.einsum("ij,ij->i", pts, pts)
         se = sq.std(ddof=1) / math.sqrt(pts.shape[0])
         assert abs(sq.mean() - 4.0) <= 3.0 * se
 
     def test_ball_truncation_support(self):
         body = isotropic_normalization("ball", 10)
-        pts = TruncatedSampler(body, 1.0, random_stream(8, 0)).draw(2000)
+        pts = drawn(TruncatedSampler(body, 1.0, random_stream(8, 0)), 2000)
         assert np.linalg.norm(pts, axis=1).max() <= math.sqrt(10.0) + 1e-12
 
     def test_thin_intersection_switches_to_hit_and_run(self):
@@ -281,7 +276,7 @@ class TestTruncatedSampling:
         sampler = TruncatedSampler(body, 0.0138, random_stream(3, 0))
         assert sampler.mode == "hit-and-run"
         assert 1e-6 <= sampler.acceptance < 1e-3
-        pts = sampler.draw(40)
+        pts = drawn(sampler, 40)
         assert all(sampler.truncated.membership(p) for p in pts)
 
     def test_chain_starts_at_the_first_pilot_hit(self, monkeypatch):
@@ -295,7 +290,7 @@ class TestTruncatedSampling:
         body = isotropic_normalization("cube", 2)
         sampler = TruncatedSampler(body, 0.0138, random_stream(3, 0))
         assert sampler.mode == "hit-and-run"
-        sampler.draw(5)
+        drawn(sampler, 5)
         [(chain_body, x0, burn_in, thin)] = calls
         assert chain_body is sampler.truncated and sampler.truncated.membership(x0)
         assert burn_in == 0 and thin == 2 * body.n
@@ -314,7 +309,7 @@ class TestTruncatedSampling:
         n = 12
         sampler = TruncatedSampler(isotropic_normalization("cube", n), 0.45, random_stream(0, 0))
         assert sampler.mode == "hit-and-run" and sampler.rho < math.sqrt(3.0)
-        pts = sampler.draw(2000)
+        pts = drawn(sampler, 2000)
         r2 = np.einsum("ij,ij->i", pts, pts) / sampler.rho**2
         batch_means = r2.reshape(20, 100).mean(axis=1)
         se = batch_means.std(ddof=1) / math.sqrt(20)
@@ -327,7 +322,7 @@ class TestTruncatedSampling:
 
     def test_single_sample_helper(self):
         body = isotropic_normalization("cube", 3)
-        x = TruncatedSampler(body, 1.0, random_stream(9, 0)).draw(1)[0]
+        x = drawn(TruncatedSampler(body, 1.0, random_stream(9, 0)), 1)[0]
         assert np.linalg.norm(x) <= math.sqrt(3.0) and body.membership(x)
 
     def test_truncated_cube_spectral_band(self):
@@ -339,7 +334,7 @@ class TestTruncatedSampling:
 
         body = isotropic_normalization("cube", 16)
         sampler = TruncatedSampler(body, 1.0, random_stream(0, 11))
-        pts = sampler.draw(100_000)
+        pts = drawn(sampler, 100_000)
         batch = SampleBatch(pts)
         vals = np.linalg.eigvalsh(empirical_second_moment(batch))
         assert 0.78 <= vals.min() and vals.max() <= 0.87
@@ -427,6 +422,14 @@ else:
 """
 
 
+# One seed of configs/truncated.cfg, the benchmark's truncated rejection cut, through the
+# harness; its import alone is the memory baseline.
+HARNESS_IMPORT = "from isotropy.harness import parse_config, run_experiment\n"
+TRUNCATED_SEED_RUN = HARNESS_IMPORT + """
+run_experiment(parse_config("kind=truncated\\nsampler=cube\\nn=16\\nr=1\\neps=0.2\\nc0=128\\nseeds=0\\n"))
+"""
+
+
 class TestTruncatedChunks:
     # Pilot and rejection draws stream in chunks of samplers._CHUNK_ROWS rows.
     # Cube and simplex rows read the SFC64 stream in sequence, so the chunk
@@ -449,20 +452,20 @@ class TestTruncatedChunks:
 
         def run(rows):
             monkeypatch.setattr(samplers, "_CHUNK_ROWS", rows)
-            drawn = TruncatedSampler(cube, 1.0, random_stream(1, 2)).draw(50_000)
+            pts = drawn(TruncatedSampler(cube, 1.0, random_stream(1, 2)), 50_000)
             rng = random_stream(1, 2)
             acceptance = TruncatedSampler(simplex, 0.25, rng).acceptance
-            return drawn, acceptance, rng.random(8)
+            return pts, acceptance, rng.random(8)
 
         default = samplers._CHUNK_ROWS
-        small_drawn, small_acceptance, small_after = run(1000)
-        drawn, acceptance, after = run(default)
-        assert np.array_equal(small_drawn, drawn)
+        small_pts, small_acceptance, small_after = run(1000)
+        pts, acceptance, after = run(default)
+        assert np.array_equal(small_pts, pts)
         assert small_acceptance == acceptance and np.array_equal(small_after, after)
         # With 2**17-row chunks the pilot's 4,096 rows and the rejection draw's about 98k rows
         # are each drawn whole.
         monkeypatch.setattr(samplers, "_CHUNK_ROWS", 1 << 17)
-        assert np.array_equal(TruncatedSampler(cube, 1.0, random_stream(1, 2)).draw(50_000), drawn)
+        assert np.array_equal(drawn(TruncatedSampler(cube, 1.0, random_stream(1, 2)), 50_000), pts)
 
     @pytest.mark.parametrize("name, n", [("cube", 16), ("simplex", 8)])
     def test_rejection_draw_is_the_next_in_radius_rows(self, name, n):
@@ -473,7 +476,36 @@ class TestTruncatedChunks:
         assert sampler.mode == "rejection"
         pts = direct_draws(body, 4096 + 4 * 4096, random_stream(1, 2))[4096:]
         inside = np.flatnonzero(np.einsum("ij,ij->i", pts, pts) <= sampler.rho**2)
-        assert np.array_equal(sampler.draw(m), pts[inside[:m]])
+        assert np.array_equal(drawn(sampler, m), pts[inside[:m]])
+
+    def test_stream_chunks(self):
+        body = isotropic_normalization("cube", 16)
+        chunks = list(TruncatedSampler(body, 1.0, random_stream(1, 2)).draw(5000))
+        assert len(chunks) > 1 and all(1 <= len(c) <= samplers._CHUNK_ROWS for c in chunks)
+        assert sum(len(c) for c in chunks) == 5000
+        [chain] = list(TruncatedSampler(isotropic_normalization("cube", 2), 0.0138, random_stream(3, 0)).draw(40))
+        assert chain.shape == (40, 2)
+
+    def test_batch_size_is_checked_at_the_call(self):
+        sampler = TruncatedSampler(isotropic_normalization("cube", 3), 1.0, random_stream(9, 0))
+        with pytest.raises(ValueError, match="batch size must be >= 1"):
+            sampler.draw(0)
+
+    def test_recorded_ball_draw(self):
+        # Ball chunks draw their normals before their radii per chunk, so this pins
+        # the chunking of a truncated ball draw as well as its points.
+        sampler = TruncatedSampler(isotropic_normalization("ball", 8), 1.0, random_stream(1, 2))
+        assert sampler.mode == "rejection"
+        assert hashlib.sha256(drawn(sampler, 5000).tobytes()).hexdigest() == (
+            "41515abc1a67a01dd2fca29230d1b57c6fe3a9c9c954c0f0bf8e1eab2ea9f4bb"
+        )
+
+    def test_rejection_seed_holds_no_batch(self, child_peak_rss_mb):
+        # One seed of configs/truncated.cfg: M = 306,763 rows in n = 16, 39 MB as
+        # one (M, n) array.  Holding that array rose about 44 MB above the import;
+        # the streamed chunks and the (M,) norms rise about 9 MB.
+        base = child_peak_rss_mb(HARNESS_IMPORT)
+        assert child_peak_rss_mb(TRUNCATED_SEED_RUN) - base < 20
 
     def test_pilot_memory_is_bounded(self, child_peak_rss_mb):
         # The pilot's largest stage is 2,097,152 simplex8 rows (about 150 MB per
