@@ -199,6 +199,14 @@ def _make_draw(sampler: str, n: int):
     return lambda m, rng: smp.direct_draws(body, m, rng)
 
 
+def _make_stream(sampler: str, n: int):
+    """Resolve a validated sampler name to stream(m, rng): the m draws as (rows, n) chunks of
+    samplers._chunk_sizes(m) rows, each drawn as it is read.  Cube, simplex and John chunks read
+    the random stream as one whole draw does; a ball chunk draws its normals, then its radii."""
+    draw = _make_draw(sampler, n)
+    return lambda m, rng: (draw(rows, rng) for rows in smp._chunk_sizes(m))
+
+
 @dataclass
 class ExperimentResult:
     header: list[str]
@@ -286,11 +294,11 @@ def _run_grid(row, points: list, kind: str, master_seed: int, seeds: list[int], 
 
 
 def _plan_sweep(cfg: ExperimentConfig):
-    """Deviation reports over an M grid of fresh batches."""
-    draw = _make_draw(cfg.sampler, cfg.n)
+    """Deviation reports over an M grid of fresh draws, each read as a stream of chunks."""
+    stream = _make_stream(cfg.sampler, cfg.n)
 
     def row(m: int, seed: int, rng: np.random.Generator) -> dict:
-        measured = mom.concentration_report([draw(m, rng)], m)
+        measured = mom.concentration_report(stream(m, rng), m)
         return {"experiment": cfg.kind, "n": cfg.n, "M": m, "seed": seed, "sampler": cfg.sampler, **measured}
 
     return row, cfg.m_grid
@@ -323,15 +331,15 @@ def _plan_whiten(cfg: ExperimentConfig):
     T_hat and the map W = T_hat^(-1/2).  The whitened law's second moment is
     W A^2 W in closed form, since the body's is id, so its deviation is exact
     rather than one batch's estimate; the row is eps-isotropic when it is at
-    most eps.
+    most eps.  T_hat is summed over the distorted chunks of the draw's stream,
+    so no (M, n) array forms.
     """
-    draw = _make_draw(cfg.sampler, cfg.n)
+    stream = _make_stream(cfg.sampler, cfg.n)
     distortion = np.asarray(cfg.distortion)
 
     def row(m: int, seed: int, rng: np.random.Generator) -> dict:
-        points = draw(m, rng)
-        points *= distortion
-        t_hat = mom.empirical_second_moment(smp.SampleBatch(points))
+        distorted = (np.multiply(chunk, distortion, out=chunk) for chunk in stream(m, rng))
+        t_hat = mom._streamed_second_moment(distorted, m)
         g = inv_sqrt(t_hat) * distortion  # W A, so g g^T = W A^2 W
         dev = mom.deviation(g @ g.T)
         return {

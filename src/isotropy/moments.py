@@ -7,6 +7,8 @@ sqrt(log M / M) times the log-M power mean of the vector norms.  The
 ratio of the two is the empirical absolute constant reported per draw.
 Both sides need only T and the M vector norms, so concentration_report
 reads its vectors as a stream of row chunks and never holds the batch.
+One private Gram fold sums T over such a stream; the report and the
+harness's whiten row, which estimates T from distorted chunks, both use it.
 """
 
 from __future__ import annotations
@@ -32,6 +34,33 @@ def empirical_second_moment(batch: SampleBatch) -> np.ndarray:
     """T = (1/M) sum y_i (x) y_i as an (n, n) array, accumulated in fixed (matrix product) order."""
     y = batch.vectors
     return (y.T @ y) / y.shape[0]
+
+
+def _streamed_second_moment(chunks: Iterable[np.ndarray], m: int, norms: np.ndarray | None = None) -> np.ndarray:
+    """T = (1/m) sum c^T c over a stream of (rows, n) chunks that holds m vectors in all.
+
+    Each chunk is checked as a SampleBatch and its Gram product added to T in place, in
+    chunk order, so no (m, n) array forms; one chunk gives the bits of
+    empirical_second_moment.  The row norms go into ``norms``, in stream order, when given.
+    """
+    t = None
+    got = 0
+    for chunk in chunks:
+        y = SampleBatch(chunk).vectors
+        rows = y.shape[0]
+        if got + rows > m:
+            raise ValueError(f"the stream holds more than M = {m} vectors")
+        if norms is not None:
+            _row_norms(y, out=norms[got : got + rows])
+        if t is None:
+            t = y.T @ y
+        else:
+            t += y.T @ y
+        got += rows
+    if got != m:
+        raise ValueError(f"the stream holds {got} vectors, not M = {m}")
+    t /= m
+    return t
 
 
 def deviation(t: np.ndarray) -> float:
@@ -83,20 +112,7 @@ def concentration_report(chunks: Iterable[np.ndarray], m: int) -> dict:
     if m < 3:
         raise ValueError("need M >= 3 so the exponent log M exceeds 1")
     norms = np.empty(m)  # before the first chunk, so an M too large to hold fails before any draw
-    t = None
-    got = 0
-    for chunk in chunks:
-        y = SampleBatch(chunk).vectors
-        rows = y.shape[0]
-        if got + rows > m:
-            raise ValueError(f"the stream holds more than M = {m} vectors")
-        _row_norms(y, out=norms[got : got + rows])
-        gram = y.T @ y
-        t = gram if t is None else t + gram
-        got += rows
-    if got != m:
-        raise ValueError(f"the stream holds {got} vectors, not M = {m}")
-    dev = deviation(t / m)
+    dev = deviation(_streamed_second_moment(chunks, m, norms))
     lm = _power_mean(norms, max(2.0, math.log(m)))
     rhs_shape = math.sqrt(math.log(m) / m) * lm
     ratio = dev / rhs_shape if rhs_shape > 0.0 else math.inf

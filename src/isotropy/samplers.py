@@ -36,7 +36,7 @@ MASK64 = (1 << 64) - 1
 REJECTION_MIN_ACCEPTANCE = 1e-3
 ACCEPTANCE_HARD_FLOOR = 1e-6
 _PILOT_STAGE_ENDS = (4096, 36_864, 299_008, 2_396_160, 3_000_000)  # cumulative pilot draws
-_CHUNK_ROWS = 1 << 12  # rows per pilot / rejection draw, so memory does not follow the batch size
+_CHUNK_ROWS = 1 << 12  # rows per chunk of a streamed or pilot / rejection draw, so memory does not follow M
 _THIN_PER_DIM = 2  # the truncated chain emits every (2n)-th state
 
 
@@ -95,18 +95,26 @@ def direct_draws(body: Body, m: int, rng: np.random.Generator) -> np.ndarray:
         pts *= body.radius
         return pts
     if isinstance(body, Simplex):
-        # Chunked exponentials read the stream as one (m, n + 1) draw would.  A one-row
-        # product goes through gemv and rounds unlike gemm, so no chunk after the first is one row.
+        # Chunked exponentials read the stream as one (m, n + 1) draw would.
         pts = np.empty((m, n))
         i = 0
-        while i < m:
-            rows = m - i if m - i <= _CHUNK_ROWS + 1 else _CHUNK_ROWS
+        for rows in _chunk_sizes(m):
             e = rng.standard_exponential((rows, n + 1))
             e /= e.sum(axis=1, keepdims=True)
             np.matmul(e, body.vertices, out=pts[i : i + rows])
             i += rows
         return pts
     raise ValueError(f"no direct sampler for body {type(body).__name__}; use hit-and-run")
+
+
+def _chunk_sizes(m: int) -> Iterator[int]:
+    """The row counts of an m-row draw read by chunk: _CHUNK_ROWS each, the last up to
+    _CHUNK_ROWS + 1.  A one-row product goes through gemv and rounds unlike gemm, so no
+    chunk after the first is one row."""
+    while m > 0:
+        rows = m if m <= _CHUNK_ROWS + 1 else _CHUNK_ROWS
+        yield rows
+        m -= rows
 
 
 def _unit_ball_points(rng: np.random.Generator, m: int, n: int) -> np.ndarray:

@@ -10,6 +10,7 @@ site-packages directory, which changes nothing.
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -40,3 +41,18 @@ def child_peak_rss_mb():
         return int(proc.stdout.split()[-1]) / 1024
 
     return run
+
+
+@pytest.fixture
+def traced_peak_mb():
+    """``peak(fn)``: the peak traced allocation in MB while ``fn()`` runs."""
+
+    def peak(fn) -> float:
+        tracemalloc.start()
+        try:
+            fn()
+            return tracemalloc.get_traced_memory()[1] / 2**20
+        finally:
+            tracemalloc.stop()
+
+    return peak

@@ -1,5 +1,4 @@
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,16 +15,6 @@ from isotropy.bernoulli import (
 from isotropy.geometry import canonical_john, isotropic_normalization
 from isotropy.samplers import direct_draws, john_draws, random_stream
 from isotropy.symlin import operator_norm
-
-
-def traced_peak_mb(fn) -> float:
-    """Peak traced allocation in MB while ``fn()`` runs."""
-    tracemalloc.start()
-    try:
-        fn()
-        return tracemalloc.get_traced_memory()[1] / 2**20
-    finally:
-        tracemalloc.stop()
 
 
 @pytest.mark.parametrize("shape", [(0, 3), (5, 0), (5,)])
@@ -81,7 +70,7 @@ class TestRademacherEstimate:
         reference = operator_norm((signs @ outer).reshape(-1, n, n))
         assert norms.tobytes() == reference.tobytes()
 
-    def test_memory_does_not_follow_trials_times_m(self):
+    def test_memory_does_not_follow_trials_times_m(self, traced_peak_mb):
         # One (trials, M) draw held 16 * trials * M bytes: 200 MiB traced here.
         y = np.random.default_rng(0).standard_normal((65536, 2))
         assert traced_peak_mb(lambda: rademacher_trial_norms(y, 200, random_stream(0, 0))) < 16
@@ -140,7 +129,7 @@ class TestRademacherExact:
         assert exact == float(np.mean(norms[: 2**15]))
         assert exact == pytest.approx(float(np.mean(norms)), rel=1e-13)
 
-    def test_enumeration_streams_its_patterns(self):
+    def test_enumeration_streams_its_patterns(self, traced_peak_mb):
         # All 2^17 patterns at once peaked at 53 MB.
         y = np.random.default_rng(18).standard_normal((18, 2))
         assert traced_peak_mb(lambda: rademacher_exact(y)) < 32

@@ -98,11 +98,11 @@ SHIPPED_SHA256 = {
     "bernoulli": "488cb5cef8f6ddee8f361ab8439fafe06f32202ee0111e0af9422eece74c79df",
     "check": "e039d893122aa45fe1498f228aad963e56e4f41dea28a76565e9f9b4f9e765c7",
     "john": "a7c8156449dc2b9774729b7ba077e70a2162cf1c2ab731dfa1fba15382c89ec0",
-    "sweep": "712e7a37d2d4e99a943f6486907706156a382270ef3fca01d81f3a5c24cd6178",
+    "sweep": "156bef3b0cada2cf7feb74836f2edc9ed31e1491aae07f5849887e72bbe1a504",
     "sweep.agg": "a6e4f64bee075ecb3ecdbf73114c9270b511f89ab3bca93a0780c625a3c326fa",
     "symmetrize": "ebf1ad80d37205881a333963c2dab1ca328022674c3cddb04dd4c9df49db2ab0",
     "truncated": "761c56c179522831e1fe1e29ede14937691d859ea0223aac55baab7ff775daeb",
-    "whiten": "d5db617ce99d54c710bdb9d63977f43adddd389abf88425548af767c79258672",
+    "whiten": "bd158772459ae64f7829c43bd21ab78489cba83ee3d049d1a91d035bca14268e",
 }
 
 SWEEP_TEXT = """
@@ -260,9 +260,10 @@ class TestRunSweep:
     def test_workers_do_not_change_results(self):
         # Every kind, with a seed list out of ascending order: rows come in
         # config order (points, then seeds) and the CSV bytes do not move.
+        # M = 5000 streams the sweep and whiten draws in two chunks.
         texts = [
-            "kind=sweep\nsampler=cube\nn=4\nm_grid=64,256",
-            "kind=whiten\nsampler=cube\nn=4\nm=2000\ndistortion=2,1,1,0.5",
+            "kind=sweep\nsampler=cube\nn=4\nm_grid=64,256,5000",
+            "kind=whiten\nsampler=cube\nn=4\nm=5000\ndistortion=2,1,1,0.5",
             "kind=truncated\nsampler=cube\nn=4\nr=2.0\neps=0.3\nc0=0.12",
             "kind=john-sparsify\nfixture=simplex\nn=4\neps=0.25\nc=2",
             "kind=bernoulli\nmode=ratio\nsampler=cube\nn=4\nm_grid=16,64\ntrials=50",
@@ -305,6 +306,38 @@ class TestRunSweep:
         assert render_csv(capped.header, capped.rows) == render_csv(serial.header, serial.rows)
 
 
+    @pytest.mark.parametrize("sampler", ["cube", "simplex"])
+    def test_row_holds_no_batch(self, sampler, traced_peak_mb):
+        # One (M, 16) draw at M = 2^20 is 128 MiB; the streamed row holds the 8 MiB (M,)
+        # norms and one chunk at a time.
+        m = 2**20
+        row, _ = harness._plan_sweep(parse_config(f"kind=sweep\nsampler={sampler}\nn=16\nm_grid={m}\nseeds=0\n"))
+        assert traced_peak_mb(lambda: row(m, 0, random_stream(0, 0))) < 12
+
+
+class TestDrawStream:
+    # Sweep and whiten rows read their m draws as a stream of row chunks.
+
+    @pytest.mark.parametrize("m", [3, 4096, 4097, 4098, 8193, 65536])
+    @pytest.mark.parametrize("sampler", ["cube", "simplex", "john:cross-polytope"])
+    def test_chunks_are_one_whole_draw(self, sampler, m):
+        # Cube, simplex and John chunks read the random stream as one whole draw does.
+        rng, whole_rng = random_stream(1, 2), random_stream(1, 2)
+        chunks = list(harness._make_stream(sampler, 4)(m, rng))
+        assert np.array_equal(np.concatenate(chunks), harness._make_draw(sampler, 4)(m, whole_rng))
+        assert np.array_equal(rng.random(8), whole_rng.random(8))
+        sizes = [len(c) for c in chunks]
+        assert max(sizes) <= 4097 and 1 not in sizes[1:], sizes
+
+    def test_recorded_ball_stream(self):
+        # Ball chunks draw their normals before their radii per chunk, so this pins
+        # the chunking of a streamed ball draw as well as its points.
+        pts = np.concatenate(list(harness._make_stream("ball", 8)(10_000, random_stream(1, 2))))
+        assert hashlib.sha256(pts.tobytes()).hexdigest() == (
+            "4e4620cceea04fa17e0760979d32e95cfa4f81a511b5019f33fd304346a99569"
+        )
+
+
 class TestRunWhiten:
     def test_round_trip_rows(self):
         cfg = parse_config("kind=whiten\nsampler=cube\nn=4\nm=20000\neps=0.15\nseeds=0,1\ndistortion=2,1,1,0.5\n")
@@ -332,6 +365,13 @@ class TestRunWhiten:
                 x = direct_draws(isotropic_normalization(sampler, n), m, rng)
             oracle = np.linalg.norm(np.linalg.inv(x.T @ x / m) - np.eye(n), 2)
             assert abs(row["deviation_exact"] - oracle) <= 1e-9 * max(1.0, oracle), (row["seed"], oracle)
+
+    def test_row_holds_no_batch(self, traced_peak_mb):
+        # One (M, 8) draw at M = 10^6 is 61 MiB; the streamed row holds one chunk at a time.
+        m = 10**6
+        cfg = parse_config(f"kind=whiten\nsampler=cube\nn=8\nm={m}\ndistortion=2,1,1,1,1,1,1,0.5\nseeds=0\n")
+        row, _ = harness._plan_whiten(cfg)
+        assert traced_peak_mb(lambda: row(m, 0, random_stream(0, 0))) < 2
 
 
 class TestRunTruncated:
@@ -589,9 +629,9 @@ class TestCli:
     )
     def test_validated_run_failure_is_one_error_line(self, tmp_path, command, text, prefix):
         # Each config passes validate().  whiten: the second moment of the distorted draws
-        # overflows mid-run.  truncated and sweep: M is finite, but the truncated row's (M,)
-        # norms and the sweep's (M, 16) draw need 174 TiB and 11.4 PiB, which numpy refuses
-        # before it allocates anything or draws a chunk.  plan-*:
+        # overflows mid-run.  truncated and sweep: M is finite, but the row's (M,) norms need
+        # 174 TiB and 728 TiB, which numpy refuses before it allocates anything or draws a
+        # chunk.  plan-*:
         # the plan builds an n = 10^7 body or fixture before any row starts, and its
         # (n + 1, n) or (n, n) array needs 728 TiB, so no seed is named.
         path = tmp_path / f"{command}.cfg"
@@ -621,6 +661,17 @@ class TestCli:
             assert rows and all(len(row) == len(header) for row in rows), out.name
             digest = hashlib.sha256(out.read_bytes()).hexdigest()
             assert digest == SHIPPED_SHA256[out.name.removesuffix(".csv")], out.name
+
+    @pytest.mark.parametrize("name", ["sweep", "whiten"])
+    def test_two_workers_keep_the_shipped_pins(self, name):
+        cfg = load_config(CONFIG_DIR / f"{name}.cfg")
+        cfg.workers = 2
+        res = run_experiment(cfg)
+        outputs = {name: (res.header, res.rows)}
+        if res.aggregates is not None:
+            outputs[f"{name}.agg"] = (res.agg_header, res.aggregates)
+        for out, (header, rows) in outputs.items():
+            assert hashlib.sha256(render_csv(header, rows).encode()).hexdigest() == SHIPPED_SHA256[out], out
 
     def test_deterministic_csv(self, tmp_path):
         cfg = tmp_path / "sweep.cfg"

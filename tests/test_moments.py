@@ -162,7 +162,7 @@ class TestConcentrationReport:
         assert rep["ratio"] == pytest.approx(rep["deviation"] / expected, rel=1e-15)
 
     def test_one_chunk_is_the_batch_path(self):
-        # The sweep, and every hit-and-run truncated row, pass their batch as one chunk.
+        # A sweep or whiten row of at most 4,097 points, and every hit-and-run truncated row, read one chunk.
         for name, n, m in (("cube", 8, 1000), ("ball", 16, 9000), ("simplex", 4, 333)):
             y = direct_draws(isotropic_normalization(name, n), m, random_stream(2, 7))
             rep = report_of(y)
