@@ -26,7 +26,7 @@ __all__ = [
 
 EXACT_ENUMERATION_CAP = 20
 DEFAULT_TRIALS = 1000
-_SIGN_ENTRIES = 1 << 18  # signs per chunk of a signed-sum GEMM: 3 MB as int32 draw plus floats
+_SIGN_ENTRIES = 1 << 16  # signs per chunk of a signed-sum GEMM: 768 KiB as int32 draw plus floats
 
 
 def _signs(rng: np.random.Generator, size) -> np.ndarray:
@@ -53,22 +53,34 @@ def _signed_sum_norms(y: np.ndarray, sign_rows, trials: int) -> np.ndarray:
 
     ``sign_rows(a, b)`` returns rows a..b-1 of the (trials, M) sign array s;
     it is called on consecutive ranges, so s is never held whole.  Row i of
-    ``outer`` is y_i (x) y_i flattened, so each chunk of signed sums is one
-    GEMM, followed by one operator_norm call.
+    the (M, n(n+1)/2) ``design`` matrix is the lower triangle of
+    y_i (x) y_i, row by row: column (j, k), j >= k, holds y_ij y_ik.  So
+    each chunk of signed sums is one GEMM against ``design``, whose columns
+    fill both triangles of a (rows, n, n) stack for one operator_norm call.
     """
     m, n = y.shape
-    outer = (y[:, :, None] * y[:, None, :]).reshape(m, n * n)
-    # BLAS rounds a one-row product (gemv) or one under about 10^6 multiply-adds (a small-matrix
-    # kernel) unlike a larger GEMM, and gemv (n = 1) rounds alike only by aligned groups of 4 rows.
-    # So a chunk is a multiple of 4 rows and at least _SIGN_ENTRIES signs, or 2^19 sum entries
-    # where that is fewer rows (10^6 multiply-adds from M = 2), and the last chunk takes the
-    # remainder: each row of sums has the bits of one whole GEMM, and no chunk holds 2^20 sums.
-    rows = 4 * max(1, min(-(-_SIGN_ENTRIES // (4 * m)), (1 << 20) // (8 * n * n)))
+    design = np.empty((m, n * (n + 1) // 2))
+    for j in range(n):
+        c = j * (j + 1) // 2
+        np.multiply(y[:, j : j + 1], y[:, : j + 1], out=design[:, c : c + j + 1])
+    # Entries (j, k) and (k, j) of a signed sum both read design column (j, k).
+    column = np.empty((n, n), dtype=np.intp)
+    lower = np.tril_indices(n)
+    column[lower] = column.T[lower] = np.arange(design.shape[1])
+    # BLAS rounds a one-row product (gemv) or one under about 2^20 multiply-adds (a small-matrix
+    # kernel) unlike a larger GEMM, gemv (n = 1) rounds alike only by aligned groups of 4 rows, and
+    # a threaded GEMM can round rows by how it splits them.  So a chunk is a multiple of 4 rows and
+    # about _SIGN_ENTRIES signs but at most 2^19 sum entries, never under 2^20 multiply-adds, and
+    # the last chunk takes the remainder: each row of sums has the bits of one whole GEMM against
+    # ``design`` (checked with 1 and 2 OpenBLAS threads, not for every shape or build).
+    floor = -(-(1 << 20) // (4 * design.size))
+    rows = 4 * max(floor, min(-(-_SIGN_ENTRIES // (4 * m)), (1 << 17) // (n * n)))
     norms = np.empty(trials)
     a = 0
     while a < trials:
         b = trials if trials - a < 2 * rows else a + rows
-        norms[a:b] = operator_norm((sign_rows(a, b) @ outer).reshape(-1, n, n))
+        sums = sign_rows(a, b) @ design
+        norms[a:b] = operator_norm(sums[:, column])
         a = b
     return norms
 

@@ -45,8 +45,8 @@ class TestRademacherEstimate:
             rademacher_trial_norms(np.eye(2), 0, random_stream(0, 0)).mean()
 
     def test_matches_per_trial_oracle_across_chunk_boundary(self):
-        # n = 16 caps a chunk at 2^19 / 256 = 2048 signed sums, so 5000
-        # trials make one 2048-row chunk and a 2952-row last one.
+        # At M = 40 a chunk is about 2^16 signs, 4 * ceil(2^16 / 160) = 1640
+        # rows, so 5000 trials make two 1640-row chunks and a 1720-row last one.
         y = direct_draws(isotropic_normalization("cube", 16), 40, random_stream(3, 1))
         norms = rademacher_trial_norms(y, 5000, random_stream(3, 2))
         signs = _signs(random_stream(3, 2), (5000, 40))
@@ -56,24 +56,49 @@ class TestRademacherEstimate:
     @pytest.mark.parametrize(
         "m, n, trials",
         [(4096, 16, 400), (4096, 8, 386), (40000, 2, 200)],
-        ids=["six-chunks", "two-row-remainder", "small-chunks"],
+        ids=["even-chunks", "two-row-remainder", "small-chunks"],
     )
     def test_streamed_signs_match_one_shot_reference(self, m, n, trials):
-        # The reference draws every sign at once and makes one GEMM and one
-        # operator_norm call.  At M = 4096 a sign chunk is 64 rows; 64-row
-        # chunks with a 2-row last one, or 6-row chunks at M = 40000, would
-        # change bits here (BLAS sums a small product in another order).
+        # The reference draws every sign at once and makes one GEMM against
+        # the same C-ordered lower-triangle design matrix (BLAS may round an
+        # F-ordered one differently) and one operator_norm call.  At M = 4096
+        # a chunk is 16 rows (2^16 signs), so 400 trials make 25 chunks and
+        # 386 make 23 and an 18-row last one; at M = 40000 it is 12 rows, the
+        # 2^20 multiply-add floor over 3 design columns.  A 2-row last chunk,
+        # or 4-row chunks at M = 40000, would change bits here (BLAS sums a
+        # small product in another order).
         y = direct_draws(isotropic_normalization("cube", n), m, random_stream(4, 0))
         norms = rademacher_trial_norms(y, trials, random_stream(4, 1))
         signs = _signs(random_stream(4, 1), (trials, m))
-        outer = (y[:, :, None] * y[:, None, :]).reshape(m, n * n)
-        reference = operator_norm((signs @ outer).reshape(-1, n, n))
+        j, k = np.tril_indices(n)
+        sums = signs @ np.ascontiguousarray(y[:, j] * y[:, k])
+        stack = np.empty((trials, n, n))
+        stack[:, j, k] = sums
+        stack[:, k, j] = sums
+        reference = operator_norm(stack)
         assert norms.tobytes() == reference.tobytes()
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 8, 16])
+    @pytest.mark.parametrize("m", [3, 64, 4096])
+    def test_triangle_columns_land_on_their_entries(self, m, n):
+        # Each design column (j, k) must reach entries (j, k) and (k, j) of
+        # its signed sum; the oracle forms every sum whole.
+        y = direct_draws(isotropic_normalization("cube", n), m, random_stream(6, m))
+        norms = rademacher_trial_norms(y, 24, random_stream(6, n))
+        signs = _signs(random_stream(6, n), (24, m))
+        oracle = np.array([np.linalg.norm((s[:, None] * y).T @ y, 2) for s in signs])
+        assert np.allclose(norms, oracle, rtol=1e-12, atol=0)
 
     def test_memory_does_not_follow_trials_times_m(self, traced_peak_mb):
         # One (trials, M) draw held 16 * trials * M bytes: 200 MiB traced here.
         y = np.random.default_rng(0).standard_normal((65536, 2))
         assert traced_peak_mb(lambda: rademacher_trial_norms(y, 200, random_stream(0, 0))) < 16
+
+    def test_memory_holds_one_triangle(self, traced_peak_mb):
+        # The (M, n^2) outer products and 2^18-sign chunks peaked at 11.8 MiB
+        # here; the (M, n(n+1)/2) design matrix alone is 4.25 MiB.
+        y = direct_draws(isotropic_normalization("cube", 16), 4096, random_stream(7, 0))
+        assert traced_peak_mb(lambda: rademacher_trial_norms(y, 400, random_stream(7, 1))) < 7
 
     @pytest.mark.parametrize("n", [2, 16])
     def test_khintchine_lower_bound(self, n):
