@@ -127,7 +127,8 @@ class Body:
 def _slab_chord(slack: list[float], coef: list[float]) -> tuple[float, float]:
     """Maximal interval of t with coef * t <= slack in every row.
 
-    The shared chord kernel of the polytope bodies.  A loop over Python
+    The chord kernel of the simplex and the H-polytope (the cube takes its
+    2n rows in one pass of its own).  A loop over Python
     floats beats numpy's masked reductions at these row counts, so the
     rows come as Python sequences.
     """
@@ -173,10 +174,28 @@ class Cube(Body):
     def _chord_impl(self, x, d, xx):
         if not self._contains(x, xx):
             return None
-        # The rows a - x, a + x against d, -d, built as Python floats.
+        # _slab_chord's rows (a - v, c) and (a + v, -c) for each coordinate, taken in one pass
+        # with the same divisions and comparisons: the same bounds, bit for bit.
         a = float(self.halfwidth)
-        xs, ds = x.tolist(), d.tolist()
-        return _slab_chord([a - v for v in xs] + [a + v for v in xs], ds + [-v for v in ds])
+        t_lo, t_hi = -math.inf, math.inf
+        for v, c in zip(x.tolist(), d.tolist()):
+            if c > 0.0:
+                t = (a - v) / c
+                if t < t_hi:
+                    t_hi = t
+                t = (a + v) / -c
+                if t > t_lo:
+                    t_lo = t
+            elif c < 0.0:
+                t = (a - v) / c
+                if t > t_lo:
+                    t_lo = t
+                t = (a + v) / -c
+                if t < t_hi:
+                    t_hi = t
+        if not (math.isfinite(t_lo) and math.isfinite(t_hi)):
+            raise ValueError("chord is unbounded; body data must describe a bounded set")
+        return t_lo, t_hi
 
 
 @dataclass(frozen=True)

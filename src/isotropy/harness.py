@@ -123,7 +123,7 @@ class ExperimentConfig:
                 truncated_sample_count(self.n, self.r, self.eps, self.c0)
             elif self.kind == "john-sparsify":
                 jsp.choose_M(self.n, self.eps, self.c)
-        except OverflowError as exc:
+        except ArithmeticError as exc:  # eps * eps can underflow to 0 as well as overflow
             raise ConfigError(f"the {self.kind} sample-count rule gives no finite M: {exc}") from exc
 
 

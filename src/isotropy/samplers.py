@@ -38,6 +38,7 @@ ACCEPTANCE_HARD_FLOOR = 1e-6
 _PILOT_STAGE_ENDS = (4096, 36_864, 299_008, 2_396_160, 3_000_000)  # cumulative pilot draws
 _CHUNK_ROWS = 1 << 12  # rows per chunk of a streamed or pilot / rejection draw, so memory does not follow M
 _THIN_PER_DIM = 2  # the truncated chain emits every (2n)-th state
+_HITRUN_BLOCK = 1 << 10  # chain steps whose directions and uniforms are drawn together
 
 
 def random_stream(seed: int, stream: int) -> np.random.Generator:
@@ -146,8 +147,12 @@ def sample_hit_and_run(
     """Hit-and-run chain: uniform point on a uniformly random chord, repeated.
 
     Discards ``burn_in`` steps, then emits every ``thin``-th state, ``count``
-    times.  Returns an array of shape (count, n).  Each step draws a normal
-    direction, makes one ``body.chord`` call and one uniform draw on it.
+    times.  Returns an array of shape (count, n).  The directions and chord
+    positions do not depend on the state, so the chain reads them by block of
+    at most 1,024 steps (_HITRUN_BLOCK): the block's (b, n) normals, then its b
+    uniforms, then, in row order, a fresh normal row for each row of squared
+    norm 0 until it is nonzero.  The rows are normalized as np.linalg.norm does;
+    each step makes one ``body.chord`` call and moves by ``(lo + (hi - lo) * u) * d``.
     """
     if burn_in < 0 or thin < 1 or count < 1:
         raise ValueError("need burn_in >= 0, thin >= 1, count >= 1")
@@ -155,22 +160,26 @@ def sample_hit_and_run(
     if not body.membership(x):
         raise ValueError("hit-and-run start point lies outside the body")
     n = body.n
-    chord, normal, random = body.chord, rng.standard_normal, rng.random
+    chord = body.chord
     out = np.empty((count, n))
-    for step in range(-burn_in, thin * count):
-        # The same operations as np.linalg.norm(g), g / norm, Generator.uniform(lo, hi)
-        # and x + t * g, in place and without numpy's scalar dispatch: the same bits.
-        g = normal(n)
-        sq = g.dot(g)
-        while sq == 0.0:  # measure-zero guard
-            g = normal(n)
-            sq = g.dot(g)
-        g /= math.sqrt(sq)
-        lo, hi = chord(x, g)
-        g *= lo + (hi - lo) * random()
-        x += g
-        if step >= 0 and step % thin == thin - 1:
-            out[step // thin] = x
+    step, end = -burn_in, thin * count
+    while step < end:
+        b = min(_HITRUN_BLOCK, end - step)
+        dirs = rng.standard_normal((b, n))
+        uniforms = rng.random(b).tolist()
+        norms = np.linalg.norm(dirs, axis=1)
+        for k in np.flatnonzero(norms == 0.0).tolist():  # measure-zero guard
+            while norms[k] == 0.0:
+                dirs[k] = rng.standard_normal(n)
+                norms[k] = np.linalg.norm(dirs[k : k + 1], axis=1)[0]  # the block's row reduction
+        dirs /= norms[:, None]
+        for d, u in zip(dirs, uniforms):
+            lo, hi = chord(x, d)
+            d *= lo + (hi - lo) * u
+            x += d
+            if step >= 0 and step % thin == thin - 1:
+                out[step // thin] = x
+            step += 1
     return out
 
 

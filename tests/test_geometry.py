@@ -11,6 +11,7 @@ from isotropy.geometry import (
     JohnDecomposition,
     Simplex,
     Truncated,
+    _slab_chord,
     canonical_john,
     isotropic_normalization,
     regular_simplex_vertices,
@@ -129,6 +130,43 @@ class TestChord:
             d = rng.standard_normal(3)
             d /= np.linalg.norm(d)
             assert _chord_failure(body, x, d) is None
+
+
+class TestCubeChord:
+    @staticmethod
+    def slab_chord(cube, x, d):
+        """The cube's chord through the shared kernel: rows a - x, a + x against d, -d."""
+        a = float(cube.halfwidth)
+        xs, ds = x.tolist(), d.tolist()
+        return _slab_chord([a - v for v in xs] + [a + v for v in xs], ds + [-v for v in ds])
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 16])
+    def test_one_pass_equals_the_slab_kernel_bit_for_bit(self, n):
+        # Interior points, points on one or every face, and directions with exact zeros
+        # (of either sign); float.hex tells -0.0 from 0.0.
+        cube = Cube(halfwidth=math.sqrt(3.0), n=n)
+        a = cube.halfwidth
+        rng = random_stream(31, n)
+        for k in range(400):
+            x = direct_draws(cube, 1, rng)[0]
+            d = rng.standard_normal(n)
+            if k % 4 in (1, 3):
+                x[rng.integers(n)] = a if k % 8 < 4 else -a
+            if k % 4 == 2:
+                x = np.where(x > 0.0, a, -a)
+            if k % 4 == 3 and n > 1:
+                zeros = rng.permutation(n)[: n - 1]
+                d[zeros[::2]] = 0.0
+                d[zeros[1::2]] = -0.0
+            d /= np.linalg.norm(d)
+            got = cube._chord_impl(x, d, float(x.dot(x)))
+            assert [t.hex() for t in got] == [t.hex() for t in self.slab_chord(cube, x, d)], (k, x, d)
+
+    def test_outside_point_has_no_chord(self):
+        cube = Cube(halfwidth=1.0, n=3)
+        d = np.array([0.6, 0.0, -0.8])
+        for x in (np.array([0.0, 1.01, 0.0]), np.array([-1.5, 0.2, 0.3]), np.array([2.0, 2.0, 2.0])):
+            assert cube._chord_impl(x, d, float(x.dot(x))) is None
 
 
 class TestIsotropicNormalization:

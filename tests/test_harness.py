@@ -265,6 +265,8 @@ class TestRunSweep:
             "kind=sweep\nsampler=cube\nn=4\nm_grid=64,256,5000",
             "kind=whiten\nsampler=cube\nn=4\nm=5000\ndistortion=2,1,1,0.5",
             "kind=truncated\nsampler=cube\nn=4\nr=2.0\neps=0.3\nc0=0.12",
+            # A thin cut: each seed runs the hit-and-run chain, 1,224 steps over two blocks.
+            "kind=truncated\nsampler=cube\nn=2\nr=0.0138\neps=0.01\nc0=60",
             "kind=john-sparsify\nfixture=simplex\nn=4\neps=0.25\nc=2",
             "kind=bernoulli\nmode=ratio\nsampler=cube\nn=4\nm_grid=16,64\ntrials=50",
             "kind=bernoulli\nmode=symmetrize\nsampler=cube\nn=4\nm=64\ntrials=20",
@@ -554,11 +556,14 @@ class TestCli:
         [
             ("john-sparsify", "fixture=cross-polytope\nn=2\neps=1e-9\nc=1e300\nseeds=0\n"),
             ("truncated", "sampler=cube\nn=16\nr=1\neps=1e-10\nc0=1e300\nseeds=0\n"),
+            ("john-sparsify", "fixture=cross-polytope\nn=4\neps=1e-170\nseeds=0\n"),
+            ("truncated", "sampler=cube\nn=8\neps=1e-300\nseeds=0\n"),
         ],
-        ids=["john-sparsify", "truncated"],
+        ids=["john-sparsify", "truncated", "john-sparsify-eps-underflow", "truncated-eps-underflow"],
     )
     def test_infinite_sample_count_is_usage_error(self, tmp_path, capsys, command, text):
-        # Each sample-count rule gives an infinite float here, which has no integer ceiling.
+        # Each sample-count rule gives an infinite float here, which has no integer ceiling;
+        # in the last two cases eps * eps underflows to 0 and the rule divides by it.
         path = tmp_path / "huge.cfg"
         path.write_text(text, encoding="utf-8")
         assert run_cli([command, "--config", str(path)]) == 2
@@ -792,12 +797,18 @@ print(json.dumps({
 
 
 class TestBenchTracer:
-    def test_tracer_binds_one_chord_call_per_hit_and_run_step(self, tmp_path):
+    @pytest.mark.parametrize(
+        "body",
+        # The benchmark's two thin cuts, with a small c0.
+        ["sampler=cube\nn=16\nr=0.5\neps=0.5\nc0=1", "sampler=simplex\nn=8\nr=0.25\neps=0.5\nc0=4"],
+        ids=["cube16", "simplex8"],
+    )
+    def test_tracer_binds_one_chord_call_per_hit_and_run_step(self, tmp_path, body):
         # The bench tracer wraps the body oracles and samplers by name; run it in a
         # child interpreter so its monkeypatching stays out of this process.
         bench = Path(__file__).resolve().parents[1] / "bench"
         cfg = tmp_path / "trunc.cfg"
-        cfg.write_text("kind=truncated\nsampler=cube\nn=16\nr=0.5\neps=0.5\nc0=1\nseeds=0\n", encoding="utf-8")
+        cfg.write_text(f"kind=truncated\n{body}\nseeds=0\n", encoding="utf-8")
         proc = subprocess.run(
             [sys.executable, "-c", TRACED_RUN, str(bench), str(cfg), str(tmp_path / "out.csv")],
             capture_output=True,

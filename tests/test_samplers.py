@@ -1,6 +1,7 @@
 import collections
 import hashlib
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -227,30 +228,112 @@ class TestHitAndRun:
         [
             (
                 lambda: Truncated(isotropic_normalization("cube", 16), 2.0),
-                "91bd3841e87dc4601ef5f8c9a3b91cd4bfa752cc560dbd132f7d099f2cfa9ea5",
+                "30c85f4ed17858d6dc21262f0fc9f5d9c7d3d5bb699239cd565ee5a9a61e1d9b",
             ),
             (
                 lambda: Truncated(isotropic_normalization("simplex", 8), 0.25 * math.sqrt(8)),
-                "14f1d8fedf4f99ad4bee0d500729ba51faff98144b35632bde755e42e823fe2a",
+                "02d8c88844aa6862d15146686c320f344bd4f35c47c78f6f60e0bf41eca0d26c",
             ),
             (
                 lambda: isotropic_normalization("cube", 16),
-                "aa323b47b7bc305012be216bc6f64d659a3563ed4b0b806aa79afd6f2257a4a8",
+                "2a1ef999274c2d6cea90c7b27f2209c97b947ef4896f7fc64fc8aa281202e8b8",
             ),
             (
                 lambda: HPolytope(rows=np.vstack([ROT30.T, -ROT30.T]), offsets=np.ones(4)),
-                "2fc9d7dfa6ba2eda218f7ea978f7fc01bdb1afd248b439b3a3d4eac26cca522b",
+                "bdbb6d4afc11995402e7cf596014e29b68593e85fec3f40a0bd69da4cf906ca4",
             ),
         ],
         ids=["truncated-cube16", "truncated-simplex8", "cube16", "rotated-square"],
     )
     def test_recorded_chain_hashes(self, make_body, digest):
-        # The chain states are pinned bit for bit: a faster step must repeat the
-        # same floating-point operations, not approximate them.
+        # The chain states are pinned bit for bit, under the block read order of
+        # sample_hit_and_run (a block's normals, then its uniforms): a faster step must
+        # repeat the same floating-point operations, not approximate them.
         body = make_body()
         rng = random_stream(5, 17)
         states = sample_hit_and_run(body, np.zeros(body.n), burn_in=800, thin=32, rng=rng, count=300)
         assert hashlib.sha256(states.tobytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize(
+        "make_body",
+        [
+            lambda: Cube(halfwidth=1.0, n=3),
+            lambda: Ball(radius=2.0, n=3),
+            lambda: Truncated(isotropic_normalization("simplex", 3), 1.0),
+            lambda: HPolytope(rows=np.vstack([ROT30.T, -ROT30.T]), offsets=np.ones(4)),
+        ],
+        ids=["cube3", "ball3", "truncated-simplex3", "rotated-square"],
+    )
+    @pytest.mark.parametrize(
+        "burn_in, thin, count",
+        # 2,200 steps end 152 into a third block; 2,049 steps leave one step for it.
+        [(100, 7, 300), (1, 16, 128)],
+        ids=["2200-steps", "2049-steps"],
+    )
+    def test_chain_replays_its_block_read_order(self, make_body, burn_in, thin, count):
+        body = make_body()
+        states = sample_hit_and_run(body, np.zeros(body.n), burn_in, thin, random_stream(6, 2), count)
+        want = replay_hit_and_run(body, np.zeros(body.n), burn_in, thin, random_stream(6, 2), count)
+        assert states.tobytes() == want.tobytes()
+
+    def test_zero_direction_rows_are_redrawn(self):
+        # Rows 3 and 5 of the first block are exactly zero, and so is the first redraw of
+        # row 3: it takes two redraws, row 5 one, all after the block's uniforms.
+        body = Cube(halfwidth=1.0, n=3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            rng = ZeroRowStream()
+            states = sample_hit_and_run(body, np.zeros(3), 0, 1, rng, count=10)
+        assert rng.calls == [("normal", (10, 3)), ("random", 10), ("normal", 3), ("normal", 3), ("normal", 3)]
+        want = replay_hit_and_run(body, np.zeros(3), 0, 1, ZeroRowStream(), 10)
+        assert states.tobytes() == want.tobytes()
+        assert all(body.membership(p) for p in states)
+
+
+def replay_hit_and_run(body, x0, burn_in, thin, rng, count):
+    """sample_hit_and_run written plainly: per block of up to 1,024 steps, the block's
+    normals, its uniforms, a redraw of each zero row in row order, np.linalg.norm, and
+    one chord call per step."""
+    x = np.array(x0, dtype=float)
+    states = []
+    total = burn_in + thin * count
+    for start in range(0, total, 1024):
+        b = min(1024, total - start)
+        g = rng.standard_normal((b, body.n))
+        u = rng.random(b)
+        for k in range(b):
+            while np.linalg.norm(g[k]) == 0.0:
+                g[k] = rng.standard_normal(body.n)
+        d = g / np.linalg.norm(g, axis=1, keepdims=True)
+        for k in range(b):
+            lo, hi = body.chord(x, d[k])
+            x = x + (lo + (hi - lo) * u[k]) * d[k]
+            step = start + k - burn_in
+            if step >= 0 and step % thin == thin - 1:
+                states.append(x)
+    return np.array(states)
+
+
+class ZeroRowStream:
+    """A random stream whose first normal block has zero rows 3 and 5 and whose first
+    one-row draw is zero; it records each call."""
+
+    def __init__(self):
+        self.rng = random_stream(4, 0)
+        self.calls = []
+
+    def standard_normal(self, size):
+        self.calls.append(("normal", size))
+        g = self.rng.standard_normal(size)
+        if len(self.calls) == 1:
+            g[[3, 5]] = 0.0
+        elif len(self.calls) == 3:
+            g[:] = 0.0
+        return g
+
+    def random(self, size):
+        self.calls.append(("random", size))
+        return self.rng.random(size)
 
 
 class TestTruncatedSampling:
