@@ -148,11 +148,13 @@ def bound_ratio(points, trials: int, rng: np.random.Generator) -> dict:
 def symmetrization_check(draw, n: int, M: int, trials: int, rng: np.random.Generator) -> dict:
     """Estimate E|T - id| and 2 E|(1/M) sum eps y (x) y| for an isotropic sampler.
 
-    ``draw(m, rng)`` must return m fresh vectors.  The left side uses one
-    fresh batch per trial; the right side uses another fresh batch and
-    fresh signs per trial, matching the inequality's independent copies.
-    Returns both sides, their standard errors and ``holds``: lhs <= rhs up
-    to 3 combined standard errors of Monte Carlo noise.
+    ``draw(m, rng)`` must return m fresh vectors.  Each side is its own
+    expectation over the same law, so one batch per trial serves both: trial
+    t reads ``y = draw(M, rng)``, then ``eps = _signs(rng, M)``, and gives
+    lhs_t = |y^T y / M - id| and rhs_t = 2 |(eps * y)^T y / M|.  Returns both
+    sides' means and standard errors and ``holds``: lhs <= rhs up to 3
+    standard errors of the paired gaps lhs_t - rhs_t, the exact standard
+    error of lhs - rhs under the shared batch (no slack for one trial).
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -162,14 +164,15 @@ def symmetrization_check(draw, n: int, M: int, trials: int, rng: np.random.Gener
     for t in range(trials):
         y = np.asarray(draw(M, rng), dtype=float)
         lhs_mats[t] = (y.T @ y) / M - eye
-        y2 = np.asarray(draw(M, rng), dtype=float)
         eps = _signs(rng, M)
-        rhs_mats[t] = ((eps[:, None] * y2).T @ y2) / M
+        rhs_mats[t] = ((eps[:, None] * y).T @ y) / M
     lhs_norms = operator_norm(lhs_mats)
-    rhs_norms = operator_norm(rhs_mats)
+    rhs_norms = 2.0 * operator_norm(rhs_mats)
+
+    def se(values: np.ndarray) -> float:
+        return float(np.std(values, ddof=1)) / math.sqrt(trials) if trials > 1 else 0.0
+
     lhs = float(np.mean(lhs_norms))
-    rhs = 2.0 * float(np.mean(rhs_norms))
-    lhs_se = float(np.std(lhs_norms, ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
-    rhs_se = 2.0 * float(np.std(rhs_norms, ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
-    holds = lhs <= rhs + 3.0 * math.hypot(lhs_se, rhs_se)
-    return {"lhs": lhs, "rhs": rhs, "lhs_se": lhs_se, "rhs_se": rhs_se, "holds": holds}
+    rhs = float(np.mean(rhs_norms))
+    holds = lhs <= rhs + 3.0 * se(lhs_norms - rhs_norms)
+    return {"lhs": lhs, "rhs": rhs, "lhs_se": se(lhs_norms), "rhs_se": se(rhs_norms), "holds": holds}

@@ -216,7 +216,7 @@ class ExperimentResult:
 
 
 def _format_value(v) -> str:
-    if isinstance(v, bool):
+    if isinstance(v, (bool, np.bool_)):
         return "true" if v else "false"
     if isinstance(v, (int, np.integer)):
         return str(int(v))
@@ -235,8 +235,8 @@ def render_csv(header: list[str], rows: list[dict]) -> str:
 
 
 def _json_value(v):
-    if isinstance(v, bool):
-        return v
+    if isinstance(v, (bool, np.bool_)):
+        return bool(v)
     if isinstance(v, (int, np.integer)):
         return int(v)
     if isinstance(v, (float, np.floating)):

@@ -242,3 +242,48 @@ class TestSymmetrization:
         draw = lambda m, rng: direct_draws(body, m, rng)
         with pytest.raises(ValueError, match="trials must be >= 1"):
             symmetrization_check(draw, 2, 8, 0, random_stream(0, 0))
+
+    def test_one_batch_per_trial_serves_both_sides(self):
+        # Trial t reads draw(M, rng), then _signs(rng, M); both sides use that one batch.
+        body = isotropic_normalization("cube", 4)
+        m, trials = 256, 200
+        calls = []
+
+        def draw(rows, rng):
+            calls.append(rows)
+            return direct_draws(body, rows, rng)
+
+        res = symmetrization_check(draw, 4, m, trials, random_stream(0, 0))
+        assert calls == [m] * trials
+        rng = random_stream(0, 0)
+        lhs_mats, rhs_mats = np.empty((trials, 4, 4)), np.empty((trials, 4, 4))
+        for t in range(trials):
+            y = direct_draws(body, m, rng)
+            eps = _signs(rng, m)
+            lhs_mats[t] = (y.T @ y) / m - np.eye(4)
+            rhs_mats[t] = ((eps[:, None] * y).T @ y) / m
+        lhs_t, rhs_t = operator_norm(lhs_mats), 2.0 * operator_norm(rhs_mats)
+        root = math.sqrt(trials)
+        assert res["lhs"] == float(np.mean(lhs_t))
+        assert res["rhs"] == float(np.mean(rhs_t))
+        assert res["lhs_se"] == float(np.std(lhs_t, ddof=1)) / root
+        assert res["rhs_se"] == float(np.std(rhs_t, ddof=1)) / root
+        # holds is judged on the paired per-trial gaps, the exact error of lhs - rhs here.
+        gap_se = float(np.std(lhs_t - rhs_t, ddof=1)) / root
+        assert res["holds"] is (res["lhs"] <= res["rhs"] + 3.0 * gap_se)
+        assert res["holds"]
+
+    def test_scaled_rhs_fails(self, monkeypatch):
+        # Signs scaled by 0.3 scale rhs (about 0.42 here) by 0.3, below lhs (about 0.18).
+        signs = bernoulli._signs
+        monkeypatch.setattr(bernoulli, "_signs", lambda rng, size: 0.3 * signs(rng, size))
+        body = isotropic_normalization("cube", 4)
+        res = symmetrization_check(lambda m, rng: direct_draws(body, m, rng), 4, 256, 200, random_stream(0, 0))
+        assert 0.15 < res["lhs"] < 0.21 and 0.1 < res["rhs"] < 0.14
+        assert res["holds"] is False
+
+    def test_one_trial_has_no_slack(self):
+        body = isotropic_normalization("cube", 2)
+        res = symmetrization_check(lambda m, rng: direct_draws(body, m, rng), 2, 8, 1, random_stream(0, 0))
+        assert res["lhs_se"] == res["rhs_se"] == 0.0
+        assert res["holds"] is (res["lhs"] <= res["rhs"])

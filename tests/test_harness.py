@@ -100,7 +100,7 @@ SHIPPED_SHA256 = {
     "john": "a7c8156449dc2b9774729b7ba077e70a2162cf1c2ab731dfa1fba15382c89ec0",
     "sweep": "156bef3b0cada2cf7feb74836f2edc9ed31e1491aae07f5849887e72bbe1a504",
     "sweep.agg": "a6e4f64bee075ecb3ecdbf73114c9270b511f89ab3bca93a0780c625a3c326fa",
-    "symmetrize": "ebf1ad80d37205881a333963c2dab1ca328022674c3cddb04dd4c9df49db2ab0",
+    "symmetrize": "05429f3486730bf14aabbd657102c8ba22867dbfde850bec985953877aca2fd7",
     "truncated": "761c56c179522831e1fe1e29ede14937691d859ea0223aac55baab7ff775daeb",
     "whiten": "bd158772459ae64f7829c43bd21ab78489cba83ee3d049d1a91d035bca14268e",
 }
@@ -216,6 +216,14 @@ class TestRenderers:
         rows = [{"a": 1, "b": 0.5, "c": False, "d": "x"}, {"a": 2, "b": math.nan, "c": True, "d": "y"}]
         payload = strict_json_loads(render_json(["a", "b", "c", "d"], rows))
         assert payload == [{"a": 1, "b": 0.5, "c": False, "d": "x"}, {"a": 2, "b": None, "c": True, "d": "y"}]
+
+    def test_numpy_scalars_render_like_python_ones(self):
+        # A verdict computed from numpy values is an np.bool_, which is not a bool.
+        rows = [{"a": np.bool_(True), "b": np.float64(0.5), "c": np.bool_(False), "d": np.int64(3)}]
+        assert render_csv(["a", "b", "c", "d"], rows) == "a,b,c,d\ntrue,0.5,false,3\n"
+        [payload] = strict_json_loads(render_json(["a", "b", "c", "d"], rows))
+        assert payload == {"a": True, "b": 0.5, "c": False, "d": 3}
+        assert payload["a"] is True and payload["c"] is False
 
     def test_agg_path(self):
         assert agg_output_path("results.csv") == "results.agg.csv"
@@ -723,18 +731,42 @@ class TestCli:
             assert err.startswith("error: ISOTROPY_SEED must be a decimal integer, got 'not-a-number'\n"), args
             assert err.count("error:") == 1 and "Traceback" not in err, args
 
-    def test_json_output_mirrors_csv(self, tmp_path):
-        cfg = tmp_path / "sweep.cfg"
-        cfg.write_text(SWEEP_TEXT, encoding="utf-8")
-        out_csv, out_json = tmp_path / "a.csv", tmp_path / "a.json"
-        assert run_cli(["sweep", "--config", str(cfg), "--out", str(out_csv)]) == 0
-        assert run_cli(["sweep", "--config", str(cfg), "--out", str(out_json), "--format", "json"]) == 0
-        rows = json.loads(out_json.read_text(encoding="utf-8"))
-        lines = out_csv.read_text(encoding="utf-8").splitlines()
-        assert list(rows[0].keys()) == lines[0].split(",")
-        assert len(rows) == len(lines) - 1
-        first_csv = lines[1].split(",")
-        assert rows[0]["deviation"] == float(first_csv[5])
+    @pytest.mark.parametrize(
+        "command, text",
+        [
+            ("sweep", SWEEP_TEXT),
+            ("whiten", "sampler=cube\nn=2\nm=200\neps=0.1\ndistortion=2,0.5\nseeds=0,1\n"),
+            ("truncated", "sampler=cube\nn=2\nr=1\neps=0.5\nc0=1\nseeds=0,1\n"),
+            ("john-sparsify", "fixture=cross-polytope\nn=8\neps=0.25\nc=1\nmax_attempts=1\nseeds=0,1,2,3,4,5\n"),
+            ("bernoulli", "mode=ratio\nsampler=cube\nn=4\nm_grid=16,64\ntrials=50\nseeds=0,1\n"),
+            ("bernoulli", "mode=symmetrize\nsampler=cube\nn=4\nm=128\ntrials=50\nseeds=0,1\n"),
+        ],
+        ids=["sweep", "whiten", "truncated", "john-sparsify", "bernoulli-ratio", "bernoulli-symmetrize"],
+    )
+    def test_json_output_mirrors_csv(self, tmp_path, command, text):
+        # Every JSON field equals its CSV field: numbers by float(), booleans as true/false, null as nan.
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(text, encoding="utf-8")
+        assert run_cli([command, "--config", str(cfg), "--out", str(tmp_path / "a.csv")]) == 0
+        assert run_cli([command, "--config", str(cfg), "--out", str(tmp_path / "a.json"), "--format", "json"]) == 0
+        for stem in ("a", "a.agg"):
+            if not (tmp_path / f"{stem}.csv").exists():
+                continue
+            with open(tmp_path / f"{stem}.csv", newline="", encoding="utf-8") as fh:
+                header, *lines = csv.reader(fh)
+            rows = strict_json_loads((tmp_path / f"{stem}.json").read_text(encoding="utf-8"))
+            assert [list(row) for row in rows] == [header] * len(lines) and rows, stem
+            for row, line in zip(rows, lines):
+                for key, field in zip(header, line):
+                    value = row[key]
+                    if isinstance(value, bool):
+                        assert field == ("true" if value else "false"), (stem, key)
+                    elif value is None:
+                        assert field == "nan", (stem, key)
+                    elif isinstance(value, (int, float)):
+                        assert float(field) == value, (stem, key)
+                    else:
+                        assert field == value and field.lower() not in ("true", "false", "nan"), (stem, key)
 
     def test_out_without_extension(self, tmp_path, monkeypatch):
         # Only the file name's extension counts: runs.d/sweep -> runs.d/sweep.agg.
