@@ -49,6 +49,8 @@ EXPERIMENT_KINDS = ("sweep", "whiten", "truncated", "john-sparsify", "bernoulli"
 
 SAMPLER_CHOICES = ("cube", "ball", "simplex")
 FIXTURE_CHOICES = ("cross-polytope", "cube-vertices", "simplex")
+# The largest sample count numpy can index; a larger M fails mid-run, or, streamed, never ends.
+MAX_SAMPLE_COUNT = int(np.iinfo(np.intp).max)
 
 
 class ConfigError(ValueError):
@@ -86,10 +88,10 @@ class ExperimentConfig:
             raise ConfigError("n must be >= 1")
         if not self.m_grid:
             raise ConfigError("m_grid must be nonempty")
-        if any(m < 3 for m in self.m_grid) or len(set(self.m_grid)) != len(self.m_grid):
-            raise ConfigError("m_grid entries must be distinct and >= 3")
-        if self.m < 1:
-            raise ConfigError("m must be >= 1")
+        if not all(3 <= m <= MAX_SAMPLE_COUNT for m in self.m_grid) or len(set(self.m_grid)) != len(self.m_grid):
+            raise ConfigError(f"m_grid entries must be distinct and lie in [3, {MAX_SAMPLE_COUNT}]")
+        if not 1 <= self.m <= MAX_SAMPLE_COUNT:
+            raise ConfigError(f"m must lie in [1, {MAX_SAMPLE_COUNT}]")
         if not self.seeds:
             raise ConfigError("seeds must be nonempty")
         if len(set(self.seeds)) != len(self.seeds):
@@ -118,13 +120,18 @@ class ExperimentConfig:
             raise ConfigError("distortion must list one finite factor per coordinate")
         if self.kind == "truncated" and self.sampler not in SAMPLER_CHOICES:
             raise ConfigError("truncated sampling needs a body sampler (cube, ball or simplex)")
-        try:  # a sample count the run would compute at plan time is computed here first
-            if self.kind == "truncated":
-                truncated_sample_count(self.n, self.r, self.eps, self.c0)
-            elif self.kind == "john-sparsify":
-                jsp.choose_M(self.n, self.eps, self.c)
-        except ArithmeticError as exc:  # eps * eps can underflow to 0 as well as overflow
-            raise ConfigError(f"the {self.kind} sample-count rule gives no finite M: {exc}") from exc
+        if self.kind in ("truncated", "john-sparsify"):  # the plan's sample count, computed here first
+            try:
+                if self.kind == "truncated":
+                    m = truncated_sample_count(self.n, self.r, self.eps, self.c0)
+                else:
+                    m = jsp.choose_M(self.n, self.eps, self.c)
+            except ArithmeticError as exc:  # eps * eps can underflow to 0 as well as overflow
+                raise ConfigError(f"the {self.kind} sample-count rule gives no finite M: {exc}") from exc
+            if m > MAX_SAMPLE_COUNT:
+                raise ConfigError(
+                    f"the {self.kind} sample-count rule gives M = {m:.3g}, above {MAX_SAMPLE_COUNT}; raise eps"
+                )
 
 
 def _list_of(parse):

@@ -18,6 +18,7 @@ from collections.abc import Iterable
 
 import numpy as np
 
+from .geometry import _is_finite
 from .samplers import SampleBatch, _row_norms
 from .symlin import inv_sqrt, operator_norm
 
@@ -39,23 +40,34 @@ def empirical_second_moment(batch: SampleBatch) -> np.ndarray:
 def _streamed_second_moment(chunks: Iterable[np.ndarray], m: int, norms: np.ndarray | None = None) -> np.ndarray:
     """T = (1/m) sum c^T c over a stream of (rows, n) chunks that holds m vectors in all.
 
-    Each chunk is checked as a SampleBatch and its Gram product added to T in place, in
-    chunk order, so no (m, n) array forms; one chunk gives the bits of
-    empirical_second_moment.  The row norms go into ``norms``, in stream order, when given.
+    Each chunk must hold at least one vector, all finite, with the messages of
+    SampleBatch, but it is not wrapped in one.  Its Gram product g comes first; the
+    trace of g is the chunk's sum of squares, so it tests finiteness, and only a
+    non-finite trace costs the full test.  The product precedes the row norms because
+    under over="raise" an overflowing chunk raises in matmul, while einsum overflows
+    to inf.  g is added to T in place, in chunk order, so no (m, n) array forms; one
+    chunk gives the bits of empirical_second_moment.  The row norms go into ``norms``,
+    in stream order, when given.
     """
     t = None
     got = 0
     for chunk in chunks:
-        y = SampleBatch(chunk).vectors
+        y = np.asarray(chunk, dtype=float)
+        if y.ndim != 2 or y.shape[0] < 1:
+            raise ValueError(f"batch needs at least one vector, got shape {y.shape}")
         rows = y.shape[0]
         if got + rows > m:
             raise ValueError(f"the stream holds more than M = {m} vectors")
+        with np.errstate(invalid="ignore"):  # inf * 0 in a non-finite chunk; the check below names it
+            g = y.T @ y
+        if not _is_finite(y, float(g.trace())):
+            raise ValueError("batch vectors must be finite")
         if norms is not None:
             _row_norms(y, out=norms[got : got + rows])
         if t is None:
-            t = y.T @ y
+            t = g
         else:
-            t += y.T @ y
+            t += g
         got += rows
     if got != m:
         raise ValueError(f"the stream holds {got} vectors, not M = {m}")
@@ -102,12 +114,12 @@ def _power_mean(w: np.ndarray, p: float) -> float:
 def concentration_report(chunks: Iterable[np.ndarray], m: int) -> dict:
     """Deviation, log-M moment, the bound's shape term, and their ratio, keyed by column name.
 
-    The m vectors arrive as a stream of (rows, n) chunks, each checked as a
-    SampleBatch.  Only the sum T = sum c^T c, in chunk order, and one (m,)
-    array of row norms are kept, so a stream never forms an (m, n) array.  One
-    chunk gives the bits of empirical_second_moment and log_moment on the
-    whole batch; more chunks give the same log moment and a T that differs
-    only by rounding.
+    The m vectors arrive as a stream of (rows, n) chunks, each checked for shape
+    and finiteness as a SampleBatch is, but read once.  Only the sum
+    T = sum c^T c, in chunk order, and one (m,) array of row norms are kept, so a
+    stream never forms an (m, n) array.  One chunk gives the bits of
+    empirical_second_moment and log_moment on the whole batch; more chunks give
+    the same log moment and a T that differs only by rounding.
     """
     if m < 3:
         raise ValueError("need M >= 3 so the exponent log M exceeds 1")

@@ -101,7 +101,7 @@ def direct_draws(body: Body, m: int, rng: np.random.Generator) -> np.ndarray:
         i = 0
         for rows in _chunk_sizes(m):
             e = rng.standard_exponential((rows, n + 1))
-            e /= e.sum(axis=1, keepdims=True)
+            e /= np.einsum("ij->i", e)[:, None]
             np.matmul(e, body.vertices, out=pts[i : i + rows])
             i += rows
         return pts
@@ -128,12 +128,11 @@ def _unit_ball_points(rng: np.random.Generator, m: int, n: int) -> np.ndarray:
 
 
 def _row_norms(v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """The Euclidean norm of each row of v, by row chunk, so no (m, n) v * v temporary forms.
-    Written into ``out`` when it is given."""
-    norms = np.empty(v.shape[0]) if out is None else out
-    for i in range(0, v.shape[0], _CHUNK_ROWS):
-        norms[i : i + _CHUNK_ROWS] = np.linalg.norm(v[i : i + _CHUNK_ROWS], axis=1)
-    return norms
+    """The Euclidean norm of each row of v: one einsum sums each row's squares, so no
+    (m, n) v * v temporary forms, and a square root follows in place.  Written into
+    ``out`` when it is given."""
+    norms = np.einsum("ij,ij->i", v, v, out=out)
+    return np.sqrt(norms, out=norms)
 
 
 def sample_hit_and_run(

@@ -19,7 +19,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from isotropy import cli
 
-# A seed may be as large as 2^70.  No M is: whiten streams its draws, so M = 2^70 would run without end.
+# A seed may be as large as 2^70.  No M is: whiten streams its draws, so an M that validates
+# runs as long as its draws take.
 ODD_VALUES = ["nan", "inf", "-inf", "0", "-1", "5e-324", "1e300", "", "1_0", "x", "1,,2"]
 SAMPLERS = ["cube", "ball", "simplex", "john:cross-polytope", "john:cube-vertices", "john:simplex"]
 FIXTURES = ["cross-polytope", "cube-vertices", "simplex"]

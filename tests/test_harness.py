@@ -98,7 +98,7 @@ SHIPPED_SHA256 = {
     "bernoulli": "b5809e6792af52cafa9f3f5e9783112006775e8452ab2a2f437f1bd26493e698",
     "check": "e039d893122aa45fe1498f228aad963e56e4f41dea28a76565e9f9b4f9e765c7",
     "john": "a7c8156449dc2b9774729b7ba077e70a2162cf1c2ab731dfa1fba15382c89ec0",
-    "sweep": "156bef3b0cada2cf7feb74836f2edc9ed31e1491aae07f5849887e72bbe1a504",
+    "sweep": "ac8aaed9a5a3a9ad4cf06f619a0c2824b772de8f6fb399d744e7871ad72db1c3",
     "sweep.agg": "a6e4f64bee075ecb3ecdbf73114c9270b511f89ab3bca93a0780c625a3c326fa",
     "symmetrize": "05429f3486730bf14aabbd657102c8ba22867dbfde850bec985953877aca2fd7",
     "truncated": "761c56c179522831e1fe1e29ede14937691d859ea0223aac55baab7ff775daeb",
@@ -180,6 +180,28 @@ class TestConfigParsing:
     def test_validation_failures(self, text):
         with pytest.raises(ConfigError):
             parse_config(text)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            (f"kind=whiten\nn=2\nm={2**70}\ndistortion=1,1\n", "^m must lie in "),
+            (f"kind=whiten\nn=2\nm={2**63}\ndistortion=1,1\n", "^m must lie in "),
+            (f"kind=sweep\nm_grid=64,{2**63}\n", "^m_grid entries must "),
+            (f"kind=bernoulli\nm_grid={2**70}\n", "^m_grid entries must "),
+            # Each rule gives a finite M near 1e306 here, past any index.
+            ("kind=truncated\nsampler=cube\nn=8\neps=1e-150\n", "^the truncated sample-count rule gives M = "),
+            ("kind=john-sparsify\nn=8\neps=1e-150\n", "^the john-sparsify sample-count rule gives M = "),
+        ],
+        ids=["whiten-2^70", "whiten-2^63", "sweep", "bernoulli", "truncated", "john-sparsify"],
+    )
+    def test_huge_sample_count_is_a_config_error(self, text, message):
+        with pytest.raises(ConfigError, match=message):
+            parse_config(text)
+
+    def test_largest_sample_count_validates(self):
+        cap = np.iinfo(np.intp).max
+        assert parse_config(f"kind=whiten\nn=2\nm={cap}\ndistortion=1,1\n").m == cap
+        assert parse_config(f"kind=sweep\nm_grid=3,{cap}\n").m_grid == [3, cap]
 
     def test_load_config(self, tmp_path):
         path = tmp_path / "c.cfg"
@@ -344,7 +366,7 @@ class TestDrawStream:
         # the chunking of a streamed ball draw as well as its points.
         pts = np.concatenate(list(harness._make_stream("ball", 8)(10_000, random_stream(1, 2))))
         assert hashlib.sha256(pts.tobytes()).hexdigest() == (
-            "4e4620cceea04fa17e0760979d32e95cfa4f81a511b5019f33fd304346a99569"
+            "6787ea25bc91a3a7a6f062958e5f2f46e8060f45cbb2e8420da1c6c9e3f575df"
         )
 
 
@@ -577,6 +599,31 @@ class TestCli:
         assert run_cli([command, "--config", str(path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("error:") == 1 and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "command, text",
+        [
+            ("whiten", f"n=2\nm={2**70}\ndistortion=1,1\nseeds=0\n"),
+            ("sweep", f"n=2\nm_grid=64,{2**70}\nseeds=0\n"),
+            ("truncated", "sampler=cube\nn=8\neps=1e-150\nseeds=0\n"),
+            ("john-sparsify", "fixture=cross-polytope\nn=8\neps=1e-150\nseeds=0\n"),
+        ],
+        ids=["whiten", "sweep", "truncated", "john-sparsify"],
+    )
+    def test_huge_sample_count_exits_two(self, tmp_path, command, text):
+        # A whiten M of 2^70 streamed its draws until killed, and the rules' M of about
+        # 1e306 ended in "Python int too large to convert to C long".  The child's timeout
+        # makes a regression fail rather than hang the suite.
+        path = tmp_path / f"{command}.cfg"
+        path.write_text(text, encoding="utf-8")
+        proc = subprocess.run(
+            [sys.executable, "-m", "isotropy.cli", command, "--config", str(path)],
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert proc.returncode == 2 and "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("error:") == 1, proc.stderr
 
     def test_rejected_seeds_give_valid_json(self, tmp_path):
         path = tmp_path / "john.cfg"

@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from isotropy.geometry import canonical_john, isotropic_normalization
+from isotropy.harness import ExperimentError, parse_config, run_experiment
 from isotropy.moments import (
+    _streamed_second_moment,
     deviation,
     empirical_second_moment,
     log_moment,
@@ -186,11 +188,32 @@ class TestConcentrationReport:
             concentration_report([y[:50], y[50:]], 101)
 
     def test_non_finite_chunk(self):
+        # The zero entries make inf * 0 inside the Gram product; the check still names the chunk.
         y = np.ones((10, 2))
-        bad = y.copy()
-        bad[3, 1] = math.nan
-        with pytest.raises(ValueError, match="batch vectors must be finite"):
-            concentration_report([y, bad], 20)
+        for value in (math.nan, math.inf, -math.inf):
+            bad = np.zeros((10, 2))
+            bad[3, 1] = value
+            with pytest.raises(ValueError, match="batch vectors must be finite"):
+                concentration_report([y, bad], 20)
+            with pytest.raises(ValueError, match="batch vectors must be finite"):
+                _streamed_second_moment([y, bad], 20)  # the whiten row's fold, without norms
+
+    @pytest.mark.parametrize("bad", [np.ones(3), np.empty((0, 3))], ids=["1-D", "0-row"])
+    def test_chunk_needs_a_vector(self, bad):
+        y = np.ones((10, 3))
+        with pytest.raises(ValueError, match=r"batch needs at least one vector, got shape \("):
+            concentration_report([y, bad], 13)
+
+    def test_overflowing_chunk_raises_before_its_norms(self):
+        # Under over="raise" the Gram product raises; einsum would give inf norms silently,
+        # so the product comes first and no norm of the chunk is written.
+        norms = np.full(10, -1.0)
+        with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+            _streamed_second_moment([np.full((10, 2), 1e200)], 10, norms)
+        assert np.all(norms == -1.0)
+        cfg = parse_config("kind=whiten\nn=2\nm=100\ndistortion=1e200,1\nseeds=0\n")
+        with pytest.raises(ExperimentError, match="^seed 0: overflow"):
+            run_experiment(cfg)
 
 
 class TestEpsilonIsotropy:
