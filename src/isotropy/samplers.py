@@ -12,15 +12,13 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterator
-from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Ball, Body, Cube, JohnDecomposition, Simplex, Truncated, _frozen
+from .geometry import Ball, Body, Cube, JohnDecomposition, Simplex, Truncated
 
 __all__ = [
     "random_stream",
-    "SampleBatch",
     "direct_draws",
     "sample_hit_and_run",
     "TruncatedSampler",
@@ -53,28 +51,6 @@ def random_stream(seed: int, stream: int) -> np.random.Generator:
     """
     seq = np.random.SeedSequence(int(seed) & MASK64, spawn_key=(int(stream) & MASK64,))
     return np.random.Generator(np.random.SFC64(seq))
-
-
-@dataclass(frozen=True, eq=False)
-class SampleBatch:
-    """M sampled vectors in dimension n.
-
-    Like every value object of the package that holds arrays, the batch
-    keeps the float64 array it is given, without a copy, and freezes it
-    (geometry._frozen), so the caller's array becomes read-only too.
-    """
-
-    vectors: np.ndarray
-
-    def __post_init__(self):
-        v = _frozen(self.vectors, "batch vectors")
-        if v.ndim != 2 or v.shape[0] < 1:
-            raise ValueError(f"batch needs at least one vector, got shape {v.shape}")
-        object.__setattr__(self, "vectors", v)
-
-    @property
-    def M(self) -> int:
-        return self.vectors.shape[0]
 
 
 def direct_draws(body: Body, m: int, rng: np.random.Generator) -> np.ndarray:

@@ -12,6 +12,7 @@ import pytest
 
 from isotropy import cli, harness
 from isotropy import johnsparse as jsp
+from isotropy import moments as mom
 from isotropy.geometry import canonical_john, isotropic_normalization
 from isotropy.harness import (
     ConfigError,
@@ -495,7 +496,12 @@ class TestRunCheck:
 
     @pytest.mark.parametrize(
         "module, attr, name",
-        [(harness, "_chord_failure", "chord-consistency"), (jsp, "sparsify", "sparsifier-smoke")],
+        [
+            (harness, "_chord_failure", "chord-consistency"),
+            (mom, "_power_mean", "log-moment-properties"),
+            (mom, "_streamed_second_moment", "self-whitening"),
+            (jsp, "sparsify", "sparsifier-smoke"),
+        ],
     )
     def test_crashed_check_keeps_its_table_name(self, monkeypatch, module, attr, name):
         def crash(*args, **kwargs):

@@ -6,19 +6,20 @@ from hypothesis import given, settings, strategies as st
 
 from isotropy.geometry import canonical_john, isotropic_normalization
 from isotropy.harness import ExperimentError, parse_config, run_experiment
-from isotropy.moments import (
-    _streamed_second_moment,
-    deviation,
-    empirical_second_moment,
-    log_moment,
-    concentration_report,
-    whiten,
-)
-from isotropy.samplers import SampleBatch, direct_draws, john_support, random_stream
+from isotropy.moments import _power_mean, _streamed_second_moment, concentration_report, deviation
+from isotropy.samplers import _row_norms, direct_draws, john_support, random_stream
+from isotropy.symlin import inv_sqrt
 
 
-def batch_of(vectors):
-    return SampleBatch(np.asarray(vectors, dtype=float))
+def second_moment(vectors):
+    """T = (1/M) sum y_i (x) y_i of one batch, through the Gram fold as a single chunk."""
+    y = np.asarray(vectors, dtype=float)
+    return _streamed_second_moment([y], len(y))
+
+
+def power_mean(vectors, p):
+    """The power mean ((1/M) sum |y_i|^p)^(1/p) of the vectors' norms."""
+    return _power_mean(_row_norms(np.asarray(vectors, dtype=float)), p)
 
 
 def report_of(vectors):
@@ -29,20 +30,34 @@ def report_of(vectors):
 
 class TestEmpiricalSecondMoment:
     def test_single_vector(self):
-        t = empirical_second_moment(batch_of([[math.sqrt(2), 0.0]]))
+        t = second_moment([[math.sqrt(2), 0.0]])
         assert np.allclose(t, np.diag([2.0, 0.0]), atol=1e-15)
 
     def test_orthonormal_pair(self):
-        t = empirical_second_moment(batch_of([[1.0, 0.0], [0.0, 1.0]]))
+        t = second_moment([[1.0, 0.0], [0.0, 1.0]])
         assert np.array_equal(t, np.diag([0.5, 0.5]))
+
+    def test_rejects_empty(self):
+        with pytest.raises(ValueError, match="batch needs at least one vector"):
+            _streamed_second_moment([np.empty((0, 3))], 0)
+
+    def test_rejects_non_finite(self):
+        for bad in ([[1.0, np.inf]], [[np.nan, 1.0]], [[np.inf, -np.inf]]):
+            with pytest.raises(ValueError, match="batch vectors must be finite"):
+                second_moment(bad)
+        # A finite entry whose square overflows meets the Gram product first, so under
+        # over="raise" (the harness's rows) the overflow is what raises.
+        with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+            second_moment([[1e308, np.inf]])
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="batch vectors must be finite"):
+            second_moment([[1e308, np.inf]])
 
     def test_cube_n4_pilot_band(self):
         # Pilot run at this seed gives deviation 0.0214; the acceptance
         # band is 0.15.
         body = isotropic_normalization("cube", 4)
         rng = random_stream(0, 0)
-        batch = batch_of(direct_draws(body, 10_000, rng))
-        assert deviation(empirical_second_moment(batch)) <= 0.15
+        assert deviation(second_moment(direct_draws(body, 10_000, rng))) <= 0.15
 
 
 class TestDeviation:
@@ -57,15 +72,14 @@ class TestDeviation:
         # exactly in expectation; a batch enumerating them has deviation 0.
         support, probs = john_support(canonical_john("cross-polytope", 2))
         assert np.allclose(probs, 0.25)
-        t = empirical_second_moment(batch_of(support))
-        assert deviation(t) <= 1e-12
+        assert deviation(second_moment(support)) <= 1e-12
 
     def test_rotation_invariance(self):
         rng = np.random.default_rng(21)
         y = rng.standard_normal((60, 5))
         q, _ = np.linalg.qr(rng.standard_normal((5, 5)))
-        d1 = deviation(empirical_second_moment(batch_of(y)))
-        d2 = deviation(empirical_second_moment(batch_of(y @ q.T)))
+        d1 = deviation(second_moment(y))
+        d2 = deviation(second_moment(y @ q.T))
         assert abs(d1 - d2) <= 1e-9
 
 
@@ -75,42 +89,34 @@ class TestLogMoment:
         from isotropy.samplers import john_draws
 
         pts = john_draws(jd, 64, random_stream(0, 0))
-        batch = batch_of(pts)
         for p in (2.0, 3.7, math.log(64), 25.0):
-            assert log_moment(batch, p) == pytest.approx(2.0, rel=1e-12)
+            assert power_mean(pts, p) == pytest.approx(2.0, rel=1e-12)
 
     def test_single_vector(self):
-        assert log_moment(batch_of([[2.0, 0.0]]), 3.0) == pytest.approx(2.0, rel=1e-15)
+        assert power_mean([[2.0, 0.0]], 3.0) == pytest.approx(2.0, rel=1e-15)
 
     def test_two_norms(self):
-        batch = batch_of([[1.0, 0.0], [3.0, 0.0]])
-        assert log_moment(batch, 2.0) == pytest.approx(math.sqrt(5.0), rel=1e-14)
+        assert power_mean([[1.0, 0.0], [3.0, 0.0]], 2.0) == pytest.approx(math.sqrt(5.0), rel=1e-14)
 
     def test_default_exponent_floors_at_two(self):
-        batch = batch_of([[1.0, 0.0], [3.0, 0.0], [2.0, 0.0]])  # M=3, ln M < 2
-        assert log_moment(batch) == log_moment(batch, 2.0)
-
-    def test_nonpositive_p_rejected(self):
-        with pytest.raises(ValueError, match="exponent p must be positive"):
-            log_moment(batch_of([[1.0, 0.0]]), 0.0)
+        y = [[1.0, 0.0], [3.0, 0.0], [2.0, 0.0]]  # M=3, ln M < 2
+        assert report_of(y)["log_moment"] == power_mean(y, 2.0)
 
     def test_zero_vectors_are_handled(self):
-        batch = batch_of([[0.0, 0.0], [2.0, 0.0]])
-        assert log_moment(batch, 2.0) == pytest.approx(math.sqrt(2.0), rel=1e-14)
-        assert log_moment(batch_of([[0.0, 0.0]]), 2.0) == 0.0
+        assert power_mean([[0.0, 0.0], [2.0, 0.0]], 2.0) == pytest.approx(math.sqrt(2.0), rel=1e-14)
+        assert power_mean([[0.0, 0.0]], 2.0) == 0.0
 
     def test_no_overflow_for_large_p(self):
         # The small norm's contribution vanishes, leaving 1e150 (1/2)^(1/80).
-        batch = batch_of([[1e150, 0.0], [1e120, 0.0]])
-        assert log_moment(batch, 80.0) == pytest.approx(1e150 * 0.5 ** (1.0 / 80.0), rel=1e-12)
+        y = [[1e150, 0.0], [1e120, 0.0]]
+        assert power_mean(y, 80.0) == pytest.approx(1e150 * 0.5 ** (1.0 / 80.0), rel=1e-12)
 
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1))
     def test_monotone_in_p(self, seed):
         y = np.random.default_rng(seed).standard_normal((32, 4))
-        batch = batch_of(y)
         ps = [2.0, 4.0, math.log(32), 9.0]
-        vals = [log_moment(batch, p) for p in sorted(ps)]
+        vals = [power_mean(y, p) for p in sorted(ps)]
         for lo, hi in zip(vals, vals[1:]):
             assert lo <= hi * (1.0 + 1e-12)
 
@@ -118,8 +124,8 @@ class TestLogMoment:
     @given(seed=st.integers(0, 2**32 - 1), scale=st.floats(0.01, 100.0))
     def test_scaling(self, seed, scale):
         y = np.random.default_rng(seed).standard_normal((16, 3))
-        a = log_moment(batch_of(y), 4.0)
-        b = log_moment(batch_of(scale * y), 4.0)
+        a = power_mean(y, 4.0)
+        b = power_mean(scale * y, 4.0)
         assert b == pytest.approx(scale * a, rel=1e-12)
 
 
@@ -159,7 +165,7 @@ class TestConcentrationReport:
         y = np.random.default_rng(5).standard_normal((64, 4))
         rep = report_of(y)
         p = math.log(64)
-        expected = math.sqrt(p / 64) * log_moment(batch_of(y), p)
+        expected = math.sqrt(p / 64) * power_mean(y, p)
         assert rep["rhs_shape"] == pytest.approx(expected, rel=1e-15)
         assert rep["ratio"] == pytest.approx(rep["deviation"] / expected, rel=1e-15)
 
@@ -168,7 +174,7 @@ class TestConcentrationReport:
         for name, n, m in (("cube", 8, 1000), ("ball", 16, 9000), ("simplex", 4, 333)):
             y = direct_draws(isotropic_normalization(name, n), m, random_stream(2, 7))
             rep = report_of(y)
-            dev, lm = deviation(empirical_second_moment(batch_of(y))), log_moment(batch_of(y))
+            dev, lm = deviation((y.T @ y) / m), power_mean(y, max(2.0, math.log(m)))
             shape = math.sqrt(math.log(m) / m) * lm
             assert rep == {"deviation": dev, "log_moment": lm, "rhs_shape": shape, "ratio": dev / shape}, name
 
@@ -243,21 +249,20 @@ class TestEpsilonIsotropy:
 
 
 class TestWhiten:
+    # Whitening by T maps each row y to y T^(-1/2).
     def test_diagonal_example(self):
-        out = whiten(np.diag([4.0, 1.0]), np.array([2.0, 3.0]))
+        out = np.array([2.0, 3.0]) @ inv_sqrt(np.diag([4.0, 1.0]))
         assert np.allclose(out, [1.0, 3.0], atol=1e-12)
 
     def test_self_whitening_restores_identity(self):
         rng = np.random.default_rng(8)
         y = rng.standard_normal((500, 6)) @ np.diag([3.0, 2.0, 1.5, 1.0, 0.5, 0.25])
-        t = empirical_second_moment(batch_of(y))
-        white = whiten(t, y)
-        t2 = empirical_second_moment(batch_of(white))
+        t2 = second_moment(y @ inv_sqrt(second_moment(y)))
         assert deviation(t2) <= 1e-9
 
     def test_transform_is_inverse_square_root(self):
         # Whitening the identity's rows gives the matrix of the map itself.
-        w = whiten(np.diag([4.0, 0.25]), np.eye(2))
+        w = np.eye(2) @ inv_sqrt(np.diag([4.0, 0.25]))
         assert np.allclose(w, np.diag([0.5, 2.0]), atol=1e-14)
 
     def test_two_stage_distorted_cube(self):
@@ -268,7 +273,7 @@ class TestWhiten:
         distortion = np.array([2.0, 1, 1, 1, 1, 1, 1, 0.5])
         rng = random_stream(0, 33)
         first = direct_draws(body, m, rng) * distortion
-        t = empirical_second_moment(batch_of(first))
+        t = second_moment(first)
         fresh = direct_draws(body, m, rng) * distortion
-        t2 = empirical_second_moment(batch_of(whiten(t, fresh)))
+        t2 = second_moment(fresh @ inv_sqrt(t))
         assert deviation(t2) <= 0.1

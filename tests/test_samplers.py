@@ -11,7 +11,6 @@ from isotropy.bernoulli import _signs
 from isotropy.geometry import Ball, Cube, HPolytope, Truncated, canonical_john, isotropic_normalization
 from isotropy.harness import _ball_radial_cdf, _trace_law
 from isotropy.samplers import (
-    SampleBatch,
     TruncatedSampler,
     direct_draws,
     john_draws,
@@ -76,36 +75,6 @@ body = isotropic_normalization(sys.argv[1], 16)
 if int(sys.argv[2]):
     direct_draws(body, int(sys.argv[2]), random_stream(0, 0))
 """
-
-
-
-class TestSampleBatch:
-    def test_rejects_empty(self):
-        with pytest.raises(ValueError, match="batch needs at least one vector"):
-            SampleBatch(np.empty((0, 3)))
-
-    def test_rejects_non_finite(self):
-        for bad in ([[1.0, np.inf]], [[np.nan, 1.0]], [[np.inf, -np.inf]], [[1e308, np.inf]]):
-            with pytest.raises(ValueError, match="batch vectors must be finite"):
-                SampleBatch(np.array(bad))
-
-    def test_finite_entries_whose_sum_overflows(self):
-        # The harness runs rows under np.errstate(over="raise").
-        with np.errstate(all="raise"):
-            batch = SampleBatch(np.array([[1e308, 1e308], [1e308, -1.0]]))
-        assert batch.M == 2
-
-    def test_bit_reproducible(self):
-        body = isotropic_normalization("cube", 5)
-        rng1, rng2 = random_stream(3, 9), random_stream(3, 9)
-        b1 = SampleBatch(direct_draws(body, 100, rng1))
-        b2 = SampleBatch(direct_draws(body, 100, rng2))
-        assert np.array_equal(b1.vectors, b2.vectors)
-
-    def test_list_input(self):
-        batch = SampleBatch([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
-        assert batch.M == 3 and batch.vectors.shape[1] == 2
-        assert batch.vectors.dtype == np.float64 and not batch.vectors.flags.writeable
 
 
 class TestRowNorms:
@@ -200,6 +169,11 @@ class TestDirectSamplers:
         base = child_peak_rss_mb(DIRECT_RUN, "cube", "0")
         rise = {name: child_peak_rss_mb(DIRECT_RUN, name, "306781") - base for name in ("cube", "ball", "simplex")}
         assert rise["ball"] <= 1.3 * rise["cube"] and rise["simplex"] <= 1.3 * rise["cube"], rise
+
+    def test_bit_reproducible(self):
+        body = isotropic_normalization("cube", 5)
+        rng1, rng2 = random_stream(3, 9), random_stream(3, 9)
+        assert np.array_equal(direct_draws(body, 100, rng1), direct_draws(body, 100, rng2))
 
     def test_unsupported_variant(self):
         poly = HPolytope(rows=np.array([[1.0], [-1.0]]), offsets=np.array([1.0, 1.0]))
@@ -436,13 +410,11 @@ class TestTruncatedSampling:
         # mass, and a 40M-sample pilot puts the truncated per-coordinate
         # second moment at 0.8248.  The empirical spectrum at M = 1e5 must
         # sit in a band around that value, not around 1.
-        from isotropy.moments import empirical_second_moment
+        from isotropy.moments import _streamed_second_moment
 
         body = isotropic_normalization("cube", 16)
         sampler = TruncatedSampler(body, 1.0, random_stream(0, 11))
-        pts = drawn(sampler, 100_000)
-        batch = SampleBatch(pts)
-        vals = np.linalg.eigvalsh(empirical_second_moment(batch))
+        vals = np.linalg.eigvalsh(_streamed_second_moment(sampler.draw(100_000), 100_000))
         assert 0.78 <= vals.min() and vals.max() <= 0.87
 
 
@@ -654,5 +626,4 @@ class TestJohnSampler:
 
     def test_batch_shape(self):
         jd = canonical_john("cross-polytope", 2)
-        batch = SampleBatch(john_draws(jd, 10, random_stream(4, 5)))
-        assert batch.M == 10 and batch.vectors.shape[1] == 2
+        assert john_draws(jd, 10, random_stream(4, 5)).shape == (10, 2)
