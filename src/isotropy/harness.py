@@ -208,8 +208,8 @@ def _make_draw(sampler: str, n: int):
 
 def _make_stream(sampler: str, n: int):
     """Resolve a validated sampler name to stream(m, rng): the m draws as (rows, n) chunks of
-    samplers._chunk_sizes(m) rows, each drawn as it is read.  Cube, simplex and John chunks read
-    the random stream as one whole draw does; a ball chunk draws its normals, then its radii."""
+    samplers._chunk_sizes(m) rows, each drawn as it is read.  The chunks read the random stream
+    as one whole draw does."""
     draw = _make_draw(sampler, n)
     return lambda m, rng: (draw(rows, rng) for rows in smp._chunk_sizes(m))
 

@@ -54,34 +54,37 @@ def random_stream(seed: int, stream: int) -> np.random.Generator:
 
 
 def direct_draws(body: Body, m: int, rng: np.random.Generator) -> np.ndarray:
-    """M exact uniform samples as a plain (m, n) array; consumption order is fixed per variant.
-    Cube and ball points are scaled in place, so each returns the one array it drew into;
-    simplex points are formed by row chunk in one output array."""
+    """M exact uniform samples as a plain (m, n) array, formed by row chunks of _chunk_sizes(m)
+    in one output array.  The stream is read in a fixed order per body within each chunk, so a
+    stream of chunk draws reads it exactly as one whole draw does."""
     if m < 1:
         raise ValueError("batch size must be >= 1")
+    if not isinstance(body, (Cube, Ball, Simplex)):
+        raise ValueError(f"no direct sampler for body {type(body).__name__}; use hit-and-run")
     n = body.n
-    if isinstance(body, Cube):
-        # Generator.uniform(low, high)'s low + (high - low) * U, same bytes, in faster vector passes.
-        low, high = -body.halfwidth, body.halfwidth
-        pts = rng.random((m, n))
-        pts *= high - low
-        pts += low
-        return pts
-    if isinstance(body, Ball):
-        pts = _unit_ball_points(rng, m, n)
-        pts *= body.radius
-        return pts
-    if isinstance(body, Simplex):
-        # Chunked exponentials read the stream as one (m, n + 1) draw would.
-        pts = np.empty((m, n))
-        i = 0
-        for rows in _chunk_sizes(m):
+    pts = np.empty((m, n))
+    i = 0
+    for rows in _chunk_sizes(m):
+        block = pts[i : i + rows]
+        i += rows
+        if isinstance(body, Cube):
+            # Generator.uniform(low, high)'s low + (high - low) * U, same bytes, in faster vector passes.
+            low, high = -body.halfwidth, body.halfwidth
+            rng.random(out=block)
+            block *= high - low
+            block += low
+        elif isinstance(body, Ball):
+            rng.standard_normal(out=block)
+            u = rng.random(rows)
+            norms = _row_norms(block)
+            norms[norms == 0.0] = 1.0  # measure-zero guard
+            block *= (u ** (1.0 / n) / norms)[:, None]
+            block *= body.radius
+        else:
             e = rng.standard_exponential((rows, n + 1))
             e /= np.einsum("ij->i", e)[:, None]
-            np.matmul(e, body.vertices, out=pts[i : i + rows])
-            i += rows
-        return pts
-    raise ValueError(f"no direct sampler for body {type(body).__name__}; use hit-and-run")
+            np.matmul(e, body.vertices, out=block)
+    return pts
 
 
 def _chunk_sizes(m: int) -> Iterator[int]:
@@ -92,15 +95,6 @@ def _chunk_sizes(m: int) -> Iterator[int]:
         rows = m if m <= _CHUNK_ROWS + 1 else _CHUNK_ROWS
         yield rows
         m -= rows
-
-
-def _unit_ball_points(rng: np.random.Generator, m: int, n: int) -> np.ndarray:
-    g = rng.standard_normal((m, n))
-    u = rng.random(m)
-    norms = _row_norms(g)
-    norms[norms == 0.0] = 1.0  # measure-zero guard
-    g *= (u ** (1.0 / n) / norms)[:, None]
-    return g
 
 
 def _row_norms(v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:

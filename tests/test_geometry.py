@@ -288,6 +288,20 @@ class TestCanonicalJohn:
             JohnDecomposition(points=np.eye(2), weights=np.array([1.0, 1.0]))  # sum c z != 0
         with pytest.raises(ValueError, match="contact points/weights must be finite"):
             JohnDecomposition(points=np.array([[1.0], [math.nan]]), weights=np.array([0.5, 0.5]))
+        cross = np.vstack([np.eye(2), -np.eye(2)])
+        with pytest.raises(ValueError, match="need one weight per point"):
+            JohnDecomposition(points=cross, weights=np.full(3, 0.5))
+        with pytest.raises(ValueError, match="weights must be positive"):
+            JohnDecomposition(points=cross, weights=np.array([0.5, 0.5, 0.5, 0.0]))
+        with pytest.raises(ValueError, match="contact points must be unit vectors"):
+            JohnDecomposition(points=2.0 * cross, weights=np.full(4, 0.5))
+        with pytest.raises(ValueError, match="weighted rank-one sum must resolve the identity"):
+            JohnDecomposition(points=cross, weights=np.full(4, 0.25))
+        # The resolution is (1 + 9e-11) id, within its 1e-10 tolerance, but the 16 weights
+        # sum to 8 + 7.2e-10.
+        cross8 = np.vstack([np.eye(8), -np.eye(8)])
+        with pytest.raises(ValueError, match="weights must sum to the dimension"):
+            JohnDecomposition(points=cross8, weights=np.full(16, 0.5 * (1.0 + 9e-11)))
 
 
 class TestTruncated:
@@ -305,11 +319,44 @@ class TestTruncated:
         with pytest.raises(ValueError, match="truncation radius must be positive"):
             Truncated(base=Ball(radius=1.0, n=2), radius=0.0)
 
+    def test_chord_from_inside_the_radius_but_outside_the_base(self):
+        trunc = Truncated(base=Cube(halfwidth=1.0, n=2), radius=5.0)
+        with pytest.raises(ValueError, match="chord base point lies outside the body"):
+            trunc.chord(np.array([2.0, 0.0]), E1)
+
 
 class TestBodyValidation:
     def test_cube_needs_positive_halfwidth(self):
         with pytest.raises(ValueError, match="cube needs positive halfwidth"):
             Cube(halfwidth=0.0, n=2)
+
+    def test_ball_needs_positive_radius(self):
+        with pytest.raises(ValueError, match="ball needs positive radius"):
+            Ball(radius=0.0, n=2)
+        with pytest.raises(ValueError, match="ball needs positive radius"):
+            Ball(radius=-1.0, n=2)
+
+    @pytest.mark.parametrize("shape", [(2, 2), (4, 2), (3,)])
+    def test_simplex_needs_n_plus_one_vertices(self, shape):
+        with pytest.raises(ValueError, match=r"simplex needs n\+1 vertices in dimension n"):
+            Simplex(vertices=np.ones(shape))
+
+    def test_hpolytope_needs_one_offset_per_row(self):
+        with pytest.raises(ValueError, match="need matching inequality rows and offsets"):
+            HPolytope(rows=np.vstack([np.eye(2), -np.eye(2)]), offsets=np.ones(3))
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: regular_simplex_vertices(0),
+            lambda: isotropic_normalization("cube", 0),
+            lambda: canonical_john("cross-polytope", 0),
+        ],
+        ids=["regular-simplex", "isotropic-normalization", "canonical-john"],
+    )
+    def test_dimension_below_one_rejected(self, make):
+        with pytest.raises(ValueError, match="dimension must be >= 1"):
+            make()
 
     def test_simplex_must_contain_origin(self):
         shifted = regular_simplex_vertices(2) + np.array([5.0, 0.0])

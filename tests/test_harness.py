@@ -176,11 +176,22 @@ class TestConfigParsing:
             "kind=sweep\nformat=json\n",
             "kind=sweep\nout=x.csv\n",
             "kind=check\n",
+            "kind=sweep\nn=0\n",
+            "kind=sweep\nseeds=\n",
+            "kind=bernoulli\ntrials=0\n",
+            "kind=john-sparsify\nmax_attempts=0\n",
+            "kind=sweep\nworkers=0\n",
+            "kind=john-sparsify\nfixture=bogus\n",
         ],
     )
     def test_validation_failures(self, text):
         with pytest.raises(ConfigError):
             parse_config(text)
+
+    def test_truncated_needs_a_body_sampler(self):
+        # A valid John sampler passes the name check, so this rule alone rejects it.
+        with pytest.raises(ConfigError, match="^truncated sampling needs a body sampler"):
+            parse_config("kind=truncated\nsampler=john:cross-polytope\n")
 
     @pytest.mark.parametrize(
         "text, message",
@@ -352,9 +363,9 @@ class TestDrawStream:
     # Sweep and whiten rows read their m draws as a stream of row chunks.
 
     @pytest.mark.parametrize("m", [3, 4096, 4097, 4098, 8193, 65536])
-    @pytest.mark.parametrize("sampler", ["cube", "simplex", "john:cross-polytope"])
+    @pytest.mark.parametrize("sampler", ["cube", "ball", "simplex", "john:cross-polytope"])
     def test_chunks_are_one_whole_draw(self, sampler, m):
-        # Cube, simplex and John chunks read the random stream as one whole draw does.
+        # Every sampler's chunks read the random stream as one whole draw does.
         rng, whole_rng = random_stream(1, 2), random_stream(1, 2)
         chunks = list(harness._make_stream(sampler, 4)(m, rng))
         assert np.array_equal(np.concatenate(chunks), harness._make_draw(sampler, 4)(m, whole_rng))
@@ -363,8 +374,8 @@ class TestDrawStream:
         assert max(sizes) <= 4097 and 1 not in sizes[1:], sizes
 
     def test_recorded_ball_stream(self):
-        # Ball chunks draw their normals before their radii per chunk, so this pins
-        # the chunking of a streamed ball draw as well as its points.
+        # Pins the points of a streamed ball draw, and with them the order in which each
+        # chunk reads its normals and radii.
         pts = np.concatenate(list(harness._make_stream("ball", 8)(10_000, random_stream(1, 2))))
         assert hashlib.sha256(pts.tobytes()).hexdigest() == (
             "6787ea25bc91a3a7a6f062958e5f2f46e8060f45cbb2e8420da1c6c9e3f575df"
@@ -535,6 +546,21 @@ class TestCli:
         assert run_cli(["check"]) == 0
         out = capsys.readouterr().out
         assert "all" in out and "PASS" in out
+
+    def test_failed_check_exits_one_and_still_writes_out(self, monkeypatch, capsys, tmp_path):
+        def crash(*args, **kwargs):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(harness, "_chord_failure", crash)
+        out = tmp_path / "check.csv"
+        assert run_cli(["check", "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert "FAIL chord-consistency: raised RuntimeError('boom')\n" in captured.out
+        assert captured.err == f"1 of {len(harness._CHECKS)} checks failed\n"
+        with open(out, newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == COLUMNS["check"] and len(rows) == 1 + len(harness._CHECKS)
+        assert [row[1] for row in rows[1:] if row[2] == "false"] == ["chord-consistency"]
 
     def test_missing_config_is_usage_error(self, capsys):
         assert run_cli(["sweep", "--config", "does-not-exist.cfg"]) == 2

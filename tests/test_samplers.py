@@ -142,15 +142,16 @@ class TestDirectSamplers:
 
     @pytest.mark.parametrize("m, n", [(1, 1), (3, 2), (32769, 16)])
     def test_ball_draws_equal_scaled_unit_points(self, m, n):
-        def unit_points(rng):
-            g = rng.standard_normal((m, n))
-            u = rng.random(m)
+        # Each chunk of _chunk_sizes(m) rows draws its normals, then its radii.
+        def unit_points(rng, rows):
+            g = rng.standard_normal((rows, n))
+            u = rng.random(rows)
             norms = np.sqrt(np.einsum("ij,ij->i", g, g))
             norms[norms == 0.0] = 1.0
             return g * (u ** (1.0 / n) / norms)[:, None]
 
-        ball = Ball(radius=2.5, n=n)
-        expect = ball.radius * unit_points(random_stream(11, 5))
+        ball, rng = Ball(radius=2.5, n=n), random_stream(11, 5)
+        expect = ball.radius * np.concatenate([unit_points(rng, rows) for rows in samplers._chunk_sizes(m)])
         assert direct_draws(ball, m, random_stream(11, 5)).tobytes() == expect.tobytes()
 
     @pytest.mark.parametrize("n", [8, 16])
@@ -510,8 +511,8 @@ run_experiment(parse_config("kind=truncated\\nsampler=cube\\nn=16\\nr=1\\neps=0.
 
 class TestTruncatedChunks:
     # Pilot and rejection draws stream in chunks of samplers._CHUNK_ROWS rows.
-    # Cube and simplex rows read the SFC64 stream in sequence, so the chunk
-    # size changes no estimate, no output byte and no later draw.
+    # Direct rows read the SFC64 stream in sequence, so the chunk size
+    # changes no estimate, no output byte and no later draw.
 
     @pytest.mark.parametrize(
         "name, n, r, acceptance",
@@ -545,9 +546,9 @@ class TestTruncatedChunks:
         monkeypatch.setattr(samplers, "_CHUNK_ROWS", 1 << 17)
         assert np.array_equal(drawn(TruncatedSampler(cube, 1.0, random_stream(1, 2)), 50_000), pts)
 
-    @pytest.mark.parametrize("name, n", [("cube", 16), ("simplex", 8)])
+    @pytest.mark.parametrize("name, n", [("cube", 16), ("ball", 8), ("simplex", 8)])
     def test_rejection_draw_is_the_next_in_radius_rows(self, name, n):
-        # Cube and simplex rows read the stream in sequence, so the rejection draw is the first
+        # Direct rows read the stream in sequence, so the rejection draw is the first
         # m in-radius rows after the pilot's 4,096 in one long draw from a fresh stream.
         body, m = isotropic_normalization(name, n), 5000
         sampler = TruncatedSampler(body, 1.0, random_stream(1, 2))
@@ -570,8 +571,8 @@ class TestTruncatedChunks:
             sampler.draw(0)
 
     def test_recorded_ball_draw(self):
-        # Ball chunks draw their normals before their radii per chunk, so this pins
-        # the chunking of a truncated ball draw as well as its points.
+        # Pins the points of a truncated ball draw, and with them the order in which each
+        # direct chunk reads its normals and radii.
         sampler = TruncatedSampler(isotropic_normalization("ball", 8), 1.0, random_stream(1, 2))
         assert sampler.mode == "rejection"
         assert hashlib.sha256(drawn(sampler, 5000).tobytes()).hexdigest() == (
