@@ -172,13 +172,14 @@ class Cube(Body):
         return bool(max(map(abs, x.tolist())) <= self.halfwidth + MEMBERSHIP_TOL * max(1.0, self.halfwidth))
 
     def _chord_impl(self, x, d, xx):
-        if not self._contains(x, xx):
-            return None
-        # _slab_chord's rows (a - v, c) and (a + v, -c) for each coordinate, taken in one pass
-        # with the same divisions and comparisons: the same bounds, bit for bit.
+        # _contains's bound on each |v| and _slab_chord's rows (a - v, c) and (a + v, -c), in one
+        # pass with the same comparisons and divisions: the same verdict and bounds, bit for bit.
         a = float(self.halfwidth)
+        lim = a + MEMBERSHIP_TOL * max(1.0, a)
         t_lo, t_hi = -math.inf, math.inf
         for v, c in zip(x.tolist(), d.tolist()):
+            if not -lim <= v <= lim:
+                return None
             if c > 0.0:
                 t = (a - v) / c
                 if t < t_hi:
@@ -273,15 +274,17 @@ class HPolytope(Body):
         object.__setattr__(self, "rows", a)
         object.__setattr__(self, "offsets", b)
         object.__setattr__(self, "n", a.shape[1])
+        object.__setattr__(self, "_tol", MEMBERSHIP_TOL * (1.0 + float(np.max(np.abs(b), initial=0.0))))
 
     def _contains(self, x, xx):
-        scale = 1.0 + float(np.max(np.abs(self.offsets)))
-        return bool(np.max(self.rows @ x - self.offsets) <= MEMBERSHIP_TOL * scale)
+        return bool(np.max(self.rows @ x - self.offsets) <= self._tol)
 
     def _chord_impl(self, x, d, xx):
-        if not self._contains(x, xx):
+        # The slack is the exact negation of _contains's rows @ x - offsets, so it serves both.
+        slack = self.offsets - self.rows @ x
+        if not np.min(slack) >= -self._tol:
             return None
-        return _slab_chord((self.offsets - self.rows @ x).tolist(), (self.rows @ d).tolist())
+        return _slab_chord(slack.tolist(), (self.rows @ d).tolist())
 
 
 @dataclass(frozen=True)

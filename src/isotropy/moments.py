@@ -19,7 +19,6 @@ from collections.abc import Iterable
 
 import numpy as np
 
-from .geometry import _is_finite
 from .samplers import _row_norms
 from .symlin import operator_norm
 
@@ -32,13 +31,13 @@ __all__ = [
 def _streamed_second_moment(chunks: Iterable[np.ndarray], m: int, norms: np.ndarray | None = None) -> np.ndarray:
     """T = (1/m) sum c^T c over a stream of (rows, n) chunks that holds m vectors in all.
 
-    Each chunk must be a 2-D array of at least one vector, all finite.  Its Gram
-    product g comes first; the trace of g is the chunk's sum of squares, so it tests
-    finiteness, and only a non-finite trace costs the full test.  The product precedes
-    the row norms because under over="raise" an overflowing chunk raises in matmul,
-    while einsum overflows to inf.  g is added to T in place, in chunk order, so no
-    (m, n) array forms; one chunk y gives the bits of (y^T @ y) / m.  The row norms
-    go into ``norms``, in stream order, when given.
+    Each chunk must be a 2-D array of at least one vector, all finite.  Its Gram product
+    g comes first; the trace of g is the chunk's sum of squares, so it tests finiteness.
+    Only a non-finite trace costs the full test, and then a finite chunk forms g again
+    under the caller's errstate: under over="raise" its overflow raises there, before
+    its row norms, which einsum would overflow to inf.  g is added to T in place, in
+    chunk order, so no (m, n) array forms; one chunk y gives the bits of (y^T @ y) / m.
+    The row norms go into ``norms``, in stream order, when given.
     """
     t = None
     got = 0
@@ -49,10 +48,12 @@ def _streamed_second_moment(chunks: Iterable[np.ndarray], m: int, norms: np.ndar
         rows = y.shape[0]
         if got + rows > m:
             raise ValueError(f"the stream holds more than M = {m} vectors")
-        with np.errstate(invalid="ignore"):  # inf * 0 in a non-finite chunk; the check below names it
+        with np.errstate(over="ignore", invalid="ignore"):  # inf * 0 or an overflow; the checks below name them
             g = y.T @ y
-        if not _is_finite(y, float(g.trace())):
-            raise ValueError("batch vectors must be finite")
+        if not math.isfinite(float(g.trace())):
+            if not np.isfinite(y).all():
+                raise ValueError("batch vectors must be finite")
+            g = y.T @ y  # a finite chunk that overflows, once more under the caller's errstate
         if norms is not None:
             _row_norms(y, out=norms[got : got + rows])
         if t is None:

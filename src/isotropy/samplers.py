@@ -33,7 +33,7 @@ MASK64 = (1 << 64) - 1
 # truncation is considered infeasible.
 REJECTION_MIN_ACCEPTANCE = 1e-3
 ACCEPTANCE_HARD_FLOOR = 1e-6
-_PILOT_STAGE_ENDS = (4096, 36_864, 299_008, 2_396_160, 3_000_000)  # cumulative pilot draws
+_PILOT_STAGE_ENDS = (*(4096 << k for k in range(10)), 3_000_000)  # cumulative pilot draws: 4,096 doubled 9 times, then the cap
 _CHUNK_ROWS = 1 << 12  # rows per chunk of a streamed or pilot / rejection draw, so memory does not follow M
 _THIN_PER_DIM = 2  # the truncated chain emits every (2n)-th state
 _HITRUN_BLOCK = 1 << 10  # chain steps whose directions and uniforms are drawn together
@@ -158,12 +158,12 @@ class TruncatedSampler:
     A pilot run measures the rejection acceptance rate: healthy rates use
     plain rejection from the direct sampler, thin intersections fall back
     to hit-and-run on the truncated body, and rates below the hard floor
-    raise ValueError.  The pilot draws growing stages until 50 hits or
-    3,000,000 draws, and stops sooner once 3 or more hits put even the
-    3-sigma Poisson upper reading of the rate below the rejection threshold;
-    so in hit-and-run mode ``acceptance`` comes from 3 or more hits.  The
-    chain starts at the pilot's first hit, an exact uniform draw from the
-    truncated body, so it needs no burn-in.
+    raise ValueError.  The pilot's stages end at 4,096 rows doubled to 2,097,152,
+    then at 3,000,000; it stops at the first end with 50 hits, or with 3 or more
+    hits whose 3-sigma Poisson upper reading of the rate is below the rejection
+    threshold (so within twice the draws where that rule first holds).  So a
+    hit-and-run ``acceptance`` comes from 3 or more hits.  The chain starts at the
+    pilot's first hit, an exact uniform draw from the truncated body: no burn-in.
     """
 
     def __init__(self, body: Body, R: float, rng: np.random.Generator):
@@ -182,7 +182,7 @@ class TruncatedSampler:
         self.mode = "rejection" if self.acceptance >= REJECTION_MIN_ACCEPTANCE else "hit-and-run"
 
     def _pilot_acceptance(self) -> tuple[float, np.ndarray | None]:
-        """The pilot's hit rate and its first in-radius row (None without a hit)."""
+        """The hit rate and first in-radius row (None without one) at the first stage end whose rule holds."""
         draws = hits = 0
         first = None
         for end in _PILOT_STAGE_ENDS:

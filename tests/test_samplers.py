@@ -419,42 +419,83 @@ class TestTruncatedSampling:
         assert 0.78 <= vals.min() and vals.max() <= 0.87
 
 
-def _fifty_hit_pilot(body, rho, rng):
-    """Reference: the pilot without its early stop, which ends only on 50 hits or 3,000,000 draws.
+# The pilot's stage ends: 4,096 rows doubled nine times, then the 3,000,000 cap.
+PILOT_ENDS = [4096 * 2**k for k in range(10)] + [3_000_000]
 
-    It reads the stream in the sampler's chunks (ball chunks draw their normals before
-    their radii per chunk) and applies its own radius test to them.
+
+def _replayed_pilot(body, rho, rng, early_stop=True):
+    """Reference: (hits, draws, first hit) where a plain replay of the pilot stops.
+
+    It reads the stream in the sampler's chunks, at most 4,096 rows ending on each
+    stage end (ball chunks draw their normals before their radii per chunk), applies its
+    own radius test, and checks the stop rule at every end: 50 hits, or, with
+    ``early_stop``, 3 or more hits and hits + 3 sqrt(hits) < 1e-3 draws.
     """
     draws = hits = 0
     first = None
-    for end in samplers._PILOT_STAGE_ENDS:
+    for end in PILOT_ENDS:
         while draws < end:
-            pts = direct_draws(body, min(samplers._CHUNK_ROWS, end - draws), rng)
+            pts = direct_draws(body, min(4096, end - draws), rng)
             inside = (pts * pts).sum(axis=1) <= rho * rho
             if first is None and inside.any():
                 first = pts[inside][0]
             hits += int(inside.sum())
             draws += len(pts)
-        if hits >= 50:
+        if hits >= 50 or (early_stop and hits >= 3 and hits + 3 * math.sqrt(hits) < 1e-3 * draws):
             break
-    return hits / draws, first
+    return hits, draws, first
 
 
 class TestPilotStoppingRule:
     # The pilot also stops once hits + 3 sqrt(hits) < 1e-3 draws with 3 or more hits.
 
+    def test_stage_ends_double_up_to_the_cap(self):
+        assert list(samplers._PILOT_STAGE_ENDS) == PILOT_ENDS
+
+    @pytest.mark.parametrize(
+        "name, n, r, seed",
+        [
+            ("cube", 16, 0.5, 1),  # the benchmark's thin cuts: the rule holds after a few hits
+            ("cube", 16, 0.5, 5),
+            ("simplex", 8, 0.25, 1),
+            ("simplex", 8, 0.25, 6),
+            ("cube", 16, 1.0, 1),  # acceptance 0.5: 50 hits in the first 4,096 rows
+            ("cube", 2, 0.0437, 0),  # about 1e-3: 50 hits come first
+            ("ball", 2, 0.045, 2),  # the same in the ball's chunks of normals, then radii
+        ],
+    )
+    def test_stops_at_the_first_end_where_its_rule_holds(self, monkeypatch, name, n, r, seed):
+        body = isotropic_normalization(name, n)
+        replay = random_stream(seed, 2)
+        hits, draws, first = _replayed_pilot(body, r * math.sqrt(n), replay)
+        drawn = []
+
+        def counting(body, m, rng):
+            drawn.append(m)
+            return direct_draws(body, m, rng)
+
+        monkeypatch.setattr(samplers, "direct_draws", counting)
+        rng = random_stream(seed, 2)
+        sampler = TruncatedSampler(body, r, rng)
+        assert sampler.acceptance == hits / draws and sum(drawn) == draws, (hits, draws, sum(drawn))
+        assert all(rows <= 4096 for rows in drawn) and np.array_equal(sampler._start, first)
+        # The pilot read the stream exactly that far: the next uniform is the replay's.
+        assert rng.random() == replay.random()
+
     def test_early_stop_keeps_the_decisions(self):
         # In the plane a small cut's disc lies inside each body, so its acceptance is
         # c R^2: c = pi/6 (cube), 1/2 (ball) and pi/(3 sqrt 3) (simplex).  The cuts sit
-        # 4x above, at, 4x below the 1e-3 threshold and at the 1e-6 hard floor.
+        # 4x and 2x above, at, 2x and 4x below the 1e-3 threshold and at the 1e-6 hard
+        # floor; away from the threshold each mode is the one the 50-hit reference picks.
         verdicts, early = set(), 0
         for name, c in (("cube", math.pi / 6), ("ball", 0.5), ("simplex", math.pi / (3 * math.sqrt(3)))):
             body = isotropic_normalization(name, 2)
-            for target in (4e-3, 1e-3, 2.5e-4, 1e-6):
+            for target in (4e-3, 2e-3, 1e-3, 5e-4, 2.5e-4, 1e-6):
                 r = math.sqrt(target / c)
                 for seed in range(4):
                     case = (name, target, seed)
-                    acceptance, first = _fifty_hit_pilot(body, r * math.sqrt(2), random_stream(seed, 3))
+                    hits, draws, first = _replayed_pilot(body, r * math.sqrt(2), random_stream(seed, 3), early_stop=False)
+                    acceptance = hits / draws
                     try:
                         sampler = TruncatedSampler(body, r, random_stream(seed, 3))
                     except ValueError as exc:
@@ -483,8 +524,9 @@ class TestPilotStoppingRule:
 
         monkeypatch.setattr(samplers, "direct_draws", counting)
         sampler = TruncatedSampler(isotropic_normalization(name, n), r, random_stream(1, 2))
-        # 299,008 rows end the third stage; the fourth would bring the pilot to 2,396,160.
-        assert sampler.mode == "hit-and-run" and sum(drawn) <= 299_008, sum(drawn)
+        # At this seed the rule first holds after 131,072 rows for both cuts; the old x8 grid
+        # stopped them at 299,008.
+        assert sampler.mode == "hit-and-run" and sum(drawn) <= 131_072, sum(drawn)
 
 
 # A floor cut: no hit in 3,000,000 pilot rows, so the pilot runs every stage and raises.
@@ -517,8 +559,8 @@ class TestTruncatedChunks:
     @pytest.mark.parametrize(
         "name, n, r, acceptance",
         [
-            ("cube", 16, 0.5, 3.678831335616438e-05),
-            ("simplex", 8, 0.25, 6.354345034246575e-05),
+            ("cube", 16, 0.5, 4.57763671875e-05),
+            ("simplex", 8, 0.25, 6.866455078125e-05),
             ("cube", 16, 1.0, 0.511474609375),
         ],
         ids=["cube-16-0.5", "simplex-8-0.25", "cube-16-1.0"],
@@ -587,8 +629,8 @@ class TestTruncatedChunks:
         assert child_peak_rss_mb(TRUNCATED_SEED_RUN) - base < 20
 
     def test_pilot_memory_is_bounded(self, child_peak_rss_mb):
-        # The pilot's largest stage is 2,097,152 simplex8 rows (about 150 MB per
-        # (rows, 9) array); drawn whole it peaks near 490 MB.
+        # The pilot's largest stage is 1,048,576 simplex8 rows (about 75 MB per
+        # (rows, 9) array); with each stage drawn whole the pilot peaks near 180 MB.
         assert child_peak_rss_mb(PILOT_RUN) < 150
 
 
