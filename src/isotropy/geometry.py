@@ -167,15 +167,16 @@ class Cube(Body):
             raise ValueError("cube needs positive halfwidth and dimension")
         if not math.isfinite(self.halfwidth):
             raise ValueError("cube halfwidth must be finite")
+        # The membership bound on each |x_i|, which _contains and _chord_impl both test.
+        object.__setattr__(self, "_limit", self.halfwidth + MEMBERSHIP_TOL * max(1.0, self.halfwidth))
 
     def _contains(self, x, xx):
-        return bool(max(map(abs, x.tolist())) <= self.halfwidth + MEMBERSHIP_TOL * max(1.0, self.halfwidth))
+        return bool(max(map(abs, x.tolist())) <= self._limit)
 
     def _chord_impl(self, x, d, xx):
         # _contains's bound on each |v| and _slab_chord's rows (a - v, c) and (a + v, -c), in one
         # pass with the same comparisons and divisions: the same verdict and bounds, bit for bit.
-        a = float(self.halfwidth)
-        lim = a + MEMBERSHIP_TOL * max(1.0, a)
+        a, lim = float(self.halfwidth), self._limit
         t_lo, t_hi = -math.inf, math.inf
         for v, c in zip(x.tolist(), d.tolist()):
             if not -lim <= v <= lim:
@@ -274,17 +275,15 @@ class HPolytope(Body):
         object.__setattr__(self, "rows", a)
         object.__setattr__(self, "offsets", b)
         object.__setattr__(self, "n", a.shape[1])
-        object.__setattr__(self, "_tol", MEMBERSHIP_TOL * (1.0 + float(np.max(np.abs(b), initial=0.0))))
 
     def _contains(self, x, xx):
-        return bool(np.max(self.rows @ x - self.offsets) <= self._tol)
+        scale = 1.0 + float(np.max(np.abs(self.offsets)))
+        return bool(np.max(self.rows @ x - self.offsets) <= MEMBERSHIP_TOL * scale)
 
     def _chord_impl(self, x, d, xx):
-        # The slack is the exact negation of _contains's rows @ x - offsets, so it serves both.
-        slack = self.offsets - self.rows @ x
-        if not np.min(slack) >= -self._tol:
+        if not self._contains(x, xx):
             return None
-        return _slab_chord(slack.tolist(), (self.rows @ d).tolist())
+        return _slab_chord((self.offsets - self.rows @ x).tolist(), (self.rows @ d).tolist())
 
 
 @dataclass(frozen=True)

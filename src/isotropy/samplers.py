@@ -159,11 +159,10 @@ class TruncatedSampler:
     plain rejection from the direct sampler, thin intersections fall back
     to hit-and-run on the truncated body, and rates below the hard floor
     raise ValueError.  The pilot's stages end at 4,096 rows doubled to 2,097,152,
-    then at 3,000,000; it stops at the first end with 50 hits, or with 3 or more
-    hits whose 3-sigma Poisson upper reading of the rate is below the rejection
-    threshold (so within twice the draws where that rule first holds).  So a
-    hit-and-run ``acceptance`` comes from 3 or more hits.  The chain starts at the
-    pilot's first hit, an exact uniform draw from the truncated body: no burn-in.
+    then at 3,000,000.  It stops at the first end whose hits settle the mode at 3
+    sigma (see ``_pilot_acceptance``), else at the cap, where the estimate decides;
+    so a hit-and-run ``acceptance`` comes from 3 or more hits.  The chain starts at
+    the pilot's first hit, an exact uniform draw from the truncated body: no burn-in.
     """
 
     def __init__(self, body: Body, R: float, rng: np.random.Generator):
@@ -193,9 +192,10 @@ class TruncatedSampler:
                     first = inside[0].copy()
                 hits += len(inside)
                 draws += rows
-            # An early stop settles hit-and-run with the first hit in hand, and its 3 or more
-            # hits clear the hard floor even at the 3M cap, so no verdict depends on it.
-            if hits >= 50 or (hits >= 3 and hits + 3.0 * math.sqrt(hits) < REJECTION_MIN_ACCEPTANCE * draws):
+            # Stop once the 3-sigma Poisson reading of the rate is wholly above the threshold with 50
+            # or more hits, or wholly below it with 3 or more (the first in hand, above the hard floor).
+            spread, bar = 3.0 * math.sqrt(hits), REJECTION_MIN_ACCEPTANCE * draws
+            if (hits >= 50 and hits - spread > bar) or (hits >= 3 and hits + spread < bar):
                 break
         return hits / draws, first
 

@@ -162,88 +162,42 @@ class TestCubeChord:
             d /= np.linalg.norm(d)
             got = cube._chord_impl(x, d, float(x.dot(x)))
             assert [t.hex() for t in got] == [t.hex() for t in self.slab_chord(cube, x, d)], (k, x, d)
+        # One coordinate on a face or on the edge of the membership tolerance, which is
+        # relative above halfwidth 1 and absolute below it: inside, with the same bits.
+        for cube in (cube, Cube(halfwidth=0.5, n=n)):
+            a = cube.halfwidth
+            edge = a + MEMBERSHIP_TOL * max(1.0, a)
+            for i in range(n):
+                for v in (a, -a, edge, -edge):
+                    x = direct_draws(cube, 1, rng)[0]
+                    x[i] = v
+                    d = rng.standard_normal(n)
+                    d /= np.linalg.norm(d)
+                    assert cube._contains(x, float(x.dot(x))), (a, x)
+                    got = cube._chord_impl(x, d, float(x.dot(x)))
+                    assert [t.hex() for t in got] == [t.hex() for t in self.slab_chord(cube, x, d)], (a, x, d)
 
     def test_outside_point_has_no_chord(self):
         cube = Cube(halfwidth=1.0, n=3)
         d = np.array([0.6, 0.0, -0.8])
         for x in (np.array([0.0, 1.01, 0.0]), np.array([-1.5, 0.2, 0.3]), np.array([2.0, 2.0, 2.0])):
             assert cube._chord_impl(x, d, float(x.dot(x))) is None
-
-
-def _explicit_rows(body):
-    """(rows, offsets) of a cube's or H-polytope's inequalities; the cube's are e_i, -e_i."""
-    if isinstance(body, Cube):
-        eye = np.eye(body.n)
-        return np.stack([eye, -eye], axis=1).reshape(2 * body.n, body.n), np.full(2 * body.n, body.halfwidth)
-    return body.rows, body.offsets
-
-
-def _tolerance_edge(offset, tol):
-    """The largest float s with s - offset <= tol: a coordinate on the edge of the slack."""
-    s = offset + tol
-    while s - offset > tol:
-        s = math.nextafter(s, -math.inf)
-    while math.nextafter(s, math.inf) - offset <= tol:
-        s = math.nextafter(s, math.inf)
-    return s
-
-
-class TestOnePassChords:
-    # The cube and the H-polytope test containment inside their chord pass.  Their chords
-    # must still be _slab_chord's over their explicit rows, bit for bit, and _chord_impl
-    # must find no chord exactly where _contains is False.
-    BODIES = {
-        "cube": Cube(halfwidth=math.sqrt(3.0), n=4),
-        "small-cube": Cube(halfwidth=0.5, n=3),  # the tolerance is absolute below halfwidth 1
-        "box": HPolytope(rows=np.vstack([np.eye(3), -np.eye(3)]), offsets=np.array([1.0, 2.5, 0.25, 3.0, 0.5, 1.75])),
-        "cross": HPolytope(rows=np.array(list(itertools.product((-1.0, 1.0), repeat=3))), offsets=np.ones(8)),
-    }
-
-    @staticmethod
-    def points(body, rng):
-        """(x, membership or None): seeded points in and around the body, then, along each
-        axis, points on the nearest offset (members), on the edge of the membership
-        tolerance (members) and one ulp past it (not members)."""
-        rows, offsets = _explicit_rows(body)
-        n = body.n
-        scale = float(np.max(offsets))
-        pts = [(x, None) for x in rng.uniform(-1.5, 1.5, (300, n)) * rng.uniform(0.0, scale, (300, 1))]
-        for i in range(n):
-            for sign in (1.0, -1.0):
-                off = float(np.min(offsets[sign * rows[:, i] > 0.0]))
-                if isinstance(body, Cube):  # |v| <= halfwidth + MEMBERSHIP_TOL max(1, halfwidth)
-                    edge = off + MEMBERSHIP_TOL * max(1.0, off)
-                else:  # rows @ x - offsets <= MEMBERSHIP_TOL (1 + max |offsets|)
-                    edge = _tolerance_edge(off, MEMBERSHIP_TOL * (1.0 + float(np.max(np.abs(offsets)))))
-                for v, member in ((off, True), (edge, True), (math.nextafter(edge, math.inf), False)):
-                    x = np.zeros(n)
-                    x[i] = sign * v
-                    pts.append((x, member))
-        return pts
-
-    @pytest.mark.parametrize("name", BODIES)
-    def test_chords_equal_the_slab_kernel_over_explicit_rows(self, name):
-        body = self.BODIES[name]
-        rows, offsets = _explicit_rows(body)
+        # One ulp past the tolerance's edge is outside; around the cube, _chord_impl finds
+        # no chord exactly where _contains is False.
         rng = random_stream(47, 0)
-        inside = outside = 0
-        for k, (x, member) in enumerate(self.points(body, rng)):
-            d = rng.standard_normal(body.n)
-            if k % 3 == 1:
-                d[rng.integers(body.n)] = 0.0
-            d /= np.linalg.norm(d)
-            contained = body._contains(x, float(x.dot(x)))
-            assert member is None or contained == member, (k, x)
-            assert (body._chord_impl(x, d, float(x.dot(x))) is None) == (not contained), (k, x)
-            if not contained:
-                outside += 1
-                with pytest.raises(ValueError, match="lies outside the body"):
-                    body.chord(x, d)
-                continue
-            inside += 1
-            lo, hi = _slab_chord((offsets - rows @ x).tolist(), (rows @ d).tolist())
-            assert [t.hex() for t in body.chord(x, d)] == [min(lo, 0.0).hex(), max(hi, 0.0).hex()], (k, x, d)
-        assert inside > 50 and outside > 50
+        for a in (math.sqrt(3.0), 1.0, 0.5):
+            cube = Cube(halfwidth=a, n=3)
+            past = math.nextafter(a + MEMBERSHIP_TOL * max(1.0, a), math.inf)
+            for i, v in itertools.product(range(3), (past, -past)):
+                x = np.zeros(3)
+                x[i] = v
+                assert not cube._contains(x, v * v) and cube._chord_impl(x, d, v * v) is None, (a, x)
+            inside = 0
+            for x in rng.uniform(-1.5 * a, 1.5 * a, (200, 3)):
+                contained = cube._contains(x, float(x.dot(x)))
+                assert (cube._chord_impl(x, d, float(x.dot(x))) is None) == (not contained), (a, x)
+                inside += contained
+            assert 20 < inside < 180
 
 
 class TestIsotropicNormalization:

@@ -423,13 +423,14 @@ class TestTruncatedSampling:
 PILOT_ENDS = [4096 * 2**k for k in range(10)] + [3_000_000]
 
 
-def _replayed_pilot(body, rho, rng, early_stop=True):
+def _replayed_pilot(body, rho, rng, settled=True):
     """Reference: (hits, draws, first hit) where a plain replay of the pilot stops.
 
     It reads the stream in the sampler's chunks, at most 4,096 rows ending on each
     stage end (ball chunks draw their normals before their radii per chunk), applies its
-    own radius test, and checks the stop rule at every end: 50 hits, or, with
-    ``early_stop``, 3 or more hits and hits + 3 sqrt(hits) < 1e-3 draws.
+    own radius test, and checks the stop rule at every end.  With ``settled`` that is the
+    sampler's rule: 50 or more hits with hits - 3 sqrt(hits) > 1e-3 draws, or 3 or more
+    hits with hits + 3 sqrt(hits) < 1e-3 draws; without it, 50 hits alone.
     """
     draws = hits = 0
     first = None
@@ -441,13 +442,17 @@ def _replayed_pilot(body, rho, rng, early_stop=True):
                 first = pts[inside][0]
             hits += int(inside.sum())
             draws += len(pts)
-        if hits >= 50 or (early_stop and hits >= 3 and hits + 3 * math.sqrt(hits) < 1e-3 * draws):
+        if not settled and hits >= 50:
+            break
+        if settled and hits >= 50 and hits - 3 * math.sqrt(hits) > 1e-3 * draws:
+            break
+        if settled and hits >= 3 and hits + 3 * math.sqrt(hits) < 1e-3 * draws:
             break
     return hits, draws, first
 
 
 class TestPilotStoppingRule:
-    # The pilot also stops once hits + 3 sqrt(hits) < 1e-3 draws with 3 or more hits.
+    # The pilot stops once its hits settle the mode at 3 sigma, on either side of 1e-3.
 
     def test_stage_ends_double_up_to_the_cap(self):
         assert list(samplers._PILOT_STAGE_ENDS) == PILOT_ENDS
@@ -460,8 +465,9 @@ class TestPilotStoppingRule:
             ("simplex", 8, 0.25, 1),
             ("simplex", 8, 0.25, 6),
             ("cube", 16, 1.0, 1),  # acceptance 0.5: 50 hits in the first 4,096 rows
-            ("cube", 2, 0.0437, 0),  # about 1e-3: 50 hits come first
+            ("cube", 2, 0.0437, 0),  # about 1e-3: no stage end settles the mode, so the cap
             ("ball", 2, 0.045, 2),  # the same in the ball's chunks of normals, then radii
+            ("cube", 2, 0.0498, 0),  # 1.3e-3: settled for rejection at 131,072 rows, 50 hits at 65,536
         ],
     )
     def test_stops_at_the_first_end_where_its_rule_holds(self, monkeypatch, name, n, r, seed):
@@ -482,22 +488,33 @@ class TestPilotStoppingRule:
         # The pilot read the stream exactly that far: the next uniform is the replay's.
         assert rng.random() == replay.random()
 
-    def test_early_stop_keeps_the_decisions(self):
+    def test_early_stop_keeps_the_decisions(self, monkeypatch):
         # In the plane a small cut's disc lies inside each body, so its acceptance is
         # c R^2: c = pi/6 (cube), 1/2 (ball) and pi/(3 sqrt 3) (simplex).  The cuts sit
         # 4x and 2x above, at, 2x and 4x below the 1e-3 threshold and at the 1e-6 hard
         # floor; away from the threshold each mode is the one the 50-hit reference picks.
-        verdicts, early = set(), 0
+        # A pilot stops before that reference only for hit-and-run, and reads on past it
+        # when 50 hits leave the mode unsettled.
+        verdicts, early, later = set(), 0, 0
+        drawn = []
+
+        def counting(body, m, rng):
+            drawn.append(m)
+            return direct_draws(body, m, rng)
+
         for name, c in (("cube", math.pi / 6), ("ball", 0.5), ("simplex", math.pi / (3 * math.sqrt(3)))):
             body = isotropic_normalization(name, 2)
             for target in (4e-3, 2e-3, 1e-3, 5e-4, 2.5e-4, 1e-6):
                 r = math.sqrt(target / c)
                 for seed in range(4):
                     case = (name, target, seed)
-                    hits, draws, first = _replayed_pilot(body, r * math.sqrt(2), random_stream(seed, 3), early_stop=False)
+                    hits, draws, first = _replayed_pilot(body, r * math.sqrt(2), random_stream(seed, 3), settled=False)
                     acceptance = hits / draws
+                    drawn.clear()
                     try:
-                        sampler = TruncatedSampler(body, r, random_stream(seed, 3))
+                        with monkeypatch.context() as patch:
+                            patch.setattr(samplers, "direct_draws", counting)
+                            sampler = TruncatedSampler(body, r, random_stream(seed, 3))
                     except ValueError as exc:
                         assert "truncation too aggressive" in str(exc), case
                         assert acceptance < samplers.ACCEPTANCE_HARD_FLOOR, case
@@ -509,10 +526,12 @@ class TestPilotStoppingRule:
                     if target != 1e-3:
                         mode = "rejection" if acceptance >= samplers.REJECTION_MIN_ACCEPTANCE else "hit-and-run"
                         assert sampler.mode == mode, case
-                    if sampler.acceptance != acceptance:  # stopped early: only hit-and-run is settled that way
+                    own_draws = sum(drawn)
+                    if own_draws < draws:
                         assert sampler.mode == "hit-and-run", case
                         early += 1
-        assert verdicts == {"raise", "sample"} and early > 0
+                    later += own_draws > draws
+        assert verdicts == {"raise", "sample"} and early > 0 and later > 0
 
     @pytest.mark.parametrize("name, n, r", [("cube", 16, 0.5), ("simplex", 8, 0.25)])
     def test_benchmark_cuts_stop_before_the_largest_stage(self, monkeypatch, name, n, r):
