@@ -74,9 +74,11 @@ def _frozen(a, what: str) -> np.ndarray:
     return a
 
 
-def _in_ball(xx: float, radius: float) -> bool:
-    """Whether a point with squared norm xx lies in the centered ball of the given radius."""
-    return bool(math.sqrt(xx) <= radius + MEMBERSHIP_TOL * max(1.0, radius))
+def _fix_ball_bounds(body, radius: float) -> None:
+    """Store the bounds a centered ball of the given radius tests, once: ``_limit`` on |x|
+    (membership: |x| <= _limit) and the squared radius ``_radius_sq`` of its chord."""
+    object.__setattr__(body, "_limit", float(radius + MEMBERSHIP_TOL * max(1.0, radius)))
+    object.__setattr__(body, "_radius_sq", float(radius**2))
 
 
 class Body:
@@ -147,10 +149,10 @@ def _slab_chord(slack: list[float], coef: list[float]) -> tuple[float, float]:
     return t_lo, t_hi
 
 
-def _sphere_chord(x: np.ndarray, d: np.ndarray, radius: float, xx: float) -> tuple[float, float]:
-    """Chord of the centered ball of the given radius through x (xx = x.dot(x)) along unit d."""
+def _sphere_chord(x: np.ndarray, d: np.ndarray, radius_sq: float, xx: float) -> tuple[float, float]:
+    """Chord of the centered ball of squared radius radius_sq through x (xx = x.dot(x)) along unit d."""
     b = float(x.dot(d))
-    disc = b * b - (xx - radius**2)
+    disc = b * b - (xx - radius_sq)
     root = math.sqrt(disc) if disc > 0.0 else 0.0
     return -b - root, -b + root
 
@@ -168,7 +170,7 @@ class Cube(Body):
         if not math.isfinite(self.halfwidth):
             raise ValueError("cube halfwidth must be finite")
         # The membership bound on each |x_i|, which _contains and _chord_impl both test.
-        object.__setattr__(self, "_limit", self.halfwidth + MEMBERSHIP_TOL * max(1.0, self.halfwidth))
+        object.__setattr__(self, "_limit", float(self.halfwidth + MEMBERSHIP_TOL * max(1.0, self.halfwidth)))
 
     def _contains(self, x, xx):
         return bool(max(map(abs, x.tolist())) <= self._limit)
@@ -212,12 +214,13 @@ class Ball(Body):
             raise ValueError("ball needs positive radius and dimension")
         if not math.isfinite(self.radius):
             raise ValueError("ball radius must be finite")
+        _fix_ball_bounds(self, self.radius)
 
     def _contains(self, x, xx):
-        return _in_ball(xx, self.radius)
+        return math.sqrt(xx) <= self._limit
 
     def _chord_impl(self, x, d, xx):
-        return _sphere_chord(x, d, self.radius, xx) if _in_ball(xx, self.radius) else None
+        return _sphere_chord(x, d, self._radius_sq, xx) if math.sqrt(xx) <= self._limit else None
 
 
 @dataclass(frozen=True)
@@ -270,6 +273,8 @@ class HPolytope(Body):
         b = _frozen(self.offsets, "polytope rows/offsets")
         if a.ndim != 2 or b.ndim != 1 or a.shape[0] != b.shape[0]:
             raise ValueError("need matching inequality rows and offsets")
+        if a.size == 0:
+            raise ValueError("polytope needs at least one inequality and one coordinate")
         # Unlike the canonical families, explicit polytope data may be
         # non-centered; boundedness is enforced lazily by chord queries.
         object.__setattr__(self, "rows", a)
@@ -300,19 +305,20 @@ class Truncated(Body):
         if not math.isfinite(self.radius):
             raise ValueError("truncation radius must be finite")
         object.__setattr__(self, "n", self.base.n)
+        _fix_ball_bounds(self, self.radius)
 
     def _contains(self, x, xx):
-        return _in_ball(xx, self.radius) and self.base._contains(x, xx)
+        return math.sqrt(xx) <= self._limit and self.base._contains(x, xx)
 
     def _chord_impl(self, x, d, xx):
         # Body.chord has checked x and d once, so the private oracles compose
         # directly; the base chord tests base membership.
-        if not _in_ball(xx, self.radius):
+        if not math.sqrt(xx) <= self._limit:
             return None
         base = self.base._chord_impl(x, d, xx)
         if base is None:
             return None
-        lo_s, hi_s = _sphere_chord(x, d, self.radius, xx)
+        lo_s, hi_s = _sphere_chord(x, d, self._radius_sq, xx)
         return max(base[0], lo_s), min(base[1], hi_s)
 
 

@@ -49,8 +49,9 @@ EXPERIMENT_KINDS = ("sweep", "whiten", "truncated", "john-sparsify", "bernoulli"
 
 SAMPLER_CHOICES = ("cube", "ball", "simplex")
 FIXTURE_CHOICES = ("cross-polytope", "cube-vertices", "simplex")
-# The largest sample count numpy can index; a larger M fails mid-run, or, streamed, never ends.
-MAX_SAMPLE_COUNT = int(np.iinfo(np.intp).max)
+# The most float entries, M * n, that one row may draw.  Streamed, a larger M would run for
+# hours or until killed; the largest shipped or benchmark row draws 306,763 x 16, about 2^22.
+MAX_ROW_ENTRIES = 1 << 32
 
 
 class ConfigError(ValueError):
@@ -88,10 +89,14 @@ class ExperimentConfig:
             raise ConfigError("n must be >= 1")
         if not self.m_grid:
             raise ConfigError("m_grid must be nonempty")
-        if not all(3 <= m <= MAX_SAMPLE_COUNT for m in self.m_grid) or len(set(self.m_grid)) != len(self.m_grid):
-            raise ConfigError(f"m_grid entries must be distinct and lie in [3, {MAX_SAMPLE_COUNT}]")
-        if not 1 <= self.m <= MAX_SAMPLE_COUNT:
-            raise ConfigError(f"m must lie in [1, {MAX_SAMPLE_COUNT}]")
+        # The largest M a row of this n may draw; only the counts the kind reads are held to it.
+        cap = MAX_ROW_ENTRIES // self.n
+        grid_cap = cap if self.kind == "sweep" or (self.kind == "bernoulli" and self.mode == "ratio") else math.inf
+        if not all(3 <= m <= grid_cap for m in self.m_grid) or len(set(self.m_grid)) != len(self.m_grid):
+            raise ConfigError(f"m_grid entries must be distinct and lie in [3, {cap}] at n = {self.n}")
+        m_cap = cap if self.kind == "whiten" or (self.kind == "bernoulli" and self.mode == "symmetrize") else math.inf
+        if not 1 <= self.m <= m_cap:
+            raise ConfigError(f"m must lie in [1, {cap}] at n = {self.n}")
         if not self.seeds:
             raise ConfigError("seeds must be nonempty")
         if len(set(self.seeds)) != len(self.seeds):
@@ -128,10 +133,8 @@ class ExperimentConfig:
                     m = jsp.choose_M(self.n, self.eps, self.c)
             except ArithmeticError as exc:  # eps * eps can underflow to 0 as well as overflow
                 raise ConfigError(f"the {self.kind} sample-count rule gives no finite M: {exc}") from exc
-            if m > MAX_SAMPLE_COUNT:
-                raise ConfigError(
-                    f"the {self.kind} sample-count rule gives M = {m:.3g}, above {MAX_SAMPLE_COUNT}; raise eps"
-                )
+            if m > cap:
+                raise ConfigError(f"the {self.kind} sample-count rule gives M = {m:.3g}, above {cap}; raise eps")
 
 
 def _list_of(parse):

@@ -350,6 +350,30 @@ class TestTruncated:
         with pytest.raises(ValueError, match="truncation radius must be positive"):
             Truncated(base=Ball(radius=1.0, n=2), radius=0.0)
 
+    @pytest.mark.parametrize("radius", [0.5, 1.0, 2.0])
+    @pytest.mark.parametrize(
+        "make",
+        [lambda r: Ball(radius=r, n=3), lambda r: Truncated(base=Cube(halfwidth=3.0, n=3), radius=r)],
+        ids=["ball", "truncated-cube"],
+    )
+    def test_radius_edge_is_fixed_at_construction(self, make, radius):
+        # The bound on |x| is radius + MEMBERSHIP_TOL * max(1, radius): absolute below radius 1,
+        # relative above it.  A point at exactly that norm (sqrt(v * v) == |v|) is a member with
+        # a chord; one ulp past it is neither.
+        body = make(radius)
+        edge = radius + MEMBERSHIP_TOL * max(1.0, radius)
+        d = np.array([0.0, 0.6, -0.8])
+        for v in (edge, -edge):
+            x = np.array([v, 0.0, 0.0])
+            assert body.membership(x), (radius, v)
+            t_lo, t_hi = body.chord(x, d)
+            assert t_lo <= 0.0 <= t_hi
+        for v in (math.nextafter(edge, math.inf), -math.nextafter(edge, math.inf)):
+            x = np.array([v, 0.0, 0.0])
+            assert not body.membership(x), (radius, v)
+            with pytest.raises(ValueError, match="chord base point lies outside the body"):
+                body.chord(x, d)
+
     def test_chord_from_inside_the_radius_but_outside_the_base(self):
         trunc = Truncated(base=Cube(halfwidth=1.0, n=2), radius=5.0)
         with pytest.raises(ValueError, match="chord base point lies outside the body"):
@@ -375,6 +399,14 @@ class TestBodyValidation:
     def test_hpolytope_needs_one_offset_per_row(self):
         with pytest.raises(ValueError, match="need matching inequality rows and offsets"):
             HPolytope(rows=np.vstack([np.eye(2), -np.eye(2)]), offsets=np.ones(3))
+
+    @pytest.mark.parametrize(
+        "rows, offsets", [(np.empty((0, 2)), np.empty(0)), (np.empty((3, 0)), np.ones(3))], ids=["no-rows", "no-columns"]
+    )
+    def test_hpolytope_needs_a_row_and_a_column(self, rows, offsets):
+        # Without a row or a column, membership and chord would fail in numpy's zero-size reductions.
+        with pytest.raises(ValueError, match="polytope needs at least one inequality and one coordinate"):
+            HPolytope(rows=rows, offsets=offsets)
 
     @pytest.mark.parametrize(
         "make",

@@ -211,9 +211,38 @@ class TestConfigParsing:
             parse_config(text)
 
     def test_largest_sample_count_validates(self):
-        cap = np.iinfo(np.intp).max
+        # A row may draw at most MAX_ROW_ENTRIES = 2^32 floats, M * n, in each count its kind reads.
+        cap = harness.MAX_ROW_ENTRIES // 2
         assert parse_config(f"kind=whiten\nn=2\nm={cap}\ndistortion=1,1\n").m == cap
-        assert parse_config(f"kind=sweep\nm_grid=3,{cap}\n").m_grid == [3, cap]
+        assert parse_config(f"kind=sweep\nn=2\nm_grid=3,{cap}\n").m_grid == [3, cap]
+        assert parse_config(f"kind=bernoulli\nmode=symmetrize\nn=2\nm={cap}\n").m == cap
+        with pytest.raises(ConfigError, match="^m must lie in "):
+            parse_config(f"kind=whiten\nn=2\nm={cap + 1}\ndistortion=1,1\n")
+        with pytest.raises(ConfigError, match="^m_grid entries must "):
+            parse_config(f"kind=sweep\nn=2\nm_grid=3,{cap + 1}\n")
+        with pytest.raises(ConfigError, match="^m must lie in "):
+            parse_config(f"kind=bernoulli\nmode=symmetrize\nn=2\nm={cap + 1}\n")
+        # The bound scales with n: (2^32 / 16) x 16 fits, one more row does not.
+        assert parse_config(f"kind=whiten\nn=16\nm={2**28}\ndistortion={','.join(['1'] * 16)}\n").m == 2**28
+        with pytest.raises(ConfigError, match="^m must lie in "):
+            parse_config(f"kind=whiten\nn=16\nm={2**28 + 1}\ndistortion={','.join(['1'] * 16)}\n")
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            f"kind=sweep\nn=2\nm={2**62}\n",
+            f"kind=whiten\nn=2\nm_grid=3,{2**62}\ndistortion=1,1\n",
+            f"kind=bernoulli\nmode=ratio\nn=2\nm={2**62}\n",
+            f"kind=bernoulli\nmode=symmetrize\nn=2\nm_grid=3,{2**62}\n",
+            f"kind=truncated\nn=2\nm={2**62}\nm_grid=3,{2**62}\n",
+            f"kind=john-sparsify\nn=2\nm={2**62}\nm_grid=3,{2**62}\n",
+        ],
+        ids=["sweep", "whiten", "ratio", "symmetrize", "truncated", "john-sparsify"],
+    )
+    def test_unread_sample_counts_are_not_bounded(self, text):
+        # Only the counts a kind reads are held to M * n <= 2^32; one it does not read is
+        # checked for its lower limit only.
+        parse_config(text)
 
     def test_load_config(self, tmp_path):
         path = tmp_path / "c.cfg"
@@ -636,16 +665,19 @@ class TestCli:
         "command, text",
         [
             ("whiten", f"n=2\nm={2**70}\ndistortion=1,1\nseeds=0\n"),
+            ("whiten", f"n=2\nm={2**62}\ndistortion=1,1\nseeds=0\n"),
             ("sweep", f"n=2\nm_grid=64,{2**70}\nseeds=0\n"),
             ("truncated", "sampler=cube\nn=8\neps=1e-150\nseeds=0\n"),
             ("john-sparsify", "fixture=cross-polytope\nn=8\neps=1e-150\nseeds=0\n"),
+            # The rule's M is at least n + 1, so M * n passes 2^32 long before a fixture is too large to build.
+            ("john-sparsify", "fixture=cross-polytope\nn=10000000\nseeds=0\n"),
         ],
-        ids=["whiten", "sweep", "truncated", "john-sparsify"],
+        ids=["whiten", "whiten-2^62", "sweep", "truncated", "john-sparsify", "john-sparsify-n-10^7"],
     )
     def test_huge_sample_count_exits_two(self, tmp_path, command, text):
-        # A whiten M of 2^70 streamed its draws until killed, and the rules' M of about
-        # 1e306 ended in "Python int too large to convert to C long".  The child's timeout
-        # makes a regression fail rather than hang the suite.
+        # A whiten M of 2^70, or of 2^62 (which numpy can index), streamed its draws until
+        # killed, and the rules' M of about 1e306 ended in "Python int too large to convert
+        # to C long".  The child's timeout makes a regression fail rather than hang the suite.
         path = tmp_path / f"{command}.cfg"
         path.write_text(text, encoding="utf-8")
         proc = subprocess.run(
@@ -707,23 +739,22 @@ class TestCli:
         "command, text, prefix",
         [
             ("whiten", "n=2\nm=100\ndistortion=1e200,1\nseeds=0\n", "error: seed 0: "),
-            ("truncated", "sampler=cube\nn=16\nr=1\neps=0.2\nc0=1e10\nseeds=0\n", "error: seed 0: "),
-            ("sweep", "sampler=cube\nn=16\nm_grid=100000000000000\nseeds=0\n", "error: seed 0: "),
+            ("truncated", "sampler=cube\nn=1073741824\nr=1\neps=0.5\nc0=3e-11\nseeds=0\n", "error: seed 0: "),
+            ("sweep", "sampler=cube\nn=4194304\nm_grid=3\nseeds=0\n", "error: seed 0: "),
             ("sweep", "sampler=simplex\nn=10000000\nm_grid=3\nseeds=0\n", "error: Unable to allocate"),
-            ("john-sparsify", "fixture=cross-polytope\nn=10000000\nseeds=0\n", "error: Unable to allocate"),
             (
                 "bernoulli",
-                "mode=symmetrize\nsampler=john:cross-polytope\nn=10000000\nseeds=0\n",
+                "mode=symmetrize\nsampler=john:cross-polytope\nn=10000000\nm=3\nseeds=0\n",
                 "error: Unable to allocate",
             ),
         ],
-        ids=["whiten", "truncated", "sweep", "plan-sweep-simplex", "plan-john-sparsify", "plan-symmetrize-john"],
+        ids=["whiten", "truncated", "sweep", "plan-sweep-simplex", "plan-symmetrize-john"],
     )
     def test_validated_run_failure_is_one_error_line(self, tmp_path, command, text, prefix):
-        # Each config passes validate().  whiten: the second moment of the distorted draws
-        # overflows mid-run.  truncated and sweep: M is finite, but the row's (M,) norms need
-        # 174 TiB and 728 TiB, which numpy refuses before it allocates anything or draws a
-        # chunk.  plan-*:
+        # Each config passes validate(), M * n <= 2^32 included.  whiten: the second moment of
+        # the distorted draws overflows mid-run.  truncated (M = 3 at n = 2^30): the pilot's
+        # first 4,096-row chunk needs 32 TiB; sweep (M = 3 at n = 2^22): the (n, n) Gram
+        # product of the first chunk needs 128 TiB; numpy refuses both.  plan-*:
         # the plan builds an n = 10^7 body or fixture before any row starts, and its
         # (n + 1, n) or (n, n) array needs 728 TiB, so no seed is named.
         path = tmp_path / f"{command}.cfg"

@@ -1,4 +1,5 @@
 import collections
+import copy
 import hashlib
 import math
 import warnings
@@ -617,6 +618,23 @@ class TestTruncatedChunks:
         pts = direct_draws(body, 4096 + 4 * 4096, random_stream(1, 2))[4096:]
         inside = np.flatnonzero(np.einsum("ij,ij->i", pts, pts) <= sampler.rho**2)
         assert np.array_equal(drawn(sampler, m), pts[inside[:m]])
+
+    @pytest.mark.parametrize("name, n", [("cube", 16), ("ball", 8), ("simplex", 8)])
+    def test_hits_are_the_masked_rows_of_the_chunk(self, name, n):
+        # With no row, some rows and every row within the radius, _hits returns one C-contiguous
+        # float64 (k, n) array equal to pts[mask] of the same chunk drawn from a cloned stream.
+        sampler = TruncatedSampler(isotropic_normalization(name, n), 1.0, random_stream(1, 2))
+        rows = 1000
+        for rho, kept in ((0.0, [0]), (sampler.rho, range(1, rows)), (1e3, [rows])):
+            sampler.rho = rho
+            clone = copy.deepcopy(sampler.rng)
+            got = sampler._hits(rows)
+            pts = direct_draws(sampler.body, rows, clone)
+            want = pts[np.einsum("ij,ij->i", pts, pts) <= rho * rho]
+            assert len(want) in kept, (rho, len(want))
+            assert got.dtype == np.float64 and got.flags.c_contiguous and got.shape == (len(want), n)
+            assert np.array_equal(got, want)
+            assert np.array_equal(clone.random(4), sampler.rng.random(4))
 
     def test_stream_chunks(self):
         body = isotropic_normalization("cube", 16)
