@@ -37,7 +37,7 @@ MEMBERSHIP_TOL = 1e-9
 CUBE_VERTEX_DIM_CAP = 20
 
 
-# Appended to a point (1) or a direction (0) to take barycentric coordinates in one product.
+# Appended to a point (1) or a direction (0) to take a polytope's slacks or their rates in one product.
 _ONE = np.ones(1)
 _ZERO = np.zeros(1)
 
@@ -82,7 +82,12 @@ def _fix_ball_bounds(body, radius: float) -> None:
 
 
 class Body:
-    """Bounded convex body with the origin strictly inside."""
+    """Bounded convex body with the origin strictly inside.
+
+    Each body states its containment test once, in its private chord oracle:
+    ``membership`` asks for the chord along the first axis and reads whether
+    there is one.  A bounded body has a finite chord in every direction.
+    """
 
     n: int
 
@@ -90,11 +95,11 @@ class Body:
         """Whether x lies in the body; a non-finite point never does."""
         x = _as_point(x, self.n)
         xx = float(x.dot(x))
-        return _is_finite(x, xx) and self._contains(x, xx)
-
-    def _contains(self, x: np.ndarray, xx: float) -> bool:
-        """Membership of a finite point of the body's dimension with xx = x.dot(x)."""
-        raise NotImplementedError
+        if not _is_finite(x, xx):
+            return False
+        e1 = np.zeros(self.n)
+        e1[0] = 1.0
+        return self._chord_impl(x, e1, xx) is not None
 
     def chord(self, x, d) -> tuple[float, float]:
         """Maximal interval [t_lo, t_hi] with x + t*d inside for all t.
@@ -121,27 +126,26 @@ class Body:
     def _chord_impl(self, x: np.ndarray, d: np.ndarray, xx: float) -> tuple[float, float] | None:
         """The chord through a finite x with xx = x.dot(x), or None when x lies outside.
 
-        Each body tests membership here, so the test's work serves the chord too.
+        The body's one containment test, which membership reads too.
         """
         raise NotImplementedError
 
 
-def _slab_chord(slack: list[float], coef: list[float]) -> tuple[float, float]:
-    """Maximal interval of t with coef * t <= slack in every row.
+def _slab_chord(slack: list[float], rate: list[float]) -> tuple[float, float]:
+    """Maximal interval of t with slack + rate * t >= 0 in every row.
 
-    The chord kernel of the simplex and the H-polytope (the cube takes its
-    2n rows in one pass of its own).  A loop over Python
-    floats beats numpy's masked reductions at these row counts, so the
-    rows come as Python sequences.
+    The chord kernel of the H-polytope (the cube takes its 2n rows in one
+    pass of its own).  A loop over Python floats beats numpy's masked
+    reductions at these row counts, so the rows come as Python sequences.
     """
     t_lo, t_hi = -math.inf, math.inf
-    for s, c in zip(slack, coef):
-        if c > 0.0:
-            t = s / c
+    for s, r in zip(slack, rate):
+        if r < 0.0:
+            t = s / -r
             if t < t_hi:
                 t_hi = t
-        elif c < 0.0:
-            t = s / c
+        elif r > 0.0:
+            t = s / -r
             if t > t_lo:
                 t_lo = t
     if not (math.isfinite(t_lo) and math.isfinite(t_hi)):
@@ -169,15 +173,12 @@ class Cube(Body):
             raise ValueError("cube needs positive halfwidth and dimension")
         if not math.isfinite(self.halfwidth):
             raise ValueError("cube halfwidth must be finite")
-        # The membership bound on each |x_i|, which _contains and _chord_impl both test.
+        # The membership bound on each |x_i|, which _chord_impl tests.
         object.__setattr__(self, "_limit", float(self.halfwidth + MEMBERSHIP_TOL * max(1.0, self.halfwidth)))
 
-    def _contains(self, x, xx):
-        return bool(max(map(abs, x.tolist())) <= self._limit)
-
     def _chord_impl(self, x, d, xx):
-        # _contains's bound on each |v| and _slab_chord's rows (a - v, c) and (a + v, -c), in one
-        # pass with the same comparisons and divisions: the same verdict and bounds, bit for bit.
+        # The bound on each |v| and _slab_chord's rows (a - v, -c) and (a + v, c), in one pass
+        # with the same comparisons and divisions: the same bounds, bit for bit.
         a, lim = float(self.halfwidth), self._limit
         t_lo, t_hi = -math.inf, math.inf
         for v, c in zip(x.tolist(), d.tolist()):
@@ -216,53 +217,18 @@ class Ball(Body):
             raise ValueError("ball radius must be finite")
         _fix_ball_bounds(self, self.radius)
 
-    def _contains(self, x, xx):
-        return math.sqrt(xx) <= self._limit
-
     def _chord_impl(self, x, d, xx):
         return _sphere_chord(x, d, self._radius_sq, xx) if math.sqrt(xx) <= self._limit else None
 
 
 @dataclass(frozen=True)
-class Simplex(Body):
-    """Simplex given by its n+1 vertices (rows)."""
-
-    vertices: np.ndarray
-    n: int = field(init=False)
-
-    def __post_init__(self):
-        v = _frozen(self.vertices, "simplex vertices")
-        if v.ndim != 2 or v.shape[0] != v.shape[1] + 1:
-            raise ValueError(f"simplex needs n+1 vertices in dimension n, got shape {v.shape}")
-        object.__setattr__(self, "vertices", v)
-        object.__setattr__(self, "n", v.shape[1])
-        # Barycentric solve: [V^T; 1] lam = [x; 1].
-        m = np.vstack([v.T, np.ones(self.n + 1)])
-        try:
-            object.__setattr__(self, "_bary_inv", np.linalg.inv(m))
-        except np.linalg.LinAlgError as exc:
-            raise ValueError("degenerate simplex vertices") from exc
-        if np.min(self._barycentric(np.zeros(self.n))) <= 0.0:
-            raise ValueError("simplex must contain the origin strictly inside")
-
-    def _barycentric(self, x: np.ndarray) -> np.ndarray:
-        return self._bary_inv @ np.concatenate((x, _ONE))
-
-    def _contains(self, x, xx):
-        return min(self._barycentric(x).tolist()) >= -MEMBERSHIP_TOL
-
-    def _chord_impl(self, x, d, xx):
-        # Barycentric coordinates along the line are lam + t * mu >= 0; x is inside when lam >= 0.
-        lam = self._barycentric(x).tolist()
-        if not min(lam) >= -MEMBERSHIP_TOL:
-            return None
-        mu = self._bary_inv @ np.concatenate((d, _ZERO))
-        return _slab_chord(lam, [-c for c in mu.tolist()])
-
-
-@dataclass(frozen=True)
 class HPolytope(Body):
-    """Polytope {x : rows @ x <= offsets}, one inequality per row."""
+    """Polytope {x : rows @ x <= offsets}, one inequality per row.
+
+    Explicit polytope data need not be centered or bounded; a chord query
+    whose chord is unbounded raises, and membership asks for the chord
+    along the first axis, so it may raise too.
+    """
 
     rows: np.ndarray
     offsets: np.ndarray
@@ -275,20 +241,45 @@ class HPolytope(Body):
             raise ValueError("need matching inequality rows and offsets")
         if a.size == 0:
             raise ValueError("polytope needs at least one inequality and one coordinate")
-        # Unlike the canonical families, explicit polytope data may be
-        # non-centered; boundedness is enforced lazily by chord queries.
         object.__setattr__(self, "rows", a)
         object.__setattr__(self, "offsets", b)
         object.__setattr__(self, "n", a.shape[1])
-
-    def _contains(self, x, xx):
-        scale = 1.0 + float(np.max(np.abs(self.offsets)))
-        return bool(np.max(self.rows @ x - self.offsets) <= MEMBERSHIP_TOL * scale)
+        # [-rows | offsets]: its product with (x, 1) is a point's slacks, with (d, 0) their rates.
+        object.__setattr__(self, "_slacks", np.hstack((-a, b[:, None])))
+        object.__setattr__(self, "_tol", float(MEMBERSHIP_TOL * max(1.0, float(np.max(np.abs(b))))))
 
     def _chord_impl(self, x, d, xx):
-        if not self._contains(x, xx):
+        slack = (self._slacks @ np.concatenate((x, _ONE))).tolist()
+        if not min(slack) >= -self._tol:
             return None
-        return _slab_chord((self.offsets - self.rows @ x).tolist(), (self.rows @ d).tolist())
+        return _slab_chord(slack, (self._slacks @ np.concatenate((d, _ZERO))).tolist())
+
+
+@dataclass(frozen=True)
+class Simplex(HPolytope):
+    """Simplex given by its n+1 vertices (rows): the polytope of nonnegative barycentric coordinates."""
+
+    rows: np.ndarray = field(init=False, repr=False)
+    offsets: np.ndarray = field(init=False, repr=False)
+    vertices: np.ndarray
+
+    def __post_init__(self):
+        v = _frozen(self.vertices, "simplex vertices")
+        if v.ndim != 2 or v.shape[0] != v.shape[1] + 1:
+            raise ValueError(f"simplex needs n+1 vertices in dimension n, got shape {v.shape}")
+        object.__setattr__(self, "vertices", v)
+        n = v.shape[1]
+        # B = inv([V^T; 1]) takes (x, 1) to x's barycentric coordinates, the slacks of
+        # rows -B[:, :n] and offsets B[:, n] (those of the origin).
+        try:
+            bary = np.linalg.inv(np.vstack([v.T, np.ones(n + 1)]))
+        except np.linalg.LinAlgError as exc:
+            raise ValueError("degenerate simplex vertices") from exc
+        object.__setattr__(self, "rows", -bary[:, :n])
+        object.__setattr__(self, "offsets", bary[:, n])
+        super().__post_init__()
+        if np.min(self.offsets) <= 0.0:
+            raise ValueError("simplex must contain the origin strictly inside")
 
 
 @dataclass(frozen=True)
@@ -306,9 +297,6 @@ class Truncated(Body):
             raise ValueError("truncation radius must be finite")
         object.__setattr__(self, "n", self.base.n)
         _fix_ball_bounds(self, self.radius)
-
-    def _contains(self, x, xx):
-        return math.sqrt(xx) <= self._limit and self.base._contains(x, xx)
 
     def _chord_impl(self, x, d, xx):
         # Body.chord has checked x and d once, so the private oracles compose

@@ -52,6 +52,9 @@ FIXTURE_CHOICES = ("cross-polytope", "cube-vertices", "simplex")
 # The most float entries, M * n, that one row may draw.  Streamed, a larger M would run for
 # hours or until killed; the largest shipped or benchmark row draws 306,763 x 16, about 2^22.
 MAX_ROW_ENTRIES = 1 << 32
+# The most trials a bernoulli row may run; a symmetrize row loops once per trial in Python.
+# Shipped and benchmark configs run at most 400.
+MAX_TRIALS = 1 << 16
 
 
 class ConfigError(ValueError):
@@ -89,14 +92,23 @@ class ExperimentConfig:
             raise ConfigError("n must be >= 1")
         if not self.m_grid:
             raise ConfigError("m_grid must be nonempty")
-        # The largest M a row of this n may draw; only the counts the kind reads are held to it.
-        cap = MAX_ROW_ENTRIES // self.n
+        if not 1 <= self.trials <= MAX_TRIALS:
+            raise ConfigError(f"trials must lie in [1, {MAX_TRIALS}]")
+        if self.max_attempts < 1 or self.workers < 1:
+            raise ConfigError("max_attempts and workers must be >= 1")
+        # The largest M a row may draw; only the counts the kind reads are held to it.  A row
+        # draws M x n points, and a ratio row trials x M signs, a symmetrize row trials batches.
+        per_m = self.n
+        if self.kind == "bernoulli":
+            per_m = max(self.n, self.trials) if self.mode == "ratio" else self.n * self.trials
+        cap = MAX_ROW_ENTRIES // per_m
+        at = f"n = {self.n}" + (f" and trials = {self.trials}" if self.kind == "bernoulli" else "")
         grid_cap = cap if self.kind == "sweep" or (self.kind == "bernoulli" and self.mode == "ratio") else math.inf
         if not all(3 <= m <= grid_cap for m in self.m_grid) or len(set(self.m_grid)) != len(self.m_grid):
-            raise ConfigError(f"m_grid entries must be distinct and lie in [3, {cap}] at n = {self.n}")
+            raise ConfigError(f"m_grid entries must be distinct and lie in [3, {cap}] at {at}")
         m_cap = cap if self.kind == "whiten" or (self.kind == "bernoulli" and self.mode == "symmetrize") else math.inf
         if not 1 <= self.m <= m_cap:
-            raise ConfigError(f"m must lie in [1, {cap}] at n = {self.n}")
+            raise ConfigError(f"m must lie in [1, {cap}] at {at}")
         if not self.seeds:
             raise ConfigError("seeds must be nonempty")
         if len(set(self.seeds)) != len(self.seeds):
@@ -105,8 +117,6 @@ class ExperimentConfig:
             raise ConfigError("eps must lie in (0, 1)")
         if not all(math.isfinite(v) and v > 0.0 for v in (self.r, self.c, self.c0)):
             raise ConfigError("r, c and c0 must be positive and finite")
-        if self.trials < 1 or self.max_attempts < 1 or self.workers < 1:
-            raise ConfigError("trials, max_attempts and workers must be >= 1")
         if self.mode not in ("ratio", "symmetrize"):
             raise ConfigError(f"unknown bernoulli mode {self.mode!r}")
         base, _, sub = self.sampler.partition(":")

@@ -104,3 +104,21 @@ def test_no_assert_statements():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def test_bodies_decide_containment_in_their_chord_alone():
+    # Each body states its containment test once, in _chord_impl; membership and chord are
+    # Body's alone, so the bench tracer's wrapper on the classes that define membership
+    # (bench/tracer.py) covers every body.
+    geometry = importlib.import_module("isotropy.geometry")
+    bodies = [c for c in vars(geometry).values() if isinstance(c, type) and issubclass(c, geometry.Body)]
+    for name in ("membership", "chord"):
+        assert [c.__name__ for c in bodies if name in vars(c)] == ["Body"], name
+    defining = [
+        f"{path.name}:{node.name}"
+        for path, tree in zip(MODULES, TREES)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef)
+        and any(isinstance(f, ast.FunctionDef) and f.name == "_contains" for f in node.body)
+    ]
+    assert defining == []

@@ -92,9 +92,12 @@ class TestChord:
             Ball(radius=1.0, n=2).chord(np.zeros(2), np.array([1.0, 1.0]))
 
     def test_unbounded_polytope_rejected(self):
+        # Membership asks for the chord along the first axis, so it raises too.
         half_space = HPolytope(rows=np.array([[1.0, 0.0]]), offsets=np.array([1.0]))
         with pytest.raises(ValueError, match="chord is unbounded"):
             half_space.chord(np.zeros(2), E1)
+        with pytest.raises(ValueError, match="chord is unbounded"):
+            half_space.membership(np.zeros(2))
 
     @pytest.mark.parametrize("make_body", CHORD_BODIES)
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -136,10 +139,10 @@ class TestChord:
 class TestCubeChord:
     @staticmethod
     def slab_chord(cube, x, d):
-        """The cube's chord through the shared kernel: rows a - x, a + x against d, -d."""
+        """The cube's chord through the shared kernel: slacks a - x, a + x at rates -d, d."""
         a = float(cube.halfwidth)
         xs, ds = x.tolist(), d.tolist()
-        return _slab_chord([a - v for v in xs] + [a + v for v in xs], ds + [-v for v in ds])
+        return _slab_chord([a - v for v in xs] + [a + v for v in xs], [-v for v in ds] + ds)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 16])
     def test_one_pass_equals_the_slab_kernel_bit_for_bit(self, n):
@@ -173,7 +176,7 @@ class TestCubeChord:
                     x[i] = v
                     d = rng.standard_normal(n)
                     d /= np.linalg.norm(d)
-                    assert cube._contains(x, float(x.dot(x))), (a, x)
+                    assert cube.membership(x), (a, x)
                     got = cube._chord_impl(x, d, float(x.dot(x)))
                     assert [t.hex() for t in got] == [t.hex() for t in self.slab_chord(cube, x, d)], (a, x, d)
 
@@ -182,22 +185,71 @@ class TestCubeChord:
         d = np.array([0.6, 0.0, -0.8])
         for x in (np.array([0.0, 1.01, 0.0]), np.array([-1.5, 0.2, 0.3]), np.array([2.0, 2.0, 2.0])):
             assert cube._chord_impl(x, d, float(x.dot(x))) is None
-        # One ulp past the tolerance's edge is outside; around the cube, _chord_impl finds
-        # no chord exactly where _contains is False.
-        rng = random_stream(47, 0)
+        # One ulp past the tolerance's edge is neither a member nor has a chord.
         for a in (math.sqrt(3.0), 1.0, 0.5):
             cube = Cube(halfwidth=a, n=3)
             past = math.nextafter(a + MEMBERSHIP_TOL * max(1.0, a), math.inf)
             for i, v in itertools.product(range(3), (past, -past)):
                 x = np.zeros(3)
                 x[i] = v
-                assert not cube._contains(x, v * v) and cube._chord_impl(x, d, v * v) is None, (a, x)
-            inside = 0
-            for x in rng.uniform(-1.5 * a, 1.5 * a, (200, 3)):
-                contained = cube._contains(x, float(x.dot(x)))
-                assert (cube._chord_impl(x, d, float(x.dot(x))) is None) == (not contained), (a, x)
-                inside += contained
-            assert 20 < inside < 180
+                assert not cube.membership(x) and cube._chord_impl(x, d, v * v) is None, (a, x)
+
+
+class TestContainment:
+    @pytest.mark.parametrize("make_body", CHORD_BODIES)
+    def test_membership_is_having_a_chord(self, make_body):
+        # Each body tests containment once, in its chord oracle: in every direction a point
+        # has a chord exactly when it is a member.  The box reaches 1.25 times the body's
+        # farthest axis chord from the origin, so it holds points inside and outside.
+        body = make_body()
+        reach = max(max(-lo, hi) for lo, hi in (body.chord(np.zeros(3), e) for e in np.eye(3)))
+        rng = random_stream(47, 1)
+        dirs = rng.standard_normal((3, 3))
+        dirs /= np.linalg.norm(dirs, axis=1)[:, None]
+        inside = 0
+        for x in rng.uniform(-1.25 * reach, 1.25 * reach, (200, 3)):
+            member = body.membership(x)
+            for d in dirs:
+                assert (body._chord_impl(x, d, float(x.dot(x))) is not None) == member, (x, d)
+            inside += member
+        assert 0 < inside < 200
+
+    @pytest.mark.parametrize("offset", [0.5, 1.0, 2.0])
+    def test_polytope_edge_is_fixed_at_construction(self, offset):
+        # The slack bound is MEMBERSHIP_TOL * max(1, max |offsets|): absolute below offset 1,
+        # relative above it.  The face x2 <= 0 has offset 0, so a point's slack on it is
+        # exactly -x2.  At x2 = tol the point is a member with a chord; one ulp past it is neither.
+        body = HPolytope(
+            rows=np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]]),
+            offsets=np.array([offset, offset, 0.0, offset]),
+        )
+        tol = MEMBERSHIP_TOL * max(1.0, offset)
+        d = np.array([0.6, -0.8])
+        x = np.array([0.0, tol])
+        assert body.membership(x)
+        t_lo, t_hi = body.chord(x, d)
+        assert t_lo <= 0.0 <= t_hi
+        x = np.array([0.0, math.nextafter(tol, math.inf)])
+        assert not body.membership(x)
+        with pytest.raises(ValueError, match="chord base point lies outside the body"):
+            body.chord(x, d)
+
+    @pytest.mark.parametrize("n", [1, 3, 8])
+    def test_simplex_is_the_polytope_of_its_barycentric_coordinates(self, n):
+        body = isotropic_normalization("simplex", n)
+        v = body.vertices
+        system = np.vstack([v.T, np.ones(n + 1)])
+        assert body._slacks.tobytes() == np.linalg.inv(system).tobytes()
+        rng = random_stream(53, n)
+        for x in direct_draws(body, 20, rng):
+            xh = np.concatenate((x, [1.0]))
+            assert np.allclose(body._slacks @ xh, np.linalg.solve(system, xh), rtol=0.0, atol=1e-12)
+        # Its offsets, the origin's coordinates, are 1 / (n + 1), so its slack bound stays the
+        # absolute 1e-9: past vertex k at (1 + s) v_k the other coordinates are -s / (n + 1).
+        assert body._tol == MEMBERSHIP_TOL
+        for k in range(n + 1):
+            assert body.membership((1.0 + 0.9e-9 * (n + 1)) * v[k]), k
+            assert not body.membership((1.0 + 1.1e-9 * (n + 1)) * v[k]), k
 
 
 class TestIsotropicNormalization:

@@ -215,17 +215,33 @@ class TestConfigParsing:
         cap = harness.MAX_ROW_ENTRIES // 2
         assert parse_config(f"kind=whiten\nn=2\nm={cap}\ndistortion=1,1\n").m == cap
         assert parse_config(f"kind=sweep\nn=2\nm_grid=3,{cap}\n").m_grid == [3, cap]
-        assert parse_config(f"kind=bernoulli\nmode=symmetrize\nn=2\nm={cap}\n").m == cap
+        assert parse_config(f"kind=bernoulli\nmode=symmetrize\nn=2\nm={cap}\ntrials=1\n").m == cap
         with pytest.raises(ConfigError, match="^m must lie in "):
             parse_config(f"kind=whiten\nn=2\nm={cap + 1}\ndistortion=1,1\n")
         with pytest.raises(ConfigError, match="^m_grid entries must "):
             parse_config(f"kind=sweep\nn=2\nm_grid=3,{cap + 1}\n")
         with pytest.raises(ConfigError, match="^m must lie in "):
-            parse_config(f"kind=bernoulli\nmode=symmetrize\nn=2\nm={cap + 1}\n")
+            parse_config(f"kind=bernoulli\nmode=symmetrize\nn=2\nm={cap + 1}\ntrials=1\n")
         # The bound scales with n: (2^32 / 16) x 16 fits, one more row does not.
         assert parse_config(f"kind=whiten\nn=16\nm={2**28}\ndistortion={','.join(['1'] * 16)}\n").m == 2**28
         with pytest.raises(ConfigError, match="^m must lie in "):
             parse_config(f"kind=whiten\nn=16\nm={2**28 + 1}\ndistortion={','.join(['1'] * 16)}\n")
+
+    def test_trials_and_what_they_draw_are_bounded(self):
+        # At most MAX_TRIALS = 2^16 trials.  A symmetrize row draws a fresh M x n batch per
+        # trial, trials * M * n <= 2^32; a ratio row draws trials * M signs, each at most 2^32.
+        top = harness.MAX_TRIALS
+        assert parse_config(f"kind=bernoulli\ntrials={top}\nm_grid=3\n").trials == top
+        with pytest.raises(ConfigError, match=f"^trials must lie in \\[1, {top}\\]$"):
+            parse_config(f"kind=bernoulli\ntrials={top + 1}\nm_grid=3\n")
+        cap = harness.MAX_ROW_ENTRIES // (4 * 1000)
+        assert parse_config(f"kind=bernoulli\nmode=symmetrize\nn=4\nm={cap}\ntrials=1000\n").m == cap
+        with pytest.raises(ConfigError, match=f"^m must lie in \\[1, {cap}\\] at n = 4 and trials = 1000$"):
+            parse_config(f"kind=bernoulli\nmode=symmetrize\nn=4\nm={cap + 1}\ntrials=1000\n")
+        cap = harness.MAX_ROW_ENTRIES // top
+        assert parse_config(f"kind=bernoulli\nn=4\nm_grid=3,{cap}\ntrials={top}\n").m_grid == [3, cap]
+        with pytest.raises(ConfigError, match=f"^m_grid entries must be distinct and lie in \\[3, {cap}\\]"):
+            parse_config(f"kind=bernoulli\nn=4\nm_grid=3,{cap + 1}\ntrials={top}\n")
 
     @pytest.mark.parametrize(
         "text",
@@ -671,8 +687,10 @@ class TestCli:
             ("john-sparsify", "fixture=cross-polytope\nn=8\neps=1e-150\nseeds=0\n"),
             # The rule's M is at least n + 1, so M * n passes 2^32 long before a fixture is too large to build.
             ("john-sparsify", "fixture=cross-polytope\nn=10000000\nseeds=0\n"),
+            # Two (trials, n, n) stacks and one Python loop per trial: about 6 minutes at 2^24.
+            ("bernoulli", f"mode=symmetrize\nn=2\nm=3\ntrials={2**24}\nseeds=0\n"),
         ],
-        ids=["whiten", "whiten-2^62", "sweep", "truncated", "john-sparsify", "john-sparsify-n-10^7"],
+        ids=["whiten", "whiten-2^62", "sweep", "truncated", "john-sparsify", "john-sparsify-n-10^7", "symmetrize-2^24"],
     )
     def test_huge_sample_count_exits_two(self, tmp_path, command, text):
         # A whiten M of 2^70, or of 2^62 (which numpy can index), streamed its draws until
@@ -744,7 +762,8 @@ class TestCli:
             ("sweep", "sampler=simplex\nn=10000000\nm_grid=3\nseeds=0\n", "error: Unable to allocate"),
             (
                 "bernoulli",
-                "mode=symmetrize\nsampler=john:cross-polytope\nn=10000000\nm=3\nseeds=0\n",
+                # One trial keeps trials * M * n = 3e7 under the row bound, so the config validates.
+                "mode=symmetrize\nsampler=john:cross-polytope\nn=10000000\nm=3\ntrials=1\nseeds=0\n",
                 "error: Unable to allocate",
             ),
         ],
