@@ -27,6 +27,7 @@ __all__ = [
 EXACT_ENUMERATION_CAP = 20
 DEFAULT_TRIALS = 1000
 _SIGN_ENTRIES = 1 << 16  # signs per chunk of a signed-sum GEMM: 768 KiB as int32 draw plus floats
+_STACK_ENTRIES = 1 << 19  # matrix entries per stack handed to operator_norm: 4 MiB of floats
 
 
 def _signs(rng: np.random.Generator, size) -> np.ndarray:
@@ -70,11 +71,12 @@ def _signed_sum_norms(y: np.ndarray, sign_rows, trials: int) -> np.ndarray:
     # BLAS rounds a one-row product (gemv) or one under about 2^20 multiply-adds (a small-matrix
     # kernel) unlike a larger GEMM, gemv (n = 1) rounds alike only by aligned groups of 4 rows, and
     # a threaded GEMM can round rows by how it splits them.  So a chunk is a multiple of 4 rows and
-    # about _SIGN_ENTRIES signs but at most 2^19 sum entries, never under 2^20 multiply-adds, and
-    # the last chunk takes the remainder: each row of sums has the bits of one whole GEMM against
-    # ``design`` (checked with 1 and 2 OpenBLAS threads, not for every shape or build).
+    # about _SIGN_ENTRIES signs but at most _STACK_ENTRIES sum entries, never under 2^20
+    # multiply-adds, and the last chunk takes the remainder: each row of sums has the bits of one
+    # whole GEMM against ``design`` (checked with 1 and 2 OpenBLAS threads, not for every shape or
+    # build).
     floor = -(-(1 << 20) // (4 * design.size))
-    rows = 4 * max(floor, min(-(-_SIGN_ENTRIES // (4 * m)), (1 << 17) // (n * n)))
+    rows = 4 * max(floor, min(-(-_SIGN_ENTRIES // (4 * m)), _STACK_ENTRIES // (4 * n * n)))
     norms = np.empty(trials)
     a = 0
     while a < trials:
@@ -154,20 +156,26 @@ def symmetrization_check(draw, n: int, M: int, trials: int, rng: np.random.Gener
     lhs_t = |y^T y / M - id| and rhs_t = 2 |(eps * y)^T y / M|.  Returns both
     sides' means and standard errors and ``holds``: lhs <= rhs up to 3
     standard errors of the paired gaps lhs_t - rhs_t, the exact standard
-    error of lhs - rhs under the shared batch (no slack for one trial).
+    error of lhs - rhs under the shared batch (no slack for one trial).  The
+    matrices are stacked and reduced by block of about _STACK_ENTRIES entries.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     eye = np.eye(n)
-    lhs_mats = np.empty((trials, n, n))
-    rhs_mats = np.empty((trials, n, n))
-    for t in range(trials):
-        y = np.asarray(draw(M, rng), dtype=float)
-        lhs_mats[t] = (y.T @ y) / M - eye
-        eps = _signs(rng, M)
-        rhs_mats[t] = ((eps[:, None] * y).T @ y) / M
-    lhs_norms = operator_norm(lhs_mats)
-    rhs_norms = 2.0 * operator_norm(rhs_mats)
+    block = min(trials, max(1, _STACK_ENTRIES // (n * n)))
+    lhs_mats = np.empty((block, n, n))
+    rhs_mats = np.empty((block, n, n))
+    lhs_norms = np.empty(trials)
+    rhs_norms = np.empty(trials)
+    for a in range(0, trials, block):
+        b = min(trials, a + block)
+        for t in range(b - a):
+            y = np.asarray(draw(M, rng), dtype=float)
+            lhs_mats[t] = (y.T @ y) / M - eye
+            eps = _signs(rng, M)
+            rhs_mats[t] = ((eps[:, None] * y).T @ y) / M
+        lhs_norms[a:b] = operator_norm(lhs_mats[: b - a])
+        rhs_norms[a:b] = 2.0 * operator_norm(rhs_mats[: b - a])
 
     def se(values: np.ndarray) -> float:
         return float(np.std(values, ddof=1)) / math.sqrt(trials) if trials > 1 else 0.0

@@ -74,13 +74,6 @@ def _frozen(a, what: str) -> np.ndarray:
     return a
 
 
-def _fix_ball_bounds(body, radius: float) -> None:
-    """Store the bounds a centered ball of the given radius tests, once: ``_limit`` on |x|
-    (membership: |x| <= _limit) and the squared radius ``_radius_sq`` of its chord."""
-    object.__setattr__(body, "_limit", float(radius + MEMBERSHIP_TOL * max(1.0, radius)))
-    object.__setattr__(body, "_radius_sq", float(radius**2))
-
-
 class Body:
     """Bounded convex body with the origin strictly inside.
 
@@ -153,14 +146,6 @@ def _slab_chord(slack: list[float], rate: list[float]) -> tuple[float, float]:
     return t_lo, t_hi
 
 
-def _sphere_chord(x: np.ndarray, d: np.ndarray, radius_sq: float, xx: float) -> tuple[float, float]:
-    """Chord of the centered ball of squared radius radius_sq through x (xx = x.dot(x)) along unit d."""
-    b = float(x.dot(d))
-    disc = b * b - (xx - radius_sq)
-    root = math.sqrt(disc) if disc > 0.0 else 0.0
-    return -b - root, -b + root
-
-
 @dataclass(frozen=True)
 class Cube(Body):
     """Axis-aligned cube [-halfwidth, halfwidth]^n."""
@@ -215,10 +200,17 @@ class Ball(Body):
             raise ValueError("ball needs positive radius and dimension")
         if not math.isfinite(self.radius):
             raise ValueError("ball radius must be finite")
-        _fix_ball_bounds(self, self.radius)
+        # The membership bound on |x| and the sphere chord's squared radius, which _chord_impl tests.
+        object.__setattr__(self, "_limit", float(self.radius + MEMBERSHIP_TOL * max(1.0, self.radius)))
+        object.__setattr__(self, "_radius_sq", float(self.radius**2))
 
     def _chord_impl(self, x, d, xx):
-        return _sphere_chord(x, d, self._radius_sq, xx) if math.sqrt(xx) <= self._limit else None
+        if not math.sqrt(xx) <= self._limit:
+            return None
+        b = float(x.dot(d))
+        disc = b * b - (xx - self._radius_sq)
+        root = math.sqrt(disc) if disc > 0.0 else 0.0
+        return -b - root, -b + root
 
 
 @dataclass(frozen=True)
@@ -296,18 +288,16 @@ class Truncated(Body):
         if not math.isfinite(self.radius):
             raise ValueError("truncation radius must be finite")
         object.__setattr__(self, "n", self.base.n)
-        _fix_ball_bounds(self, self.radius)
+        object.__setattr__(self, "_ball", Ball(radius=self.radius, n=self.n))
 
     def _chord_impl(self, x, d, xx):
         # Body.chord has checked x and d once, so the private oracles compose
-        # directly; the base chord tests base membership.
-        if not math.sqrt(xx) <= self._limit:
-            return None
-        base = self.base._chord_impl(x, d, xx)
+        # directly; each chord tests its own body's containment.
+        ball = self._ball._chord_impl(x, d, xx)
+        base = None if ball is None else self.base._chord_impl(x, d, xx)
         if base is None:
             return None
-        lo_s, hi_s = _sphere_chord(x, d, self._radius_sq, xx)
-        return max(base[0], lo_s), min(base[1], hi_s)
+        return max(base[0], ball[0]), min(base[1], ball[1])
 
 
 def regular_simplex_vertices(n: int) -> np.ndarray:

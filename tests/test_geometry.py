@@ -426,6 +426,32 @@ class TestTruncated:
             with pytest.raises(ValueError, match="chord base point lies outside the body"):
                 body.chord(x, d)
 
+    @pytest.mark.parametrize(
+        "base, radius",
+        [(Cube(halfwidth=1.0, n=3), 1.3), (isotropic_normalization("simplex", 3), 2.0), (Ball(radius=1.0, n=3), 1.5)],
+        ids=["cube", "simplex", "ball"],
+    )
+    def test_chord_is_the_base_chord_cut_by_its_ball(self, base, radius):
+        # The truncated chord is the intersection of the base's chord and Ball(radius)'s, bit
+        # for bit, and there is none exactly when either body has none.
+        trunc, ball = Truncated(base=base, radius=radius), Ball(radius=radius, n=3)
+        rng = random_stream(59, 3)
+        dirs = rng.standard_normal((3, 3))
+        dirs /= np.linalg.norm(dirs, axis=1)[:, None]
+        seen = set()
+        for x in rng.uniform(-1.3 * radius, 1.3 * radius, (300, 3)):
+            xx = float(x.dot(x))
+            for d in dirs:
+                b, s = base._chord_impl(x, d, xx), ball._chord_impl(x, d, xx)
+                got = trunc._chord_impl(x, d, xx)
+                if b is None or s is None:
+                    assert got is None, (x, d)
+                else:
+                    assert np.array(got).tobytes() == np.array((max(b[0], s[0]), min(b[1], s[1]))).tobytes()
+                seen.add((b is None, s is None))
+        # Inside both, outside the base only, and outside the radius all occur.
+        assert {(False, False), (True, False)} <= seen and any(s for _, s in seen)
+
     def test_chord_from_inside_the_radius_but_outside_the_base(self):
         trunc = Truncated(base=Cube(halfwidth=1.0, n=2), radius=5.0)
         with pytest.raises(ValueError, match="chord base point lies outside the body"):

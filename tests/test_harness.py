@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import hashlib
 import json
 import math
@@ -10,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from isotropy import bernoulli as brn
 from isotropy import cli, harness
 from isotropy import johnsparse as jsp
 from isotropy import moments as mom
@@ -122,6 +124,13 @@ class TestConfigParsing:
         cfg = parse_config(SWEEP_TEXT)
         assert cfg.kind == "sweep" and cfg.n == 4
         assert cfg.m_grid == [64, 256] and cfg.seeds == [0, 1, 2]
+
+    def test_readme_config_block_names_every_field_in_order(self):
+        # The first code block under README's "## Config format" heading shows one key per line.
+        readme = (CONFIG_DIR.parent / "README.md").read_text(encoding="utf-8")
+        block = readme.split("\n## Config format\n", 1)[1].split("```\n", 2)[1]
+        keys = [line.split("=", 1)[0] for line in block.splitlines()]
+        assert keys == [f.name for f in dataclasses.fields(ExperimentConfig)]
 
     def test_kind_from_subcommand(self):
         cfg = parse_config("n=4\nm_grid=8\nseeds=0\n", kind="sweep")
@@ -536,6 +545,22 @@ class TestRunBernoulli:
         res = run_experiment(cfg)
         assert res.header == COLUMNS["symmetrize"]
         assert all(r["holds"] for r in res.rows)
+
+    def test_symmetrize_row_holds_one_block_of_matrices(self, traced_peak_mb):
+        # Two whole (trials, n, n) stacks and operator_norm's symmetry check on one of them
+        # peaked at 48.8 MiB here; blocks of 2^19 / n^2 = 128 trials peak at 12.8 MiB.
+        cfg = parse_config("kind=bernoulli\nmode=symmetrize\nsampler=cube\nn=64\nm=3\ntrials=512\nseeds=0\n")
+        assert traced_peak_mb(lambda: run_experiment(cfg)) < 20
+
+    @pytest.mark.parametrize("stack_entries", [16, 7 * 16])
+    def test_symmetrize_blocks_keep_the_row_bytes(self, monkeypatch, stack_entries):
+        # At n = 4 the default block holds all 100 trials; blocks of 1 or 7 trials (the last one
+        # short) draw and reduce the same matrices in the same order.
+        cfg = parse_config("kind=bernoulli\nmode=symmetrize\nsampler=cube\nn=4\nm=16\ntrials=100\nseeds=0,1\n")
+        whole = run_experiment(cfg)
+        monkeypatch.setattr(brn, "_STACK_ENTRIES", stack_entries)
+        blocked = run_experiment(cfg)
+        assert render_csv(blocked.header, blocked.rows) == render_csv(whole.header, whole.rows)
 
 
 class TestRunCheck:
