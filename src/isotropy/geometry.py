@@ -37,24 +37,21 @@ MEMBERSHIP_TOL = 1e-9
 CUBE_VERTEX_DIM_CAP = 20
 
 
-# Appended to a point (1) or a direction (0) to take a polytope's slacks or their rates in one product.
-_ONE = np.ones(1)
-_ZERO = np.zeros(1)
-
-
-def _as_point(x, n: int) -> np.ndarray:
+def _rows(x, n: int) -> np.ndarray:
+    """x as a float (K, n) array of rows; one point of shape (n,) is one row."""
     x = np.asarray(x, dtype=float)
-    if x.shape != (n,):
+    if x.shape[-1:] != (n,) or x.ndim > 2:
         raise ValueError(f"point of dimension {x.shape} does not match body dimension {n}")
-    return x
+    return x.reshape(-1, n)
 
 
-def _is_finite(x: np.ndarray, xx: float) -> bool:
-    """Whether every entry of x is finite, given xx = x.dot(x) or x.sum().
+def _is_finite(x: np.ndarray, xx: np.ndarray) -> np.ndarray:
+    """Whether each row of the (K, n) x is finite, given xx, its squared norms.
 
-    Either is finite whenever x is, unless it overflows; the full test settles that case.
+    A norm is finite whenever its row is, unless it overflows; the full test settles that case.
     """
-    return math.isfinite(xx) or bool(np.isfinite(x).all())
+    finite = np.isfinite(xx)
+    return finite if finite.all() else np.isfinite(x).all(axis=1)
 
 
 def _frozen(a, what: str) -> np.ndarray:
@@ -63,12 +60,12 @@ def _frozen(a, what: str) -> np.ndarray:
     Other input (lists, other dtypes) is converted once.  After this the
     owner and the caller share one read-only array.  The sum tests
     finiteness without a mask; when a huge finite array overflows it (under
-    the harness's over="raise" too), _is_finite runs the full test.
+    the harness's over="raise" too), the full test settles it.
     """
     a = np.asarray(a, dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):
         total = float(a.sum())
-    if not _is_finite(a, total):
+    if not (math.isfinite(total) or np.isfinite(a).all()):
         raise ValueError(f"{what} must be finite")
     a.setflags(write=False)
     return a
@@ -80,70 +77,74 @@ class Body:
     Each body states its containment test once, in its private chord oracle:
     ``membership`` asks for the chord along the first axis and reads whether
     there is one.  A bounded body has a finite chord in every direction.
+    Both oracles take one point of shape (n,) or K points as the rows of a
+    (K, n) array, and answer each row as they would that point alone, bit for bit.
     """
 
     n: int
 
-    def membership(self, x) -> bool:
-        """Whether x lies in the body; a non-finite point never does."""
-        x = _as_point(x, self.n)
-        xx = float(x.dot(x))
-        if not _is_finite(x, xx):
-            return False
-        e1 = np.zeros(self.n)
-        e1[0] = 1.0
-        return self._chord_impl(x, e1, xx) is not None
+    def membership(self, x):
+        """Whether x lies in the body, a bool per point (a (K,) array for rows); a non-finite point never does."""
+        rows = _rows(x, self.n)
+        xx = np.einsum("ij,ij->i", rows, rows)
+        finite = _is_finite(rows, xx)
+        if not finite.all():  # the kernel sees a non-finite row as the origin, so it warns of nothing
+            rows, xx = np.where(finite[:, None], rows, 0.0), np.where(finite, xx, 0.0)
+        e1 = np.zeros_like(rows)
+        e1[:, 0] = 1.0
+        inside = self._bounded_chord(rows, e1, xx)[2] & finite
+        return bool(inside[0]) if np.ndim(x) == 1 else inside
 
-    def chord(self, x, d) -> tuple[float, float]:
+    def chord(self, x, d):
         """Maximal interval [t_lo, t_hi] with x + t*d inside for all t.
 
         Requires x finite and inside, and d a unit vector; the interval
-        brackets 0.
+        brackets 0.  One point and direction give two floats; (K, n) rows of
+        each give the K rows' bounds as two (K,) arrays.
         """
-        x = _as_point(x, self.n)
-        d = _as_point(d, self.n)
+        rows, dirs = _rows(x, self.n), _rows(d, self.n)
+        if rows.shape != dirs.shape:
+            raise ValueError("need one direction per point")
         # Written so that a NaN or infinite direction fails the test too.
-        if not abs(float(d.dot(d)) - 1.0) <= 2e-10:
+        if not (np.abs(np.einsum("ij,ij->i", dirs, dirs) - 1.0) <= 2e-10).all():
             raise ValueError("direction must be a finite unit vector")
-        xx = float(x.dot(x))
-        if not _is_finite(x, xx):
+        xx = np.einsum("ij,ij->i", rows, rows)
+        if not _is_finite(rows, xx).all():
             raise ValueError("chord base point must be finite")
-        chord = self._chord_impl(x, d, xx)
-        if chord is None:
+        lo, hi, inside = self._bounded_chord(rows, dirs, xx)
+        if not inside.all():
             raise ValueError("chord base point lies outside the body")
-        t_lo, t_hi = chord
         # Roundoff can push a bound marginally across 0 when x sits on the
         # boundary; the contract is t_lo <= 0 <= t_hi.
-        return min(t_lo, 0.0), max(t_hi, 0.0)
+        lo, hi = np.minimum(lo, 0.0), np.maximum(hi, 0.0)
+        return (float(lo[0]), float(hi[0])) if np.ndim(x) == 1 else (lo, hi)
 
-    def _chord_impl(self, x: np.ndarray, d: np.ndarray, xx: float) -> tuple[float, float] | None:
-        """The chord through a finite x with xx = x.dot(x), or None when x lies outside.
+    def _bounded_chord(self, x, d, xx):
+        """_chord_impl, which must give every row inside a finite chord."""
+        lo, hi, inside = self._chord_impl(x, d, xx)
+        if not np.all(np.isfinite(lo) & np.isfinite(hi), where=inside):
+            raise ValueError("chord is unbounded; body data must describe a bounded set")
+        return lo, hi, inside
+
+    def _chord_impl(self, x: np.ndarray, d: np.ndarray, xx: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Per row of the finite (K, n) x and unit d, with xx the rows' squared norms: the chord's
+        bounds (lo, hi) and whether x lies inside, which makes the bounds meaningful.
 
         The body's one containment test, which membership reads too.
         """
         raise NotImplementedError
 
 
-def _slab_chord(slack: list[float], rate: list[float]) -> tuple[float, float]:
-    """Maximal interval of t with slack + rate * t >= 0 in every row.
+def _slab_chord(slack: np.ndarray, rate: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per column of the (m, K) arrays, the maximal interval of t with slack + rate * t >= 0
+    in every row.  A row of rate 0 bounds nothing and is not divided.
 
-    The chord kernel of the H-polytope (the cube takes its 2n rows in one
-    pass of its own).  A loop over Python floats beats numpy's masked
-    reductions at these row counts, so the rows come as Python sequences.
+    The chord kernel of the H-polytope and of the cube's 2n slabs.  With one row per slab
+    and one column per point, each reduction over the slabs is an elementwise pass along
+    contiguous rows.
     """
-    t_lo, t_hi = -math.inf, math.inf
-    for s, r in zip(slack, rate):
-        if r < 0.0:
-            t = s / -r
-            if t < t_hi:
-                t_hi = t
-        elif r > 0.0:
-            t = s / -r
-            if t > t_lo:
-                t_lo = t
-    if not (math.isfinite(t_lo) and math.isfinite(t_hi)):
-        raise ValueError("chord is unbounded; body data must describe a bounded set")
-    return t_lo, t_hi
+    t = np.divide(slack, -rate, out=np.empty_like(slack), where=rate != 0.0)
+    return np.where(rate > 0.0, t, -np.inf).max(axis=0), np.where(rate < 0.0, t, np.inf).min(axis=0)
 
 
 @dataclass(frozen=True)
@@ -162,30 +163,11 @@ class Cube(Body):
         object.__setattr__(self, "_limit", float(self.halfwidth + MEMBERSHIP_TOL * max(1.0, self.halfwidth)))
 
     def _chord_impl(self, x, d, xx):
-        # The bound on each |v| and _slab_chord's rows (a - v, -c) and (a + v, c), in one pass
-        # with the same comparisons and divisions: the same bounds, bit for bit.
-        a, lim = float(self.halfwidth), self._limit
-        t_lo, t_hi = -math.inf, math.inf
-        for v, c in zip(x.tolist(), d.tolist()):
-            if not -lim <= v <= lim:
-                return None
-            if c > 0.0:
-                t = (a - v) / c
-                if t < t_hi:
-                    t_hi = t
-                t = (a + v) / -c
-                if t > t_lo:
-                    t_lo = t
-            elif c < 0.0:
-                t = (a - v) / c
-                if t > t_lo:
-                    t_lo = t
-                t = (a + v) / -c
-                if t < t_hi:
-                    t_hi = t
-        if not (math.isfinite(t_lo) and math.isfinite(t_hi)):
-            raise ValueError("chord is unbounded; body data must describe a bounded set")
-        return t_lo, t_hi
+        # The 2n slabs a - v >= -t r, for v, r = x_i, -d_i and -x_i, d_i; inside when each v is at
+        # most the limit.  Slab-major copies, so the reductions run across contiguous rows.
+        xt, dt = x.T.copy(), d.T.copy()
+        v = np.vstack((xt, -xt))
+        return *_slab_chord(self.halfwidth - v, np.vstack((-dt, dt))), v.max(axis=0) <= self._limit
 
 
 @dataclass(frozen=True)
@@ -205,12 +187,11 @@ class Ball(Body):
         object.__setattr__(self, "_radius_sq", float(self.radius**2))
 
     def _chord_impl(self, x, d, xx):
-        if not math.sqrt(xx) <= self._limit:
-            return None
-        b = float(x.dot(d))
-        disc = b * b - (xx - self._radius_sq)
-        root = math.sqrt(disc) if disc > 0.0 else 0.0
-        return -b - root, -b + root
+        b = np.einsum("ij,ij->i", x, d)
+        # Only a row far outside (|x| past about 1e154) overflows b * b, and its bounds go unread.
+        with np.errstate(over="ignore", invalid="ignore"):
+            root = np.sqrt(np.maximum(b * b - (xx - self._radius_sq), 0.0))
+        return -b - root, -b + root, np.sqrt(xx) <= self._limit
 
 
 @dataclass(frozen=True)
@@ -236,15 +217,16 @@ class HPolytope(Body):
         object.__setattr__(self, "rows", a)
         object.__setattr__(self, "offsets", b)
         object.__setattr__(self, "n", a.shape[1])
-        # [-rows | offsets]: its product with (x, 1) is a point's slacks, with (d, 0) their rates.
+        # [-rows | offsets]: a point's slacks are its product with (x, 1), a direction's rates with (d, 0).
         object.__setattr__(self, "_slacks", np.hstack((-a, b[:, None])))
         object.__setattr__(self, "_tol", float(MEMBERSHIP_TOL * max(1.0, float(np.max(np.abs(b))))))
 
     def _chord_impl(self, x, d, xx):
-        slack = (self._slacks @ np.concatenate((x, _ONE))).tolist()
-        if not min(slack) >= -self._tol:
-            return None
-        return _slab_chord(slack, (self._slacks @ np.concatenate((d, _ZERO))).tolist())
+        # Slacks and rates with one row per facet.  einsum, not matmul: BLAS may round a row of
+        # a product differently as the number of rows changes, and a row answers as its point alone.
+        rows = self._slacks[:, :-1]
+        slack = np.einsum("ij,kj->ki", x, rows) + self._slacks[:, -1:]
+        return *_slab_chord(slack, np.einsum("ij,kj->ki", d, rows)), slack.min(axis=0) >= -self._tol
 
 
 @dataclass(frozen=True)
@@ -293,11 +275,9 @@ class Truncated(Body):
     def _chord_impl(self, x, d, xx):
         # Body.chord has checked x and d once, so the private oracles compose
         # directly; each chord tests its own body's containment.
-        ball = self._ball._chord_impl(x, d, xx)
-        base = None if ball is None else self.base._chord_impl(x, d, xx)
-        if base is None:
-            return None
-        return max(base[0], ball[0]), min(base[1], ball[1])
+        b_lo, b_hi, b_in = self.base._chord_impl(x, d, xx)
+        s_lo, s_hi, s_in = self._ball._chord_impl(x, d, xx)
+        return np.maximum(b_lo, s_lo), np.minimum(b_hi, s_hi), b_in & s_in
 
 
 def regular_simplex_vertices(n: int) -> np.ndarray:

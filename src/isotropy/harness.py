@@ -542,8 +542,7 @@ def _check_sampler_support(rng: np.random.Generator) -> tuple[bool, str]:
         geo.isotropic_normalization("simplex", 3),
     ]
     for body in bodies:
-        pts = smp.direct_draws(body, 2000, rng)
-        if not all(body.membership(p) for p in pts):
+        if not body.membership(smp.direct_draws(body, 2000, rng)).all():
             return False, f"{type(body).__name__} emitted an outside point"
     return True, ""
 
@@ -620,11 +619,11 @@ def _check_truncated_membership(rng: np.random.Generator) -> tuple[bool, str]:
     base = geo.Cube(halfwidth=np.sqrt(3.0), n=4)
     trunc = geo.Truncated(base=base, radius=1.8)
     pts = rng.uniform(-2.2, 2.2, (500, 4))
-    for p in pts:
-        expect = base.membership(p) and np.linalg.norm(p) <= 1.8 + 1e-12
-        got = trunc.membership(p)
-        if got != expect and abs(np.linalg.norm(p) - 1.8) > 1e-9:
-            return False, f"disagreement at radius {np.linalg.norm(p):.6f}"
+    radii = np.linalg.norm(pts, axis=1)
+    expect = base.membership(pts) & (radii <= 1.8 + 1e-12)
+    wrong = np.flatnonzero((trunc.membership(pts) != expect) & (np.abs(radii - 1.8) > 1e-9))
+    if len(wrong):
+        return False, f"disagreement at radius {radii[wrong[0]]:.6f}"
     return True, ""
 
 
@@ -634,7 +633,7 @@ def _check_hit_and_run(rng: np.random.Generator) -> tuple[bool, str]:
     rows = np.vstack([rot.T, -rot.T])
     body = geo.HPolytope(rows=rows, offsets=np.ones(4))
     pts = smp.sample_hit_and_run(body, np.zeros(2), burn_in=100, thin=2, rng=rng, count=200)
-    return all(body.membership(p) for p in pts), ""
+    return bool(body.membership(pts).all()), ""
 
 
 def _check_log_moment(rng: np.random.Generator) -> tuple[bool, str]:

@@ -36,7 +36,8 @@ ACCEPTANCE_HARD_FLOOR = 1e-6
 _PILOT_STAGE_ENDS = (*(4096 << k for k in range(10)), 3_000_000)  # cumulative pilot draws: 4,096 doubled 9 times, then the cap
 _CHUNK_ROWS = 1 << 12  # rows per chunk of a streamed or pilot / rejection draw, so memory does not follow M
 _THIN_PER_DIM = 2  # the truncated chain emits every (2n)-th state
-_HITRUN_BLOCK = 1 << 10  # chain steps whose directions and uniforms are drawn together
+_HITRUN_BLOCK = 1 << 10  # direction rows (steps times chains) whose normals and uniforms are drawn together
+_CHAINS = 64  # hit-and-run chains stepped in lockstep, one batched chord call per step
 
 
 def random_stream(seed: int, stream: int) -> np.random.Generator:
@@ -113,41 +114,46 @@ def sample_hit_and_run(
     rng: np.random.Generator,
     count: int = 1,
 ) -> np.ndarray:
-    """Hit-and-run chain: uniform point on a uniformly random chord, repeated.
+    """Hit-and-run chains: uniform point on a uniformly random chord, repeated.
 
-    Discards ``burn_in`` steps, then emits every ``thin``-th state, ``count``
-    times.  Returns an array of shape (count, n).  The directions and chord
-    positions do not depend on the state, so the chain reads them by block of
-    at most 1,024 steps (_HITRUN_BLOCK): the block's (b, n) normals, then its b
-    uniforms, then, in row order, a fresh normal row for each row of squared
-    norm 0 until it is nonzero.  The rows are normalized as np.linalg.norm does;
-    each step makes one ``body.chord`` call and moves by ``(lo + (hi - lo) * u) * d``.
+    K = min(_CHAINS, count) chains step in lockstep; chain k starts at row k mod h of
+    ``x0``, one point (n,) or h rows (h, n).  Each discards ``burn_in`` steps, then emits
+    every ``thin``-th state: an array of shape (count, n) holding the K states of each
+    round in turn, trimmed to ``count``.  The directions and chord positions do not depend
+    on the states, so the chains read them by block of at most 1,024 rows (_HITRUN_BLOCK):
+    the block's (b, K, n) normals, then its (b, K) uniforms, then, in row order, a fresh
+    normal row for each row of squared norm 0 until it is nonzero.  The rows are normalized
+    as np.linalg.norm does; each step makes one ``body.chord`` call on the K states and
+    moves each by ``(lo + (hi - lo) * u) * d``.
     """
     if burn_in < 0 or thin < 1 or count < 1:
         raise ValueError("need burn_in >= 0, thin >= 1, count >= 1")
-    x = np.array(x0, dtype=float)  # a copy: the chain moves it in place
-    if not body.membership(x):
+    if not np.all(body.membership(x0)):
         raise ValueError("hit-and-run start point lies outside the body")
-    n = body.n
+    n, chains = body.n, min(_CHAINS, count)
+    starts = np.asarray(x0, dtype=float).reshape(-1, n)
+    x = starts[np.arange(chains) % len(starts)]  # a copy: the chains move it in place
     chord = body.chord
     out = np.empty((count, n))
-    step, end = -burn_in, thin * count
+    step, end = -burn_in, thin * -(-count // chains)
     while step < end:
-        b = min(_HITRUN_BLOCK, end - step)
-        dirs = rng.standard_normal((b, n))
-        uniforms = rng.random(b).tolist()
-        norms = np.linalg.norm(dirs, axis=1)
-        for k in np.flatnonzero(norms == 0.0).tolist():  # measure-zero guard
-            while norms[k] == 0.0:
-                dirs[k] = rng.standard_normal(n)
-                norms[k] = np.linalg.norm(dirs[k : k + 1], axis=1)[0]  # the block's row reduction
-        dirs /= norms[:, None]
+        b = min(_HITRUN_BLOCK // chains, end - step)
+        dirs = rng.standard_normal((b, chains, n))
+        uniforms = rng.random((b, chains))
+        norms = np.linalg.norm(dirs, axis=2)
+        rows, row_norms = dirs.reshape(-1, n), norms.reshape(-1)
+        for k in np.flatnonzero(row_norms == 0.0).tolist():  # measure-zero guard
+            while row_norms[k] == 0.0:
+                rows[k] = rng.standard_normal(n)
+                row_norms[k] = np.linalg.norm(rows[k : k + 1], axis=1)[0]  # the block's row reduction
+        dirs /= norms[..., None]
         for d, u in zip(dirs, uniforms):
             lo, hi = chord(x, d)
-            d *= lo + (hi - lo) * u
+            d *= (lo + (hi - lo) * u)[:, None]
             x += d
             if step >= 0 and step % thin == thin - 1:
-                out[step // thin] = x
+                row = step // thin * chains
+                out[row : row + chains] = x[: count - row]
             step += 1
     return out
 
@@ -161,8 +167,10 @@ class TruncatedSampler:
     raise ValueError.  The pilot's stages end at 4,096 rows doubled to 2,097,152,
     then at 3,000,000.  It stops at the first end whose hits settle the mode at 3
     sigma (see ``_pilot_acceptance``), else at the cap, where the estimate decides;
-    so a hit-and-run ``acceptance`` comes from 3 or more hits.  The chain starts at
-    the pilot's first hit, an exact uniform draw from the truncated body: no burn-in.
+    so a hit-and-run ``acceptance`` comes from 3 or more hits.  The lockstep chains
+    start at the pilot's first min(hits, _CHAINS) hits, cycled: each an exact uniform
+    draw from the truncated body, so every emitted state has the uniform law and there
+    is no burn-in.
     """
 
     def __init__(self, body: Body, R: float, rng: np.random.Generator):
@@ -172,7 +180,7 @@ class TruncatedSampler:
         self.rho = float(R) * np.sqrt(body.n)
         self.rng = rng
         self.truncated = Truncated(base=body, radius=self.rho)
-        self.acceptance, self._start = self._pilot_acceptance()
+        self.acceptance, self._starts = self._pilot_acceptance()
         if self.acceptance < ACCEPTANCE_HARD_FLOOR:
             raise ValueError(
                 f"truncation too aggressive: estimated acceptance {self.acceptance:.2e} "
@@ -180,16 +188,16 @@ class TruncatedSampler:
             )
         self.mode = "rejection" if self.acceptance >= REJECTION_MIN_ACCEPTANCE else "hit-and-run"
 
-    def _pilot_acceptance(self) -> tuple[float, np.ndarray | None]:
-        """The hit rate and first in-radius row (None without one) at the first stage end whose rule holds."""
+    def _pilot_acceptance(self) -> tuple[float, np.ndarray]:
+        """The hit rate and first min(hits, _CHAINS) in-radius rows at the first stage end whose rule holds."""
         draws = hits = 0
-        first = None
+        starts = np.empty((0, self.body.n))
         for end in _PILOT_STAGE_ENDS:
             while draws < end:
                 rows = min(_CHUNK_ROWS, end - draws)
                 inside = self._hits(rows)
-                if first is None and len(inside):
-                    first = inside[0].copy()
+                if len(starts) < _CHAINS:
+                    starts = np.concatenate((starts, inside[: _CHAINS - len(starts)]))
                 hits += len(inside)
                 draws += rows
             # Stop once the 3-sigma Poisson reading of the rate is wholly above the threshold with 50
@@ -197,7 +205,7 @@ class TruncatedSampler:
             spread, bar = 3.0 * math.sqrt(hits), REJECTION_MIN_ACCEPTANCE * draws
             if (hits >= 50 and hits - spread > bar) or (hits >= 3 and hits + spread < bar):
                 break
-        return hits / draws, first
+        return hits / draws, starts
 
     def _hits(self, rows: int) -> np.ndarray:
         """The rows x with |x| <= rho among the next ``rows`` <= _CHUNK_ROWS direct draws, in stream order,
@@ -219,7 +227,7 @@ class TruncatedSampler:
 
     def _chunks(self, m: int) -> Iterator[np.ndarray]:
         if self.mode == "hit-and-run":
-            yield sample_hit_and_run(self.truncated, self._start, 0, _THIN_PER_DIM * self.body.n, self.rng, count=m)
+            yield sample_hit_and_run(self.truncated, self._starts, 0, _THIN_PER_DIM * self.body.n, self.rng, count=m)
             return
         # The first m in-radius rows of the direct stream, in stream order.
         while m > 0:

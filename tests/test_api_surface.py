@@ -13,6 +13,7 @@ raises ``ValueError``.
 
 import ast
 import importlib
+import inspect
 import re
 import types
 from pathlib import Path
@@ -122,3 +123,19 @@ def test_bodies_decide_containment_in_their_chord_alone():
         and any(isinstance(f, ast.FunctionDef) and f.name == "_contains" for f in node.body)
     ]
     assert defining == []
+
+
+@pytest.mark.parametrize(
+    "module, function, names",
+    [
+        ("samplers", "sample_hit_and_run", ("burn_in", "thin", "count")),
+        ("bernoulli", "rademacher_trial_norms", ("points", "trials")),
+        ("bernoulli", "symmetrization_check", ("trials", "M", "n")),
+        ("bernoulli", "rademacher_exact", ("points",)),
+    ],
+)
+def test_parameters_the_bench_tracer_reads_keep_their_names(module, function, names):
+    # bench/tracer.py reads each call's arguments by these names to count hit-and-run steps
+    # and signed sums; a rename would zero those per-layer metrics without failing a run.
+    parameters = inspect.signature(getattr(importlib.import_module(f"isotropy.{module}"), function)).parameters
+    assert set(names) <= set(parameters), sorted(parameters)

@@ -1,5 +1,6 @@
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -12,7 +13,6 @@ from isotropy.geometry import (
     JohnDecomposition,
     Simplex,
     Truncated,
-    _slab_chord,
     canonical_john,
     isotropic_normalization,
     regular_simplex_vertices,
@@ -59,13 +59,17 @@ class TestMembership:
 
     @pytest.mark.parametrize("make_body", CHORD_BODIES)
     def test_non_finite_points_are_not_members(self, make_body):
+        # Alone or as rows among members, and without a warning.
         body = make_body()
-        for bad in (math.nan, math.inf, -math.inf):
-            for i in range(3):
+        rows = np.full((10, 3), 0.1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            for k, (bad, i) in enumerate(itertools.product((math.nan, math.inf, -math.inf), range(3))):
                 x = np.full(3, 0.1)
                 x[i] = bad
-                with np.errstate(invalid="ignore", over="ignore"):
-                    assert body.membership(x) is False
+                assert body.membership(x) is False
+                rows[k + 1, i] = bad
+            assert body.membership(rows).tolist() == [True] + [False] * 9
 
 
 class TestChord:
@@ -122,7 +126,8 @@ class TestChord:
             # |x|^2 overflows to inf, yet x is finite: it is outside, not non-finite.
             (np.array([1e200, 0.0, 0.0]), e1, "^chord base point lies outside the body$"),
         ):
-            with pytest.raises(ValueError, match=message), np.errstate(invalid="ignore", over="ignore"):
+            with pytest.raises(ValueError, match=message), warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
                 body.chord(x, d)
 
     @pytest.mark.parametrize("make_body", CHORD_BODIES)
@@ -136,21 +141,47 @@ class TestChord:
             assert _chord_failure(body, x, d) is None
 
 
+def slab_reference(slack, rate):
+    """The slab chord of one point in Python floats: each column with rate r < 0 bounds t above
+    by s / -r, each with r > 0 bounds it below; the first of equal bounds is kept."""
+    t_lo, t_hi = -math.inf, math.inf
+    for s, r in zip(slack, rate):
+        if r < 0.0 and s / -r < t_hi:
+            t_hi = s / -r
+        elif r > 0.0 and s / -r > t_lo:
+            t_lo = s / -r
+    return t_lo, t_hi
+
+
+def kernel(body, x, d):
+    """The private chord kernel on the rows of x and d: (lo, hi, inside)."""
+    x, d = np.atleast_2d(x), np.atleast_2d(d)
+    return body._chord_impl(x, d, np.einsum("ij,ij->i", x, x))
+
+
 class TestCubeChord:
     @staticmethod
     def slab_chord(cube, x, d):
-        """The cube's chord through the shared kernel: slacks a - x, a + x at rates -d, d."""
+        """The cube's chord as 2n slabs: slacks a - x, a + x at rates -d, d."""
         a = float(cube.halfwidth)
         xs, ds = x.tolist(), d.tolist()
-        return _slab_chord([a - v for v in xs] + [a + v for v in xs], [-v for v in ds] + ds)
+        return slab_reference([a - v for v in xs] + [a + v for v in xs], [-v for v in ds] + ds)
+
+    def assert_slab_bounds(self, cube, xs, ds):
+        lo, hi, inside = kernel(cube, np.array(xs), np.array(ds))
+        assert inside.all()
+        for k, (x, d) in enumerate(zip(xs, ds)):
+            assert [lo[k].hex(), hi[k].hex()] == [t.hex() for t in self.slab_chord(cube, x, d)], (k, x, d)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 16])
     def test_one_pass_equals_the_slab_kernel_bit_for_bit(self, n):
         # Interior points, points on one or every face, and directions with exact zeros
-        # (of either sign); float.hex tells -0.0 from 0.0.
+        # (of either sign); float.hex tells -0.0 from 0.0.  Each row of the batched kernel
+        # must equal the Python-float slab chord of its point.
         cube = Cube(halfwidth=math.sqrt(3.0), n=n)
         a = cube.halfwidth
         rng = random_stream(31, n)
+        xs, ds = [], []
         for k in range(400):
             x = direct_draws(cube, 1, rng)[0]
             d = rng.standard_normal(n)
@@ -162,29 +193,30 @@ class TestCubeChord:
                 zeros = rng.permutation(n)[: n - 1]
                 d[zeros[::2]] = 0.0
                 d[zeros[1::2]] = -0.0
-            d /= np.linalg.norm(d)
-            got = cube._chord_impl(x, d, float(x.dot(x)))
-            assert [t.hex() for t in got] == [t.hex() for t in self.slab_chord(cube, x, d)], (k, x, d)
+            xs.append(x)
+            ds.append(d / np.linalg.norm(d))
+        self.assert_slab_bounds(cube, xs, ds)
         # One coordinate on a face or on the edge of the membership tolerance, which is
         # relative above halfwidth 1 and absolute below it: inside, with the same bits.
         for cube in (cube, Cube(halfwidth=0.5, n=n)):
             a = cube.halfwidth
             edge = a + MEMBERSHIP_TOL * max(1.0, a)
+            xs, ds = [], []
             for i in range(n):
                 for v in (a, -a, edge, -edge):
                     x = direct_draws(cube, 1, rng)[0]
                     x[i] = v
                     d = rng.standard_normal(n)
-                    d /= np.linalg.norm(d)
                     assert cube.membership(x), (a, x)
-                    got = cube._chord_impl(x, d, float(x.dot(x)))
-                    assert [t.hex() for t in got] == [t.hex() for t in self.slab_chord(cube, x, d)], (a, x, d)
+                    xs.append(x)
+                    ds.append(d / np.linalg.norm(d))
+            self.assert_slab_bounds(cube, xs, ds)
 
     def test_outside_point_has_no_chord(self):
         cube = Cube(halfwidth=1.0, n=3)
         d = np.array([0.6, 0.0, -0.8])
-        for x in (np.array([0.0, 1.01, 0.0]), np.array([-1.5, 0.2, 0.3]), np.array([2.0, 2.0, 2.0])):
-            assert cube._chord_impl(x, d, float(x.dot(x))) is None
+        xs = np.array([[0.0, 1.01, 0.0], [-1.5, 0.2, 0.3], [2.0, 2.0, 2.0]])
+        assert not kernel(cube, xs, np.tile(d, (3, 1)))[2].any()
         # One ulp past the tolerance's edge is neither a member nor has a chord.
         for a in (math.sqrt(3.0), 1.0, 0.5):
             cube = Cube(halfwidth=a, n=3)
@@ -192,7 +224,7 @@ class TestCubeChord:
             for i, v in itertools.product(range(3), (past, -past)):
                 x = np.zeros(3)
                 x[i] = v
-                assert not cube.membership(x) and cube._chord_impl(x, d, v * v) is None, (a, x)
+                assert not cube.membership(x) and not kernel(cube, x, d)[2][0], (a, x)
 
 
 class TestContainment:
@@ -206,13 +238,11 @@ class TestContainment:
         rng = random_stream(47, 1)
         dirs = rng.standard_normal((3, 3))
         dirs /= np.linalg.norm(dirs, axis=1)[:, None]
-        inside = 0
-        for x in rng.uniform(-1.25 * reach, 1.25 * reach, (200, 3)):
-            member = body.membership(x)
-            for d in dirs:
-                assert (body._chord_impl(x, d, float(x.dot(x))) is not None) == member, (x, d)
-            inside += member
-        assert 0 < inside < 200
+        xs = rng.uniform(-1.25 * reach, 1.25 * reach, (200, 3))
+        member = body.membership(xs)
+        for d in dirs:
+            assert np.array_equal(kernel(body, xs, np.tile(d, (200, 1)))[2], member), d
+        assert 0 < member.sum() < 200
 
     @pytest.mark.parametrize("offset", [0.5, 1.0, 2.0])
     def test_polytope_edge_is_fixed_at_construction(self, offset):
@@ -250,6 +280,71 @@ class TestContainment:
         for k in range(n + 1):
             assert body.membership((1.0 + 0.9e-9 * (n + 1)) * v[k]), k
             assert not body.membership((1.0 + 1.1e-9 * (n + 1)) * v[k]), k
+
+
+def _tolerance_edge_cases():
+    """(body, points, members): the bodies of the two tolerance-edge tests, the points each puts
+    on its edge and one ulp past it, and which of them are members."""
+    cases = []
+    for offset in (0.5, 1.0, 2.0):
+        body = HPolytope(
+            rows=np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]]),
+            offsets=np.array([offset, offset, 0.0, offset]),
+        )
+        tol = MEMBERSHIP_TOL * max(1.0, offset)
+        points = [[0.0, tol], [0.0, math.nextafter(tol, math.inf)], [offset, -offset], [0.0, 0.0]]
+        cases.append(pytest.param(body, points, [True, False, True, True], id=f"polytope-{offset}"))
+    for radius in (0.5, 1.0, 2.0):
+        edge = radius + MEMBERSHIP_TOL * max(1.0, radius)
+        past = math.nextafter(edge, math.inf)
+        points = [[v, 0.0, 0.0] for v in (edge, -edge, past, -past)]
+        for name, body in (("ball", Ball(radius=radius, n=3)), ("truncated-cube", Truncated(Cube(3.0, 3), radius))):
+            cases.append(pytest.param(body, points, [True, True, False, False], id=f"{name}-{radius}"))
+    return cases
+
+
+class TestBatchedOracles:
+    @staticmethod
+    def assert_rows_answer_alone(body, xs):
+        # Every row of one batched membership or chord call answers, bit for bit, as its
+        # point alone, and no step of either warns.
+        n = body.n
+        rng = random_stream(61, n)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            member = body.membership(xs)
+            assert member.dtype == bool and member.shape == (len(xs),)
+            assert member.tolist() == [body.membership(x) for x in xs]
+            inside = xs[member]
+            # Axis directions (every other entry 0) and random ones, a few per point.
+            dirs = np.vstack([np.eye(n), -np.eye(n), rng.standard_normal((2 * n, n))])
+            dirs /= np.linalg.norm(dirs, axis=1)[:, None]
+            rows = np.repeat(inside, len(dirs), axis=0)
+            ds = np.tile(dirs, (len(inside), 1))
+            lo, hi = body.chord(rows, ds)
+            for k in range(len(rows)):
+                assert [lo[k].hex(), hi[k].hex()] == [t.hex() for t in body.chord(rows[k], ds[k])], (rows[k], ds[k])
+        return member
+
+    @pytest.mark.parametrize("make_body", CHORD_BODIES)
+    def test_batch_rows_answer_as_their_points_alone(self, make_body):
+        # Points inside and outside, on the boundary (where the axis directions give
+        # columns with d_i = 0 at slack 0), and a hair inside and outside it.
+        body = make_body()
+        rng = random_stream(67, 3)
+        reach = max(max(-lo, hi) for lo, hi in (body.chord(np.zeros(3), e) for e in np.eye(3)))
+        xs = [rng.uniform(-1.25 * reach, 1.25 * reach, (60, 3))]
+        dirs = np.vstack([np.eye(3), rng.standard_normal((8, 3))])
+        dirs /= np.linalg.norm(dirs, axis=1)[:, None]
+        for u in dirs:
+            hi = body.chord(np.zeros(3), u)[1]
+            xs.append([hi * u, (hi * (1 - 1e-12)) * u, (hi * (1 + 1e-12)) * u, (hi * (1 + 1e-6)) * u])
+        member = self.assert_rows_answer_alone(body, np.vstack(xs))
+        assert 0 < member.sum() < len(member)
+
+    @pytest.mark.parametrize("body, points, members", _tolerance_edge_cases())
+    def test_tolerance_edge_rows_answer_as_their_points_alone(self, body, points, members):
+        assert self.assert_rows_answer_alone(body, np.array(points)).tolist() == members
 
 
 class TestIsotropicNormalization:
@@ -438,17 +533,16 @@ class TestTruncated:
         rng = random_stream(59, 3)
         dirs = rng.standard_normal((3, 3))
         dirs /= np.linalg.norm(dirs, axis=1)[:, None]
+        xs = rng.uniform(-1.3 * radius, 1.3 * radius, (300, 3))
         seen = set()
-        for x in rng.uniform(-1.3 * radius, 1.3 * radius, (300, 3)):
-            xx = float(x.dot(x))
-            for d in dirs:
-                b, s = base._chord_impl(x, d, xx), ball._chord_impl(x, d, xx)
-                got = trunc._chord_impl(x, d, xx)
-                if b is None or s is None:
-                    assert got is None, (x, d)
-                else:
-                    assert np.array(got).tobytes() == np.array((max(b[0], s[0]), min(b[1], s[1]))).tobytes()
-                seen.add((b is None, s is None))
+        for d in np.repeat(dirs, 300, axis=0).reshape(3, 300, 3):
+            (b_lo, b_hi, b_in), (s_lo, s_hi, s_in) = kernel(base, xs, d), kernel(ball, xs, d)
+            lo, hi, inside = kernel(trunc, xs, d)
+            assert np.array_equal(inside, b_in & s_in)
+            for k in np.flatnonzero(inside):
+                want = (max(b_lo[k], s_lo[k]), min(b_hi[k], s_hi[k]))
+                assert np.array((lo[k], hi[k])).tobytes() == np.array(want).tobytes(), (xs[k], d[k])
+            seen |= set(zip((~b_in).tolist(), (~s_in).tolist()))
         # Inside both, outside the base only, and outside the radius all occur.
         assert {(False, False), (True, False)} <= seen and any(s for _, s in seen)
 

@@ -361,7 +361,7 @@ class TestRunSweep:
             "kind=sweep\nsampler=cube\nn=4\nm_grid=64,256,5000",
             "kind=whiten\nsampler=cube\nn=4\nm=5000\ndistortion=2,1,1,0.5",
             "kind=truncated\nsampler=cube\nn=4\nr=2.0\neps=0.3\nc0=0.12",
-            # A thin cut: each seed runs the hit-and-run chain, 1,224 steps over two blocks.
+            # A thin cut: each seed runs 64 hit-and-run chains for 306 rows, 20 steps over two blocks.
             "kind=truncated\nsampler=cube\nn=2\nr=0.0138\neps=0.01\nc0=60",
             "kind=john-sparsify\nfixture=simplex\nn=4\neps=0.25\nc=2",
             "kind=bernoulli\nmode=ratio\nsampler=cube\nn=4\nm_grid=16,64\ntrials=50",
@@ -970,7 +970,14 @@ sys.path.insert(0, sys.argv[1])
 from tracer import Tracer
 tracer = Tracer()
 tracer.install()
-from isotropy import cli
+from isotropy import cli, samplers
+traced, chains = samplers.sample_hit_and_run, []
+
+def recorded(body, x0, burn_in, thin, rng, count=1):
+    chains.append((burn_in, thin, count))
+    return traced(body, x0, burn_in, thin, rng, count)
+
+samplers.sample_hit_and_run = recorded
 rc = cli.main(["truncated", "--config", sys.argv[2], "--out", sys.argv[3]])
 metrics = tracer.layer_metrics()
 print(json.dumps({
@@ -978,6 +985,8 @@ print(json.dumps({
     "chord_calls": metrics["geometry.chord_calls"],
     "hitrun_steps": metrics["samplers.hitrun_steps"],
     "modes": [mode for _, mode, _ in tracer.truncated],
+    "chains": chains,
+    "K": samplers._CHAINS,
 }))
 """
 
@@ -985,8 +994,8 @@ print(json.dumps({
 class TestBenchTracer:
     @pytest.mark.parametrize(
         "body",
-        # The benchmark's two thin cuts, with a small c0.
-        ["sampler=cube\nn=16\nr=0.5\neps=0.5\nc0=1", "sampler=simplex\nn=8\nr=0.25\neps=0.5\nc0=4"],
+        # The benchmark's two thin cuts, with a c0 that asks for two rounds of 64 chains.
+        ["sampler=cube\nn=16\nr=0.5\neps=0.5\nc0=2", "sampler=simplex\nn=8\nr=0.25\neps=0.5\nc0=64"],
         ids=["cube16", "simplex8"],
     )
     def test_tracer_binds_one_chord_call_per_hit_and_run_step(self, tmp_path, body):
@@ -1004,4 +1013,7 @@ class TestBenchTracer:
         res = json.loads(proc.stdout)
         assert res["rc"] == 0 and res["modes"] == ["hit-and-run"]
         assert res["hitrun_steps"] > 0
-        assert res["chord_calls"] == res["hitrun_steps"]
+        # One wrapped Body.chord call per lockstep step: thin steps for each round of K states.
+        [(burn_in, thin, count)] = res["chains"]
+        assert burn_in == 0 and count > res["K"]
+        assert res["chord_calls"] == thin * math.ceil(count / res["K"])

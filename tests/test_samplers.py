@@ -227,27 +227,27 @@ class TestHitAndRun:
         [
             (
                 lambda: Truncated(isotropic_normalization("cube", 16), 2.0),
-                "30c85f4ed17858d6dc21262f0fc9f5d9c7d3d5bb699239cd565ee5a9a61e1d9b",
+                "7ae4f87af9549b3338d43e4775ce6f0d1a72f837103314f7397740c3390338eb",
             ),
             (
                 lambda: Truncated(isotropic_normalization("simplex", 8), 0.25 * math.sqrt(8)),
-                "02d8c88844aa6862d15146686c320f344bd4f35c47c78f6f60e0bf41eca0d26c",
+                "8c803bd1314ce926f2fbe491fda2d5625db5eb7a10aba830cb47641d6634efae",
             ),
             (
                 lambda: isotropic_normalization("cube", 16),
-                "2a1ef999274c2d6cea90c7b27f2209c97b947ef4896f7fc64fc8aa281202e8b8",
+                "f746b4c50946f07f0924cff5d455647c121de3feb1eb16834b7cb47ce3e74a89",
             ),
             (
                 lambda: HPolytope(rows=np.vstack([ROT30.T, -ROT30.T]), offsets=np.ones(4)),
-                "bdbb6d4afc11995402e7cf596014e29b68593e85fec3f40a0bd69da4cf906ca4",
+                "6545e18373a171da310f25b2edd4d0f41ea64de92684fe97c75aff36abe1cdc8",
             ),
         ],
         ids=["truncated-cube16", "truncated-simplex8", "cube16", "rotated-square"],
     )
     def test_recorded_chain_hashes(self, make_body, digest):
-        # The chain states are pinned bit for bit, under the block read order of
-        # sample_hit_and_run (a block's normals, then its uniforms): a faster step must
-        # repeat the same floating-point operations, not approximate them.
+        # The states of 64 lockstep chains are pinned bit for bit, under the block read order
+        # of sample_hit_and_run (a block's (b, 64, n) normals, then its uniforms): a faster
+        # step must repeat the same floating-point operations, not approximate them.
         body = make_body()
         rng = random_stream(5, 17)
         states = sample_hit_and_run(body, np.zeros(body.n), burn_in=800, thin=32, rng=rng, count=300)
@@ -265,7 +265,9 @@ class TestHitAndRun:
     )
     @pytest.mark.parametrize(
         "burn_in, thin, count",
-        # 2,200 steps end 152 into a third block; 2,049 steps leave one step for it.
+        # The ids count burn_in + thin * count, one scalar chain's steps.  With 64 chains a
+        # block holds 16 steps: 100 + 7 * 5 = 135 steps end 7 into a ninth block, and the 4
+        # rounds trim to 300 rows; 1 + 16 * 2 = 33 steps leave one step for a third block.
         [(100, 7, 300), (1, 16, 128)],
         ids=["2200-steps", "2049-steps"],
     )
@@ -275,47 +277,79 @@ class TestHitAndRun:
         want = replay_hit_and_run(body, np.zeros(body.n), burn_in, thin, random_stream(6, 2), count)
         assert states.tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize("count", [1, 3, 40, 200])
+    def test_chains_cycle_their_start_rows(self, count):
+        # Fewer chains than start rows, more, and a chain count (40) that does not divide the
+        # block's 1,024 rows: 25 steps a block.
+        body = Truncated(isotropic_normalization("simplex", 3), 1.0)
+        x0 = direct_draws(Ball(radius=0.5, n=3), 3, random_stream(6, 3))
+        states = sample_hit_and_run(body, x0, 30, 3, random_stream(6, 2), count)
+        assert states.shape == (count, 3)
+        assert states.tobytes() == replay_hit_and_run(body, x0, 30, 3, random_stream(6, 2), count).tobytes()
+
+    def test_chains_agree_with_exact_rejection_draws(self):
+        # At cube16, R = 0.9 about 21% of direct draws fall within the radius, so rejection
+        # gives exact draws of the truncated body to test the chains against.  64 chains
+        # from the pilot's first 64 hits run 20 rounds of 2n = 32 steps; their per-chain
+        # means of |x|^2 are independent, and they must agree with the mean over 20,000
+        # exact draws within 4 standard errors.  A chain that skips the ball's chord walks
+        # the whole cube, where E|x|^2 = 16, against 11.1 here.
+        sampler = TruncatedSampler(isotropic_normalization("cube", 16), 0.9, random_stream(0, 12))
+        assert sampler.mode == "rejection" and len(sampler._starts) == 64
+        exact = drawn(sampler, 20_000)
+        exact_sq = np.einsum("ij,ij->i", exact, exact)
+        states = sample_hit_and_run(sampler.truncated, sampler._starts, 0, 32, random_stream(0, 13), count=64 * 20)
+        chain_means = np.einsum("ij,ij->i", states, states).reshape(20, 64).mean(axis=0)
+        se = math.hypot(chain_means.std(ddof=1) / math.sqrt(64), exact_sq.std(ddof=1) / math.sqrt(len(exact_sq)))
+        assert abs(chain_means.mean() - exact_sq.mean()) <= 4.0 * se, (chain_means.mean(), exact_sq.mean(), se)
+
     def test_zero_direction_rows_are_redrawn(self):
-        # Rows 3 and 5 of the first block are exactly zero, and so is the first redraw of
-        # row 3: it takes two redraws, row 5 one, all after the block's uniforms.
+        # Ten chains take three steps in one block.  Rows 3 and 5 of the block (chains 3 and
+        # 5 of its first step) are exactly zero, and so is the first redraw of row 3: it
+        # takes two redraws, row 5 one, all after the block's uniforms.
         body = Cube(halfwidth=1.0, n=3)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             rng = ZeroRowStream()
-            states = sample_hit_and_run(body, np.zeros(3), 0, 1, rng, count=10)
-        assert rng.calls == [("normal", (10, 3)), ("random", 10), ("normal", 3), ("normal", 3), ("normal", 3)]
-        want = replay_hit_and_run(body, np.zeros(3), 0, 1, ZeroRowStream(), 10)
+            states = sample_hit_and_run(body, np.zeros(3), 0, 3, rng, count=10)
+        assert rng.calls == [("normal", (3, 10, 3)), ("random", (3, 10)), ("normal", 3), ("normal", 3), ("normal", 3)]
+        want = replay_hit_and_run(body, np.zeros(3), 0, 3, ZeroRowStream(), 10)
         assert states.tobytes() == want.tobytes()
         assert all(body.membership(p) for p in states)
 
 
 def replay_hit_and_run(body, x0, burn_in, thin, rng, count):
-    """sample_hit_and_run written plainly: per block of up to 1,024 steps, the block's
-    normals, its uniforms, a redraw of each zero row in row order, np.linalg.norm, and
-    one chord call per step."""
-    x = np.array(x0, dtype=float)
+    """sample_hit_and_run written plainly: K = min(64, count) chains, chain k from row k mod h
+    of the h start rows.  Per block of at most 1,024 direction rows (1,024 // K steps): the
+    block's (b, K, n) normals, its (b, K) uniforms, a redraw of each zero row in row order,
+    np.linalg.norm, and one scalar chord call per chain per step.  The K states of each
+    emitted round follow each other, trimmed to count rows."""
+    starts = np.array(x0, dtype=float).reshape(-1, body.n)
+    chains = min(64, count)
+    xs = [starts[k % len(starts)] for k in range(chains)]
     states = []
-    total = burn_in + thin * count
-    for start in range(0, total, 1024):
-        b = min(1024, total - start)
-        g = rng.standard_normal((b, body.n))
-        u = rng.random(b)
-        for k in range(b):
-            while np.linalg.norm(g[k]) == 0.0:
-                g[k] = rng.standard_normal(body.n)
-        d = g / np.linalg.norm(g, axis=1, keepdims=True)
-        for k in range(b):
-            lo, hi = body.chord(x, d[k])
-            x = x + (lo + (hi - lo) * u[k]) * d[k]
-            step = start + k - burn_in
+    total = burn_in + thin * -(-count // chains)
+    for start in range(0, total, 1024 // chains):
+        b = min(1024 // chains, total - start)
+        g = rng.standard_normal((b, chains, body.n))
+        u = rng.random((b, chains))
+        for j, k in np.ndindex(b, chains):
+            while np.linalg.norm(g[j, k]) == 0.0:
+                g[j, k] = rng.standard_normal(body.n)
+        d = g / np.linalg.norm(g, axis=2, keepdims=True)
+        for j in range(b):
+            for k in range(chains):
+                lo, hi = body.chord(xs[k], d[j, k])
+                xs[k] = xs[k] + (lo + (hi - lo) * u[j, k]) * d[j, k]
+            step = start + j - burn_in
             if step >= 0 and step % thin == thin - 1:
-                states.append(x)
-    return np.array(states)
+                states.extend(xs)
+    return np.array(states[:count])
 
 
 class ZeroRowStream:
-    """A random stream whose first normal block has zero rows 3 and 5 and whose first
-    one-row draw is zero; it records each call."""
+    """A random stream whose first normal block has zero rows 3 and 5 (in row order) and whose
+    first one-row draw is zero; it records each call."""
 
     def __init__(self):
         self.rng = random_stream(4, 0)
@@ -325,7 +359,7 @@ class ZeroRowStream:
         self.calls.append(("normal", size))
         g = self.rng.standard_normal(size)
         if len(self.calls) == 1:
-            g[[3, 5]] = 0.0
+            g.reshape(-1, g.shape[-1])[[3, 5]] = 0.0
         elif len(self.calls) == 3:
             g[:] = 0.0
         return g
@@ -365,22 +399,24 @@ class TestTruncatedSampling:
         calls = []
 
         def spy(body, x0, burn_in, thin, rng, count=1):
-            calls.append((body, np.array(x0), burn_in, thin))
+            calls.append((body, np.array(x0), burn_in, thin, copy.deepcopy(rng), count))
             return sample_hit_and_run(body, x0, burn_in, thin, rng, count)
 
         monkeypatch.setattr(samplers, "sample_hit_and_run", spy)
         body = isotropic_normalization("cube", 2)
         sampler = TruncatedSampler(body, 0.0138, random_stream(3, 0))
         assert sampler.mode == "hit-and-run"
-        drawn(sampler, 5)
-        [(chain_body, x0, burn_in, thin)] = calls
-        assert chain_body is sampler.truncated and sampler.truncated.membership(x0)
-        assert burn_in == 0 and thin == 2 * body.n
-        # Cube pilot rows read the stream in sequence: the first in-radius row of
-        # one long draw from a fresh stream is the pilot's first hit.
-        pts = direct_draws(body, 4096 + 32768 + 262144, random_stream(3, 0))
-        first = np.flatnonzero(np.einsum("ij,ij->i", pts, pts) <= sampler.rho**2)[0]
-        assert np.array_equal(x0, pts[first])
+        pts = drawn(sampler, 100)
+        [(chain_body, x0, burn_in, thin, rng, count)] = calls
+        assert chain_body is sampler.truncated and sampler.truncated.membership(x0).all()
+        assert burn_in == 0 and thin == 2 * body.n and count == 100
+        # Cube pilot rows read the stream in sequence: the starts are the first in-radius
+        # rows of one long draw from a fresh stream, in order, all of them (fewer than 64).
+        stream = direct_draws(body, 4096 + 32768 + 262144, random_stream(3, 0))
+        hits = np.flatnonzero(np.einsum("ij,ij->i", stream, stream) <= sampler.rho**2)
+        assert 3 <= len(x0) < 64 and np.array_equal(x0, stream[hits[: len(x0)]])
+        # The 64 chains cycle through them: chain k starts at row k mod len(x0).
+        assert pts.tobytes() == replay_hit_and_run(chain_body, x0, 0, thin, rng, 100).tobytes()
 
     def test_hit_and_run_samples_the_exact_ball_law(self):
         # At cube12, R = 0.45 the cut radius rho = R sqrt(12) = 1.559 is below the
@@ -425,7 +461,7 @@ PILOT_ENDS = [4096 * 2**k for k in range(10)] + [3_000_000]
 
 
 def _replayed_pilot(body, rho, rng, settled=True):
-    """Reference: (hits, draws, first hit) where a plain replay of the pilot stops.
+    """Reference: (hits, draws, first 64 hits) where a plain replay of the pilot stops.
 
     It reads the stream in the sampler's chunks, at most 4,096 rows ending on each
     stage end (ball chunks draw their normals before their radii per chunk), applies its
@@ -434,13 +470,12 @@ def _replayed_pilot(body, rho, rng, settled=True):
     hits with hits + 3 sqrt(hits) < 1e-3 draws; without it, 50 hits alone.
     """
     draws = hits = 0
-    first = None
+    first = np.empty((0, body.n))
     for end in PILOT_ENDS:
         while draws < end:
             pts = direct_draws(body, min(4096, end - draws), rng)
             inside = (pts * pts).sum(axis=1) <= rho * rho
-            if first is None and inside.any():
-                first = pts[inside][0]
+            first = np.vstack([first, pts[inside]])[:64]
             hits += int(inside.sum())
             draws += len(pts)
         if not settled and hits >= 50:
@@ -485,7 +520,7 @@ class TestPilotStoppingRule:
         rng = random_stream(seed, 2)
         sampler = TruncatedSampler(body, r, rng)
         assert sampler.acceptance == hits / draws and sum(drawn) == draws, (hits, draws, sum(drawn))
-        assert all(rows <= 4096 for rows in drawn) and np.array_equal(sampler._start, first)
+        assert all(rows <= 4096 for rows in drawn) and np.array_equal(sampler._starts, first)
         # The pilot read the stream exactly that far: the next uniform is the replay's.
         assert rng.random() == replay.random()
 
@@ -523,11 +558,14 @@ class TestPilotStoppingRule:
                         continue
                     assert acceptance >= samplers.ACCEPTANCE_HARD_FLOOR, case
                     verdicts.add("sample")
-                    assert np.array_equal(sampler._start, first), case
+                    # Both hold the first in-radius rows of one stream, as far as each read it.
+                    own_draws = sum(drawn)
+                    starts = sampler._starts
+                    assert len(starts) == min(round(sampler.acceptance * own_draws), 64), case
+                    assert np.array_equal(starts[: len(first)], first[: len(starts)]), case
                     if target != 1e-3:
                         mode = "rejection" if acceptance >= samplers.REJECTION_MIN_ACCEPTANCE else "hit-and-run"
                         assert sampler.mode == mode, case
-                    own_draws = sum(drawn)
                     if own_draws < draws:
                         assert sampler.mode == "hit-and-run", case
                         early += 1
