@@ -36,22 +36,15 @@ MEMBERSHIP_TOL = 1e-9
 
 CUBE_VERTEX_DIM_CAP = 20
 
+_UNBOUNDED = "chord is unbounded; body data must describe a bounded set"
+
 
 def _rows(x, n: int) -> np.ndarray:
     """x as a float (K, n) array of rows; one point of shape (n,) is one row."""
     x = np.asarray(x, dtype=float)
     if x.shape[-1:] != (n,) or x.ndim > 2:
         raise ValueError(f"point of dimension {x.shape} does not match body dimension {n}")
-    return x.reshape(-1, n)
-
-
-def _is_finite(x: np.ndarray, xx: np.ndarray) -> np.ndarray:
-    """Whether each row of the (K, n) x is finite, given xx, its squared norms.
-
-    A norm is finite whenever its row is, unless it overflows; the full test settles that case.
-    """
-    finite = np.isfinite(xx)
-    return finite if finite.all() else np.isfinite(x).all(axis=1)
+    return x if x.ndim == 2 else x.reshape(1, n)
 
 
 def _frozen(a, what: str) -> np.ndarray:
@@ -87,12 +80,17 @@ class Body:
         """Whether x lies in the body, a bool per point (a (K,) array for rows); a non-finite point never does."""
         rows = _rows(x, self.n)
         xx = np.einsum("ij,ij->i", rows, rows)
-        finite = _is_finite(rows, xx)
+        # A norm is finite whenever its row is, unless it overflows; the full test settles that case.
+        finite = np.isfinite(xx)
         if not finite.all():  # the kernel sees a non-finite row as the origin, so it warns of nothing
+            finite = np.isfinite(rows).all(axis=1)
             rows, xx = np.where(finite[:, None], rows, 0.0), np.where(finite, xx, 0.0)
         e1 = np.zeros_like(rows)
         e1[:, 0] = 1.0
-        inside = self._bounded_chord(rows, e1, xx)[2] & finite
+        lo, hi, inside = self._chord_impl(rows, e1, xx)
+        inside &= finite
+        if not np.all(np.isfinite(lo) & np.isfinite(hi), where=inside):
+            raise ValueError(_UNBOUNDED)
         return bool(inside[0]) if np.ndim(x) == 1 else inside
 
     def chord(self, x, d):
@@ -100,31 +98,31 @@ class Body:
 
         Requires x finite and inside, and d a unit vector; the interval
         brackets 0.  One point and direction give two floats; (K, n) rows of
-        each give the K rows' bounds as two (K,) arrays.
+        each give the K rows' bounds as two (K,) arrays.  Each check reads a
+        reduction over the rows, so one bad row fails it.
         """
         rows, dirs = _rows(x, self.n), _rows(d, self.n)
         if rows.shape != dirs.shape:
             raise ValueError("need one direction per point")
-        # Written so that a NaN or infinite direction fails the test too.
-        if not (np.abs(np.einsum("ij,ij->i", dirs, dirs) - 1.0) <= 2e-10).all():
+        # |d|^2 - 1 is exact near 1 and rises with |d|^2, so the extreme rows settle every
+        # |(|d|^2 - 1)| <= 2e-10; a NaN norm makes both extremes NaN and fails the test too.
+        dd = np.einsum("ij,ij->i", dirs, dirs)
+        if not (dd.min() - 1.0 >= -2e-10 and dd.max() - 1.0 <= 2e-10):
             raise ValueError("direction must be a finite unit vector")
+        # The largest squared norm is finite when every row is, unless one overflows.
         xx = np.einsum("ij,ij->i", rows, rows)
-        if not _is_finite(rows, xx).all():
+        if not (math.isfinite(xx.max()) or np.isfinite(rows).all()):
             raise ValueError("chord base point must be finite")
-        lo, hi, inside = self._bounded_chord(rows, dirs, xx)
+        lo, hi, inside = self._chord_impl(rows, dirs, xx)
         if not inside.all():
             raise ValueError("chord base point lies outside the body")
+        # A chord longer than the largest float counts as unbounded too.
+        if not np.isfinite(hi - lo).all():
+            raise ValueError(_UNBOUNDED)
         # Roundoff can push a bound marginally across 0 when x sits on the
         # boundary; the contract is t_lo <= 0 <= t_hi.
         lo, hi = np.minimum(lo, 0.0), np.maximum(hi, 0.0)
         return (float(lo[0]), float(hi[0])) if np.ndim(x) == 1 else (lo, hi)
-
-    def _bounded_chord(self, x, d, xx):
-        """_chord_impl, which must give every row inside a finite chord."""
-        lo, hi, inside = self._chord_impl(x, d, xx)
-        if not np.all(np.isfinite(lo) & np.isfinite(hi), where=inside):
-            raise ValueError("chord is unbounded; body data must describe a bounded set")
-        return lo, hi, inside
 
     def _chord_impl(self, x: np.ndarray, d: np.ndarray, xx: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Per row of the finite (K, n) x and unit d, with xx the rows' squared norms: the chord's
@@ -133,18 +131,6 @@ class Body:
         The body's one containment test, which membership reads too.
         """
         raise NotImplementedError
-
-
-def _slab_chord(slack: np.ndarray, rate: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per column of the (m, K) arrays, the maximal interval of t with slack + rate * t >= 0
-    in every row.  A row of rate 0 bounds nothing and is not divided.
-
-    The chord kernel of the H-polytope and of the cube's 2n slabs.  With one row per slab
-    and one column per point, each reduction over the slabs is an elementwise pass along
-    contiguous rows.
-    """
-    t = np.divide(slack, -rate, out=np.empty_like(slack), where=rate != 0.0)
-    return np.where(rate > 0.0, t, -np.inf).max(axis=0), np.where(rate < 0.0, t, np.inf).min(axis=0)
 
 
 @dataclass(frozen=True)
@@ -163,11 +149,21 @@ class Cube(Body):
         object.__setattr__(self, "_limit", float(self.halfwidth + MEMBERSHIP_TOL * max(1.0, self.halfwidth)))
 
     def _chord_impl(self, x, d, xx):
-        # The 2n slabs a - v >= -t r, for v, r = x_i, -d_i and -x_i, d_i; inside when each v is at
-        # most the limit.  Slab-major copies, so the reductions run across contiguous rows.
+        # With s = sign(d_i), coordinate i reaches the face ahead at t = (a - s x_i) / |d_i| and the
+        # one behind at t = -(a + s x_i) / |d_i|: bit for bit the quotients (a - x_i) / d_i and
+        # (a + x_i) / -d_i.  A zero d_i makes both a / 0 = inf, which bounds nothing.  Inside when
+        # each |x_i| is at most the limit.  Coordinate-major copies, so the reductions over the
+        # coordinates run across contiguous rows.
         xt, dt = x.T.copy(), d.T.copy()
-        v = np.vstack((xt, -xt))
-        return *_slab_chord(self.halfwidth - v, np.vstack((-dt, dt))), v.max(axis=0) <= self._limit
+        inside = np.abs(xt).max(axis=0) <= self._limit
+        xt *= np.sign(dt)
+        np.abs(dt, out=dt)
+        with np.errstate(divide="ignore"):
+            ahead = np.subtract(self.halfwidth, xt)
+            ahead /= dt
+            behind = np.add(self.halfwidth, xt, out=xt)
+            behind /= dt
+        return -behind.min(axis=0), ahead.min(axis=0), inside
 
 
 @dataclass(frozen=True)
@@ -190,8 +186,11 @@ class Ball(Body):
         b = np.einsum("ij,ij->i", x, d)
         # Only a row far outside (|x| past about 1e154) overflows b * b, and its bounds go unread.
         with np.errstate(over="ignore", invalid="ignore"):
-            root = np.sqrt(np.maximum(b * b - (xx - self._radius_sq), 0.0))
-        return -b - root, -b + root, np.sqrt(xx) <= self._limit
+            root = b * b
+            root -= xx - self._radius_sq
+            np.sqrt(np.maximum(root, 0.0, out=root), out=root)
+        np.negative(b, out=b)
+        return b - root, np.add(b, root, out=root), np.sqrt(xx) <= self._limit
 
 
 @dataclass(frozen=True)
@@ -222,11 +221,17 @@ class HPolytope(Body):
         object.__setattr__(self, "_tol", float(MEMBERSHIP_TOL * max(1.0, float(np.max(np.abs(b))))))
 
     def _chord_impl(self, x, d, xx):
-        # Slacks and rates with one row per facet.  einsum, not matmul: BLAS may round a row of
-        # a product differently as the number of rows changes, and a row answers as its point alone.
+        # Slacks and rates with one row per facet, so each reduction over the facets is an elementwise
+        # pass along contiguous rows.  einsum, not matmul: BLAS may round a row of a product
+        # differently as the number of rows changes, and a row answers as its point alone.
         rows = self._slacks[:, :-1]
         slack = np.einsum("ij,kj->ki", x, rows) + self._slacks[:, -1:]
-        return *_slab_chord(slack, np.einsum("ij,kj->ki", d, rows)), slack.min(axis=0) >= -self._tol
+        rate = np.einsum("ij,kj->ki", d, rows)
+        # slack + rate t >= 0 bounds t by slack / -rate, below where the rate is positive and above
+        # where it is negative.  A facet of rate 0 bounds neither and is not divided.
+        t = np.divide(slack, -rate, out=np.empty_like(slack), where=rate != 0.0)
+        lo, hi = np.where(rate > 0.0, t, -np.inf).max(axis=0), np.where(rate < 0.0, t, np.inf).min(axis=0)
+        return lo, hi, slack.min(axis=0) >= -self._tol
 
 
 @dataclass(frozen=True)

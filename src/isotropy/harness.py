@@ -569,15 +569,22 @@ def _ball_radial_cdf(pts: np.ndarray, radius: float) -> float:
 
 
 def _chord_failure(body: geo.Body, x: np.ndarray, d: np.ndarray) -> str | None:
-    """Why the chord of ``body`` through x along the unit d is wrong, or None: it must
-    bracket 0, end inside the body, and be maximal (1e-6 beyond either end is outside)."""
+    """Why a chord of ``body`` through a row of x along the unit row of d is wrong, or None: it
+    must bracket 0, end inside the body, and be maximal (1e-6 beyond either end is outside).
+    The first failing row names the failure.  One point and direction are one row; one chord
+    call and one membership call serve every row."""
+    x, d = np.atleast_2d(x), np.atleast_2d(d)
     lo, hi = body.chord(x, d)
-    if not (lo <= 0.0 <= hi):
-        return "interval misses 0"
-    if not (body.membership(x + lo * d) and body.membership(x + hi * d)):
-        return "endpoint outside"
-    if body.membership(x + (hi + 1e-6) * d) or body.membership(x + (lo - 1e-6) * d):
-        return "interval not maximal"
+    # Each row's two ends, then 1e-6 beyond each, as four blocks of rows.
+    t = np.stack((lo, hi, hi + 1e-6, lo - 1e-6))[:, :, None]
+    inside = body.membership((x + t * d).reshape(-1, x.shape[1])).reshape(4, len(x))
+    for k in range(len(x)):
+        if not (lo[k] <= 0.0 <= hi[k]):
+            return "interval misses 0"
+        if not (inside[0, k] and inside[1, k]):
+            return "endpoint outside"
+        if inside[2, k] or inside[3, k]:
+            return "interval not maximal"
     return None
 
 
@@ -605,13 +612,14 @@ def _check_chords(rng: np.random.Generator) -> tuple[bool, str]:
         geo.Truncated(base=geo.Cube(halfwidth=2.0, n=3), radius=2.5),
     ]
     for body in bodies:
-        for _ in range(20):
-            x = smp.direct_draws(geo.Ball(radius=0.4, n=3), 1, rng)[0]
+        xs, ds = [], []
+        for _ in range(20):  # a point, then its direction, as one point at a time reads them
+            xs.append(smp.direct_draws(geo.Ball(radius=0.4, n=3), 1, rng)[0])
             d = rng.standard_normal(3)
-            d /= np.linalg.norm(d)
-            failure = _chord_failure(body, x, d)
-            if failure is not None:
-                return False, f"{type(body).__name__}: {failure}"
+            ds.append(d / np.linalg.norm(d))
+        failure = _chord_failure(body, np.array(xs), np.array(ds))
+        if failure is not None:
+            return False, f"{type(body).__name__}: {failure}"
     return True, ""
 
 

@@ -131,6 +131,47 @@ class TestChord:
                 body.chord(x, d)
 
     @pytest.mark.parametrize("make_body", CHORD_BODIES)
+    def test_one_bad_row_among_64_raises(self, make_body):
+        # Each check reads a reduction over the rows: 63 good rows do not hide a bad last one.
+        body = make_body()
+        rng = random_stream(71, 3)
+        xs = direct_draws(Ball(radius=0.3, n=3), 64, rng)
+        ds = rng.standard_normal((64, 3))
+        ds /= np.linalg.norm(ds, axis=1)[:, None]
+        cases = [
+            ([], [(63, math.nan)], "^direction must be a finite unit vector$"),
+            ([], [(63, 1.0 + 1e-9)], "^direction must be a finite unit vector$"),
+            ([], [(63, 1.0 - 1e-9)], "^direction must be a finite unit vector$"),
+            ([(63, math.inf)], [], "^chord base point must be finite$"),
+            ([(63, math.nan)], [], "^chord base point must be finite$"),
+            # Row 62's squared norm overflows, so the finiteness test of the norms cannot settle it.
+            ([(62, 1e200), (63, -math.inf)], [], "^chord base point must be finite$"),
+            ([(63, 1e200)], [], "^chord base point lies outside the body$"),
+            ([(63, 5.0)], [], "^chord base point lies outside the body$"),
+        ]
+        for x_edits, d_edits, message in cases:
+            x, d = xs.copy(), ds.copy()
+            for k, v in x_edits:
+                x[k, 1] = v
+            for k, v in d_edits:
+                d[k] *= v
+            with pytest.raises(ValueError, match=message), warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                body.chord(x, d)
+        assert body.chord(xs, ds)[0].shape == (64,)
+
+    def test_one_unbounded_row_among_64_raises(self):
+        # The strip |x1| <= 1 cut by x2 <= 1 bounds every chord with d1 != 0; along -e2 it is open.
+        strip = HPolytope(rows=np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0]]), offsets=np.ones(3))
+        d = np.tile([0.6, 0.8], (64, 1))
+        lo, hi = strip.chord(np.zeros((64, 2)), d)
+        assert np.isfinite(lo).all() and np.isfinite(hi).all()
+        d[63] = [0.0, 1.0]
+        with pytest.raises(ValueError, match="^chord is unbounded"), warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            strip.chord(np.zeros((64, 2)), d)
+
+    @pytest.mark.parametrize("make_body", CHORD_BODIES)
     def test_endpoints_are_extremal(self, make_body):
         body = make_body()
         rng = random_stream(99, 0)
@@ -139,6 +180,22 @@ class TestChord:
             d = rng.standard_normal(3)
             d /= np.linalg.norm(d)
             assert _chord_failure(body, x, d) is None
+
+    @pytest.mark.parametrize("scale, failure", [(0.5, "interval not maximal"), (1.5, "endpoint outside")])
+    def test_chord_failure_names_one_wrong_row(self, scale, failure):
+        # The batched check reads every row: only the last of 20 chords is scaled.
+        class Scaled(Cube):
+            def chord(self, x, d):
+                lo, hi = Cube.chord(self, x, d)
+                lo[-1] *= scale
+                return lo, hi
+
+        rng = random_stream(97, 0)
+        xs = direct_draws(Ball(radius=0.3, n=3), 20, rng)
+        ds = rng.standard_normal((20, 3))
+        ds /= np.linalg.norm(ds, axis=1)[:, None]
+        assert _chord_failure(Cube(halfwidth=1.5, n=3), xs, ds) is None
+        assert _chord_failure(Scaled(halfwidth=1.5, n=3), xs, ds) == failure
 
 
 def slab_reference(slack, rate):
@@ -168,7 +225,9 @@ class TestCubeChord:
         return slab_reference([a - v for v in xs] + [a + v for v in xs], [-v for v in ds] + ds)
 
     def assert_slab_bounds(self, cube, xs, ds):
-        lo, hi, inside = kernel(cube, np.array(xs), np.array(ds))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            lo, hi, inside = kernel(cube, np.array(xs), np.array(ds))
         assert inside.all()
         for k, (x, d) in enumerate(zip(xs, ds)):
             assert [lo[k].hex(), hi[k].hex()] == [t.hex() for t in self.slab_chord(cube, x, d)], (k, x, d)
@@ -197,7 +256,8 @@ class TestCubeChord:
             ds.append(d / np.linalg.norm(d))
         self.assert_slab_bounds(cube, xs, ds)
         # One coordinate on a face or on the edge of the membership tolerance, which is
-        # relative above halfwidth 1 and absolute below it: inside, with the same bits.
+        # relative above halfwidth 1 and absolute below it: inside, with the same bits.  Each
+        # such point also moves along its face, with that coordinate of d 0.0 and then -0.0.
         for cube in (cube, Cube(halfwidth=0.5, n=n)):
             a = cube.halfwidth
             edge = a + MEMBERSHIP_TOL * max(1.0, a)
@@ -210,6 +270,10 @@ class TestCubeChord:
                     assert cube.membership(x), (a, x)
                     xs.append(x)
                     ds.append(d / np.linalg.norm(d))
+                    for zero in (0.0, -0.0) if n > 1 else ():
+                        d[i] = zero
+                        xs.append(x)
+                        ds.append(d / np.linalg.norm(d))
             self.assert_slab_bounds(cube, xs, ds)
 
     def test_outside_point_has_no_chord(self):
@@ -488,10 +552,11 @@ class TestTruncated:
         trunc = Truncated(base=base, radius=1.8)
         rng = random_stream(5, 0)
         pts = rng.uniform(-2.2, 2.2, (300, 4))
-        for p in pts:
-            r = np.linalg.norm(p)
-            if abs(r - 1.8) > 1e-9:  # skip knife-edge roundoff cases
-                assert trunc.membership(p) == (base.membership(p) and r <= 1.8)
+        r = np.linalg.norm(pts, axis=1)
+        clear = np.abs(r - 1.8) > 1e-9  # skip knife-edge roundoff cases
+        assert clear.sum() > 250
+        expect = base.membership(pts) & (r <= 1.8)
+        assert np.array_equal(trunc.membership(pts)[clear], expect[clear])
 
     def test_positive_radius_required(self):
         with pytest.raises(ValueError, match="truncation radius must be positive"):

@@ -114,7 +114,7 @@ class TestDirectSamplers:
     def test_simplex_support(self):
         body = isotropic_normalization("simplex", 3)
         pts = direct_draws(body, 500, random_stream(2, 0))
-        assert all(body.membership(p) for p in pts)
+        assert body.membership(pts).all()
 
     def test_cube_marginal_second_moment(self):
         # var(t^2) = 4/5 for t uniform on [-sqrt(3), sqrt(3)], so the
@@ -197,13 +197,13 @@ class TestHitAndRun:
     def test_emitted_states_are_members(self):
         body = Ball(radius=1.0, n=2)
         pts = sample_hit_and_run(body, np.zeros(2), burn_in=10, thin=1, rng=random_stream(0, 0), count=200)
-        assert all(body.membership(p) for p in pts)
+        assert body.membership(pts).all()
 
     def test_rotated_cube_mean(self):
         # 30-degree rotated cube as an H-polytope; target mean is 0 by symmetry.
         body = HPolytope(rows=np.vstack([ROT30.T, -ROT30.T]), offsets=np.ones(4))
         pts = sample_hit_and_run(body, np.zeros(2), burn_in=1000, thin=5, rng=random_stream(0, 1), count=10_000)
-        assert all(body.membership(p) for p in pts)
+        assert body.membership(pts).all()
         mean = pts.mean(axis=0)
         se = pts.std(axis=0, ddof=1) / math.sqrt(pts.shape[0])
         assert np.all(np.abs(mean) <= 3.0 * se)
@@ -315,7 +315,7 @@ class TestHitAndRun:
         assert rng.calls == [("normal", (3, 10, 3)), ("random", (3, 10)), ("normal", 3), ("normal", 3), ("normal", 3)]
         want = replay_hit_and_run(body, np.zeros(3), 0, 3, ZeroRowStream(), 10)
         assert states.tobytes() == want.tobytes()
-        assert all(body.membership(p) for p in states)
+        assert body.membership(states).all()
 
 
 def replay_hit_and_run(body, x0, burn_in, thin, rng, count):
@@ -393,7 +393,7 @@ class TestTruncatedSampling:
         assert sampler.mode == "hit-and-run"
         assert 1e-6 <= sampler.acceptance < 1e-3
         pts = drawn(sampler, 40)
-        assert all(sampler.truncated.membership(p) for p in pts)
+        assert sampler.truncated.membership(pts).all()
 
     def test_chain_starts_at_the_first_pilot_hit(self, monkeypatch):
         calls = []
