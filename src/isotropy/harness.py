@@ -235,14 +235,15 @@ class ExperimentResult:
     aggregates: list[dict] | None = None
 
 
-def _format_value(v) -> str:
-    if isinstance(v, (bool, np.bool_)):
+def _fields(header: list[str], rows: list[dict]) -> list[list]:
+    """Each row's values under ``header``, a numpy scalar as the Python scalar it holds (np.bool_ -> bool)."""
+    return [[v.item() if isinstance(v, np.generic) else v for v in (row[k] for k in header)] for row in rows]
+
+
+def _csv_field(v) -> str:
+    if isinstance(v, bool):
         return "true" if v else "false"
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    if isinstance(v, (float, np.floating)):
-        return format(float(v), ".17g")
-    return str(v)
+    return format(v, ".17g") if isinstance(v, float) else str(v)
 
 
 def render_csv(header: list[str], rows: list[dict]) -> str:
@@ -250,23 +251,16 @@ def render_csv(header: list[str], rows: list[dict]) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
-    writer.writerows([_format_value(row[k]) for k in header] for row in rows)
+    writer.writerows(map(_csv_field, fields) for fields in _fields(header, rows))
     return buf.getvalue()
-
-
-def _json_value(v):
-    if isinstance(v, (bool, np.bool_)):
-        return bool(v)
-    if isinstance(v, (int, np.integer)):
-        return int(v)
-    if isinstance(v, (float, np.floating)):
-        return float(v) if math.isfinite(v) else None
-    return v
 
 
 def render_json(header: list[str], rows: list[dict]) -> str:
     """RFC 8259 JSON array of row objects; non-finite floats become null."""
-    payload = [{k: _json_value(row[k]) for k in header} for row in rows]
+    payload = [
+        {k: None if isinstance(v, float) and not math.isfinite(v) else v for k, v in zip(header, fields)}
+        for fields in _fields(header, rows)
+    ]
     return json.dumps(payload, indent=2, allow_nan=False) + "\n"
 
 
@@ -612,12 +606,9 @@ def _check_chords(rng: np.random.Generator) -> tuple[bool, str]:
         geo.Truncated(base=geo.Cube(halfwidth=2.0, n=3), radius=2.5),
     ]
     for body in bodies:
-        xs, ds = [], []
-        for _ in range(20):  # a point, then its direction, as one point at a time reads them
-            xs.append(smp.direct_draws(geo.Ball(radius=0.4, n=3), 1, rng)[0])
-            d = rng.standard_normal(3)
-            ds.append(d / np.linalg.norm(d))
-        failure = _chord_failure(body, np.array(xs), np.array(ds))
+        x = smp.direct_draws(geo.Ball(radius=0.4, n=3), 20, rng)
+        d = rng.standard_normal((20, 3))
+        failure = _chord_failure(body, x, d / np.linalg.norm(d, axis=1, keepdims=True))
         if failure is not None:
             return False, f"{type(body).__name__}: {failure}"
     return True, ""

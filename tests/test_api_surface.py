@@ -8,7 +8,8 @@ class counts as used only when some package module names it in an
 ``ValueError`` with a longer name.  The package root binds no public
 name but ``__version__``: callers import the submodules.  No module
 checks with ``assert``, which ``python -O`` strips: a detected failure
-raises ``ValueError``.
+raises ``ValueError``.  The CLI alone reads the environment
+(``ISOTROPY_SEED``).
 """
 
 import ast
@@ -103,6 +104,20 @@ def test_no_assert_statements():
         for path in sorted(SRC.glob("*.py"))
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
         if isinstance(node, ast.Assert)
+    ]
+    assert found == []
+
+
+def test_only_the_cli_reads_the_environment():
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(SRC.glob("*.py"))
+        if path.name != "cli.py"
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Attribute)
+        and node.attr in ("environ", "getenv")
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "os"
     ]
     assert found == []
 

@@ -307,10 +307,20 @@ class TestRenderers:
 
     def test_numpy_scalars_render_like_python_ones(self):
         # A verdict computed from numpy values is an np.bool_, which is not a bool.
-        rows = [{"a": np.bool_(True), "b": np.float64(0.5), "c": np.bool_(False), "d": np.int64(3)}]
-        assert render_csv(["a", "b", "c", "d"], rows) == "a,b,c,d\ntrue,0.5,false,3\n"
-        [payload] = strict_json_loads(render_json(["a", "b", "c", "d"], rows))
-        assert payload == {"a": True, "b": 0.5, "c": False, "d": 3}
+        header = ["a", "b", "c", "d", "e", "f"]
+        rows = [
+            {
+                "a": np.bool_(True),
+                "b": np.float64(0.5),
+                "c": np.bool_(False),
+                "d": np.int64(3),
+                "e": np.float64(np.nan),
+                "f": np.str_("x"),
+            }
+        ]
+        assert render_csv(header, rows) == "a,b,c,d,e,f\ntrue,0.5,false,3,nan,x\n"
+        [payload] = strict_json_loads(render_json(header, rows))
+        assert payload == {"a": True, "b": 0.5, "c": False, "d": 3, "e": None, "f": "x"}
         assert payload["a"] is True and payload["c"] is False
 
     def test_agg_path(self):
@@ -884,6 +894,7 @@ class TestCli:
             err = capsys.readouterr().err
             assert err.startswith("error: ISOTROPY_SEED must be a decimal integer, got 'not-a-number'\n"), args
             assert err.count("error:") == 1 and "Traceback" not in err, args
+            assert err.splitlines()[1].startswith("usage: isotropy "), args
 
     @pytest.mark.parametrize(
         "command, text",
@@ -894,15 +905,19 @@ class TestCli:
             ("john-sparsify", "fixture=cross-polytope\nn=8\neps=0.25\nc=1\nmax_attempts=1\nseeds=0,1,2,3,4,5\n"),
             ("bernoulli", "mode=ratio\nsampler=cube\nn=4\nm_grid=16,64\ntrials=50\nseeds=0,1\n"),
             ("bernoulli", "mode=symmetrize\nsampler=cube\nn=4\nm=128\ntrials=50\nseeds=0,1\n"),
+            ("check", None),
         ],
-        ids=["sweep", "whiten", "truncated", "john-sparsify", "bernoulli-ratio", "bernoulli-symmetrize"],
+        ids=["sweep", "whiten", "truncated", "john-sparsify", "bernoulli-ratio", "bernoulli-symmetrize", "check"],
     )
     def test_json_output_mirrors_csv(self, tmp_path, command, text):
         # Every JSON field equals its CSV field: numbers by float(), booleans as true/false, null as nan.
-        cfg = tmp_path / "c.cfg"
-        cfg.write_text(text, encoding="utf-8")
-        assert run_cli([command, "--config", str(cfg), "--out", str(tmp_path / "a.csv")]) == 0
-        assert run_cli([command, "--config", str(cfg), "--out", str(tmp_path / "a.json"), "--format", "json"]) == 0
+        args = []
+        if text is not None:  # check takes no config
+            cfg = tmp_path / "c.cfg"
+            cfg.write_text(text, encoding="utf-8")
+            args = ["--config", str(cfg)]
+        assert run_cli([command, *args, "--out", str(tmp_path / "a.csv")]) == 0
+        assert run_cli([command, *args, "--out", str(tmp_path / "a.json"), "--format", "json"]) == 0
         for stem in ("a", "a.agg"):
             if not (tmp_path / f"{stem}.csv").exists():
                 continue
@@ -944,6 +959,28 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith(f"error: cannot write {out}: ") and err.count("\n") == 1
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command", [*harness.EXPERIMENT_KINDS, "check"])
+    def test_every_subcommand_takes_the_same_flags(self, tmp_path, command):
+        # Every subcommand accepts --seed, --out and --format; --config is the experiment kinds'
+        # alone, required there and refused by check.
+        out = str(tmp_path / "x.json")
+        args = ["--seed", "3", "--out", out, "--format", "json"]
+        config = ["--config", str(tmp_path / "x.cfg")]
+        parsed = cli.build_parser().parse_args([command, *args, *([] if command == "check" else config)])
+        assert (parsed.command, parsed.seed, parsed.out, parsed.format) == (command, 3, out, "json")
+        with pytest.raises(SystemExit) as err:
+            run_cli([command, *args, *(config if command == "check" else [])])
+        assert err.value.code == 2
+
+    def test_parser_is_built_once(self, tmp_path):
+        assert cli.build_parser() is cli.build_parser()
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text(SWEEP_TEXT, encoding="utf-8")
+        outs = [tmp_path / "a.json", tmp_path / "b.json"]
+        for out in outs:
+            assert run_cli(["sweep", "--config", str(cfg), "--out", str(out), "--format", "json"]) == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes()
 
     def test_stdout_output(self, tmp_path, capsys):
         cfg = tmp_path / "sweep.cfg"
