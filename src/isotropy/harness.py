@@ -209,22 +209,11 @@ def derive_stream(kind: str, point: int, seed: int) -> int:
     return int.from_bytes(digest, "little")
 
 
-def _make_draw(sampler: str, n: int):
-    """Resolve a validated sampler name to draw(m, rng) -> (m, n) array."""
+def _make_sampler(sampler: str, n: int) -> geo.Body | geo.JohnDecomposition:
+    """Resolve a validated sampler name to what the samplers draw from: the isotropic body, or
+    the John decomposition of ``john:<fixture>``."""
     base, _, sub = sampler.partition(":")
-    if base == "john":
-        jd = geo.canonical_john(sub, n)
-        return lambda m, rng: smp.john_draws(jd, m, rng)
-    body = geo.isotropic_normalization(sampler, n)
-    return lambda m, rng: smp.direct_draws(body, m, rng)
-
-
-def _make_stream(sampler: str, n: int):
-    """Resolve a validated sampler name to stream(m, rng): the m draws as (rows, n) chunks of
-    samplers._chunk_sizes(m) rows, each drawn as it is read.  The chunks read the random stream
-    as one whole draw does."""
-    draw = _make_draw(sampler, n)
-    return lambda m, rng: (draw(rows, rng) for rows in smp._chunk_sizes(m))
+    return geo.canonical_john(sub, n) if base == "john" else geo.isotropic_normalization(sampler, n)
 
 
 @dataclass
@@ -309,10 +298,10 @@ def _run_grid(row, points: list, kind: str, master_seed: int, seeds: list[int], 
 
 def _plan_sweep(cfg: ExperimentConfig):
     """Deviation reports over an M grid of fresh draws, each read as a stream of chunks."""
-    stream = _make_stream(cfg.sampler, cfg.n)
+    sampler = _make_sampler(cfg.sampler, cfg.n)
 
     def row(m: int, seed: int, rng: np.random.Generator) -> dict:
-        measured = mom.concentration_report(stream(m, rng), m)
+        measured = mom.concentration_report(smp._draw_chunks(sampler, m, rng), m)
         return {"experiment": cfg.kind, "n": cfg.n, "M": m, "seed": seed, "sampler": cfg.sampler, **measured}
 
     return row, cfg.m_grid
@@ -348,11 +337,11 @@ def _plan_whiten(cfg: ExperimentConfig):
     most eps.  T_hat is summed over the distorted chunks of the draw's stream,
     so no (M, n) array forms.
     """
-    stream = _make_stream(cfg.sampler, cfg.n)
+    sampler = _make_sampler(cfg.sampler, cfg.n)
     distortion = np.asarray(cfg.distortion)
 
     def row(m: int, seed: int, rng: np.random.Generator) -> dict:
-        distorted = (np.multiply(chunk, distortion, out=chunk) for chunk in stream(m, rng))
+        distorted = (np.multiply(chunk, distortion, out=chunk) for chunk in smp._draw_chunks(sampler, m, rng))
         t_hat = mom._streamed_second_moment(distorted, m)
         g = inv_sqrt(t_hat) * distortion  # W A, so g g^T = W A^2 W
         dev = mom.deviation(g @ g.T)
@@ -439,18 +428,18 @@ def _plan_john(cfg: ExperimentConfig):
 
 def _plan_bernoulli(cfg: ExperimentConfig):
     """Signed rank-one sum experiments: bound ratios or symmetrization checks."""
-    draw = _make_draw(cfg.sampler, cfg.n)
+    sampler = _make_sampler(cfg.sampler, cfg.n)
 
     if cfg.mode == "ratio":
 
         def ratio_row(m: int, seed: int, rng: np.random.Generator) -> dict:
-            measured = brn.bound_ratio(draw(m, rng), cfg.trials, rng)
+            measured = brn.bound_ratio(smp.direct_draws(sampler, m, rng), cfg.trials, rng)
             return {"experiment": cfg.kind, "M": m, "n": cfg.n, "trials": cfg.trials, "seed": seed, **measured}
 
         return ratio_row, cfg.m_grid
 
     def symmetrize_row(m: int, seed: int, rng: np.random.Generator) -> dict:
-        measured = brn.symmetrization_check(draw, cfg.n, m, cfg.trials, rng)
+        measured = brn.symmetrization_check(lambda k, r: smp.direct_draws(sampler, k, r), cfg.n, m, cfg.trials, rng)
         return {"experiment": cfg.kind, "n": cfg.n, "M": m, "trials": cfg.trials, "seed": seed, **measured}
 
     return symmetrize_row, [cfg.m]

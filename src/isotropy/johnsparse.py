@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import JohnDecomposition, _frozen
-from .samplers import john_draws
+from .samplers import direct_draws
 from .symlin import operator_norm
 
 __all__ = [
@@ -125,7 +125,7 @@ def sparsify(
     dev_failures = 0
     sum_failures = 0
     for attempt in range(1, max_attempts + 1):
-        y = john_draws(jd, m, rng)
+        y = direct_draws(jd, m, rng)
         dev = operator_norm((y.T @ y) / m - np.eye(n))
         point_sum = float(np.linalg.norm(y.sum(axis=0)))
         ok_dev = dev <= eps / 2.0

@@ -22,7 +22,6 @@ __all__ = [
     "direct_draws",
     "sample_hit_and_run",
     "TruncatedSampler",
-    "john_draws",
     "john_support",
 ]
 
@@ -54,38 +53,61 @@ def random_stream(seed: int, stream: int) -> np.random.Generator:
     return np.random.Generator(np.random.SFC64(seq))
 
 
-def direct_draws(body: Body, m: int, rng: np.random.Generator) -> np.ndarray:
-    """M exact uniform samples as a plain (m, n) array, formed by row chunks of _chunk_sizes(m)
-    in one output array.  The stream is read in a fixed order per body within each chunk, so a
-    stream of chunk draws reads it exactly as one whole draw does."""
+def direct_draws(sampler: Body | JohnDecomposition, m: int, rng: np.random.Generator) -> np.ndarray:
+    """M exact draws as a plain (m, n) array: uniform points of a cube, ball or simplex, or
+    draws of a John decomposition's point mass.  The chunks of ``_draw_chunks`` fill the one
+    output array, so the whole draw reads the random stream as its stream of chunks does."""
     if m < 1:
         raise ValueError("batch size must be >= 1")
-    if not isinstance(body, (Cube, Ball, Simplex)):
-        raise ValueError(f"no direct sampler for body {type(body).__name__}; use hit-and-run")
-    n = body.n
-    pts = np.empty((m, n))
+    pts = np.empty((m, sampler.n))
+    for _ in _draw_chunks(sampler, m, rng, out=pts):
+        pass
+    return pts
+
+
+def _draw_chunks(
+    sampler: Body | JohnDecomposition, m: int, rng: np.random.Generator, out: np.ndarray | None = None
+) -> Iterator[np.ndarray]:
+    """The m draws of ``sampler`` as (rows, n) chunks of _chunk_sizes(m) rows, each drawn as it is read.
+
+    Each chunk is a view of ``out`` when it is given, else of one (min(m, _CHUNK_ROWS + 1), n)
+    buffer that every chunk reuses, so a chunk holds its rows only until the next one is read.
+    The stream is read in a fixed order per sampler within each chunk, and a John chunk reads
+    one uniform per row (``Generator.choice`` over the support), so a stream of chunks reads it
+    exactly as one whole draw does.
+    """
+    n = sampler.n
+    if isinstance(sampler, JohnDecomposition):
+        support, probs = john_support(sampler)
+    elif not isinstance(sampler, (Cube, Ball, Simplex)):
+        raise ValueError(f"no direct sampler for body {type(sampler).__name__}; use hit-and-run")
+    buf = np.empty((min(m, _CHUNK_ROWS + 1), n)) if out is None else out
+    if isinstance(sampler, Simplex):
+        exps = np.empty((min(m, _CHUNK_ROWS + 1), n + 1))
     i = 0
     for rows in _chunk_sizes(m):
-        block = pts[i : i + rows]
+        block = buf[:rows] if out is None else out[i : i + rows]
         i += rows
-        if isinstance(body, Cube):
+        if isinstance(sampler, JohnDecomposition):
+            block[...] = rng.choice(support, rows, p=probs)
+        elif isinstance(sampler, Cube):
             # Generator.uniform(low, high)'s low + (high - low) * U, same bytes, in faster vector passes.
-            low, high = -body.halfwidth, body.halfwidth
+            low, high = -sampler.halfwidth, sampler.halfwidth
             rng.random(out=block)
             block *= high - low
             block += low
-        elif isinstance(body, Ball):
+        elif isinstance(sampler, Ball):
             rng.standard_normal(out=block)
             u = rng.random(rows)
             norms = _row_norms(block)
             norms[norms == 0.0] = 1.0  # measure-zero guard
             block *= (u ** (1.0 / n) / norms)[:, None]
-            block *= body.radius
+            block *= sampler.radius
         else:
-            e = rng.standard_exponential((rows, n + 1))
+            e = rng.standard_exponential(out=exps[:rows])
             e /= np.einsum("ij->i", e)[:, None]
-            np.matmul(e, body.vertices, out=block)
-    return pts
+            np.matmul(e, sampler.vertices, out=block)
+        yield block
 
 
 def _chunk_sizes(m: int) -> Iterator[int]:
@@ -247,8 +269,3 @@ def john_support(jd: JohnDecomposition) -> tuple[np.ndarray, np.ndarray]:
     n = jd.n
     return np.sqrt(n) * jd.points, jd.weights / n
 
-
-def john_draws(jd: JohnDecomposition, m: int, rng: np.random.Generator) -> np.ndarray:
-    """M draws from the John point mass, by inverse CDF over the fixed point order."""
-    support, probs = john_support(jd)
-    return rng.choice(support, m, p=probs)

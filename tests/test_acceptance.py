@@ -69,7 +69,7 @@ def test_02_trace_law():
         ok = ok and abs(z) <= 3.0
         details.append(f"{variant} z={z:+.2f}")
     jd = geo.canonical_john("cross-polytope", n)
-    pts = smp.john_draws(jd, m, smp.random_stream(0, derive_stream("acc-trace", 0, 4)))
+    pts = smp.direct_draws(jd, m, smp.random_stream(0, derive_stream("acc-trace", 0, 4)))
     sq = np.einsum("ij,ij->i", pts, pts)
     exact = bool(np.abs(sq - n).max() <= 1e-10)
     ok = ok and exact

@@ -122,6 +122,18 @@ def test_only_the_cli_reads_the_environment():
     assert found == []
 
 
+def test_only_samplers_names_the_chunk_rule():
+    # Every chunked draw runs through samplers' own loop, so the chunk rule has one owner.
+    found = [
+        f"{path.name}:{i}"
+        for path in MODULES
+        if path.name != "samplers.py"
+        for i, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+        if re.search(r"\b(_chunk_sizes|_CHUNK_ROWS)\b", line)
+    ]
+    assert found == []
+
+
 def test_bodies_decide_containment_in_their_chord_alone():
     # Each body states its containment test once, in _chord_impl; membership and chord are
     # Body's alone, so the bench tracer's wrapper on the classes that define membership

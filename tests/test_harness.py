@@ -15,7 +15,8 @@ from isotropy import bernoulli as brn
 from isotropy import cli, harness
 from isotropy import johnsparse as jsp
 from isotropy import moments as mom
-from isotropy.geometry import canonical_john, isotropic_normalization
+from isotropy import samplers
+from isotropy.geometry import canonical_john
 from isotropy.harness import (
     ConfigError,
     ExperimentConfig,
@@ -30,7 +31,7 @@ from isotropy.harness import (
     run_experiment,
     truncated_sample_count,
 )
-from isotropy.samplers import direct_draws, john_draws, random_stream
+from isotropy.samplers import direct_draws, random_stream
 
 
 def strict_json_loads(text):
@@ -424,23 +425,34 @@ class TestRunSweep:
 
 
 class TestDrawStream:
-    # Sweep and whiten rows read their m draws as a stream of row chunks.
+    # Sweep and whiten rows read their m draws as a stream of row chunks that share one buffer.
+
+    @staticmethod
+    def stream(sampler, n, m, rng):
+        """The chunks of a streamed draw, each copied as it is read."""
+        return [chunk.copy() for chunk in samplers._draw_chunks(harness._make_sampler(sampler, n), m, rng)]
 
     @pytest.mark.parametrize("m", [3, 4096, 4097, 4098, 8193, 65536])
     @pytest.mark.parametrize("sampler", ["cube", "ball", "simplex", "john:cross-polytope"])
     def test_chunks_are_one_whole_draw(self, sampler, m):
         # Every sampler's chunks read the random stream as one whole draw does.
         rng, whole_rng = random_stream(1, 2), random_stream(1, 2)
-        chunks = list(harness._make_stream(sampler, 4)(m, rng))
-        assert np.array_equal(np.concatenate(chunks), harness._make_draw(sampler, 4)(m, whole_rng))
+        chunks = self.stream(sampler, 4, m, rng)
+        assert np.array_equal(np.concatenate(chunks), direct_draws(harness._make_sampler(sampler, 4), m, whole_rng))
         assert np.array_equal(rng.random(8), whole_rng.random(8))
         sizes = [len(c) for c in chunks]
         assert max(sizes) <= 4097 and 1 not in sizes[1:], sizes
 
+    @pytest.mark.parametrize("sampler", ["cube", "ball", "simplex", "john:cross-polytope"])
+    def test_chunks_reuse_one_buffer(self, sampler):
+        chunks = samplers._draw_chunks(harness._make_sampler(sampler, 4), 3 * 4096, random_stream(1, 2))
+        first = next(chunks)
+        assert np.shares_memory(first, next(chunks))
+
     def test_recorded_ball_stream(self):
         # Pins the points of a streamed ball draw, and with them the order in which each
         # chunk reads its normals and radii.
-        pts = np.concatenate(list(harness._make_stream("ball", 8)(10_000, random_stream(1, 2))))
+        pts = np.concatenate(self.stream("ball", 8, 10_000, random_stream(1, 2)))
         assert hashlib.sha256(pts.tobytes()).hexdigest() == (
             "6787ea25bc91a3a7a6f062958e5f2f46e8060f45cbb2e8420da1c6c9e3f575df"
         )
@@ -467,10 +479,7 @@ class TestRunWhiten:
         cfg = parse_config(f"kind=whiten\nsampler={sampler}\nn={n}\nm={m}\ndistortion={distortion}\nseeds=0,1,2\n")
         for row in run_experiment(cfg).rows:
             rng = random_stream(cfg.seed, derive_stream("whiten", 0, row["seed"]))
-            if sampler.startswith("john:"):
-                x = john_draws(canonical_john(sampler.removeprefix("john:"), n), m, rng)
-            else:
-                x = direct_draws(isotropic_normalization(sampler, n), m, rng)
+            x = direct_draws(harness._make_sampler(sampler, n), m, rng)
             oracle = np.linalg.norm(np.linalg.inv(x.T @ x / m) - np.eye(n), 2)
             assert abs(row["deviation_exact"] - oracle) <= 1e-9 * max(1.0, oracle), (row["seed"], oracle)
 

@@ -85,9 +85,9 @@ class TestDeviation:
 class TestLogMoment:
     def test_john_norms_give_sqrt_n_for_every_p(self):
         jd = canonical_john("simplex", 4)
-        from isotropy.samplers import john_draws
+        from isotropy.samplers import direct_draws
 
-        pts = john_draws(jd, 64, random_stream(0, 0))
+        pts = direct_draws(jd, 64, random_stream(0, 0))
         for p in (2.0, 3.7, math.log(64), 25.0):
             assert power_mean(pts, p) == pytest.approx(2.0, rel=1e-12)
 

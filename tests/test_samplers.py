@@ -14,7 +14,6 @@ from isotropy.harness import _ball_radial_cdf, _trace_law
 from isotropy.samplers import (
     TruncatedSampler,
     direct_draws,
-    john_draws,
     john_support,
     random_stream,
     sample_hit_and_run,
@@ -720,12 +719,12 @@ class TestJohnSampler:
 
     def test_outputs_live_on_the_support_sphere(self):
         jd = canonical_john("simplex", 5)
-        pts = john_draws(jd, 2000, random_stream(0, 0))
+        pts = direct_draws(jd, 2000, random_stream(0, 0))
         assert np.allclose(np.linalg.norm(pts, axis=1), math.sqrt(5.0), atol=1e-12)
 
     def test_single_draw(self):
         jd = canonical_john("cross-polytope", 3)
-        y = john_draws(jd, 1, random_stream(1, 0))[0]
+        y = direct_draws(jd, 1, random_stream(1, 0))[0]
         assert abs(np.linalg.norm(y) - math.sqrt(3.0)) <= 1e-12
 
     def test_cube_vertices_frequencies(self):
@@ -735,7 +734,7 @@ class TestJohnSampler:
         jd = canonical_john("cube-vertices", 3)
         support, probs = john_support(jd)
         assert np.allclose(probs, 0.125, atol=0)
-        pts = john_draws(jd, m, random_stream(0, 42))
+        pts = direct_draws(jd, m, random_stream(0, 42))
         keys = [tuple(np.sign(p).astype(int)) for p in support]
         counts = collections.Counter(tuple(np.sign(p).astype(int)) for p in pts)
         freqs = np.array([counts[k] / m for k in keys])
@@ -744,4 +743,14 @@ class TestJohnSampler:
 
     def test_batch_shape(self):
         jd = canonical_john("cross-polytope", 2)
-        assert john_draws(jd, 10, random_stream(4, 5)).shape == (10, 2)
+        assert direct_draws(jd, 10, random_stream(4, 5)).shape == (10, 2)
+
+    @pytest.mark.parametrize("m", [3, 4097, 8193])
+    def test_chunked_draw_is_one_generator_choice(self, m):
+        # direct_draws reads a John draw by chunks of _chunk_sizes(m) rows, one uniform per row,
+        # so it is bit for bit one inverse-CDF choice over the support.
+        jd = canonical_john("cross-polytope", 3)
+        support, probs = john_support(jd)
+        rng, whole_rng = random_stream(2, 7), random_stream(2, 7)
+        assert direct_draws(jd, m, rng).tobytes() == whole_rng.choice(support, m, p=probs).tobytes()
+        assert np.array_equal(rng.random(4), whole_rng.random(4))

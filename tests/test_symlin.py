@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from isotropy.symlin import inv_sqrt, operator_norm
+from isotropy.symlin import ASYM_TOL, inv_sqrt, operator_norm
 
 
 def random_symmetric(rng, n):
@@ -48,6 +48,27 @@ def test_rejects_asymmetric():
     a[0, 1] = 1e-10
     assert operator_norm(a) == pytest.approx(1.0, rel=1e-9)
     assert operator_norm(np.stack([np.eye(3), a])).shape == (2,)
+
+
+@pytest.mark.parametrize("member", [0, -1])
+@pytest.mark.parametrize("entry", [(0, 4), (4, 3), (1, 0)], ids=["0-last", "last-penultimate", "1-0"])
+def test_one_asymmetric_entry_decides_its_stack(member, entry):
+    # One entry off its mirror in the first or last member of a (4, 5, 5) stack raises at twice
+    # the tolerance ASYM_TOL * (1 + scale) and passes at half of it; every member's scale is 2.
+    rng = np.random.default_rng(3)
+    g = rng.uniform(-1.0, 1.0, (4, 5, 5))
+    stack = g + g.swapaxes(-1, -2)
+    stack /= 2.0
+    stack[:, 0, 0] = 2.0
+    tol = ASYM_TOL * (1.0 + 2.0)
+    for factor, raises in ((2.0, True), (0.5, False)):
+        bad = stack.copy()
+        bad[(member, *entry)] += factor * tol
+        if raises:
+            with pytest.raises(ValueError, match="not symmetric within tolerance"):
+                operator_norm(bad)
+        else:
+            assert operator_norm(bad).shape == (4,)
 
 
 @pytest.mark.parametrize(
